@@ -34,13 +34,12 @@ from .fusion import (
     stack_scores,
 )
 from .metrics import DcfConfig, evaluate_scores
-from .model import embed_waveform, plan_shapes, toy_embed
+from .model import embed_waveform, plan_shapes
 from .scoring import extract_segments, score_trials, segment_id, segment_plan
 from .schedule import lr_at
 from .selftest import run_selftest
 from .trials import (
     EmbeddingStore,
-    ScoreSet,
     TrialParseError,
     StoreFormatError,
     parse_scores,
@@ -157,7 +156,7 @@ def cmd_embed(args) -> int:
         else:
             ids.append(utt_id)
             vectors.append(embed_waveform(wav, seed=seed, cfg=feature_cfg))
-    store = EmbeddingStore(ids, np.array(vectors, dtype=np.float32), normalized=True)
+    store = EmbeddingStore(ids, vectors, normalized=True)
     write_embeddings_file(store, args.output)
     print(f"embedded {len(entries)} utterances dim {store.dim}")
     return 0

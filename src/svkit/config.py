@@ -16,9 +16,6 @@ from .augment import AugmentPolicy
 from .features import FeatureConfig
 from .schedule import CosineRestartConfig
 
-SCORING_MODES = ("raw", "asnorm", "msa")
-
-
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration."""
 
@@ -78,33 +75,21 @@ class PipelineConfig:
     cmn: bool = True
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
     noise_manifest: str | None = None
-    scoring_mode: str = "raw"
     cohort_path: str | None = None
     top_k: int = 100
     n_segments: int = 5
     segment_duration: float = 6.0
-    p_target: float = 0.05
-    c_miss: float = 1.0
-    c_fa: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.sample_rate < 1:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.scoring_mode not in SCORING_MODES:
-            raise ConfigError(
-                f"scoring_mode must be one of {', '.join(SCORING_MODES)}, got {self.scoring_mode!r}"
-            )
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.n_segments < 1:
             raise ConfigError(f"n_segments must be >= 1, got {self.n_segments}")
         if self.segment_duration <= 0:
             raise ConfigError(f"segment_duration must be positive, got {self.segment_duration}")
-        if not 0 < self.p_target < 1:
-            raise ConfigError(f"p_target must be in (0, 1), got {self.p_target}")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ConfigError("detection costs must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         # feature geometry is validated by the feature module itself
@@ -124,14 +109,10 @@ _PIPELINE_KEYS = {
     "n_mels": ("n_mels", _as_int),
     "cmn": ("cmn", _as_bool),
     "noise_manifest": ("noise_manifest", str),
-    "scoring_mode": ("scoring_mode", str),
     "cohort": ("cohort_path", str),
     "top_k": ("top_k", _as_int),
     "n_segments": ("n_segments", _as_int),
     "segment_duration": ("segment_duration", _as_float),
-    "p_target": ("p_target", _as_float),
-    "c_miss": ("c_miss", _as_float),
-    "c_fa": ("c_fa", _as_float),
     "seed": ("seed", _as_int),
 }
 

@@ -183,9 +183,13 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
     """Read a RIFF PCM wav file: 16-bit signed mono at the expected rate.
 
     Anything else (other sample widths, channel counts, rates, compressed
-    streams) is rejected.
+    streams, non-RIFF or truncated headers) is rejected with ValueError.
     """
-    with wave.open(str(path), "rb") as fh:
+    try:
+        fh = wave.open(str(path), "rb")
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable RIFF wav ({exc or 'truncated header'})") from None
+    with fh:
         if fh.getcomptype() != "NONE":
             raise ValueError(f"{path}: compressed wav not supported")
         if fh.getsampwidth() != 2:

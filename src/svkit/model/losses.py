@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..scoring import dot_rows
+
 
 def length_normalize(v: np.ndarray) -> np.ndarray:
     """Scale a vector to unit L2 norm."""
@@ -106,16 +108,11 @@ def subcenter_cosines(x: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     """
     tensor = _as_tensor(weights)
     x = np.asarray(x, dtype=np.float64)
-    dim, n_classes, k = tensor.shape
-    # column-by-column np.dot so a K=1 tensor reproduces plain cosine
-    # scoring bit for bit (one matmul would change the summation order)
-    per_subcenter = np.empty((n_classes, k))
-    for j in range(n_classes):
-        for kk in range(k):
-            per_subcenter[j, kk] = np.dot(x, tensor[:, j, kk])
+    # the scoring dot kernel, so a K=1 tensor reproduces plain cosine
+    # scoring bit for bit (one gemv would change the summation order)
+    per_subcenter = dot_rows(x, tensor.transpose(1, 2, 0))
     active = np.argmax(per_subcenter, axis=1)
-    cosines = per_subcenter[np.arange(n_classes), active]
-    return cosines, active
+    return per_subcenter[np.arange(len(active)), active], active
 
 
 def softmax_ce_loss(logits: np.ndarray, y: int) -> LossEval:

@@ -1,15 +1,17 @@
 """Trial scoring: raw cosine, adaptive symmetric normalization, and
 segment-matrix averaging.
 
-All scorers consume unit-norm embeddings (checked, not fixed up here) and
-are pure functions, so per-trial work can be parallelized freely without
-changing any output.
+All scorers consume unit-norm embeddings (checked, not fixed up here).
+Every cosine goes through one kernel, `dot_rows`, which runs the same
+BLAS dot as np.dot on each pair of rows, so a score computed in a batch
+of any size equals the single-pair score bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,25 +20,35 @@ from .trials import EmbeddingStore, ScoreSet, TrialList
 
 NORM_TOL = 1e-4
 SIGMA_FLOOR = 1e-9
+# trials per gathered chunk: bounds the enroll/test row copies
+TRIAL_CHUNK = 128
 
 
-def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"{what} is not length-normalized (norm {norm:.6g})")
-    return v
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of matching last-axis rows of a and b,
+    broadcast over the leading axes. Each is the np.dot of those two rows
+    with their strides, so batched and single-pair scores agree bit for bit."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _check_unit(rows: np.ndarray, names: Sequence[str]) -> None:
+    """Reject rows (len(names) of them, after flattening the leading axes)
+    whose L2 norm is off 1 by more than NORM_TOL; names[i] labels row i."""
+    flat = rows.reshape(len(names), -1)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    if len(bad):
+        raise ValueError(f"{names[bad[0]]} is not length-normalized (norm {norms[bad[0]]:.6g})")
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two unit-norm embeddings."""
-    a = _check_unit(a, "enrollment embedding")
-    b = _check_unit(b, "test embedding")
-    if a.shape != b.shape:
-        raise ValueError(f"embedding dims differ: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"embedding dims differ or are not 1-D: {a.shape} vs {b.shape}")
+    _check_unit(np.stack([a, b]), ["enrollment embedding", "test embedding"])
+    return float(dot_rows(a, b))
 
 
 @dataclass(frozen=True)
@@ -62,12 +74,15 @@ def cohort_stats(e: np.ndarray, cohort: EmbeddingStore, k: int = 100) -> CohortS
     Scores e against every cohort vector, keeps the K largest, and returns
     their mean and population (1/K) standard deviation.
     """
-    e = _check_unit(e, "embedding")
+    e = np.asarray(e, dtype=np.float64)
+    if e.shape != (cohort.dim,):
+        raise ValueError(f"embedding shape {e.shape} does not match cohort dim {cohort.dim}")
+    _check_unit(e, ["embedding"])
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cohort) < k:
         raise ValueError(f"cohort has {len(cohort)} vectors, need at least k={k}")
-    scores = cohort.vectors.astype(np.float64) @ e
+    scores = cohort.vectors @ e
     if k < len(scores):
         top = np.partition(scores, len(scores) - k)[len(scores) - k :]
     else:
@@ -163,22 +178,23 @@ def segment_id(utt_id: str, index: int) -> str:
     return f"{utt_id}#{index}"
 
 
-def msa_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    """Mean of all pairwise cosine scores between two segment sets.
+def _msa_means(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Mean pairwise segment score of each pair of stacks a[i], b[i],
+    accumulated relative to the first pair's score so that identical
+    segments on both sides reproduce the plain cosine score bit for bit
+    (a straight sum-and-divide can drift by one ulp)."""
+    blocks = dot_rows(a[:, :, None], b[:, None]).reshape(len(a), -1)
+    return [row[0] + math.fsum(row - row[0]) / len(row) for row in blocks]
 
-    The mean is accumulated relative to the first pair's score so that
-    identical segments on both sides reproduce the plain cosine score
-    bit for bit (a straight sum-and-divide can drift by one ulp).
-    """
+
+def msa_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
+    """Mean of all pairwise cosine scores between two segment sets."""
     emb_a = np.atleast_2d(np.asarray(emb_a, dtype=np.float64))
     emb_b = np.atleast_2d(np.asarray(emb_b, dtype=np.float64))
     if emb_a.shape[1] != emb_b.shape[1]:
         raise ValueError(f"embedding dims differ: {emb_a.shape[1]} vs {emb_b.shape[1]}")
-    pair_scores = [
-        cosine_score(a, b) for a in emb_a for b in emb_b
-    ]
-    first = pair_scores[0]
-    return first + math.fsum(s - first for s in pair_scores) / len(pair_scores)
+    _check_unit(np.concatenate([emb_a, emb_b]), ["segment"] * (len(emb_a) + len(emb_b)))
+    return float(_msa_means(emb_a[None], emb_b[None])[0])
 
 
 def score_trials(
@@ -194,33 +210,30 @@ def score_trials(
     raw: plain cosine on each pair. asnorm: cosine then symmetric top-K
     cohort normalization (cohort store required). msa: the store must hold
     n_segments embeddings per utterance under segment ids, and each trial
-    gets the mean of the pairwise segment scores.
+    gets the mean of the pairwise segment scores. A trial id missing from
+    the store raises ValueError.
     """
-    if mode == "raw":
-        scores = [
-            cosine_score(store.get(t.enroll_id), store.get(t.test_id)) for t in trials
-        ]
-    elif mode == "asnorm":
-        if cohort is None:
-            raise ValueError("asnorm scoring needs a cohort store")
-        stats: dict[str, CohortStats] = {}
-        for utt in trials.utterance_ids():
-            stats[utt] = cohort_stats(store.get(utt), cohort, top_k)
-        scores = [
-            asnorm_score(
-                cosine_score(store.get(t.enroll_id), store.get(t.test_id)),
-                stats[t.enroll_id],
-                stats[t.test_id],
-            )
-            for t in trials
-        ]
-    elif mode == "msa":
-        def segments(utt_id: str) -> np.ndarray:
-            ids = [segment_id(utt_id, i) for i in range(n_segments)]
-            return store.rows(ids).astype(np.float64)
-
-        cache = {utt: segments(utt) for utt in trials.utterance_ids()}
-        scores = [msa_score(cache[t.enroll_id], cache[t.test_id]) for t in trials]
-    else:
+    if mode not in ("raw", "asnorm", "msa"):
         raise ValueError(f"unknown scoring mode {mode!r}; expected raw, asnorm, or msa")
-    return ScoreSet(trials=trials, scores=np.array(scores))
+    if mode == "asnorm" and cohort is None:
+        raise ValueError("asnorm scoring needs a cohort store")
+    utts = trials.utterance_ids()
+    where = {u: k for k, u in enumerate(utts)}
+    enroll = np.array([where[t.enroll_id] for t in trials], dtype=np.intp)
+    test = np.array([where[t.test_id] for t in trials], dtype=np.intp)
+    ids = [segment_id(u, i) for u in utts for i in range(n_segments)] if mode == "msa" else utts
+    rows = store.rows(ids)
+    _check_unit(rows, [f"embedding {i!r}" for i in ids])
+    if mode == "msa":
+        rows = rows.reshape(len(utts), n_segments, store.dim)
+    scores = np.empty(len(trials))
+    for s in range(0, len(trials), TRIAL_CHUNK):
+        a = rows[enroll[s : s + TRIAL_CHUNK]]
+        b = rows[test[s : s + TRIAL_CHUNK]]
+        scores[s : s + TRIAL_CHUNK] = _msa_means(a, b) if mode == "msa" else dot_rows(a, b)
+    if mode == "asnorm":
+        stats = [cohort_stats(v, cohort, top_k) for v in rows]
+        mean = np.array([st.mean for st in stats])
+        std = np.array([st.std for st in stats])
+        scores = 0.5 * ((scores - mean[enroll]) / std[enroll] + (scores - mean[test]) / std[test])
+    return ScoreSet(trials=trials, scores=scores)

@@ -112,12 +112,13 @@ class ScoreSet:
 class EmbeddingStore:
     """Id-indexed matrix of fixed-dimension speaker embeddings.
 
-    Vectors are float32 (the on-disk precision). `normalized` asserts every
+    Vectors are rounded to float32 (the on-disk precision) and held as
+    float64, the precision scoring computes in. `normalized` asserts every
     vector has unit L2 norm within 1e-6.
     """
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray, normalized: bool = False):
-        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        vectors = np.ascontiguousarray(vectors, dtype=np.float32).astype(np.float64)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
         if len(ids) != vectors.shape[0]:
@@ -131,7 +132,7 @@ class EmbeddingStore:
         if len(self._index) != len(self.ids):
             raise ValueError("duplicate utterance ids in store")
         if normalized and len(self.ids):
-            norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))  # no n x d temporary
             worst = float(np.max(np.abs(norms - 1.0)))
             if worst > 1e-6:
                 raise ValueError(f"normalized store has norm off by {worst:.3g}")
@@ -155,8 +156,12 @@ class EmbeddingStore:
             raise KeyError(f"utterance id {utt_id!r} not in embedding store") from None
 
     def rows(self, utt_ids: Sequence[str]) -> np.ndarray:
-        """Stacked vectors for the given ids, in the given order."""
-        return self.vectors[[self._index[u] for u in utt_ids]]
+        """Stacked vectors for the given ids, in order; a missing id is a ValueError."""
+        try:
+            index = [self._index[u] for u in utt_ids]
+        except KeyError as exc:
+            raise ValueError(f"utterance id {exc.args[0]!r} not in embedding store") from None
+        return self.vectors[index]
 
 
 def parse_trials(text: str, labeled: bool) -> TrialList:
@@ -280,23 +285,22 @@ def read_embeddings(source: BinaryIO, normalized: bool = False) -> EmbeddingStor
     if dim < 1:
         raise StoreFormatError(offset, f"non-positive dimension {dim}")
     offset += 12
-    ids: list[str] = []
-    seen: set[str] = set()
-    vectors = np.empty((count, dim), dtype=np.float32)
-    for k in range(count):
+    ids: dict[str, None] = {}
+    # records are read before anything is sized by the header's count
+    vector_bytes = bytearray()
+    for _ in range(count):
         record_offset = offset
         (id_len,) = struct.unpack("<H", take(2, offset, "id length"))
         offset += 2
         utt_id = take(id_len, offset, "id bytes").decode("utf-8")
         offset += id_len
-        if utt_id in seen:
+        if utt_id in ids:
             raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
-        seen.add(utt_id)
-        vec_bytes = take(4 * dim, offset, "vector")
+        ids[utt_id] = None
+        vector_bytes += take(4 * dim, offset, "vector")
         offset += 4 * dim
-        vectors[k] = np.frombuffer(vec_bytes, dtype="<f4")
-        ids.append(utt_id)
-    return EmbeddingStore(ids, vectors, normalized=normalized)
+    vectors = np.frombuffer(vector_bytes, dtype="<f4").reshape(len(ids), dim)
+    return EmbeddingStore(list(ids), vectors, normalized=normalized)
 
 
 def write_embeddings_file(store: EmbeddingStore, path) -> None:

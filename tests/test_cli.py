@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: subcommands, exit codes, streams."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ class TestFeatures:
         )
         assert code == 2
         assert "nope.wav" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"", b"not a wav file at all\n"], ids=["empty", "text"])
+    def test_non_riff_wav_is_data_error(self, tmp_path, capsys, content):
+        wav = tmp_path / "fake.wav"
+        wav.write_bytes(content)
+        code = main(["features", "--wav", str(wav), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "fake.wav" in err
 
 
 class TestAugment:
@@ -241,6 +253,35 @@ class TestEmbedScoreEvaluate:
         code = main(["score", "--trials", str(trials), "--embeddings", str(emb), "--msa"])
         assert code == 0
         assert len(parse_scores(capsys.readouterr().out)) == 2
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"]], ids=["raw", "asnorm", "msa"]
+    )
+    def test_missing_trial_id_is_data_error(self, tmp_path, wav_dir, capsys, flags):
+        wav_list, emb, _ = self.setup_pipeline(tmp_path, wav_dir)
+        if "--msa" in flags:
+            assert main(["embed", "--wav-list", str(wav_list), "--output", str(emb), "--msa"]) == 0
+        if "--asnorm" in flags:
+            flags = flags + ["--cohort", str(emb)]
+        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1"), Trial("u2", "ghost")])
+        capsys.readouterr()
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "'ghost" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_store_header_count_is_data_error(self, tmp_path, capsys):
+        emb = tmp_path / "huge.bin"
+        emb.write_bytes(b"EMB1" + struct.pack("<IQ", 256, 2**40))
+        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1")])
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert "truncated" in err
 
     def test_missing_trials_names_path(self, tmp_path, wav_dir, capsys):
         _, emb, _ = self.setup_pipeline(tmp_path, wav_dir)

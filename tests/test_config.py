@@ -35,27 +35,25 @@ class TestPipelineConfig:
     def test_defaults_are_valid(self):
         cfg = PipelineConfig()
         assert cfg.sample_rate == 16000
-        assert cfg.scoring_mode == "raw"
         assert cfg.top_k == 100
         assert cfg.augment.p_noise == 0.2
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError, match="scoring_mode"):
-            PipelineConfig(scoring_mode="plda")
-
-    def test_bad_p_target_rejected(self):
-        with pytest.raises(ConfigError, match="p_target"):
-            PipelineConfig(p_target=0.0)
+    @pytest.mark.parametrize("key", ["scoring_mode", "p_target", "c_miss", "c_fa"])
+    def test_unread_keys_rejected(self, tmp_path, key):
+        # score takes its mode from flags, evaluate its costs from flags
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_pipeline_config(cfg_file)
 
     def test_load_round_trip(self, tmp_path):
         cfg_file = tmp_path / "pipeline.cfg"
         cfg_file.write_text(
-            "seed = 11\nscoring_mode = asnorm\ntop_k = 25\np_noise = 0.5\n"
+            "seed = 11\ntop_k = 25\np_noise = 0.5\n"
             "snr_noise_lo = 2\nsnr_noise_hi = 9\nbabble_min = 3\nbabble_max = 5\n"
         )
         cfg = load_pipeline_config(cfg_file)
         assert cfg.seed == 11
-        assert cfg.scoring_mode == "asnorm"
         assert cfg.top_k == 25
         assert cfg.augment.p_noise == 0.5
         assert cfg.augment.snr_noise_db == (2.0, 9.0)

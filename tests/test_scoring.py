@@ -8,6 +8,7 @@ import pytest
 from svkit.features import Waveform
 from svkit.model import length_normalize
 from svkit.scoring import (
+    TRIAL_CHUNK,
     CohortStats,
     asnorm_score,
     cohort_stats,
@@ -336,6 +337,27 @@ class TestScoreTrials:
         a = store.rows([segment_id("u0", i) for i in range(5)]).astype(np.float64)
         b = store.rows([segment_id("u1", i) for i in range(5)]).astype(np.float64)
         assert result.scores[0] == msa_score(a, b)
+
+    def test_chunked_modes_equal_scalar_routes(self):
+        # several gathers long, so chunk edges fall inside the list
+        rng = np.random.default_rng(20)
+        utts = [f"u{i}" for i in range(40)]
+        pairs = rng.integers(len(utts), size=(3 * TRIAL_CHUNK + 7, 2))
+        trials = TrialList(trials=tuple(Trial(utts[i], utts[j]) for i, j in pairs))
+        store = make_store(rng, utts, dim=24)
+        cohort = make_store(rng, [f"c{i}" for i in range(30)], dim=24)
+        segments = make_store(rng, [segment_id(u, k) for u in utts for k in range(5)], dim=24)
+        raw = score_trials(trials, store, mode="raw").scores
+        asnorm = score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=10).scores
+        msa = score_trials(trials, segments, mode="msa").scores
+        for k, t in enumerate(trials):
+            e, x = store.get(t.enroll_id), store.get(t.test_id)
+            assert raw[k] == cosine_score(e, x)
+            stats_e, stats_x = cohort_stats(e, cohort, 10), cohort_stats(x, cohort, 10)
+            assert asnorm[k] == asnorm_score(cosine_score(e, x), stats_e, stats_x)
+            seg_e = segments.rows([segment_id(t.enroll_id, i) for i in range(5)])
+            seg_x = segments.rows([segment_id(t.test_id, i) for i in range(5)])
+            assert msa[k] == msa_score(seg_e, seg_x)
 
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(19)

@@ -1,6 +1,7 @@
 """Trial list, score file, and embedding store I/O."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -161,6 +162,8 @@ class TestEmbeddingStore:
         assert store.rows(["b", "a"]).tolist() == [[4, 5, 6, 7], [0, 1, 2, 3]]
         with pytest.raises(KeyError):
             store.get("c")
+        with pytest.raises(ValueError, match="'c' not in embedding store"):
+            store.rows(["a", "c"])
 
 
 class TestStoreRoundtrip:
@@ -199,6 +202,14 @@ class TestStoreRoundtrip:
         clipped = buf.getvalue()[:-3]
         with pytest.raises(StoreFormatError, match="truncated"):
             read_embeddings(io.BytesIO(clipped))
+
+    def test_huge_header_count_is_truncation_not_allocation(self):
+        # 16 bytes claiming 2**40 records of dim 256: nothing may be sized
+        # by the count before the records are read
+        header = b"EMB1" + struct.pack("<IQ", 256, 2**40)
+        assert len(header) == 16
+        with pytest.raises(StoreFormatError, match="truncated"):
+            read_embeddings(io.BytesIO(header))
 
     def test_duplicate_id_on_read(self):
         vecs = np.ones((2, 2), dtype=np.float32) / 2
