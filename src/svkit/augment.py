@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .features import Waveform, match_length, read_wav
 
@@ -109,8 +108,7 @@ def speed_perturb(w: Waveform, factor: float) -> Waveform:
     n = len(w)
     if n == 0:
         raise ValueError("cannot speed-perturb an empty waveform")
-    out_len = int(math.floor(n / factor + 0.5))
-    positions = np.arange(out_len) * factor
+    positions = np.arange(speed_output_length(n, factor)) * factor
     resampled = np.interp(positions, np.arange(n), w.samples)
     return Waveform(resampled, w.sample_rate)
 
@@ -190,7 +188,8 @@ def add_reverb(w: Waveform, rir: Waveform) -> Waveform:
         raise ValueError("waveform and RIR sample rates differ")
     if len(rir) == 0 or not np.any(rir.samples):
         raise ValueError("silent RIR")
-    wet = fftconvolve(w.samples, rir.samples, mode="full")[: len(w)]
+    n = 1 << (len(w) + len(rir) - 2).bit_length()  # a power of two >= the full length
+    wet = np.fft.irfft(np.fft.rfft(w.samples, n) * np.fft.rfft(rir.samples, n), n)[: len(w)]
     in_peak = float(np.max(np.abs(w.samples)))
     wet_peak = float(np.max(np.abs(wet)))
     if in_peak > 0.0 and wet_peak > 0.0:

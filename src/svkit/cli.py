@@ -36,7 +36,7 @@ from .fusion import (
 from .metrics import DcfConfig, evaluate_scores
 from .model import embed_waveform, plan_shapes
 from .scoring import extract_segments, score_trials, segment_id, segment_plan
-from .schedule import lr_at
+from .schedule import dump_schedule
 from .selftest import run_selftest
 from .trials import (
     EmbeddingStore,
@@ -228,8 +228,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_schedule_dump(args) -> int:
     cfg = load_schedule_config(_require_file(args.config, "config"))
-    for step in range(args.steps):
-        lr, cycle = lr_at(cfg, step)
+    for step, lr, cycle in dump_schedule(cfg, args.steps):
         print(f"{step} {lr:.10e} {cycle}")
     return 0
 

@@ -159,13 +159,10 @@ def crop_or_pad(w: Waveform, duration: float, rng: np.random.Generator) -> Wavef
         raise ValueError("cannot crop or pad an empty waveform")
     target = int(round(duration * w.sample_rate))
     n = len(w)
-    if n == target:
-        return Waveform(w.samples.copy(), w.sample_rate)
     if n > target:
         offset = int(rng.integers(0, n - target + 1))
         return Waveform(w.samples[offset : offset + target].copy(), w.sample_rate)
-    reps = -(-target // n)
-    return Waveform(np.tile(w.samples, reps)[:target], w.sample_rate)
+    return Waveform(match_length(w.samples, target).copy(), w.sample_rate)
 
 
 def match_length(samples: np.ndarray, target: int) -> np.ndarray:
@@ -224,12 +221,14 @@ def write_mel(f: MelFeatures, sink: BinaryIO) -> None:
 
 
 def read_mel(source: BinaryIO, frame_hop: float = 0.010, cmn_applied: bool = False) -> MelFeatures:
-    magic = source.read(4)
-    if magic != MEL_MAGIC:
-        raise ValueError(f"bad feature magic {magic!r}, expected {MEL_MAGIC!r}")
-    rows, cols = struct.unpack("<II", source.read(8))
-    raw = source.read(4 * rows * cols)
-    if len(raw) != 4 * rows * cols:
-        raise ValueError("truncated feature matrix")
-    bins = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
+    """Inverse of write_mel; the source is read once, whole, and bounds-checked."""
+    data = source.read()
+    if data[:4] != MEL_MAGIC:
+        raise ValueError(f"bad feature magic {data[:4]!r}, expected {MEL_MAGIC!r}")
+    if len(data) < 12:
+        raise ValueError(f"truncated feature header ({len(data)} of 12 bytes)")
+    rows, cols = struct.unpack_from("<II", data, 4)
+    if len(data) - 12 < 4 * rows * cols:
+        raise ValueError(f"truncated feature matrix ({len(data) - 12} of {4 * rows * cols} bytes)")
+    bins = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=12).reshape(rows, cols)
     return MelFeatures(bins=bins, frame_hop=frame_hop, cmn_applied=cmn_applied)

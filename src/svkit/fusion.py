@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .trials import ScoreSet, TrialList
 
@@ -64,6 +63,11 @@ def mean_log_loss(fused: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-z) = inf below z = -709 gives exactly 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> FusionModel:
     """Fit fusion weights by penalized logistic regression.
 
@@ -95,7 +99,7 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        p = expit(design @ theta)
+        p = _sigmoid(design @ theta)
         grad = design.T @ (p - y) / n + reg * theta
         if float(np.max(np.abs(grad))) <= GRAD_TOL:
             converged = True
@@ -122,7 +126,7 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
     else:
         iterations = MAX_ITER
 
-    p = expit(design @ theta)
+    p = _sigmoid(design @ theta)
     grad = design.T @ (p - y) / n + reg * theta
     if float(np.max(np.abs(grad))) <= GRAD_TOL:
         converged = True

@@ -270,35 +270,34 @@ def write_embeddings(store: EmbeddingStore, sink: BinaryIO) -> None:
 
 
 def read_embeddings(source: BinaryIO, normalized: bool = False) -> EmbeddingStore:
-    """Read the EMB1 binary layout; inverse of write_embeddings."""
-    def take(n: int, offset: int, what: str) -> bytes:
-        chunk = source.read(n)
+    """Inverse of write_embeddings; the source is read once, whole, and bounds-checked."""
+    data = memoryview(source.read())
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal offset
+        chunk = data[offset : offset + n]
         if len(chunk) != n:
             raise StoreFormatError(offset, f"truncated {what} ({len(chunk)} of {n} bytes)")
+        offset += n
         return chunk
 
-    magic = source.read(4)
+    magic = bytes(data[:4])
     if magic != EMB_MAGIC:
         raise StoreFormatError(0, f"bad magic {magic!r}, expected {EMB_MAGIC!r}")
     offset = 4
-    dim, count = struct.unpack("<IQ", take(12, offset, "header"))
+    dim, count = struct.unpack("<IQ", take(12, "header"))
     if dim < 1:
-        raise StoreFormatError(offset, f"non-positive dimension {dim}")
-    offset += 12
+        raise StoreFormatError(4, f"non-positive dimension {dim}")
     ids: dict[str, None] = {}
-    # records are read before anything is sized by the header's count
     vector_bytes = bytearray()
     for _ in range(count):
         record_offset = offset
-        (id_len,) = struct.unpack("<H", take(2, offset, "id length"))
-        offset += 2
-        utt_id = take(id_len, offset, "id bytes").decode("utf-8")
-        offset += id_len
+        (id_len,) = struct.unpack("<H", take(2, "id length"))
+        utt_id = str(take(id_len, "id bytes"), "utf-8")
         if utt_id in ids:
             raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
         ids[utt_id] = None
-        vector_bytes += take(4 * dim, offset, "vector")
-        offset += 4 * dim
+        vector_bytes += take(4 * dim, "vector")
     vectors = np.frombuffer(vector_bytes, dtype="<f4").reshape(len(ids), dim)
     return EmbeddingStore(list(ids), vectors, normalized=normalized)
 

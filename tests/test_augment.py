@@ -167,10 +167,12 @@ class TestAddReverb:
         assert np.allclose(out.samples, expected, atol=1e-12)
         assert abs(np.max(np.abs(out.samples)) - in_peak) <= 1e-12
 
-    def test_matches_naive_convolution_oracle(self):
+    # full lengths 436, 4096 and 4097: both sides of a power-of-two FFT size
+    @pytest.mark.parametrize("n, m", [(400, 37), (4000, 97), (4000, 98)])
+    def test_matches_naive_convolution_oracle(self, n, m):
         rng = np.random.default_rng(10)
-        w = noise_wave(rng, n=400)
-        rir = Waveform(rng.standard_normal(37) * 0.1, RATE)
+        w = noise_wave(rng, n=n)
+        rir = Waveform(rng.standard_normal(m) * 0.1, RATE)
         out = add_reverb(w, rir)
         # direct O(n*m) convolution, truncated and peak-rescaled the same way
         full = np.zeros(len(w) + len(rir) - 1)

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: subcommands, exit codes, streams."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svkit
 from svkit.cli import main
 from svkit.features import Waveform, read_mel, read_wav, write_wav
 from svkit.schedule import CosineRestartConfig, lr_at
@@ -55,6 +60,18 @@ class TestTopLevel:
         assert "svkit" in out
         assert "EMB1" in out
         assert "MEL1" in out
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency
+        code = (
+            "import sys, svkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(svkit.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_bad_threads_rejected(self, capsys):
         assert main(["--threads", "0", "selftest"]) == 1
@@ -395,6 +412,16 @@ class TestScheduleDump:
             lr, cycle = lr_at(cfg, int(step_s))
             assert int(cycle_s) == cycle
             assert float(lr_s) == pytest.approx(lr, rel=1e-9)
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_non_positive_steps_is_data_error(self, tmp_path, capsys, steps):
+        cfg_file = tmp_path / "sched.cfg"
+        cfg_file.write_text("cycle0_steps = 10\n")
+        assert main(["schedule-dump", "--config", str(cfg_file), "--steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "n_steps must be >= 1" in captured.err
 
 
 class TestSelftest:

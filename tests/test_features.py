@@ -2,12 +2,14 @@
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _sources import RecordingSource
 from svkit.features import (
     FeatureConfig,
     MelFeatures,
@@ -202,3 +204,33 @@ class TestMelDump:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             read_mel(io.BytesIO(b"XXXX" + b"\x00" * 8))
+
+    def test_short_header_is_value_error(self):
+        with pytest.raises(ValueError, match="truncated feature header"):
+            read_mel(io.BytesIO(b"MEL1\x00\x00"))
+
+    def test_header_dims_size_no_read(self):
+        source = RecordingSource(b"MEL1" + struct.pack("<II", 2**32 - 1, 2**32 - 1))
+        with pytest.raises(ValueError, match="truncated feature matrix"):
+            read_mel(source)
+        assert source.largest_read <= source.size
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.builds(
+                lambda rows, cols, tail: b"MEL1" + struct.pack("<II", rows, cols) + tail,
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**32 - 1),
+                st.binary(max_size=64),
+            ),
+        )
+    )
+    def test_fuzzed_bytes_raise_only_value_errors(self, data):
+        source = RecordingSource(data)
+        try:
+            read_mel(source)
+        except ValueError:
+            pass
+        assert source.largest_read <= source.size

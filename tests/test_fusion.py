@@ -1,5 +1,7 @@
 """Logistic-regression score fusion: fit, fuse, persistence, oracle checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ class TestFitFusion:
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
         assert a.iterations == b.iterations
+
+    def test_extreme_outlier_fits_without_warning(self):
+        # exp overflows to inf on the outlier; the sigmoid must give 0 silently
+        rng = np.random.default_rng(12)
+        matrix, labels = synthetic_problem(rng, n=200, m=1)
+        matrix[np.flatnonzero(~labels)[0], 0] = -1e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_fusion(matrix, labels)
+        assert model.converged
+        assert np.all(np.isfinite(model.weights))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single-class"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _sources import RecordingSource
 from svkit.trials import (
     EmbeddingStore,
     ScoreSet,
@@ -210,6 +211,36 @@ class TestStoreRoundtrip:
         assert len(header) == 16
         with pytest.raises(StoreFormatError, match="truncated"):
             read_embeddings(io.BytesIO(header))
+
+    def test_header_dim_sizes_no_read(self):
+        # 27 bytes: one record whose dim (u32 max) asks for 16 GiB of vector
+        header = b"EMB1" + struct.pack("<IQ", 2**32 - 1, 1)
+        data = header + struct.pack("<H", 1) + b"a" + b"\0" * 8
+        assert len(data) == 27
+        source = RecordingSource(data)
+        with pytest.raises(StoreFormatError, match="truncated vector"):
+            read_embeddings(source)
+        assert source.largest_read <= source.size
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.builds(
+                lambda dim, count, tail: b"EMB1" + struct.pack("<IQ", dim, count) + tail,
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**64 - 1),
+                st.binary(max_size=64),
+            ),
+        )
+    )
+    def test_fuzzed_bytes_raise_only_value_errors(self, data):
+        source = RecordingSource(data)
+        try:
+            read_embeddings(source)
+        except ValueError:
+            pass
+        assert source.largest_read <= source.size
 
     def test_duplicate_id_on_read(self):
         vecs = np.ones((2, 2), dtype=np.float32) / 2
