@@ -158,13 +158,15 @@ def fuse(model: FusionModel, matrix: np.ndarray, trials: TrialList) -> ScoreSet:
 
 
 def stack_scores(score_sets: list[ScoreSet]) -> np.ndarray:
-    """Trials x systems matrix from per-system score sets over one trial list."""
+    """Trials x systems matrix from per-system score sets over one trial list.
+
+    Lists compare by their index arrays (a list is equal to itself at once),
+    so no per-trial object is built."""
     if not score_sets:
         raise ValueError("need at least one score set")
     first = score_sets[0].trials
-    for s in score_sets[1:]:
-        if s.trials.trials != first.trials:
-            raise ValueError("score sets cover different trial lists")
+    if any(s.trials != first for s in score_sets[1:]):
+        raise ValueError("score sets cover different trial lists")
     return np.stack([s.scores for s in score_sets], axis=1)
 
 

@@ -217,10 +217,7 @@ def score_trials(
         raise ValueError(f"unknown scoring mode {mode!r}; expected raw, asnorm, or msa")
     if mode == "asnorm" and cohort is None:
         raise ValueError("asnorm scoring needs a cohort store")
-    utts = trials.utterance_ids()
-    where = {u: k for k, u in enumerate(utts)}
-    enroll = np.array([where[t.enroll_id] for t in trials], dtype=np.intp)
-    test = np.array([where[t.test_id] for t in trials], dtype=np.intp)
+    utts, enroll, test = trials.ids, trials.enroll, trials.test
     ids = [segment_id(u, i) for u in utts for i in range(n_segments)] if mode == "msa" else utts
     rows = store.rows(ids)
     _check_unit(rows, [f"embedding {i!r}" for i in ids])

@@ -9,8 +9,8 @@ binary layout so round-trips are bit-exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from math import floor, log10
+from dataclasses import dataclass
+from math import floor, isfinite, log10
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
@@ -54,38 +54,78 @@ class Trial:
                 raise ValueError(f"{name} {value!r} contains whitespace")
 
 
-@dataclass(frozen=True)
 class TrialList:
-    """Ordered trials with all-or-none labeling."""
+    """Ordered trials held as index arrays over their unique utterance ids.
 
-    trials: tuple[Trial, ...]
-    labeled: bool = field(init=False)
+    `ids` is an object array holding each utterance id once, in first-seen
+    order over every trial's (enroll, test); `enroll` and `test` are np.intp
+    arrays indexing into it, one entry per trial. Labels are all-or-none and
+    kept as one bool array (None when the list is unlabeled or empty).
+    Nothing is held per trial: `Trial` objects are built only on iteration.
+    Two lists with the same trials in the same order have equal arrays.
+    """
 
-    def __post_init__(self):
-        has_label = [t.label is not None for t in self.trials]
+    def __init__(self, trials: Sequence[Trial] = ()):
+        has_label = [t.label is not None for t in trials]
         if any(has_label) and not all(has_label):
             raise ValueError("trial labels must be all-or-none")
-        object.__setattr__(self, "labeled", bool(has_label) and all(has_label))
+        flat_ids = [u for t in trials for u in (t.enroll_id, t.test_id)]
+        self._intern(flat_ids, [t.label for t in trials] if any(has_label) else None)
+
+    @classmethod
+    def _from_flat_ids(cls, flat_ids: list[str], labels: list[bool] | None) -> TrialList:
+        """List from the ids [enroll0, test0, enroll1, test1, ...], unchecked."""
+        trial_list = cls.__new__(cls)
+        trial_list._intern(flat_ids, labels)
+        return trial_list
+
+    def _intern(self, flat_ids: list[str], labels: list[bool] | None) -> None:
+        ids = list(dict.fromkeys(flat_ids))
+        code = dict(zip(ids, range(len(ids))))
+        pairs = np.fromiter(map(code.__getitem__, flat_ids), np.intp, len(flat_ids))
+        self.ids = np.array(ids, dtype=object)
+        self.enroll, self.test = pairs.reshape(-1, 2).T
+        self._labels = np.array(labels, dtype=bool) if labels else None
+        for array in (self.ids, self.enroll, self.test, self._labels):
+            if array is not None:
+                array.setflags(write=False)
+
+    @property
+    def labeled(self) -> bool:
+        return self._labels is not None
+
+    @property
+    def trials(self) -> tuple[Trial, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.trials)
+        return len(self.enroll)
 
     def __iter__(self) -> Iterator[Trial]:
-        return iter(self.trials)
+        ids = self.ids
+        labels = self._labels.tolist() if self.labeled else [None] * len(self)
+        for e, t, label in zip(self.enroll.tolist(), self.test.tolist(), labels):
+            yield Trial(ids[e], ids[t], label)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialList):
+            return NotImplemented
+        return self is other or (
+            np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.enroll, other.enroll)
+            and np.array_equal(self.test, other.test)
+            and np.array_equal(self._labels, other._labels)
+        )
 
     def labels(self) -> np.ndarray:
-        """Boolean label vector; only valid for labeled lists."""
+        """Boolean label vector (read-only); only valid for labeled lists."""
         if not self.labeled:
             raise ValueError("trial list is unlabeled")
-        return np.array([t.label for t in self.trials], dtype=bool)
+        return self._labels
 
-    def utterance_ids(self) -> list[str]:
-        """Unique utterance ids over both sides, in first-seen order."""
-        seen: dict[str, None] = {}
-        for t in self.trials:
-            seen.setdefault(t.enroll_id)
-            seen.setdefault(t.test_id)
-        return list(seen)
+    def pair_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(enroll ids, test ids) as object arrays, one entry per trial."""
+        return self.ids[self.enroll], self.ids[self.test]
 
 
 @dataclass(frozen=True)
@@ -171,32 +211,33 @@ def parse_trials(text: str, labeled: bool) -> TrialList:
     lines are "enroll test". Blank lines are skipped. Duplicate pairs are
     allowed; order is preserved.
     """
-    trials = []
+    # ids are tokens of str.split(), so they are non-empty and hold no
+    # whitespace: the checks Trial makes on its ids cannot fail here
     want = 3 if labeled else 2
+    fields: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens:
-            continue
         if len(tokens) != want:
+            if not tokens:
+                continue
             raise TrialParseError(line_no, f"expected {want} fields, got {len(tokens)}")
-        if labeled:
-            if tokens[0] not in ("0", "1"):
-                raise TrialParseError(line_no, f"label must be 0 or 1, got {tokens[0]!r}")
-            trials.append(Trial(tokens[1], tokens[2], tokens[0] == "1"))
-        else:
-            trials.append(Trial(tokens[0], tokens[1]))
-    return TrialList(tuple(trials))
+        if labeled and tokens[0] not in ("0", "1"):
+            raise TrialParseError(line_no, f"label must be 0 or 1, got {tokens[0]!r}")
+        fields += tokens
+    labels = None
+    if labeled:
+        labels = [y == "1" for y in fields[::3]]
+        del fields[::3]
+    return TrialList._from_flat_ids(fields, labels)
 
 
 def serialize_trials(trial_list: TrialList) -> str:
     """Inverse of parse_trials, one trial per line."""
-    lines = []
-    for t in trial_list:
-        if trial_list.labeled:
-            lines.append(f"{int(t.label)} {t.enroll_id} {t.test_id}")
-        else:
-            lines.append(f"{t.enroll_id} {t.test_id}")
-    return "".join(line + "\n" for line in lines)
+    enroll, test = (ids.tolist() for ids in trial_list.pair_ids())
+    if trial_list.labeled:
+        labels = trial_list.labels().astype(int).tolist()
+        return "".join(f"{y} {e} {t}\n" for y, e, t in zip(labels, enroll, test))
+    return "".join(f"{e} {t}\n" for e, t in zip(enroll, test))
 
 
 def format_score(value: float) -> str:
@@ -210,21 +251,20 @@ def format_score(value: float) -> str:
 
 def serialize_scores(score_set: ScoreSet) -> str:
     """One "enroll test score" line per trial."""
-    lines = []
-    for t, s in zip(score_set.trials, score_set.scores):
-        lines.append(f"{t.enroll_id} {t.test_id} {format_score(s)}")
-    return "".join(line + "\n" for line in lines)
+    enroll, test = (ids.tolist() for ids in score_set.trials.pair_ids())
+    scores = score_set.scores.tolist()
+    return "".join(f"{e} {t} {format_score(s)}\n" for e, t, s in zip(enroll, test, scores))
 
 
 def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
-    """Parse "enroll test score" lines.
+    """Parse "enroll test score" lines; a score must be finite.
 
     When `trials` is given, every line must match it pairwise in order (the
     parsed set then carries its labels); otherwise an unlabeled TrialList is
     reconstructed from the score file itself.
     """
-    pairs = []
-    scores = []
+    flat_ids: list[str] = []
+    scores: list[float] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
@@ -235,20 +275,25 @@ def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
             value = float(tokens[2])
         except ValueError:
             raise TrialParseError(line_no, f"bad score {tokens[2]!r}") from None
-        pairs.append((tokens[0], tokens[1]))
+        if not isfinite(value):
+            raise TrialParseError(line_no, f"non-finite score {tokens[2]!r}")
+        flat_ids += tokens[:2]
         scores.append(value)
-    if trials is not None:
-        if len(pairs) != len(trials):
-            raise ValueError(f"score file has {len(pairs)} lines for {len(trials)} trials")
-        for k, (t, (e, s)) in enumerate(zip(trials, pairs)):
-            if (t.enroll_id, t.test_id) != (e, s):
-                raise ValueError(
-                    f"score line {k + 1} is for ({e}, {s}), trial list has "
-                    f"({t.enroll_id}, {t.test_id})"
-                )
-        return ScoreSet(trials, np.array(scores, dtype=np.float64))
-    rebuilt = TrialList(tuple(Trial(e, s) for e, s in pairs))
-    return ScoreSet(rebuilt, np.array(scores, dtype=np.float64))
+    if trials is None:
+        trials = TrialList._from_flat_ids(flat_ids, None)
+    elif len(scores) != len(trials):
+        raise ValueError(f"score file has {len(scores)} lines for {len(trials)} trials")
+    else:
+        got = np.array(flat_ids, dtype=object).reshape(-1, 2)
+        want_e, want_t = trials.pair_ids()
+        bad = np.flatnonzero((got[:, 0] != want_e) | (got[:, 1] != want_t))
+        if len(bad):
+            k = bad[0]
+            raise ValueError(
+                f"score line {k + 1} is for ({got[k, 0]}, {got[k, 1]}), trial list has "
+                f"({want_e[k]}, {want_t[k]})"
+            )
+    return ScoreSet(trials, np.array(scores, dtype=np.float64))
 
 
 def write_embeddings(store: EmbeddingStore, sink: BinaryIO) -> None:
@@ -293,7 +338,11 @@ def read_embeddings(source: BinaryIO, normalized: bool = False) -> EmbeddingStor
     for _ in range(count):
         record_offset = offset
         (id_len,) = struct.unpack("<H", take(2, "id length"))
-        utt_id = str(take(id_len, "id bytes"), "utf-8")
+        id_bytes = take(id_len, "id bytes")
+        try:
+            utt_id = str(id_bytes, "utf-8")
+        except UnicodeDecodeError:
+            raise StoreFormatError(record_offset, "id is not UTF-8") from None
         if utt_id in ids:
             raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
         ids[utt_id] = None

@@ -300,6 +300,21 @@ class TestEmbedScoreEvaluate:
         assert len(err.splitlines()) == 1
         assert "truncated" in err
 
+    def test_non_utf8_store_id_is_data_error(self, tmp_path, capsys):
+        # 23 bytes: header, then one record at offset 16 whose id is b"\xff"
+        emb = tmp_path / "bad_id.bin"
+        emb.write_bytes(
+            b"EMB1" + struct.pack("<IQ", 1, 1) + struct.pack("<H", 1) + b"\xff"
+            + struct.pack("<f", 1.0)
+        )
+        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1")])
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "offset 16" in captured.err
+
     def test_missing_trials_names_path(self, tmp_path, wav_dir, capsys):
         _, emb, _ = self.setup_pipeline(tmp_path, wav_dir)
         missing = tmp_path / "absent_trials.txt"
@@ -336,6 +351,22 @@ class TestEvaluateFixture:
         scores = tmp_path / "s.txt"
         scores.write_text("a b 0.900000000\nx y 0.100000000\n")
         assert main(["evaluate", "--trials", str(trials), "--scores", str(scores)]) == 2
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_score_names_line(self, tmp_path, capsys, token):
+        trials = write_trials(
+            tmp_path / "t.txt",
+            [Trial("a", "b", label=True), Trial("a", "c", label=False)],
+        )
+        scores = tmp_path / "s.txt"
+        scores.write_text(f"a b 0.900000000\na c {token}\n")
+        code = main(["evaluate", "--trials", str(trials), "--scores", str(scores)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "line 2" in captured.err
+        assert f"non-finite score '{token}'" in captured.err
 
 
 class TestFuse:

@@ -15,7 +15,7 @@ from svkit.fusion import (
     serialize_fusion_model,
     stack_scores,
 )
-from svkit.trials import ScoreSet, Trial, TrialList
+from svkit.trials import ScoreSet, Trial, TrialList, parse_trials
 
 
 def synthetic_problem(rng, n=300, m=3, noise=1.0):
@@ -205,6 +205,18 @@ class TestStackScores:
         s2 = ScoreSet(trials=t2, scores=np.array([1.0]))
         with pytest.raises(ValueError, match="different trial lists"):
             stack_scores([s1, s2])
+
+    def test_same_pairs_built_separately_accepted(self):
+        parsed = parse_trials("a b\na\tc\n", labeled=False)
+        built = TrialList(trials=(Trial("a", "b"), Trial("a", "c")))
+        s1 = ScoreSet(trials=parsed, scores=np.array([1.0, 2.0]))
+        s2 = ScoreSet(trials=built, scores=np.array([3.0, 4.0]))
+        assert np.array_equal(stack_scores([s1, s2]), [[1.0, 3.0], [2.0, 4.0]])
+        # differs from the lists above only in the second trial's test id
+        renamed = TrialList(trials=(Trial("a", "b"), Trial("a", "d")))
+        s3 = ScoreSet(trials=renamed, scores=np.array([3.0, 4.0]))
+        with pytest.raises(ValueError, match="different trial lists"):
+            stack_scores([s1, s3])
 
 
 class TestModelText:

@@ -9,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _sources import RecordingSource
+from _text_oracle import Rejected, first_seen, reference_scores, reference_trials
+from svkit.fusion import stack_scores
+from svkit.metrics import roc_points
+from svkit.scoring import score_trials
 from svkit.trials import (
     EmbeddingStore,
     ScoreSet,
@@ -16,6 +20,7 @@ from svkit.trials import (
     Trial,
     TrialList,
     TrialParseError,
+    format_score,
     parse_scores,
     parse_trials,
     read_embeddings,
@@ -83,7 +88,69 @@ class TestTrialInvariants:
             TrialList((Trial("a", "b", True), Trial("c", "d")))
 
 
+class TestIndexArrays:
+    def test_parsed_list_is_index_arrays(self):
+        tl = parse_trials("1 a b\n0 a c\n\n1 c b\n", labeled=True)
+        assert tl.ids.tolist() == ["a", "b", "c"]
+        assert tl.enroll.dtype == np.intp and tl.test.dtype == np.intp
+        assert tl.enroll.tolist() == [0, 0, 2]
+        assert tl.test.tolist() == [1, 2, 1]
+        assert tl.labels().tolist() == [True, False, True]
+
+    def test_trial_objects_build_the_same_arrays(self):
+        text = "1 a b\n0 a c\n1 c b\n1 a b\n"
+        built = TrialList(tuple(parse_trials(text, labeled=True)))
+        assert built == parse_trials(text, labeled=True)
+        assert built.trials == (
+            Trial("a", "b", True),
+            Trial("a", "c", False),
+            Trial("c", "b", True),
+            Trial("a", "b", True),
+        )
+
+    def test_equality_covers_pairs_and_labels(self):
+        tl = parse_trials("1 a b\n0 a c\n", labeled=True)
+        assert tl != parse_trials("1 a b\n0 a d\n", labeled=True)
+        assert tl != parse_trials("1 a b\n1 a c\n", labeled=True)
+        assert tl != parse_trials("a b\na c\n", labeled=False)
+        assert tl != parse_trials("1 a b\n", labeled=True)
+
+    def test_arrays_are_read_only(self):
+        tl = parse_trials("1 a b\n0 a c\n", labeled=True)
+        for array in (tl.ids, tl.enroll, tl.test, tl.labels()):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
+    def test_empty_list_is_unlabeled(self):
+        # as before: a list with no trials carries no labels either way
+        assert not parse_trials("\n\n", labeled=True).labeled
+        assert not TrialList(()).labeled
+        assert len(TrialList(())) == 0
+
+    def test_whole_list_paths_build_no_trial(self, monkeypatch):
+        text = "1 a b\n0 a c\n1 c b\n0 b c\n"
+        store = EmbeddingStore(["a", "b", "c"], np.eye(3), normalized=True)
+
+        def no_trial(self):
+            raise AssertionError("a Trial was built")
+
+        monkeypatch.setattr(Trial, "__post_init__", no_trial)
+        tl = parse_trials(text, labeled=True)
+        raw = score_trials(tl, store)
+        scores = parse_scores(serialize_scores(raw), tl)
+        roc_points(scores)
+        other = ScoreSet(parse_trials(text, labeled=True), scores.scores)
+        assert stack_scores([raw, scores, other]).shape == (4, 3)
+
+
 class TestScoreSet:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_names_line(self, token):
+        with pytest.raises(TrialParseError) as info:
+            parse_scores(f"a b 0.5\nc d {token}\n")
+        assert info.value.line_no == 2
+        assert str(info.value) == f"line 2: non-finite score {token!r}"
+
     def test_length_mismatch_rejected(self):
         tl = parse_trials("a b\nc d", labeled=False)
         with pytest.raises(ValueError):
@@ -242,6 +309,16 @@ class TestStoreRoundtrip:
             pass
         assert source.largest_read <= source.size
 
+    def test_non_utf8_id_names_offset(self):
+        # 23 bytes: a 16-byte header, then the record whose id is b"\xff"
+        data = b"EMB1" + struct.pack("<IQ", 1, 1) + struct.pack("<H", 1) + b"\xff"
+        data += struct.pack("<f", 1.0)
+        assert len(data) == 23
+        with pytest.raises(StoreFormatError) as info:
+            read_embeddings(io.BytesIO(data))
+        assert info.value.offset == 16
+        assert str(info.value) == "offset 16: id is not UTF-8"
+
     def test_duplicate_id_on_read(self):
         vecs = np.ones((2, 2), dtype=np.float32) / 2
         buf = io.BytesIO()
@@ -259,3 +336,162 @@ class TestStoreRoundtrip:
         store = EmbeddingStore(["idé/001"], np.ones((1, 2), dtype=np.float32))
         _, back = self._roundtrip(store)
         assert back.ids == ("idé/001",)
+
+
+# Differential fuzzing of the text parsers against tests/_text_oracle.py.
+
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85 "
+TEXTY = st.one_of(
+    st.text(max_size=120),
+    st.text(alphabet=st.sampled_from(WHITESPACE + "01ab.-+einfx_"), max_size=120),
+)
+IDS = st.sampled_from(["a", "b", "c", "id1/x.wav", "é", "0", "1"])
+SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+SCORE_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(format_score),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1_0", "0x1p3", "+.5", "-0", "x"]),
+)
+
+
+@st.composite
+def trial_texts(draw, labeled):
+    """Well-formed lists with blank lines, tabs and duplicate pairs, one line
+    sometimes broken (a field short or extra, or a bad label)."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        fields = [draw(IDS), draw(IDS)]
+        if labeled:
+            fields.insert(0, draw(st.sampled_from(["0", "1"])))
+        lines += [draw(SEP).join(fields)] * draw(st.integers(1, 2))
+        lines += [draw(st.sampled_from(["", " ", "\t"]))] * draw(st.integers(0, 1))
+    if lines and draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = draw(st.sampled_from(["2 a b", "a", "1 a b c", "yes a b", "a b"]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@st.composite
+def score_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        fields = [draw(IDS), draw(IDS), draw(SCORE_TOKENS)]
+        lines += [draw(SEP).join(fields)] * draw(st.integers(1, 2))
+        lines += [""] * draw(st.integers(0, 1))
+    return "\n".join(lines)
+
+
+def check_trials(text, labeled):
+    try:
+        pairs, labels = reference_trials(text, labeled)
+    except Rejected as rejected:
+        with pytest.raises(TrialParseError) as info:
+            parse_trials(text, labeled)
+        assert info.value.line_no == rejected.line_no
+        return
+    tl = parse_trials(text, labeled)
+    enroll, test = tl.pair_ids()
+    assert list(zip(enroll.tolist(), test.tolist())) == pairs
+    assert tl.ids.tolist() == first_seen(pairs)
+    assert tl.labeled == bool(labels)
+    if labels:
+        assert tl.labels().tolist() == labels
+
+
+def check_scores(text, trials):
+    try:
+        pairs, scores = reference_scores(text)
+    except Rejected as rejected:
+        with pytest.raises(TrialParseError) as info:
+            parse_scores(text, trials)
+        assert info.value.line_no == rejected.line_no
+        return
+    if trials is not None:
+        expected = list(zip(*(ids.tolist() for ids in trials.pair_ids())))
+        if len(expected) != len(pairs):
+            with pytest.raises(ValueError, match="lines for"):
+                parse_scores(text, trials)
+            return
+        bad = [k for k, (a, b) in enumerate(zip(pairs, expected)) if a != b]
+        if bad:
+            with pytest.raises(ValueError, match=f"^score line {bad[0] + 1} is for"):
+                parse_scores(text, trials)
+            return
+    got = parse_scores(text, trials)
+    assert got.scores.tolist() == scores
+    if trials is None:
+        enroll, test = got.trials.pair_ids()
+        assert list(zip(enroll.tolist(), test.tolist())) == pairs
+        assert got.trials.ids.tolist() == first_seen(pairs)
+        assert not got.trials.labeled
+    else:
+        assert got.trials is trials
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(TEXTY, st.booleans())
+    def test_trials_arbitrary_text(self, text, labeled):
+        check_trials(text, labeled)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_trials_well_formed_lists(self, data, labeled):
+        check_trials(data.draw(trial_texts(labeled)), labeled)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXTY)
+    def test_scores_arbitrary_text(self, text):
+        check_scores(text, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(score_texts(), st.data())
+    def test_scores_against_trial_lists(self, text, data):
+        check_scores(text, None)
+        # the list the file was written for, or one near it
+        try:
+            pairs, _ = reference_scores(text)
+        except Rejected:
+            pairs = [(data.draw(IDS), data.draw(IDS))]
+        edit = data.draw(st.sampled_from(["same", "drop", "rename"]))
+        if edit == "drop" and pairs:
+            del pairs[data.draw(st.integers(0, len(pairs) - 1))]
+        elif edit == "rename" and pairs:
+            k = data.draw(st.integers(0, len(pairs) - 1))
+            pairs[k] = (pairs[k][0], pairs[k][1] + "x")
+        check_scores(text, TrialList(tuple(Trial(e, t) for e, t in pairs)))
+
+
+POWERS = [float(f"1e{k}") for k in range(-12, 4)]
+EDGE_SCORES = [0.0, -0.0, 1e15, -1e15, 1e300, -1.7976931348623157e308, 5e-324, 123456789.5]
+for _p in POWERS:
+    EDGE_SCORES += [_p, -_p, np.nextafter(_p, 0.0), np.nextafter(_p, np.inf)]
+    EDGE_SCORES += [-np.nextafter(_p, 0.0), -np.nextafter(_p, np.inf)]
+
+
+def expected_score_text(tl, scores):
+    return "".join(f"{t.enroll_id} {t.test_id} {format_score(s)}\n" for t, s in zip(tl, scores))
+
+
+class TestScoreText:
+    def test_edge_scores_byte_identical(self):
+        tl = TrialList(tuple(Trial(f"e{k % 5}", f"t{k}") for k in range(len(EDGE_SCORES))))
+        scores = np.array(EDGE_SCORES, dtype=np.float64)
+        text = serialize_scores(ScoreSet(tl, scores))
+        assert text == expected_score_text(tl, EDGE_SCORES)
+        assert "e0 t0 0.000000000\ne1 t1 0.000000000\n" in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(EDGE_SCORES),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=30,
+        )
+    )
+    def test_serialize_equals_format_score(self, values):
+        tl = TrialList(tuple(Trial(f"e{k % 3}", f"t{k}") for k in range(len(values))))
+        text = serialize_scores(ScoreSet(tl, np.array(values, dtype=np.float64)))
+        assert text == expected_score_text(tl, values)
