@@ -17,14 +17,7 @@ import numpy as np
 
 from . import EMB_FORMAT_VERSION, MEL_FORMAT_VERSION, __version__
 from .augment import NoiseBank, apply_policy
-from .config import (
-    ConfigError,
-    PipelineConfig,
-    load_pipeline_config,
-    load_schedule_config,
-    resolve_config_path,
-    stage_seed,
-)
+from .config import PipelineConfig, load_pipeline_config, load_schedule_config, stage_seed
 from .features import read_wav, write_mel, write_wav, apply_cmn, compute_logmel
 from .fusion import (
     fit_fusion,
@@ -40,8 +33,6 @@ from .schedule import dump_schedule
 from .selftest import run_selftest
 from .trials import (
     EmbeddingStore,
-    TrialParseError,
-    StoreFormatError,
     parse_scores,
     parse_trials,
     read_embeddings_file,
@@ -127,8 +118,6 @@ def cmd_augment(args) -> int:
     manifest = args.manifest or cfg.noise_manifest
     if manifest is None:
         raise UsageError("augment needs --manifest or a noise_manifest config entry")
-    if args.manifest is None and args.config:
-        manifest = resolve_config_path(args.config, manifest)
     bank = NoiseBank.from_manifest(_require_file(manifest, "manifest"), cfg.sample_rate)
     wav = read_wav(_require_file(args.wav, "wav"), expected_rate=cfg.sample_rate)
     seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "augment")
@@ -174,8 +163,6 @@ def cmd_score(args) -> int:
         cohort_path = args.cohort or cfg.cohort_path
         if cohort_path is None:
             raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
-        if args.cohort is None and args.config:
-            cohort_path = resolve_config_path(args.config, cohort_path)
         cohort = read_embeddings_file(_require_file(cohort_path, "cohort"), normalized=True)
     result = score_trials(
         trials,
@@ -259,13 +246,6 @@ def build_parser() -> _Parser:
         "--version",
         action="version",
         version=f"svkit {__version__} formats {EMB_FORMAT_VERSION} {MEL_FORMAT_VERSION}",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker budget; results never depend on it",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -352,18 +332,12 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ConfigError, TrialParseError, StoreFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ never override config values.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .augment import AugmentPolicy
@@ -136,7 +136,8 @@ def load_pipeline_config(path) -> PipelineConfig:
     """Parse, type-check, and range-check a pipeline config file.
 
     Referenced files (noise manifest, cohort embeddings) must exist at
-    load time; paths are resolved relative to the config file.
+    load time; paths are resolved relative to the config file and stored
+    resolved.
     """
     path = Path(path)
     if not path.is_file():
@@ -181,23 +182,15 @@ def load_pipeline_config(path) -> PipelineConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    base = path.parent
-    for label, ref in (("noise_manifest", cfg.noise_manifest), ("cohort", cfg.cohort_path)):
+    resolved = {}
+    for label, dest in (("noise_manifest", "noise_manifest"), ("cohort", "cohort_path")):
+        ref = getattr(cfg, dest)
         if ref is not None:
-            resolved = Path(ref)
-            if not resolved.is_absolute():
-                resolved = base / resolved
-            if not resolved.is_file():
-                raise ConfigError(f"{path}: {label} file not found: {resolved}")
-    return cfg
-
-
-def resolve_config_path(config_path, ref: str) -> Path:
-    """Resolve a config-referenced path against the config file's directory."""
-    resolved = Path(ref)
-    if not resolved.is_absolute():
-        resolved = Path(config_path).parent / resolved
-    return resolved
+            ref_path = path.parent / ref  # an absolute ref replaces the base
+            if not ref_path.is_file():
+                raise ConfigError(f"{path}: {label} file not found: {ref_path}")
+            resolved[dest] = str(ref_path)
+    return replace(cfg, **resolved)
 
 
 _SCHEDULE_KEYS = {

@@ -22,6 +22,9 @@ NORM_TOL = 1e-4
 SIGMA_FLOOR = 1e-9
 # trials per gathered chunk: bounds the enroll/test row copies
 TRIAL_CHUNK = 128
+# rows per cohort_stats block: a 16 x 5000 float64 score block is about
+# 0.6 MB, so the block leaves peak memory where per-row scoring had it
+COHORT_BLOCK = 16
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -32,9 +35,10 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_unit(rows: np.ndarray, names: Sequence[str]) -> None:
-    """Reject rows (len(names) of them, after flattening the leading axes)
-    whose L2 norm is off 1 by more than NORM_TOL; names[i] labels row i."""
-    flat = rows.reshape(len(names), -1)
+    """Reject last-axis rows (len(names) of them, after flattening the
+    leading axes) whose L2 norm is off 1 by more than NORM_TOL; names[i]
+    labels row i."""
+    flat = rows.reshape(-1, rows.shape[-1])
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
     if len(bad):
@@ -51,54 +55,51 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(dot_rows(a, b))
 
 
-@dataclass(frozen=True)
-class CohortStats:
-    """Mean and standard deviation of an utterance's top-K cohort scores."""
+def cohort_stats(
+    rows: np.ndarray, cohort: EmbeddingStore, k: int = 100
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-K imposter score statistics for each row of an (n, dim) stack.
 
-    mean: float
-    std: float
-    top_k: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise ValueError("cohort stats must be finite")
-        if self.std <= 0:
-            raise ValueError(f"cohort std must be positive, got {self.std}")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-
-
-def cohort_stats(e: np.ndarray, cohort: EmbeddingStore, k: int = 100) -> CohortStats:
-    """Top-K imposter score statistics for one embedding.
-
-    Scores e against every cohort vector, keeps the K largest, and returns
-    their mean and population (1/K) standard deviation.
+    Scores every row against every cohort vector, keeps the K largest, and
+    returns their means and population (1/K) standard deviations as two
+    float64 arrays of length n. Each row's scores come from its own gemv,
+    so a row's statistics do not depend on the rows stacked with it.
     """
-    e = np.asarray(e, dtype=np.float64)
-    if e.shape != (cohort.dim,):
-        raise ValueError(f"embedding shape {e.shape} does not match cohort dim {cohort.dim}")
-    _check_unit(e, ["embedding"])
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != cohort.dim:
+        raise ValueError(
+            f"embedding stack shape {rows.shape} does not match cohort dim {cohort.dim}"
+        )
+    _check_unit(rows, [f"embedding row {i}" for i in range(len(rows))])
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(cohort) < k:
         raise ValueError(f"cohort has {len(cohort)} vectors, need at least k={k}")
-    scores = cohort.vectors @ e
-    if k < len(scores):
-        top = np.partition(scores, len(scores) - k)[len(scores) - k :]
-    else:
-        top = scores
-    mean = float(np.mean(top))
-    std = float(np.sqrt(np.mean((top - mean) ** 2)))
-    if std < SIGMA_FLOOR:
+    cut = len(cohort) - k
+    mean = np.empty(len(rows))
+    std = np.empty(len(rows))
+    for s in range(0, len(rows), COHORT_BLOCK):
+        # a stacked gemv, the per-row cohort.vectors @ e bit for bit; the
+        # rows @ cohort.vectors.T gemm is not
+        top = np.matmul(cohort.vectors, rows[s : s + COHORT_BLOCK, :, None])[..., 0]
+        if cut:
+            top = np.partition(top, cut, axis=1)[:, cut:]
+        m = np.mean(top, axis=1)
+        mean[s : s + COHORT_BLOCK] = m
+        std[s : s + COHORT_BLOCK] = np.sqrt(np.mean((top - m[:, None]) ** 2, axis=1))
+    bad = np.flatnonzero(~(std >= SIGMA_FLOOR))  # a NaN std is degenerate too
+    if len(bad):
         raise ValueError(
-            f"degenerate cohort: top-{k} scores have std {std:.3g} (all nearly identical)"
+            f"degenerate cohort for embedding row {bad[0]}: top-{k} scores have std "
+            f"{std[bad[0]]:.3g} (all nearly identical)"
         )
-    return CohortStats(mean=mean, std=std, top_k=k)
+    return mean, std
 
 
-def asnorm_score(raw: float, se: CohortStats, st: CohortStats) -> float:
-    """Symmetric z-normalization of a raw score against both sides' cohorts."""
-    return 0.5 * ((raw - se.mean) / se.std + (raw - st.mean) / st.std)
+def asnorm_score(raw, mean_e, std_e, mean_t, std_t):
+    """Symmetric z-normalization of raw scores against both sides' cohort
+    statistics; elementwise over scalars or arrays."""
+    return 0.5 * ((raw - mean_e) / std_e + (raw - mean_t) / std_t)
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,6 @@ def score_trials(
         b = rows[test[s : s + TRIAL_CHUNK]]
         scores[s : s + TRIAL_CHUNK] = _msa_means(a, b) if mode == "msa" else dot_rows(a, b)
     if mode == "asnorm":
-        stats = [cohort_stats(v, cohort, top_k) for v in rows]
-        mean = np.array([st.mean for st in stats])
-        std = np.array([st.std for st in stats])
-        scores = 0.5 * ((scores - mean[enroll]) / std[enroll] + (scores - mean[test]) / std[test])
+        mean, std = cohort_stats(rows, cohort, top_k)
+        scores = asnorm_score(scores, mean[enroll], std[enroll], mean[test], std[test])
     return ScoreSet(trials=trials, scores=scores)

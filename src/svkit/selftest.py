@@ -102,9 +102,8 @@ def check_asnorm_oracle() -> bool:
     for _ in range(20):
         e = length_normalize(rng.standard_normal(dim))
         t = length_normalize(rng.standard_normal(dim))
-        got = asnorm_score(
-            cosine_score(e, t), cohort_stats(e, cohort, k), cohort_stats(t, cohort, k)
-        )
+        mean, std = cohort_stats(np.stack([e, t]), cohort, k)
+        got = asnorm_score(cosine_score(e, t), mean[0], std[0], mean[1], std[1])
         raw = float(np.dot(e, t))
         halves = []
         for side in (e, t):

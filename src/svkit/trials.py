@@ -289,8 +289,10 @@ def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
         bad = np.flatnonzero((got[:, 0] != want_e) | (got[:, 1] != want_t))
         if len(bad):
             k = bad[0]
+            # the file line of entry k, counted only on this error path
+            line_no = [n for n, raw in enumerate(text.splitlines(), 1) if raw.split()][k]
             raise ValueError(
-                f"score line {k + 1} is for ({got[k, 0]}, {got[k, 1]}), trial list has "
+                f"score line {line_no} is for ({got[k, 0]}, {got[k, 1]}), trial list has "
                 f"({want_e[k]}, {want_t[k]})"
             )
     return ScoreSet(trials, np.array(scores, dtype=np.float64))

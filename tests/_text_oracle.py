@@ -33,9 +33,10 @@ def reference_trials(text: str, labeled: bool) -> tuple[list[tuple[str, str]], l
     return pairs, labels
 
 
-def reference_scores(text: str) -> tuple[list[tuple[str, str]], list[float]]:
-    """(pairs, scores) in file order; a score must parse as a finite float."""
-    pairs, scores = [], []
+def reference_scores(text: str) -> tuple[list[tuple[str, str]], list[float], list[int]]:
+    """(pairs, scores, line numbers) in file order; a score must parse as a
+    finite float."""
+    pairs, scores, line_nos = [], [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -50,7 +51,8 @@ def reference_scores(text: str) -> tuple[list[tuple[str, str]], list[float]]:
             raise Rejected(line_no)
         pairs.append((tokens[0], tokens[1]))
         scores.append(value)
-    return pairs, scores
+        line_nos.append(line_no)
+    return pairs, scores, line_nos
 
 
 def first_seen(pairs: list[tuple[str, str]]) -> list[str]:

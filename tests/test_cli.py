@@ -73,8 +73,12 @@ class TestTopLevel:
         ).stdout
         assert out.strip() == "[]"
 
-    def test_bad_threads_rejected(self, capsys):
-        assert main(["--threads", "0", "selftest"]) == 1
+    def test_threads_flag_is_usage_error(self, capsys):
+        # the flag is gone: nothing ever read it
+        assert main(["--threads", "1", "selftest"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["evaluate", "--trials", "x"]) == 1
@@ -289,6 +293,28 @@ class TestEmbedScoreEvaluate:
         assert len(captured.err.splitlines()) == 1
         assert "'ghost" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"]], ids=["raw", "asnorm", "msa"]
+    )
+    def test_blank_trial_file_gives_empty_scores(self, tmp_path, wav_dir, capsys, flags):
+        wav_list, emb, _ = self.setup_pipeline(tmp_path, wav_dir)
+        if "--msa" in flags:
+            assert main(["embed", "--wav-list", str(wav_list), "--output", str(emb), "--msa"]) == 0
+        if "--asnorm" in flags:
+            flags = flags + ["--cohort", str(emb)]
+        trials = tmp_path / "blank.txt"
+        trials.write_text("\n  \n", encoding="utf-8")
+        out = tmp_path / "scores.txt"
+        capsys.readouterr()
+        code = main(
+            ["score", "--trials", str(trials), "--embeddings", str(emb), "--output", str(out)]
+            + flags
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out == "" and captured.err == ""
+        assert out.read_text(encoding="utf-8") == ""
 
     def test_store_header_count_is_data_error(self, tmp_path, capsys):
         emb = tmp_path / "huge.bin"

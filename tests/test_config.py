@@ -76,7 +76,7 @@ class TestPipelineConfig:
         cfg_file = tmp_path / "pipeline.cfg"
         cfg_file.write_text("cohort = cohort.emb\n")
         cfg = load_pipeline_config(cfg_file)
-        assert cfg.cohort_path == "cohort.emb"
+        assert cfg.cohort_path == str(tmp_path / "cohort.emb")
 
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

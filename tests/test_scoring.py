@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svkit.features import Waveform
 from svkit.model import length_normalize
 from svkit.scoring import (
+    COHORT_BLOCK,
     TRIAL_CHUNK,
-    CohortStats,
     asnorm_score,
     cohort_stats,
     cosine_score,
@@ -73,9 +75,9 @@ class TestCohortStats:
         rng = np.random.default_rng(1)
         e = unit(np.append(1.0, np.zeros(7)))
         cohort = cohort_from_scores(e, [0.1, 0.2, 0.3], rng)
-        st = cohort_stats(e, cohort, k=2)
-        assert st.mean == pytest.approx(0.25, abs=1e-7)
-        assert st.std == pytest.approx(0.05, abs=1e-7)
+        mean, std = cohort_stats(e[None], cohort, k=2)
+        assert mean[0] == pytest.approx(0.25, abs=1e-7)
+        assert std[0] == pytest.approx(0.05, abs=1e-7)
 
     def test_k_equals_cohort_size_uses_all(self):
         rng = np.random.default_rng(2)
@@ -83,18 +85,18 @@ class TestCohortStats:
         cohort = EmbeddingStore(
             [f"c{i}" for i in range(6)], random_units(rng, 6, 8)
         )
-        st = cohort_stats(e, cohort, k=6)
+        mean, std = cohort_stats(e[None], cohort, k=6)
         scores = cohort.vectors.astype(np.float64) @ e
-        assert st.mean == pytest.approx(float(np.mean(scores)), abs=1e-12)
-        assert st.std == pytest.approx(float(np.std(scores)), abs=1e-12)
+        assert mean[0] == pytest.approx(float(np.mean(scores)), abs=1e-12)
+        assert std[0] == pytest.approx(float(np.std(scores)), abs=1e-12)
 
     def test_population_std_convention(self):
         rng = np.random.default_rng(3)
         e = unit(np.append(1.0, np.zeros(5)))
         cohort = cohort_from_scores(e, [0.0, 0.4, 0.8], rng)
-        st = cohort_stats(e, cohort, k=3)
+        _, std = cohort_stats(e[None], cohort, k=3)
         # population sigma of {0, 0.4, 0.8}, not the sample (1/(K-1)) one
-        assert st.std == pytest.approx(math.sqrt(0.32 / 3), abs=1e-7)
+        assert std[0] == pytest.approx(math.sqrt(0.32 / 3), abs=1e-7)
 
     def test_topk_matches_full_sort_oracle(self):
         rng = np.random.default_rng(4)
@@ -108,53 +110,106 @@ class TestCohortStats:
             mean = sum(scores) / k
             var = sum((s - mean) ** 2 for s in scores) / k
             try:
-                st = cohort_stats(e, cohort, k=k)
+                got_mean, got_std = cohort_stats(e[None], cohort, k=k)
             except ValueError:
                 assert math.sqrt(var) < 1e-9
                 continue
-            assert st.mean == pytest.approx(mean, abs=1e-12)
-            assert st.std == pytest.approx(math.sqrt(var), abs=1e-12)
+            assert got_mean[0] == pytest.approx(mean, abs=1e-12)
+            assert got_std[0] == pytest.approx(math.sqrt(var), abs=1e-12)
 
     def test_degenerate_cohort_rejected(self):
         e = unit(np.append(1.0, np.zeros(3)))
         copies = np.tile(e, (5, 1))
         cohort = EmbeddingStore([f"c{i}" for i in range(5)], copies)
         with pytest.raises(ValueError, match="degenerate"):
-            cohort_stats(e, cohort, k=3)
+            cohort_stats(e[None], cohort, k=3)
 
     def test_cohort_smaller_than_k_rejected(self):
         rng = np.random.default_rng(5)
         e = length_normalize(rng.standard_normal(4))
         cohort = EmbeddingStore(["a", "b"], random_units(rng, 2, 4))
         with pytest.raises(ValueError, match="cohort has 2"):
-            cohort_stats(e, cohort, k=3)
+            cohort_stats(e[None], cohort, k=3)
+
+    def test_single_vector_rejected(self):
+        rng = np.random.default_rng(21)
+        cohort = make_store(rng, ["a", "b", "c"], dim=4)
+        with pytest.raises(ValueError, match="does not match cohort dim"):
+            cohort_stats(length_normalize(rng.standard_normal(4)), cohort, k=2)
+
+    def test_unnormalized_row_named(self):
+        rng = np.random.default_rng(22)
+        cohort = make_store(rng, ["a", "b", "c"], dim=4)
+        rows = random_units(rng, 3, 4)
+        rows[2] *= 2.0
+        with pytest.raises(ValueError, match="embedding row 2 is not length-normalized"):
+            cohort_stats(rows, cohort, k=2)
+
+
+@st.composite
+def stacks_and_cohorts(draw):
+    """A unit-row stack of a block-edge size, a cohort, and a top-K that is
+    sometimes the whole cohort."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.sampled_from([0, 1, COHORT_BLOCK - 1, COHORT_BLOCK, COHORT_BLOCK + 1,
+                              3 * COHORT_BLOCK + 5]))
+    dim = draw(st.integers(2, 24))
+    n_cohort = draw(st.integers(2, 60))
+    k = draw(st.one_of(st.just(n_cohort), st.integers(2, n_cohort)))
+    rng = np.random.default_rng(seed)
+    rows = random_units(rng, n, dim).reshape(n, dim)
+    cohort = make_store(rng, [f"c{i}" for i in range(n_cohort)], dim=dim)
+    return rows, cohort, k
+
+
+class TestStackedStatistics:
+    @settings(max_examples=60, deadline=None)
+    @given(stacks_and_cohorts())
+    def test_stack_equals_row_by_row(self, case):
+        rows, cohort, k = case
+        mean, std = cohort_stats(rows, cohort, k)
+        assert mean.shape == std.shape == (len(rows),)
+        assert mean.dtype == std.dtype == np.float64
+        for i, row in enumerate(rows):
+            mean_i, std_i = cohort_stats(row[None], cohort, k)
+            assert mean[i] == mean_i[0] and std[i] == std_i[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, COHORT_BLOCK - 1, COHORT_BLOCK, COHORT_BLOCK + 1,
+                         3 * COHORT_BLOCK + 5]),
+        st.integers(2, 10),
+        st.data(),
+    )
+    def test_degenerate_row_named_anywhere(self, seed, n, k, data):
+        # the cohort is K copies of v and K random vectors: v's top K are
+        # the identical copies, while -v's top K are the spread random ones
+        bad = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(seed)
+        v = length_normalize(rng.standard_normal(8))
+        rows = np.tile(-v, (n, 1))
+        rows[bad] = v
+        vectors = np.concatenate([np.tile(v, (k, 1)), random_units(rng, k, 8)])
+        cohort = EmbeddingStore([f"c{i}" for i in range(2 * k)], vectors)
+        with pytest.raises(ValueError, match=f"degenerate cohort for embedding row {bad}:"):
+            cohort_stats(rows, cohort, k)
 
 
 class TestAsnormScore:
     def test_hand_example(self):
-        st = CohortStats(mean=0.25, std=0.05, top_k=2)
-        assert asnorm_score(0.5, st, st) == pytest.approx(5.0, abs=1e-12)
+        assert asnorm_score(0.5, 0.25, 0.05, 0.25, 0.05) == pytest.approx(5.0, abs=1e-12)
 
     def test_raw_at_both_means_is_zero(self):
-        se = CohortStats(mean=0.3, std=0.1, top_k=5)
-        st = CohortStats(mean=0.3, std=0.2, top_k=5)
-        assert asnorm_score(0.3, se, st) == 0.0
+        assert asnorm_score(0.3, 0.3, 0.1, 0.3, 0.2) == 0.0
 
     def test_strictly_increasing_in_raw(self):
-        se = CohortStats(mean=0.1, std=0.07, top_k=5)
-        st = CohortStats(mean=0.4, std=0.3, top_k=5)
-        values = [asnorm_score(r, se, st) for r in np.linspace(-1, 1, 21)]
-        assert all(a < b for a, b in zip(values, values[1:]))
+        values = asnorm_score(np.linspace(-1, 1, 21), 0.1, 0.07, 0.4, 0.3)
+        assert np.all(np.diff(values) > 0)
 
     def test_asymmetric_sides_average(self):
-        se = CohortStats(mean=0.0, std=0.5, top_k=2)
-        st = CohortStats(mean=0.5, std=0.25, top_k=2)
         # halves are (0.5-0)/0.5 = 1 and (0.5-0.5)/0.25 = 0
-        assert asnorm_score(0.5, se, st) == pytest.approx(0.5, abs=1e-12)
-
-    def test_invalid_stats_rejected(self):
-        with pytest.raises(ValueError, match="std"):
-            CohortStats(mean=0.0, std=0.0, top_k=2)
+        assert asnorm_score(0.5, 0.0, 0.5, 0.5, 0.25) == pytest.approx(0.5, abs=1e-12)
 
 
 def brute_force_asnorm(e, t, cohort_matrix, k):
@@ -180,11 +235,8 @@ class TestAsnormPipelineOracle:
         for _ in range(25):
             e = length_normalize(rng.standard_normal(dim))
             t = length_normalize(rng.standard_normal(dim))
-            got = asnorm_score(
-                cosine_score(e, t),
-                cohort_stats(e, cohort, k),
-                cohort_stats(t, cohort, k),
-            )
+            mean, std = cohort_stats(np.stack([e, t]), cohort, k)
+            got = asnorm_score(cosine_score(e, t), mean[0], std[0], mean[1], std[1])
             # oracle sees the same float32-rounded cohort the store holds
             want = brute_force_asnorm(e, t, cohort.vectors.astype(np.float64), k)
             assert got == pytest.approx(want, abs=1e-9)
@@ -317,10 +369,8 @@ class TestScoreTrials:
         cohort = make_store(rng, [f"c{i}" for i in range(12)])
         result = score_trials(self.trial_list(), store, mode="asnorm", cohort=cohort, top_k=5)
         raw = cosine_score(store.get("u0"), store.get("u1"))
-        want = asnorm_score(
-            raw, cohort_stats(store.get("u0"), cohort, 5), cohort_stats(store.get("u1"), cohort, 5)
-        )
-        assert result.scores[0] == want
+        mean, std = cohort_stats(store.rows(["u0", "u1"]), cohort, 5)
+        assert result.scores[0] == asnorm_score(raw, mean[0], std[0], mean[1], std[1])
 
     def test_asnorm_without_cohort_rejected(self):
         rng = np.random.default_rng(17)
@@ -353,8 +403,9 @@ class TestScoreTrials:
         for k, t in enumerate(trials):
             e, x = store.get(t.enroll_id), store.get(t.test_id)
             assert raw[k] == cosine_score(e, x)
-            stats_e, stats_x = cohort_stats(e, cohort, 10), cohort_stats(x, cohort, 10)
-            assert asnorm[k] == asnorm_score(cosine_score(e, x), stats_e, stats_x)
+            mean_e, std_e = cohort_stats(e[None], cohort, 10)
+            mean_x, std_x = cohort_stats(x[None], cohort, 10)
+            assert asnorm[k] == asnorm_score(cosine_score(e, x), mean_e, std_e, mean_x, std_x)[0]
             seg_e = segments.rows([segment_id(t.enroll_id, i) for i in range(5)])
             seg_x = segments.rows([segment_id(t.test_id, i) for i in range(5)])
             assert msa[k] == msa_score(seg_e, seg_x)
@@ -370,10 +421,9 @@ class TestAsnormShiftStructure:
     def test_shift_invariance_by_construction(self):
         # adding c to the raw score and to every cohort score of one side
         # leaves that side's normalized half unchanged
-        se = CohortStats(mean=0.2, std=0.1, top_k=3)
-        raw = 0.45
-        c = 0.3
-        shifted = CohortStats(mean=se.mean + c, std=se.std, top_k=3)
-        half = (raw - se.mean) / se.std
-        half_shifted = ((raw + c) - shifted.mean) / shifted.std
-        assert half_shifted == pytest.approx(half, abs=1e-12)
+        mean, std, raw, c = 0.2, 0.1, 0.45, 0.3
+        other_mean, other_std = -0.1, 0.2
+        score = asnorm_score(raw, mean, std, other_mean, other_std)
+        half_shifted = ((raw + c) - (mean + c)) / std
+        half_other = (raw - other_mean) / other_std
+        assert 0.5 * (half_shifted + half_other) == pytest.approx(score, abs=1e-12)

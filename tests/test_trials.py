@@ -190,6 +190,12 @@ class TestScoreSet:
         with pytest.raises(ValueError, match="score line 1"):
             parse_scores("x y 0.5\n", trials=tl)
 
+    def test_pair_mismatch_names_file_line_after_blank_lines(self):
+        tl = parse_trials("a b\n", labeled=False)
+        want = r"^score line 3 is for \(x, y\), trial list has \(a, b\)$"
+        with pytest.raises(ValueError, match=want):
+            parse_scores("\n\nx y 0.5\n", trials=tl)
+
     def test_parse_scores_standalone_rebuilds_trials(self):
         ss = parse_scores("a b 0.25\nc d -0.125\n")
         assert [t.enroll_id for t in ss.trials] == ["a", "c"]
@@ -400,7 +406,7 @@ def check_trials(text, labeled):
 
 def check_scores(text, trials):
     try:
-        pairs, scores = reference_scores(text)
+        pairs, scores, line_nos = reference_scores(text)
     except Rejected as rejected:
         with pytest.raises(TrialParseError) as info:
             parse_scores(text, trials)
@@ -414,7 +420,7 @@ def check_scores(text, trials):
             return
         bad = [k for k, (a, b) in enumerate(zip(pairs, expected)) if a != b]
         if bad:
-            with pytest.raises(ValueError, match=f"^score line {bad[0] + 1} is for"):
+            with pytest.raises(ValueError, match=f"^score line {line_nos[bad[0]]} is for"):
                 parse_scores(text, trials)
             return
     got = parse_scores(text, trials)
@@ -450,7 +456,7 @@ class TestParserFuzz:
         check_scores(text, None)
         # the list the file was written for, or one near it
         try:
-            pairs, _ = reference_scores(text)
+            pairs, _, _ = reference_scores(text)
         except Rejected:
             pairs = [(data.draw(IDS), data.draw(IDS))]
         edit = data.draw(st.sampled_from(["same", "drop", "rename"]))
