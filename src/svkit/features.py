@@ -90,6 +90,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_corners(n_mels: int, sample_rate: int) -> np.ndarray:
+    """The n_mels + 2 filter corner frequencies in Hz, equally spaced on the
+    mel scale from 0 Hz to Nyquist."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2))
+
+
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filters evaluated at the FFT bin frequencies.
 
@@ -97,8 +103,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     are equally spaced on the mel scale from 0 Hz to Nyquist; each filter
     rises linearly in Hz to its center and falls to the next corner.
     """
-    nyquist = sample_rate / 2.0
-    corners = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_mels + 2))
+    corners = _mel_corners(n_mels, sample_rate)
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     lower, center, upper = corners[:-2], corners[1:-1], corners[2:]
     up = (bin_freqs[None, :] - lower[:, None]) / (center - lower)[:, None]
@@ -108,9 +113,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
 
 def mel_filter_centers(n_mels: int, sample_rate: int) -> np.ndarray:
     """Center frequency in Hz of each filter, for diagnostics and tests."""
-    nyquist = sample_rate / 2.0
-    corners = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_mels + 2))
-    return corners[1:-1]
+    return _mel_corners(n_mels, sample_rate)[1:-1]
 
 
 def compute_logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> MelFeatures:

@@ -2,9 +2,12 @@
 segment-matrix averaging.
 
 All scorers consume unit-norm embeddings (checked, not fixed up here).
-Every cosine goes through one kernel, `dot_rows`, which runs the same
-BLAS dot as np.dot on each pair of rows, so a score computed in a batch
-of any size equals the single-pair score bit for bit.
+Every trial cosine goes through one kernel, `dot_rows`, which runs the
+same BLAS dot as np.dot on each pair of rows, so a score computed in a
+batch of any size equals the single-pair score bit for bit. Cohort scores
+are the one exception: `cohort_stats` scores each block of rows as one
+gemm of fixed shape, and its contract is that a stacked call equals its
+single-row calls bit for bit.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ NORM_TOL = 1e-4
 SIGMA_FLOOR = 1e-9
 # trials per gathered chunk: bounds the enroll/test row copies
 TRIAL_CHUNK = 128
-# rows per cohort_stats block: a 16 x 5000 float64 score block is about
-# 0.6 MB, so the block leaves peak memory where per-row scoring had it
-COHORT_BLOCK = 16
+# rows per cohort_stats gemm: 32 rows already reach full gemm speed (64
+# is no faster), and a 32 x 5000 float64 score block is 1.3 MB, so peak
+# memory stays where per-row scoring had it
+COHORT_BLOCK = 32
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -40,7 +44,7 @@ def _check_unit(rows: np.ndarray, names: Sequence[str]) -> None:
     labels row i."""
     flat = rows.reshape(-1, rows.shape[-1])
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # a NaN norm is off too
     if len(bad):
         raise ValueError(f"{names[bad[0]]} is not length-normalized (norm {norms[bad[0]]:.6g})")
 
@@ -56,41 +60,62 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cohort_stats(
-    rows: np.ndarray, cohort: EmbeddingStore, k: int = 100
+    rows: np.ndarray,
+    cohort: EmbeddingStore,
+    k: int = 100,
+    names: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-K imposter score statistics for each row of an (n, dim) stack.
 
     Scores every row against every cohort vector, keeps the K largest, and
     returns their means and population (1/K) standard deviations as two
-    float64 arrays of length n. Each row's scores come from its own gemv,
-    so a row's statistics do not depend on the rows stacked with it.
+    float64 arrays of length n. names[i] labels row i in errors (default
+    "embedding row i").
+
+    Every block, a single row included, is one gemm of fixed shape: rows
+    zero-padded to COHORT_BLOCK, against the cohort's first multiple of 8
+    vectors plus its last 0-7 zero-padded to 8. A row's bits then do not
+    depend on its position in the block, so a stacked call equals its
+    single-row calls bit for bit (a property of the BLAS build, which
+    `svkit selftest` checks).
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != cohort.dim:
         raise ValueError(
             f"embedding stack shape {rows.shape} does not match cohort dim {cohort.dim}"
         )
-    _check_unit(rows, [f"embedding row {i}" for i in range(len(rows))])
+    if names is None:
+        names = [f"embedding row {i}" for i in range(len(rows))]
+    _check_unit(rows, names)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if len(cohort) < k:
-        raise ValueError(f"cohort has {len(cohort)} vectors, need at least k={k}")
-    cut = len(cohort) - k
+    n_cohort = len(cohort)
+    if n_cohort < k:
+        raise ValueError(f"cohort has {n_cohort} vectors, need at least k={k}")
+    cut = n_cohort - k
+    # the cohort is padded too: padding rows alone left the last
+    # n_cohort % 8 columns' bits dependent on the row's block position
+    c8 = n_cohort - n_cohort % 8
+    head = cohort.vectors[:c8].T
+    tail = np.zeros((8, cohort.dim))
+    tail[: n_cohort - c8] = cohort.vectors[c8:]
+    blk = np.zeros((COHORT_BLOCK, cohort.dim))
     mean = np.empty(len(rows))
     std = np.empty(len(rows))
     for s in range(0, len(rows), COHORT_BLOCK):
-        # a stacked gemv, the per-row cohort.vectors @ e bit for bit; the
-        # rows @ cohort.vectors.T gemm is not
-        top = np.matmul(cohort.vectors, rows[s : s + COHORT_BLOCK, :, None])[..., 0]
+        n = min(COHORT_BLOCK, len(rows) - s)
+        blk[:n] = rows[s : s + n]
+        blk[n:] = 0.0
+        top = np.concatenate([blk @ head, blk @ tail.T], axis=1)[:n, :n_cohort]
         if cut:
             top = np.partition(top, cut, axis=1)[:, cut:]
         m = np.mean(top, axis=1)
-        mean[s : s + COHORT_BLOCK] = m
-        std[s : s + COHORT_BLOCK] = np.sqrt(np.mean((top - m[:, None]) ** 2, axis=1))
+        mean[s : s + n] = m
+        std[s : s + n] = np.sqrt(np.mean((top - m[:, None]) ** 2, axis=1))
     bad = np.flatnonzero(~(std >= SIGMA_FLOOR))  # a NaN std is degenerate too
     if len(bad):
         raise ValueError(
-            f"degenerate cohort for embedding row {bad[0]}: top-{k} scores have std "
+            f"degenerate cohort for {names[bad[0]]}: top-{k} scores have std "
             f"{std[bad[0]]:.3g} (all nearly identical)"
         )
     return mean, std
@@ -221,7 +246,8 @@ def score_trials(
     utts, enroll, test = trials.ids, trials.enroll, trials.test
     ids = [segment_id(u, i) for u in utts for i in range(n_segments)] if mode == "msa" else utts
     rows = store.rows(ids)
-    _check_unit(rows, [f"embedding {i!r}" for i in ids])
+    names = [f"embedding {i!r}" for i in ids]
+    _check_unit(rows, names)
     if mode == "msa":
         rows = rows.reshape(len(utts), n_segments, store.dim)
     scores = np.empty(len(trials))
@@ -230,6 +256,6 @@ def score_trials(
         b = rows[test[s : s + TRIAL_CHUNK]]
         scores[s : s + TRIAL_CHUNK] = _msa_means(a, b) if mode == "msa" else dot_rows(a, b)
     if mode == "asnorm":
-        mean, std = cohort_stats(rows, cohort, top_k)
+        mean, std = cohort_stats(rows, cohort, top_k, names)
         scores = asnorm_score(scores, mean[enroll], std[enroll], mean[test], std[test])
     return ScoreSet(trials=trials, scores=scores)

@@ -29,7 +29,7 @@ from .model import (
     subcenter_cosines,
 )
 from .schedule import CosineRestartConfig, cycle_start, lr_at
-from .scoring import asnorm_score, cohort_stats, cosine_score, msa_score
+from .scoring import COHORT_BLOCK, asnorm_score, cohort_stats, cosine_score, msa_score
 from .trials import EmbeddingStore, ScoreSet, Trial, TrialList
 
 
@@ -175,6 +175,27 @@ def check_reduction_identities() -> bool:
         b = length_normalize(rng.standard_normal(dim))
         if msa_score(np.tile(a, (5, 1)), np.tile(b, (5, 1))) != cosine_score(a, b):
             return False
+    # each row of a stacked cohort_stats call, in every position of a block,
+    # must equal its single-row call bit for bit: a property of the BLAS
+    # build, not a numpy guarantee. The cohort size is not a multiple of 8
+    # and k is the whole cohort. Rows live on the first 4 coordinates and
+    # all but the last 8 cohort vectors on the other 3, so the statistics
+    # rest on the last scores, where a gemm kernel's edge cases fall.
+    dim, n_cohort = 7, 2318
+    rows = rng.standard_normal((COHORT_BLOCK, dim))
+    rows[:, 4:] = 0.0
+    vectors = rng.standard_normal((n_cohort, dim))
+    vectors[:-8, :4] = 0.0
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    cohort = EmbeddingStore([f"c{i}" for i in range(n_cohort)], vectors)
+    single = [cohort_stats(row[None], cohort, n_cohort) for row in rows]
+    for shift in range(COHORT_BLOCK):
+        mean, std = cohort_stats(np.roll(rows, shift, axis=0), cohort, n_cohort)
+        for p in range(COHORT_BLOCK):
+            want_mean, want_std = single[(p - shift) % COHORT_BLOCK]
+            if mean[p] != want_mean[0] or std[p] != want_std[0]:
+                return False
     return True
 
 

@@ -14,11 +14,13 @@ from svkit.cli import main
 from svkit.features import Waveform, read_mel, read_wav, write_wav
 from svkit.schedule import CosineRestartConfig, lr_at
 from svkit.trials import (
+    EmbeddingStore,
     Trial,
     TrialList,
     parse_scores,
     read_embeddings_file,
     serialize_trials,
+    write_embeddings_file,
 )
 
 RATE = 16000
@@ -315,6 +317,25 @@ class TestEmbedScoreEvaluate:
         assert code == 0, captured.err
         assert captured.out == "" and captured.err == ""
         assert out.read_text(encoding="utf-8") == ""
+
+    def test_degenerate_cohort_names_utterance(self, tmp_path, capsys):
+        # every cohort vector is spkB's, so spkA's top-3 scores are identical
+        emb, cohort = tmp_path / "emb.bin", tmp_path / "cohort.bin"
+        vectors = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])
+        write_embeddings_file(EmbeddingStore(["spkA", "spkB"], vectors), emb)
+        write_embeddings_file(
+            EmbeddingStore([f"c{i}" for i in range(5)], np.tile(vectors[1], (5, 1))), cohort
+        )
+        trials = write_trials(tmp_path / "t.txt", [Trial("spkA", "spkB")])
+        code = main(
+            ["score", "--trials", str(trials), "--embeddings", str(emb),
+             "--asnorm", "--cohort", str(cohort), "--topk", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "degenerate cohort for embedding 'spkA'" in captured.err
 
     def test_store_header_count_is_data_error(self, tmp_path, capsys):
         emb = tmp_path / "huge.bin"

@@ -1,12 +1,17 @@
 """Cosine, AS-Norm, and segment-matrix scoring."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svkit
 from svkit.features import Waveform
 from svkit.model import length_normalize
 from svkit.scoring import (
@@ -55,6 +60,10 @@ class TestCosineScore:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dims"):
             cosine_score(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
+    def test_nan_row_rejected(self):
+        with pytest.raises(ValueError, match="enrollment embedding is not length-normalized"):
+            cosine_score(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
 
 
 def cohort_from_scores(e, target_scores, rng):
@@ -145,6 +154,14 @@ class TestCohortStats:
         with pytest.raises(ValueError, match="embedding row 2 is not length-normalized"):
             cohort_stats(rows, cohort, k=2)
 
+    def test_nan_row_rejected(self):
+        rng = np.random.default_rng(23)
+        cohort = make_store(rng, ["a", "b", "c"], dim=4)
+        rows = random_units(rng, 3, 4)
+        rows[1, 0] = np.nan
+        with pytest.raises(ValueError, match="embedding row 1 is not length-normalized"):
+            cohort_stats(rows, cohort, k=2)
+
 
 @st.composite
 def stacks_and_cohorts(draw):
@@ -194,6 +211,62 @@ class TestStackedStatistics:
         cohort = EmbeddingStore([f"c{i}" for i in range(2 * k)], vectors)
         with pytest.raises(ValueError, match=f"degenerate cohort for embedding row {bad}:"):
             cohort_stats(rows, cohort, k)
+
+
+def position_mismatches(n_cohort, dim, kind, seed):
+    """(fill, position) pairs at which a row's statistics in a stack of
+    `fill` rows differ from its single-row call. Each fill, a partial and a
+    full COHORT_BLOCK, is stacked in every rotation, so every row sits at
+    every position. k = len(cohort), so every cohort score enters the
+    statistics. kind "edge" puts the rows on the first half of the
+    coordinates and all but the last 8 cohort vectors on the second half:
+    those scores are exact zeros, the statistics are made of the last 8
+    scores, where a gemm kernel's edge cases fall, and a one-ulp change in
+    one of them shows."""
+    rng = np.random.default_rng(seed)
+    rows = random_units(rng, COHORT_BLOCK, dim)
+    vectors = random_units(rng, n_cohort, dim)
+    if kind == "edge":
+        half = (dim + 1) // 2
+        rows[:, half:] = 0.0
+        vectors[:-8, :half] = 0.0
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    cohort = EmbeddingStore([f"c{i}" for i in range(n_cohort)], vectors)
+    single = [cohort_stats(row[None], cohort, n_cohort) for row in rows]
+    bad = []
+    for fill in (COHORT_BLOCK // 2 + 3, COHORT_BLOCK):
+        for shift in range(fill):
+            mean, std = cohort_stats(np.roll(rows[:fill], shift, axis=0), cohort, n_cohort)
+            for p in range(fill):
+                want_mean, want_std = single[(p - shift) % fill]
+                if mean[p] != want_mean[0] or std[p] != want_std[0]:
+                    bad.append((fill, p))
+    return bad
+
+
+class TestPositionContract:
+    """The bits of a row's statistics do not depend on where it sits in a
+    cohort block, including cohorts whose size is not a multiple of 8."""
+
+    @pytest.mark.parametrize("kind", ["random", "edge"])
+    @pytest.mark.parametrize("dim", [7, 256])
+    @pytest.mark.parametrize("n_cohort", [777, 2318, 5000])
+    def test_every_position_equals_single_row(self, n_cohort, dim, kind):
+        assert position_mismatches(n_cohort, dim, kind, seed=n_cohort + dim) == []
+
+    def test_single_threaded_blas(self):
+        code = (
+            "from test_scoring import position_mismatches; "
+            "print([position_mismatches(n, d, 'edge', seed=n + d) "
+            "for n, d in ((777, 256), (2318, 7))])"
+        )
+        path = os.pathsep.join([str(Path(svkit.__file__).parents[1]), str(Path(__file__).parent)])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "[[], []]"
 
 
 class TestAsnormScore:
@@ -341,6 +414,14 @@ class TestMsaScore:
         b = random_units(rng, 5, 4)
         assert -1.0 <= msa_score(a, b) <= 1.0
 
+    def test_nan_row_rejected(self):
+        rng = np.random.default_rng(24)
+        a = random_units(rng, 5, 4)
+        b = random_units(rng, 5, 4)
+        b[3, 2] = np.nan
+        with pytest.raises(ValueError, match="segment is not length-normalized"):
+            msa_score(a, b)
+
 
 def make_store(rng, utt_ids, dim=8):
     return EmbeddingStore(utt_ids, random_units(rng, len(utt_ids), dim))
@@ -371,6 +452,15 @@ class TestScoreTrials:
         raw = cosine_score(store.get("u0"), store.get("u1"))
         mean, std = cohort_stats(store.rows(["u0", "u1"]), cohort, 5)
         assert result.scores[0] == asnorm_score(raw, mean[0], std[0], mean[1], std[1])
+
+    def test_degenerate_cohort_names_utterance(self):
+        # every cohort vector is spkB's, so spkA's top-3 scores are identical
+        rng = np.random.default_rng(25)
+        store = make_store(rng, ["spkA", "spkB"])
+        cohort = EmbeddingStore([f"c{i}" for i in range(5)], np.tile(store.get("spkB"), (5, 1)))
+        trials = TrialList(trials=(Trial("spkA", "spkB"),))
+        with pytest.raises(ValueError, match="degenerate cohort for embedding 'spkA':"):
+            score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=3)
 
     def test_asnorm_without_cohort_rejected(self):
         rng = np.random.default_rng(17)
