@@ -128,6 +128,23 @@ def cmd_augment(args) -> int:
     return 0
 
 
+def _distinct_segments(utt_id: str, wav, cfg: PipelineConfig, msa: bool):
+    """(store ids, waveform) for each distinct waveform of one utterance.
+
+    Plain embedding stores the utterance under its own id. MSA stores one
+    vector per segment id, and a padded plan's segments are all the same
+    cyclic extension, so its one waveform goes under every segment id.
+    """
+    if not msa:
+        return [([utt_id], wav)]
+    plan = segment_plan(wav.duration, cfg.n_segments, cfg.segment_duration)
+    ids = [segment_id(utt_id, k) for k in range(plan.n_segments)]
+    segments = extract_segments(wav, plan)
+    if plan.padded:
+        return [(ids, segments[0])]
+    return [([i], seg) for i, seg in zip(ids, segments)]
+
+
 def cmd_embed(args) -> int:
     cfg = _load_config(args)
     entries = _read_wav_list(args.wav_list)
@@ -137,14 +154,13 @@ def cmd_embed(args) -> int:
     vectors: list[np.ndarray] = []
     for utt_id, wav_path in entries:
         wav = read_wav(_require_file(wav_path, "wav"), expected_rate=cfg.sample_rate)
-        if args.msa:
-            plan = segment_plan(wav.duration, cfg.n_segments, cfg.segment_duration)
-            for k, seg in enumerate(extract_segments(wav, plan)):
-                ids.append(segment_id(utt_id, k))
-                vectors.append(embed_waveform(seg, seed=seed, cfg=feature_cfg))
-        else:
-            ids.append(utt_id)
-            vectors.append(embed_waveform(wav, seed=seed, cfg=feature_cfg))
+        for seg_ids, seg in _distinct_segments(utt_id, wav, cfg, args.msa):
+            try:
+                vector = embed_waveform(seg, seed=seed, cfg=feature_cfg)
+            except ValueError as exc:
+                raise DataError(f"utterance {utt_id!r} ({wav_path}): {exc}") from None
+            ids += seg_ids
+            vectors += [vector] * len(seg_ids)
     store = EmbeddingStore(ids, vectors, normalized=True)
     write_embeddings_file(store, args.output)
     print(f"embedded {len(entries)} utterances dim {store.dim}")

@@ -9,12 +9,18 @@ never override config values.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .augment import AugmentPolicy
 from .features import FeatureConfig
 from .schedule import CosineRestartConfig
+
+# a RIFF header stores the sample rate in 32 bits
+MAX_SAMPLE_RATE = 2**32 - 1
+
 
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration."""
@@ -58,9 +64,12 @@ def _as_int(key: str, value: str) -> int:
 
 def _as_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -82,18 +91,20 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 1 <= self.sample_rate <= MAX_SAMPLE_RATE:
+            raise ConfigError(f"sample_rate must be in 1..{MAX_SAMPLE_RATE}, got {self.sample_rate}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.n_segments < 1:
             raise ConfigError(f"n_segments must be >= 1, got {self.n_segments}")
-        if self.segment_duration <= 0:
-            raise ConfigError(f"segment_duration must be positive, got {self.segment_duration}")
+        if not (math.isfinite(self.segment_duration) and self.segment_duration > 0):
+            raise ConfigError(
+                f"segment_duration must be positive and finite, got {self.segment_duration}"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         # feature geometry is validated by the feature module itself
-        self.feature_config()
+        self.feature_config().frame_lengths(self.sample_rate)
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -187,7 +198,7 @@ def load_pipeline_config(path) -> PipelineConfig:
         ref = getattr(cfg, dest)
         if ref is not None:
             ref_path = path.parent / ref  # an absolute ref replaces the base
-            if not ref_path.is_file():
+            if not os.path.isfile(ref_path):  # False, not OSError, for an over-long name
                 raise ConfigError(f"{path}: {label} file not found: {ref_path}")
             resolved[dest] = str(ref_path)
     return replace(cfg, **resolved)

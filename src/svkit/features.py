@@ -8,14 +8,21 @@ All parameters are overridable through FeatureConfig.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 import wave
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MEL_MAGIC = b"MEL1"
+# upper bounds on the FFT size and filter count, so a config value cannot
+# size the filterbank (n_mels x (n_fft/2 + 1) float64, at most 34 MB)
+MAX_N_FFT = 1 << 15
+MAX_N_MELS = 256
 
 
 @dataclass(frozen=True)
@@ -73,12 +80,28 @@ class FeatureConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.window_s <= 0 or self.hop_s <= 0:
-            raise ValueError("window and hop must be positive")
-        if self.n_fft < 2 or self.n_mels < 1:
-            raise ValueError("n_fft and n_mels must be positive")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
+        for name in ("window_s", "hop_s", "log_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 2 <= self.n_fft <= MAX_N_FFT:
+            raise ValueError(f"n_fft must be in 2..{MAX_N_FFT}, got {self.n_fft}")
+        if not 1 <= self.n_mels <= MAX_N_MELS:
+            raise ValueError(f"n_mels must be in 1..{MAX_N_MELS}, got {self.n_mels}")
+
+    def frame_lengths(self, sample_rate: int) -> tuple[int, int]:
+        """Window and hop in samples at a rate. ValueError unless each is at
+        least one sample and the window fits in n_fft."""
+        win, hop = self.window_s * sample_rate, self.hop_s * sample_rate
+        if not (math.isfinite(win) and math.isfinite(hop)):
+            raise ValueError(f"window and hop overflow at {sample_rate} Hz")
+        win, hop = round(win), round(hop)
+        for name, seconds, n in (("window", self.window_s, win), ("hop", self.hop_s, hop)):
+            if n < 1:
+                raise ValueError(f"{name} of {seconds:g} s is under one sample at {sample_rate} Hz")
+        if win > self.n_fft:
+            raise ValueError(f"window of {win} samples exceeds n_fft {self.n_fft}")
+        return win, hop
 
 
 def hz_to_mel(f):
@@ -116,6 +139,20 @@ def mel_filter_centers(n_mels: int, sample_rate: int) -> np.ndarray:
     return _mel_corners(n_mels, sample_rate)[1:-1]
 
 
+@functools.lru_cache(maxsize=4)
+def _window(win: int) -> np.ndarray:
+    window = np.hamming(win)
+    window.flags.writeable = False
+    return window
+
+
+@functools.lru_cache(maxsize=4)
+def _filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    weights = mel_filterbank(n_mels, n_fft, sample_rate)
+    weights.flags.writeable = False
+    return weights
+
+
 def compute_logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> MelFeatures:
     """Log-Mel filterbank energies of a waveform.
 
@@ -123,20 +160,15 @@ def compute_logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> MelFeat
     filterbank, and entries are ln(max(power, log_floor)). Frame count is
     1 + floor((len - window) / hop).
     """
-    win = int(round(cfg.window_s * w.sample_rate))
-    hop = int(round(cfg.hop_s * w.sample_rate))
+    win, hop = cfg.frame_lengths(w.sample_rate)
     if len(w) < win:
         raise ValueError(f"waveform too short: {len(w)} samples < {win} window")
-    if win > cfg.n_fft:
-        raise ValueError(f"window of {win} samples exceeds n_fft {cfg.n_fft}")
-    n_frames = 1 + (len(w) - win) // hop
-    offsets = np.arange(n_frames) * hop
-    frames = w.samples[offsets[:, None] + np.arange(win)[None, :]]
-    frames = frames * np.hamming(win)
-    spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+    # the windowed frames are a temporary, freed before the power spectrum
+    # is allocated: that keeps a long utterance's peak memory down
+    frames = sliding_window_view(w.samples, win)[::hop]
+    spectrum = np.fft.rfft(frames * _window(win), n=cfg.n_fft, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    weights = mel_filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate)
-    mel_power = power @ weights.T
+    mel_power = power @ _filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate).T
     bins = np.log(np.maximum(mel_power, cfg.log_floor)).T
     return MelFeatures(bins=bins, frame_hop=cfg.hop_s, cmn_applied=False)
 

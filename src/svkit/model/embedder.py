@@ -8,6 +8,8 @@ statistics pooling with seeded parameters, a second seeded projection to
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..features import FeatureConfig, MelFeatures, Waveform, apply_cmn, compute_logmel
@@ -19,17 +21,25 @@ ATTN_DIM = 32
 EMBED_DIM = 512
 
 
+@functools.lru_cache(maxsize=8)
+def _seeded_params(seed: int, n_bins: int) -> tuple[np.ndarray, AttentionParams, np.ndarray]:
+    """The embedder's parameters for one (seed, n_bins), drawn once, read-only."""
+    rng = np.random.default_rng(seed)
+    proj_in = rng.standard_normal((HIDDEN_DIM, n_bins)) / np.sqrt(n_bins)
+    attention = AttentionParams.random(HIDDEN_DIM, ATTN_DIM, rng)
+    proj_out = rng.standard_normal((EMBED_DIM, 2 * HIDDEN_DIM)) / np.sqrt(2 * HIDDEN_DIM)
+    for array in (proj_in, attention.w, attention.b, attention.v, proj_out):
+        array.flags.writeable = False
+    return proj_in, attention, proj_out
+
+
 def toy_embed(feats: MelFeatures, seed: int) -> np.ndarray:
     """512-dim unit embedding of a feature matrix, deterministic per seed."""
     if feats.n_frames < 1:
         raise ValueError("need at least one feature frame")
-    n_bins = feats.bins.shape[0]
-    rng = np.random.default_rng(seed)
-    proj_in = rng.standard_normal((HIDDEN_DIM, n_bins)) / np.sqrt(n_bins)
-    params = AttentionParams.random(HIDDEN_DIM, ATTN_DIM, rng)
-    proj_out = rng.standard_normal((EMBED_DIM, 2 * HIDDEN_DIM)) / np.sqrt(2 * HIDDEN_DIM)
+    proj_in, attention, proj_out = _seeded_params(seed, feats.bins.shape[0])
     frames = np.tanh(feats.bins.T @ proj_in.T)
-    pooled = attentive_stats_pool(frames, params)
+    pooled = attentive_stats_pool(frames, attention)
     return length_normalize(proj_out @ pooled)
 
 

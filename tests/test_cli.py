@@ -11,7 +11,10 @@ import pytest
 
 import svkit
 from svkit.cli import main
+from svkit.config import stage_seed
 from svkit.features import Waveform, read_mel, read_wav, write_wav
+from svkit.model import embed_waveform
+from svkit.scoring import extract_segments, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
 from svkit.trials import (
     EmbeddingStore,
@@ -368,6 +371,77 @@ class TestEmbedScoreEvaluate:
         code = main(["score", "--trials", str(missing), "--embeddings", str(emb)])
         assert code == 2
         assert "absent_trials.txt" in capsys.readouterr().err
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("flags", [[], ["--msa"]], ids=["plain", "msa"])
+    def test_store_equals_per_segment_loop(self, tmp_path, capsys, flags):
+        # "short" is under one 6 s segment, so its MSA plan is padded
+        wavs = {
+            "short": tone_wav(tmp_path / "short.wav", 330, duration=2.5, seed=1),
+            "long": tone_wav(tmp_path / "long.wav", 610, duration=7.5, seed=2),
+        }
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text("".join(f"{u} {p}\n" for u, p in wavs.items()), encoding="utf-8")
+        out = tmp_path / "emb.bin"
+        assert main(["embed", "--wav-list", str(wav_list), "--output", str(out), *flags]) == 0
+        seed = stage_seed(0, "embed")
+        ids, vectors = [], []
+        for utt_id, path in wavs.items():
+            wav = read_wav(path)
+            if flags:
+                plan = segment_plan(wav.duration)
+                assert plan.padded == (utt_id == "short")
+                for k, seg in enumerate(extract_segments(wav, plan)):
+                    ids.append(segment_id(utt_id, k))
+                    vectors.append(embed_waveform(seg, seed=seed))
+            else:
+                ids.append(utt_id)
+                vectors.append(embed_waveform(wav, seed=seed))
+        expected = tmp_path / "expected.bin"
+        write_embeddings_file(EmbeddingStore(ids, vectors, normalized=True), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_failing_utterance_is_named(self, tmp_path, capsys):
+        good = tone_wav(tmp_path / "good.wav", 440)
+        write_wav(Waveform(np.zeros(100), RATE), tmp_path / "tiny.wav")
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text(f"ok {good}\nclip7 tiny.wav\n", encoding="utf-8")
+        out = tmp_path / "emb.bin"
+        code = main(["embed", "--wav-list", str(wav_list), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: utterance 'clip7' ({tmp_path / 'tiny.wav'}): "
+            "waveform too short: 100 samples < 400 window"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, flags, message",
+        [
+            ("hop = inf", [], "hop must be finite"),
+            ("hop = 0.00001", [], "hop of 1e-05 s is under one sample at 16000 Hz"),
+            ("segment_duration = inf", ["--msa"], "segment_duration must be finite"),
+            ("window = 0.00001", [], "window of 1e-05 s is under one sample at 16000 Hz"),
+        ],
+    )
+    def test_bad_front_end_config_is_data_error(self, tmp_path, capsys, line, flags, message):
+        tone_wav(tmp_path / "u.wav", 440)
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text("u u.wav\n", encoding="utf-8")
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        code = main(
+            ["embed", "--wav-list", str(wav_list), "--config", str(config),
+             "--output", str(tmp_path / "emb.bin"), *flags]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
 
 
 class TestEvaluateFixture:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from svkit.config import (
     ConfigError,
@@ -10,6 +12,66 @@ from svkit.config import (
     load_schedule_config,
     parse_config_text,
     stage_seed,
+)
+from svkit.features import Waveform, compute_logmel
+
+# every pipeline key with values it accepts, so that fuzzed configs often load
+PLAUSIBLE_VALUES = {
+    "sample_rate": ["8000", "16000", "44100"],
+    "window": ["0.02", "0.025", "0.032"],
+    "hop": ["0.01", "0.015", "0.04"],
+    "n_fft": ["400", "512", "2048"],
+    "n_mels": ["1", "40", "80"],
+    "cmn": ["true", "no"],
+    "noise_manifest": ["cohort.emb"],
+    "cohort": ["cohort.emb"],
+    "top_k": ["5", "100"],
+    "n_segments": ["1", "5"],
+    "segment_duration": ["4", "6.0"],
+    "seed": ["0", "7"],
+    **{f"p_{c}": ["0", "0.5", "1"] for c in ("noise", "music", "babble", "reverb")},
+    **{f"snr_{c}_lo": ["0", "5"] for c in ("noise", "music", "babble")},
+    **{f"snr_{c}_hi": ["15", "20"] for c in ("noise", "music", "babble")},
+    "babble_min": ["3"],
+    "babble_max": ["5", "7"],
+}
+HOSTILE_VALUES = [
+    "nan", "-nan", "inf", "-inf", "Infinity", "1e-300", "1e300", "1e308", "0", "-0", "-1",
+    "0.5", "0.00001", "32768", "32769", "257", str(2**32 - 1), str(2**32), str(2**63),
+    str(10**30), "9" * 400, "x" * 300,
+]
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_hostile = st.one_of(
+    st.sampled_from(HOSTILE_VALUES),
+    st.integers().map(str),
+    st.floats().map(repr),
+    # one-line values: line breaks are the junk lines' job
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=12),
+)
+
+
+def _pair(key):
+    plausible = st.sampled_from(PLAUSIBLE_VALUES[key])
+    return st.tuples(st.just(key), st.one_of(plausible, plausible, plausible, _hostile))
+
+
+_known_lines = (
+    st.lists(st.sampled_from(sorted(PLAUSIBLE_VALUES)), unique=True, max_size=6)
+    .flatmap(lambda keys: st.tuples(*map(_pair, keys)))
+    .map(lambda pairs: [f"{k} = {v}" for k, v in pairs])
+)
+# junk lines (unknown keys, lines without "=") in about one config in four
+_junk_lines = st.one_of(
+    st.just([]),
+    st.just([]),
+    st.just([]),
+    st.lists(st.one_of(st.tuples(_text, _hostile).map(lambda kv: f"{kv[0]} = {kv[1]}"), _text),
+             min_size=1, max_size=2),
+)
+_config_text = (
+    st.tuples(_known_lines, _junk_lines)
+    .flatmap(lambda lines: st.permutations(lines[0] + lines[1]))
+    .map("\n".join)
 )
 
 
@@ -87,6 +149,52 @@ class TestPipelineConfig:
         cfg_file.write_text("top_k = many\n")
         with pytest.raises(ConfigError, match="top_k must be an integer"):
             load_pipeline_config(cfg_file)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, tmp_path, value):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"p_noise = {value}\n")
+        with pytest.raises(ConfigError, match="p_noise must be finite"):
+            load_pipeline_config(cfg_file)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("hop = 0.00001\n", "hop of 1e-05 s is under one sample at 16000 Hz"),
+            ("sample_rate = 8000\nwindow = 0.00005\n", "window of 5e-05 s is under one sample"),
+            ("window = 0.04\n", "window of 640 samples exceeds n_fft 512"),
+            ("sample_rate = 4294967296\n", "sample_rate must be in 1..4294967295"),
+        ],
+    )
+    def test_frame_geometry_checked_at_load(self, tmp_path, text, match):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_pipeline_config(cfg_file)
+
+    @settings(
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=_config_text)
+    def test_fuzzed_config_raises_only_config_error(self, tmp_path, text):
+        (tmp_path / "cohort.emb").write_bytes(b"")
+        cfg_file = tmp_path / "fuzz.cfg"
+        cfg_file.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_pipeline_config(cfg_file)
+        except ConfigError:
+            event("rejected")
+            return
+        event("loaded")
+        # whatever loads has a frame geometry the front end accepts
+        win = int(round(cfg.window * cfg.sample_rate))
+        hop = int(round(cfg.hop * cfg.sample_rate))
+        assert 1 <= win <= cfg.n_fft and hop >= 1
+        one_window = Waveform(np.linspace(-0.5, 0.5, win), cfg.sample_rate)
+        feats = compute_logmel(one_window, cfg.feature_config())
+        assert feats.bins.shape == (cfg.n_mels, 1)
 
 
 class TestScheduleConfig:

@@ -1,5 +1,6 @@
 """Log-Mel front end, CMN, and crop/pad behavior."""
 
+import dataclasses
 import io
 import math
 import struct
@@ -32,6 +33,20 @@ RATE = 16000
 def sine(freq, seconds=1.0, rate=RATE, amp=0.5):
     t = np.arange(int(seconds * rate)) / rate
     return Waveform(amp * np.sin(2 * np.pi * freq * t), rate)
+
+
+def gather_logmel(w: Waveform, cfg: FeatureConfig) -> np.ndarray:
+    """Reference log-mel: each frame gathered by explicit sample indices,
+    the window and filterbank built afresh on every call."""
+    win = int(round(cfg.window_s * w.sample_rate))
+    hop = int(round(cfg.hop_s * w.sample_rate))
+    n_frames = 1 + (len(w) - win) // hop
+    index = (np.arange(n_frames) * hop)[:, None] + np.arange(win)[None, :]
+    frames = w.samples[index] * np.hamming(win)
+    spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    weights = mel_filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate)
+    return np.log(np.maximum(power @ weights.T, cfg.log_floor)).T
 
 
 class TestComputeLogmel:
@@ -72,6 +87,42 @@ class TestComputeLogmel:
         a = compute_logmel(w)
         b = compute_logmel(w)
         assert np.array_equal(a.bins, b.bins)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [FeatureConfig(), FeatureConfig(window_s=0.02, hop_s=0.015, n_fft=400, n_mels=40)],
+        ids=["default", "odd-geometry"],
+    )
+    def test_equals_gather_reference_bit_for_bit(self, cfg):
+        win = int(round(cfg.window_s * RATE))
+        hop = int(round(cfg.hop_s * RATE))
+        rng = np.random.default_rng(5)
+        lengths = [win, win + hop - 1, win + hop, *rng.integers(win, 3 * RATE, size=5)]
+        other = dataclasses.replace(cfg, n_mels=24)  # interleaved, so the cached filterbank switches
+        for n in lengths:
+            w = Waveform(0.3 * rng.standard_normal(int(n)), RATE)
+            compute_logmel(w, other)
+            assert np.array_equal(compute_logmel(w, cfg).bins, gather_logmel(w, cfg))
+
+    @pytest.mark.parametrize(
+        "window, hop, match",
+        [(0.00001, 0.01, "window of 1e-05 s is under one sample"),
+         (0.025, 0.00001, "hop of 1e-05 s is under one sample"),
+         (0.04, 0.01, "window of 640 samples exceeds n_fft 512"),
+         (0.025, 1e306, "overflow")],
+    )
+    def test_bad_frame_geometry_rejected(self, window, hop, match):
+        with pytest.raises(ValueError, match=match):
+            compute_logmel(Waveform(np.zeros(RATE), RATE), FeatureConfig(window_s=window, hop_s=hop))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("window_s", math.inf), ("hop_s", math.nan), ("log_floor", math.inf),
+         ("n_fft", 2**15 + 1), ("n_mels", 257)],
+    )
+    def test_feature_config_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FeatureConfig(**{field: value})
 
 
 class TestMelFilterbank:
