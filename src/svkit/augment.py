@@ -22,27 +22,34 @@ BANK_CATEGORIES = ("noise", "music", "speech", "rir")
 
 @dataclass(frozen=True)
 class AugmentPolicy:
-    """Application probabilities and SNR/speaker ranges for the four augmentations."""
+    """Application probabilities and SNR/speaker ranges for the four augmentations.
+
+    Each field is named after the config key that sets it.
+    """
 
     p_noise: float = 0.2
     p_music: float = 0.2
     p_babble: float = 0.2
     p_reverb: float = 0.2
-    snr_noise_db: tuple[float, float] = (0.0, 15.0)
-    snr_music_db: tuple[float, float] = (5.0, 15.0)
-    snr_babble_db: tuple[float, float] = (13.0, 20.0)
-    babble_speakers: tuple[int, int] = (3, 7)
+    snr_noise_lo: float = 0.0
+    snr_noise_hi: float = 15.0
+    snr_music_lo: float = 5.0
+    snr_music_hi: float = 15.0
+    snr_babble_lo: float = 13.0
+    snr_babble_hi: float = 20.0
+    babble_min: int = 3
+    babble_max: int = 7
 
     def __post_init__(self):
         for name in ("p_noise", "p_music", "p_babble", "p_reverb"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        for name in ("snr_noise_db", "snr_music_db", "snr_babble_db"):
-            lo, hi = getattr(self, name)
+        for name in ("noise", "music", "babble"):
+            lo, hi = getattr(self, f"snr_{name}_lo"), getattr(self, f"snr_{name}_hi")
             if hi < lo:
-                raise ValueError(f"{name} range is empty: [{lo}, {hi}]")
-        lo, hi = self.babble_speakers
+                raise ValueError(f"snr_{name}_db range is empty: [{lo}, {hi}]")
+        lo, hi = self.babble_min, self.babble_max
         if lo < 1 or hi < lo:
             raise ValueError(f"babble_speakers range invalid: [{lo}, {hi}]")
 
@@ -116,25 +123,6 @@ def speed_perturb(w: Waveform, factor: float) -> Waveform:
 def speed_output_length(n: int, factor: float) -> int:
     """round(n / factor), half away from zero; the speed_perturb length contract."""
     return int(math.floor(n / factor + 0.5))
-
-
-def relabel_for_speed(n_speakers: int, factor_count: int) -> int:
-    """Total class count when every speaker/speed-factor pair is its own class."""
-    if n_speakers <= 0 or factor_count <= 0:
-        raise ValueError("speaker and factor counts must be positive")
-    return n_speakers * factor_count
-
-
-def speed_class_id(speaker: int, factor_index: int, factor_count: int) -> int:
-    """Bijective (speaker, factor) -> class id mapping."""
-    if not 0 <= factor_index < factor_count:
-        raise ValueError(f"factor_index {factor_index} outside [0, {factor_count})")
-    return speaker * factor_count + factor_index
-
-
-def speed_class_parts(class_id: int, factor_count: int) -> tuple[int, int]:
-    """Inverse of speed_class_id."""
-    return divmod(class_id, factor_count)
 
 
 def _mean_power(samples: np.ndarray) -> float:
@@ -213,18 +201,18 @@ def apply_policy(
     out = w
     if rng.random() < policy.p_noise:
         clips = bank.category("noise")
-        snr = rng.uniform(*policy.snr_noise_db)
+        snr = rng.uniform(policy.snr_noise_lo, policy.snr_noise_hi)
         out = mix_at_snr(out, clips[int(rng.integers(len(clips)))], snr)
     if rng.random() < policy.p_music:
         clips = bank.category("music")
-        snr = rng.uniform(*policy.snr_music_db)
+        snr = rng.uniform(policy.snr_music_lo, policy.snr_music_hi)
         out = mix_at_snr(out, clips[int(rng.integers(len(clips)))], snr)
     if rng.random() < policy.p_babble:
         clips = bank.category("speech")
-        lo, hi = policy.babble_speakers
+        lo, hi = policy.babble_min, policy.babble_max
         k = int(rng.integers(lo, hi + 1))
-        babble = make_babble(clips, k, len(out), rng, k_range=policy.babble_speakers)
-        snr = rng.uniform(*policy.snr_babble_db)
+        babble = make_babble(clips, k, len(out), rng, k_range=(lo, hi))
+        snr = rng.uniform(policy.snr_babble_lo, policy.snr_babble_hi)
         out = mix_at_snr(out, babble, snr)
     if rng.random() < policy.p_reverb:
         rirs = bank.category("rir")

@@ -104,7 +104,7 @@ def _emit(text: str, output) -> None:
 def cmd_features(args) -> int:
     cfg = _load_config(args)
     wav = read_wav(_require_file(args.wav, "wav"), expected_rate=cfg.sample_rate)
-    feats = compute_logmel(wav, cfg.feature_config())
+    feats = compute_logmel(wav, cfg.features)
     if cfg.cmn and not args.no_cmn:
         feats = apply_cmn(feats)
     with open(args.output, "wb") as fh:
@@ -149,14 +149,13 @@ def cmd_embed(args) -> int:
     cfg = _load_config(args)
     entries = _read_wav_list(args.wav_list)
     seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "embed")
-    feature_cfg = cfg.feature_config()
     ids: list[str] = []
     vectors: list[np.ndarray] = []
     for utt_id, wav_path in entries:
         wav = read_wav(_require_file(wav_path, "wav"), expected_rate=cfg.sample_rate)
         for seg_ids, seg in _distinct_segments(utt_id, wav, cfg, args.msa):
             try:
-                vector = embed_waveform(seg, seed=seed, cfg=feature_cfg)
+                vector = embed_waveform(seg, seed=seed, cfg=cfg.features)
             except ValueError as exc:
                 raise DataError(f"utterance {utt_id!r} ({wav_path}): {exc}") from None
             ids += seg_ids

@@ -20,6 +20,10 @@ from .schedule import CosineRestartConfig
 
 # a RIFF header stores the sample rate in 32 bits
 MAX_SAMPLE_RATE = 2**32 - 1
+# MSA segment geometry: extract_segments holds n_segments float64 copies
+# of one segment, so these bound it at 32 x 16 MiB = 512 MiB
+MAX_N_SEGMENTS = 32
+MAX_SEGMENT_SAMPLES = 1 << 21
 
 
 class ConfigError(ValueError):
@@ -72,15 +76,16 @@ def _as_float(key: str, value: str) -> float:
     return number
 
 
+def _as_text(key: str, value: str) -> str:
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a full pipeline run needs, loadable from one file."""
 
     sample_rate: int = 16000
-    window: float = 0.025
-    hop: float = 0.010
-    n_fft: int = 512
-    n_mels: int = 80
+    features: FeatureConfig = field(default_factory=FeatureConfig)
     cmn: bool = True
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
     noise_manifest: str | None = None
@@ -95,52 +100,80 @@ class PipelineConfig:
             raise ConfigError(f"sample_rate must be in 1..{MAX_SAMPLE_RATE}, got {self.sample_rate}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.n_segments < 1:
-            raise ConfigError(f"n_segments must be >= 1, got {self.n_segments}")
+        if not 1 <= self.n_segments <= MAX_N_SEGMENTS:
+            raise ConfigError(f"n_segments must be in 1..{MAX_N_SEGMENTS}, got {self.n_segments}")
         if not (math.isfinite(self.segment_duration) and self.segment_duration > 0):
             raise ConfigError(
                 f"segment_duration must be positive and finite, got {self.segment_duration}"
             )
+        samples = self.segment_duration * self.sample_rate
+        if not (math.isfinite(samples) and 1 <= round(samples) <= MAX_SEGMENT_SAMPLES):
+            raise ConfigError(
+                f"segment_duration of {self.segment_duration:g} s must be 1..{MAX_SEGMENT_SAMPLES}"
+                f" samples at {self.sample_rate} Hz"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         # feature geometry is validated by the feature module itself
-        self.feature_config().frame_lengths(self.sample_rate)
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            window_s=self.window, hop_s=self.hop, n_fft=self.n_fft, n_mels=self.n_mels
-        )
+        self.features.frame_lengths(self.sample_rate)
 
 
+# config key -> (section, field, parser); section "" is the loaded object
+# itself, any other section names the nested config that holds the field
 _PIPELINE_KEYS = {
-    "sample_rate": ("sample_rate", _as_int),
-    "window": ("window", _as_float),
-    "hop": ("hop", _as_float),
-    "n_fft": ("n_fft", _as_int),
-    "n_mels": ("n_mels", _as_int),
-    "cmn": ("cmn", _as_bool),
-    "noise_manifest": ("noise_manifest", str),
-    "cohort": ("cohort_path", str),
-    "top_k": ("top_k", _as_int),
-    "n_segments": ("n_segments", _as_int),
-    "segment_duration": ("segment_duration", _as_float),
-    "seed": ("seed", _as_int),
+    "sample_rate": ("", "sample_rate", _as_int),
+    "window": ("features", "window_s", _as_float),
+    "hop": ("features", "hop_s", _as_float),
+    "n_fft": ("features", "n_fft", _as_int),
+    "n_mels": ("features", "n_mels", _as_int),
+    "cmn": ("", "cmn", _as_bool),
+    "noise_manifest": ("", "noise_manifest", _as_text),
+    "cohort": ("", "cohort_path", _as_text),
+    "top_k": ("", "top_k", _as_int),
+    "n_segments": ("", "n_segments", _as_int),
+    "segment_duration": ("", "segment_duration", _as_float),
+    "seed": ("", "seed", _as_int),
+    "p_noise": ("augment", "p_noise", _as_float),
+    "p_music": ("augment", "p_music", _as_float),
+    "p_babble": ("augment", "p_babble", _as_float),
+    "p_reverb": ("augment", "p_reverb", _as_float),
+    "snr_noise_lo": ("augment", "snr_noise_lo", _as_float),
+    "snr_noise_hi": ("augment", "snr_noise_hi", _as_float),
+    "snr_music_lo": ("augment", "snr_music_lo", _as_float),
+    "snr_music_hi": ("augment", "snr_music_hi", _as_float),
+    "snr_babble_lo": ("augment", "snr_babble_lo", _as_float),
+    "snr_babble_hi": ("augment", "snr_babble_hi", _as_float),
+    "babble_min": ("augment", "babble_min", _as_int),
+    "babble_max": ("augment", "babble_max", _as_int),
 }
 
-_POLICY_KEYS = {
-    "p_noise": _as_float,
-    "p_music": _as_float,
-    "p_babble": _as_float,
-    "p_reverb": _as_float,
-    "snr_noise_lo": _as_float,
-    "snr_noise_hi": _as_float,
-    "snr_music_lo": _as_float,
-    "snr_music_hi": _as_float,
-    "snr_babble_lo": _as_float,
-    "snr_babble_hi": _as_float,
-    "babble_min": _as_int,
-    "babble_max": _as_int,
+_SCHEDULE_KEYS = {
+    "cycle0_steps": ("", "cycle0_steps", _as_int),
+    "lr_max0": ("", "lr_max0", _as_float),
+    "lr_min": ("", "lr_min", _as_float),
+    "decay": ("", "decay", _as_float),
+    "doubling": ("", "doubling", _as_bool),
 }
+
+
+def _read_config(path: Path, table: dict, kind: str) -> dict[str, dict[str, object]]:
+    """Typed values of a config file by section, as {section: {field: value}}.
+
+    Every section of the table is present, empty if the file sets none of
+    its keys.
+    """
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    raw = parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    sections: dict[str, dict[str, object]] = {section: {} for section, _, _ in table.values()}
+    for key, value in raw.items():
+        if key not in table:
+            raise ConfigError(
+                f"{path}: unknown {kind} key {key!r}; known keys: {', '.join(sorted(table))}"
+            )
+        section, name, parse = table[key]
+        sections[section][name] = parse(key, value)
+    return sections
 
 
 def load_pipeline_config(path) -> PipelineConfig:
@@ -151,86 +184,36 @@ def load_pipeline_config(path) -> PipelineConfig:
     resolved.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    raw = parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
-
-    kwargs = {}
-    policy_kwargs = {}
-    policy_raw: dict[str, float] = {}
-    for key, value in raw.items():
-        if key in _PIPELINE_KEYS:
-            dest, conv = _PIPELINE_KEYS[key]
-            kwargs[dest] = conv(key, value) if conv is not str else value
-        elif key in _POLICY_KEYS:
-            policy_raw[key] = _POLICY_KEYS[key](key, value)
-        else:
-            known = sorted(list(_PIPELINE_KEYS) + list(_POLICY_KEYS))
-            raise ConfigError(f"{path}: unknown config key {key!r}; known keys: {', '.join(known)}")
-
-    defaults = AugmentPolicy()
-    for name in ("p_noise", "p_music", "p_babble", "p_reverb"):
-        if name in policy_raw:
-            policy_kwargs[name] = policy_raw[name]
-    for name in ("noise", "music", "babble"):
-        lo = policy_raw.get(f"snr_{name}_lo")
-        hi = policy_raw.get(f"snr_{name}_hi")
-        if lo is not None or hi is not None:
-            default_lo, default_hi = getattr(defaults, f"snr_{name}_db")
-            policy_kwargs[f"snr_{name}_db"] = (
-                lo if lo is not None else default_lo,
-                hi if hi is not None else default_hi,
-            )
-    if "babble_min" in policy_raw or "babble_max" in policy_raw:
-        lo, hi = defaults.babble_speakers
-        policy_kwargs["babble_speakers"] = (
-            int(policy_raw.get("babble_min", lo)),
-            int(policy_raw.get("babble_max", hi)),
-        )
+    sections = _read_config(path, _PIPELINE_KEYS, "config")
     try:
-        kwargs["augment"] = AugmentPolicy(**policy_kwargs)
-        cfg = PipelineConfig(**kwargs)
+        cfg = PipelineConfig(
+            augment=AugmentPolicy(**sections["augment"]),
+            features=FeatureConfig(**sections["features"]),
+            **sections[""],
+        )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     resolved = {}
-    for label, dest in (("noise_manifest", "noise_manifest"), ("cohort", "cohort_path")):
+    for key in ("noise_manifest", "cohort"):
+        dest = _PIPELINE_KEYS[key][1]
         ref = getattr(cfg, dest)
         if ref is not None:
             ref_path = path.parent / ref  # an absolute ref replaces the base
             if not os.path.isfile(ref_path):  # False, not OSError, for an over-long name
-                raise ConfigError(f"{path}: {label} file not found: {ref_path}")
+                raise ConfigError(f"{path}: {key} file not found: {ref_path}")
             resolved[dest] = str(ref_path)
     return replace(cfg, **resolved)
-
-
-_SCHEDULE_KEYS = {
-    "cycle0_steps": _as_int,
-    "lr_max0": _as_float,
-    "lr_min": _as_float,
-    "decay": _as_float,
-    "doubling": _as_bool,
-    "fixed_period_steps": _as_int,
-}
 
 
 def load_schedule_config(path) -> CosineRestartConfig:
     """Schedule parameters from the same flat key-value format."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    raw = parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _SCHEDULE_KEYS:
-            raise ConfigError(
-                f"{path}: unknown schedule key {key!r}; known keys: {', '.join(sorted(_SCHEDULE_KEYS))}"
-            )
-        kwargs[key] = _SCHEDULE_KEYS[key](key, value)
-    if "cycle0_steps" not in kwargs:
+    values = _read_config(path, _SCHEDULE_KEYS, "schedule")[""]
+    if "cycle0_steps" not in values:
         raise ConfigError(f"{path}: schedule config needs cycle0_steps")
     try:
-        return CosineRestartConfig(**kwargs)
+        return CosineRestartConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -181,25 +181,6 @@ def apply_cmn(f: MelFeatures) -> MelFeatures:
     return MelFeatures(bins=centered, frame_hop=f.frame_hop, cmn_applied=True)
 
 
-def crop_or_pad(w: Waveform, duration: float, rng: np.random.Generator) -> Waveform:
-    """Fixed-duration segment: random contiguous crop or cyclic repetition.
-
-    Longer inputs yield a contiguous window at an rng-chosen offset; shorter
-    inputs wrap around cyclically and are truncated. Output length is exactly
-    round(duration * sample_rate).
-    """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if len(w) == 0:
-        raise ValueError("cannot crop or pad an empty waveform")
-    target = int(round(duration * w.sample_rate))
-    n = len(w)
-    if n > target:
-        offset = int(rng.integers(0, n - target + 1))
-        return Waveform(w.samples[offset : offset + target].copy(), w.sample_rate)
-    return Waveform(match_length(w.samples, target).copy(), w.sample_rate)
-
-
 def match_length(samples: np.ndarray, target: int) -> np.ndarray:
     """Deterministically tile or truncate a sample array to a target length."""
     n = len(samples)

@@ -19,9 +19,8 @@ class CosineRestartConfig:
 
     cycle0_steps is the length of the first cycle in optimizer steps
     (callers convert from epochs themselves). With doubling=True each
-    cycle is twice as long as the previous one; fixed_period_steps
-    instead pins every cycle to the same length and is mutually
-    exclusive with doubling.
+    cycle is twice as long as the previous one; with doubling=False every
+    cycle is cycle0_steps long.
     """
 
     cycle0_steps: int
@@ -29,7 +28,6 @@ class CosineRestartConfig:
     lr_min: float = 5e-6
     decay: float = 0.8
     doubling: bool = True
-    fixed_period_steps: int | None = None
 
     def __post_init__(self):
         if self.cycle0_steps < 1:
@@ -40,24 +38,11 @@ class CosineRestartConfig:
             )
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if self.fixed_period_steps is not None:
-            if self.fixed_period_steps < 1:
-                raise ValueError(
-                    f"fixed_period_steps must be >= 1, got {self.fixed_period_steps}"
-                )
-            if self.doubling:
-                raise ValueError("fixed_period_steps cannot be combined with doubling")
 
     @classmethod
     def large_margin(cls) -> "CosineRestartConfig":
         """Fine-tuning stage: fixed 11000-step period, lower peak, no decay."""
-        return cls(
-            cycle0_steps=11000,
-            lr_max0=1e-4,
-            decay=1.0,
-            doubling=False,
-            fixed_period_steps=11000,
-        )
+        return cls(cycle0_steps=11000, lr_max0=1e-4, decay=1.0, doubling=False)
 
 
 def cycle_start(cfg: CosineRestartConfig, cycle: int) -> int:
@@ -67,8 +52,7 @@ def cycle_start(cfg: CosineRestartConfig, cycle: int) -> int:
     if cfg.doubling:
         # sum of cycle0 * 2^i for i < cycle
         return cfg.cycle0_steps * ((1 << cycle) - 1)
-    period = cfg.fixed_period_steps or cfg.cycle0_steps
-    return cycle * period
+    return cycle * cfg.cycle0_steps
 
 
 def lr_at(cfg: CosineRestartConfig, step: int) -> tuple[float, int]:
@@ -91,7 +75,7 @@ def lr_at(cfg: CosineRestartConfig, step: int) -> tuple[float, int]:
             cycle += 1
         position = step - start
     else:
-        length = cfg.fixed_period_steps or cfg.cycle0_steps
+        length = cfg.cycle0_steps
         cycle = step // length
         position = step - cycle * length
     lr_max_c = max(cfg.lr_max0 * cfg.decay**cycle, cfg.lr_min)

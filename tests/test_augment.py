@@ -12,9 +12,6 @@ from svkit.augment import (
     apply_policy,
     make_babble,
     mix_at_snr,
-    relabel_for_speed,
-    speed_class_id,
-    speed_class_parts,
     speed_output_length,
     speed_perturb,
 )
@@ -56,24 +53,6 @@ class TestSpeedPerturb:
         out = speed_perturb(w, 1.1)
         expected = np.minimum(np.arange(len(out)) * 1.1, 999.0)
         assert np.allclose(out.samples, expected, atol=1e-9)
-
-
-class TestRelabelForSpeed:
-    def test_large_corpus_class_count(self):
-        assert relabel_for_speed(5994, 3) == 17982
-
-    def test_degenerate_single_class(self):
-        assert relabel_for_speed(1, 1) == 1
-
-    def test_mapping_bijective(self):
-        factor_count = 3
-        seen = set()
-        for speaker in range(10):
-            for f in range(factor_count):
-                cid = speed_class_id(speaker, f, factor_count)
-                assert speed_class_parts(cid, factor_count) == (speaker, f)
-                seen.add(cid)
-        assert seen == set(range(relabel_for_speed(10, factor_count)))
 
 
 class TestMixAtSnr:
@@ -246,9 +225,9 @@ class TestApplyPolicy:
         with pytest.raises(ValueError):
             AugmentPolicy(p_noise=1.5)
         with pytest.raises(ValueError):
-            AugmentPolicy(snr_noise_db=(10.0, 5.0))
+            AugmentPolicy(snr_noise_lo=10.0, snr_noise_hi=5.0)
         with pytest.raises(ValueError):
-            AugmentPolicy(babble_speakers=(0, 7))
+            AugmentPolicy(babble_min=0)
 
 
 class TestNoiseBank:

@@ -425,6 +425,9 @@ class TestEmbed:
             ("hop = 0.00001", [], "hop of 1e-05 s is under one sample at 16000 Hz"),
             ("segment_duration = inf", ["--msa"], "segment_duration must be finite"),
             ("window = 0.00001", [], "window of 1e-05 s is under one sample at 16000 Hz"),
+            ("segment_duration = 1e300", ["--msa"],
+             "segment_duration of 1e+300 s must be 1..2097152 samples at 16000 Hz"),
+            ("n_segments = 100000000000000000000", ["--msa"], "n_segments must be in 1..32, got"),
         ],
     )
     def test_bad_front_end_config_is_data_error(self, tmp_path, capsys, line, flags, message):

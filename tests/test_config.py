@@ -1,11 +1,19 @@
 """Flat key-value config parsing, validation, and seed fan-out."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from svkit.config import (
+    _PIPELINE_KEYS,
+    _SCHEDULE_KEYS,
+    MAX_N_SEGMENTS,
+    MAX_SEGMENT_SAMPLES,
     ConfigError,
     PipelineConfig,
     load_pipeline_config,
@@ -14,6 +22,10 @@ from svkit.config import (
     stage_seed,
 )
 from svkit.features import Waveform, compute_logmel
+from svkit.schedule import CosineRestartConfig
+from svkit.scoring import segment_plan
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # every pipeline key with values it accepts, so that fuzzed configs often load
 PLAUSIBLE_VALUES = {
@@ -32,7 +44,7 @@ PLAUSIBLE_VALUES = {
     **{f"p_{c}": ["0", "0.5", "1"] for c in ("noise", "music", "babble", "reverb")},
     **{f"snr_{c}_lo": ["0", "5"] for c in ("noise", "music", "babble")},
     **{f"snr_{c}_hi": ["15", "20"] for c in ("noise", "music", "babble")},
-    "babble_min": ["3"],
+    "babble_min": ["2", "3"],
     "babble_max": ["5", "7"],
 }
 HOSTILE_VALUES = [
@@ -118,8 +130,8 @@ class TestPipelineConfig:
         assert cfg.seed == 11
         assert cfg.top_k == 25
         assert cfg.augment.p_noise == 0.5
-        assert cfg.augment.snr_noise_db == (2.0, 9.0)
-        assert cfg.augment.babble_speakers == (3, 5)
+        assert (cfg.augment.snr_noise_lo, cfg.augment.snr_noise_hi) == (2.0, 9.0)
+        assert (cfg.augment.babble_min, cfg.augment.babble_max) == (3, 5)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "pipeline.cfg"
@@ -172,6 +184,29 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match=match):
             load_pipeline_config(cfg_file)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("n_segments = 100000000000000000000\n", f"n_segments must be in 1..{MAX_N_SEGMENTS}"),
+            (f"n_segments = {MAX_N_SEGMENTS + 1}\n", f"n_segments must be in 1..{MAX_N_SEGMENTS},"),
+            ("n_segments = 0\n", f"n_segments must be in 1..{MAX_N_SEGMENTS}, got 0"),
+            ("segment_duration = 1e300\n", "segment_duration of 1e\\+300 s must be 1..2097152 samples"),
+            ("segment_duration = 132\n", "segment_duration of 132 s must be 1..2097152 samples at 16000 Hz"),
+            ("segment_duration = 0.00001\n", "segment_duration of 1e-05 s must be 1..2097152 samples"),
+        ],
+    )
+    def test_segment_geometry_checked_at_load(self, tmp_path, text, match):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_pipeline_config(cfg_file)
+
+    def test_segment_geometry_maxima_load(self, tmp_path):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"n_segments = {MAX_N_SEGMENTS}\nsegment_duration = 131.072\n")
+        cfg = load_pipeline_config(cfg_file)
+        assert round(cfg.segment_duration * cfg.sample_rate) == MAX_SEGMENT_SAMPLES
+
     @settings(
         max_examples=500,
         deadline=None,
@@ -189,12 +224,18 @@ class TestPipelineConfig:
             return
         event("loaded")
         # whatever loads has a frame geometry the front end accepts
-        win = int(round(cfg.window * cfg.sample_rate))
-        hop = int(round(cfg.hop * cfg.sample_rate))
-        assert 1 <= win <= cfg.n_fft and hop >= 1
+        features = cfg.features
+        win = int(round(features.window_s * cfg.sample_rate))
+        hop = int(round(features.hop_s * cfg.sample_rate))
+        assert 1 <= win <= features.n_fft and hop >= 1
         one_window = Waveform(np.linspace(-0.5, 0.5, win), cfg.sample_rate)
-        feats = compute_logmel(one_window, cfg.feature_config())
-        assert feats.bins.shape == (cfg.n_mels, 1)
+        feats = compute_logmel(one_window, features)
+        assert feats.bins.shape == (features.n_mels, 1)
+        # ... and segment plans, padded or not, within the MSA maxima
+        for duration in (win / cfg.sample_rate, 2 * cfg.segment_duration):
+            plan = segment_plan(duration, cfg.n_segments, cfg.segment_duration)
+            assert 1 <= plan.n_segments <= MAX_N_SEGMENTS
+            assert 1 <= round(plan.segment_duration * cfg.sample_rate) <= MAX_SEGMENT_SAMPLES
 
 
 class TestScheduleConfig:
@@ -208,12 +249,17 @@ class TestScheduleConfig:
     def test_fixed_period(self, tmp_path):
         cfg_file = tmp_path / "sched.cfg"
         cfg_file.write_text(
-            "cycle0_steps = 11000\nlr_max0 = 1e-4\ndecay = 1.0\n"
-            "doubling = false\nfixed_period_steps = 11000\n"
+            "cycle0_steps = 11000\nlr_max0 = 1e-4\ndecay = 1.0\ndoubling = false\n"
         )
         cfg = load_schedule_config(cfg_file)
-        assert cfg.fixed_period_steps == 11000
+        assert cfg == CosineRestartConfig.large_margin()
         assert not cfg.doubling
+
+    def test_fixed_period_steps_is_unknown(self, tmp_path):
+        cfg_file = tmp_path / "sched.cfg"
+        cfg_file.write_text("cycle0_steps = 11000\ndoubling = false\nfixed_period_steps = 11000\n")
+        with pytest.raises(ConfigError, match="unknown schedule key 'fixed_period_steps'"):
+            load_schedule_config(cfg_file)
 
     def test_missing_cycle_rejected(self, tmp_path):
         cfg_file = tmp_path / "sched.cfg"
@@ -226,6 +272,52 @@ class TestScheduleConfig:
         cfg_file.write_text("cycle0_steps = 10\nwarmup = 5\n")
         with pytest.raises(ConfigError, match="unknown schedule key"):
             load_schedule_config(cfg_file)
+
+
+def _leaves(cfg: PipelineConfig) -> dict[tuple[str, str], object]:
+    """(section, field) -> value of every setting, section "" for the
+    PipelineConfig itself, as in the loader's key table."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update({(f.name, g.name): getattr(value, g.name) for g in dataclasses.fields(value)})
+        else:
+            out[("", f.name)] = value
+    return out
+
+
+def _readme_keys(kind: str) -> list[str]:
+    listing = re.search(rf"{kind} keys:(.*?)\.", README.read_text(encoding="utf-8"), re.S)
+    assert listing, f"README has no '{kind} keys:' list"
+    return re.findall(r"`(\w+)`", listing.group(1))
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("kind, table", [("Pipeline", _PIPELINE_KEYS), ("Schedule", _SCHEDULE_KEYS)])
+    def test_readme_lists_every_key_once(self, kind, table):
+        assert sorted(_readme_keys(kind)) == sorted(table)
+
+    def test_fuzzer_covers_every_pipeline_key(self):
+        assert sorted(PLAUSIBLE_VALUES) == sorted(_PIPELINE_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(_PIPELINE_KEYS))
+    def test_key_sets_exactly_its_field(self, tmp_path, key):
+        (tmp_path / "cohort.emb").write_bytes(b"")
+        cfg_file = tmp_path / "pipeline.cfg"
+        section, name, _ = _PIPELINE_KEYS[key]
+        defaults = _leaves(PipelineConfig())
+        assert (section, name) in defaults
+        changed = []
+        for value in PLAUSIBLE_VALUES[key]:
+            cfg_file.write_text(f"{key} = {value}\n")
+            try:
+                leaves = _leaves(load_pipeline_config(cfg_file))
+            except ConfigError:
+                continue
+            changed.append({leaf for leaf, v in leaves.items() if v != defaults[leaf]})
+        assert {(section, name)} in changed
+        assert all(c <= {(section, name)} for c in changed)
 
 
 class TestStageSeed:

@@ -1,4 +1,4 @@
-"""Log-Mel front end, CMN, and crop/pad behavior."""
+"""Log-Mel front end, CMN, and feature/wav file formats."""
 
 import dataclasses
 import io
@@ -17,7 +17,6 @@ from svkit.features import (
     Waveform,
     apply_cmn,
     compute_logmel,
-    crop_or_pad,
     match_length,
     mel_filter_centers,
     mel_filterbank,
@@ -172,42 +171,6 @@ class TestApplyCmn:
         # subtracting the (now zero) mean again changes nothing
         again = f.bins - f.bins.mean(axis=1, keepdims=True)
         assert np.allclose(again, f.bins, atol=1e-12)
-
-
-class TestCropOrPad:
-    def test_equal_length_is_identity(self):
-        rng = np.random.default_rng(0)
-        w = Waveform(rng.standard_normal(96000), RATE)
-        out = crop_or_pad(w, 6.0, np.random.default_rng(1))
-        assert np.array_equal(out.samples, w.samples)
-
-    def test_shorter_input_wraps_cyclically(self):
-        w = Waveform(np.arange(50000, dtype=np.float64), RATE)
-        out = crop_or_pad(w, 6.0, np.random.default_rng(1))
-        assert len(out) == 96000
-        idx = np.arange(96000)
-        assert np.array_equal(out.samples, w.samples[idx % 50000])
-
-    def test_longer_input_contiguous_and_seed_deterministic(self):
-        w = Waveform(np.arange(100000, dtype=np.float64), RATE)
-        a = crop_or_pad(w, 6.0, np.random.default_rng(42))
-        b = crop_or_pad(w, 6.0, np.random.default_rng(42))
-        assert len(a) == 96000
-        assert np.array_equal(a.samples, b.samples)
-        start = int(a.samples[0])
-        assert np.array_equal(a.samples, w.samples[start : start + 96000])
-
-    def test_empty_waveform_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            crop_or_pad(Waveform(np.array([]), RATE), 6.0, np.random.default_rng(0))
-
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=40000), ms=st.integers(min_value=1, max_value=3000))
-    def test_output_length_exact_for_any_input(self, n, ms):
-        w = Waveform(np.zeros(n), RATE)
-        duration = ms / 1000.0
-        out = crop_or_pad(w, duration, np.random.default_rng(7))
-        assert len(out) == int(round(duration * RATE))
 
 
 class TestWavIO:

@@ -109,10 +109,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="decay"):
             CosineRestartConfig(cycle0_steps=10, decay=1.5)
 
-    def test_doubling_with_fixed_period_rejected(self):
-        with pytest.raises(ValueError, match="doubling"):
-            CosineRestartConfig(cycle0_steps=10, doubling=True, fixed_period_steps=10)
-
     def test_zero_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle0_steps"):
             CosineRestartConfig(cycle0_steps=0)
