@@ -128,23 +128,6 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _distinct_segments(utt_id: str, wav, cfg: PipelineConfig, msa: bool):
-    """(store ids, waveform) for each distinct waveform of one utterance.
-
-    Plain embedding stores the utterance under its own id. MSA stores one
-    vector per segment id, and a padded plan's segments are all the same
-    cyclic extension, so its one waveform goes under every segment id.
-    """
-    if not msa:
-        return [([utt_id], wav)]
-    plan = segment_plan(wav.duration, cfg.n_segments, cfg.segment_duration)
-    ids = [segment_id(utt_id, k) for k in range(plan.n_segments)]
-    segments = extract_segments(wav, plan)
-    if plan.padded:
-        return [(ids, segments[0])]
-    return [([i], seg) for i, seg in zip(ids, segments)]
-
-
 def cmd_embed(args) -> int:
     cfg = _load_config(args)
     entries = _read_wav_list(args.wav_list)
@@ -153,13 +136,18 @@ def cmd_embed(args) -> int:
     vectors: list[np.ndarray] = []
     for utt_id, wav_path in entries:
         wav = read_wav(_require_file(wav_path, "wav"), expected_rate=cfg.sample_rate)
-        for seg_ids, seg in _distinct_segments(utt_id, wav, cfg, args.msa):
-            try:
+        try:
+            segments = [([utt_id], wav)]
+            if args.msa:
+                plan = segment_plan(len(wav), wav.sample_rate, cfg.n_segments, cfg.segment_duration)
+                segments = [([segment_id(utt_id, k) for k in ks], seg)
+                            for ks, seg in extract_segments(wav, plan)]
+            for seg_ids, seg in segments:
                 vector = embed_waveform(seg, seed=seed, cfg=cfg.features)
-            except ValueError as exc:
-                raise DataError(f"utterance {utt_id!r} ({wav_path}): {exc}") from None
-            ids += seg_ids
-            vectors += [vector] * len(seg_ids)
+                ids += seg_ids
+                vectors += [vector] * len(seg_ids)
+        except ValueError as exc:
+            raise DataError(f"utterance {utt_id!r} ({wav_path}): {exc}") from None
     store = EmbeddingStore(ids, vectors, normalized=True)
     write_embeddings_file(store, args.output)
     print(f"embedded {len(entries)} utterances dim {store.dim}")

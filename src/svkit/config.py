@@ -20,8 +20,10 @@ from .schedule import CosineRestartConfig
 
 # a RIFF header stores the sample rate in 32 bits
 MAX_SAMPLE_RATE = 2**32 - 1
-# MSA segment geometry: extract_segments holds n_segments float64 copies
-# of one segment, so these bound it at 32 x 16 MiB = 512 MiB
+# MSA segment geometry, bounded as input validation: n_segments sets an
+# MSA store's rows per utterance and the n_segments^2 cosines per trial;
+# 2^21 samples cap a padded utterance's cyclic extension at 16 MiB of
+# float64. Other segments are views of the utterance, not copies.
 MAX_N_SEGMENTS = 32
 MAX_SEGMENT_SAMPLES = 1 << 21
 

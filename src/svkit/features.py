@@ -52,10 +52,9 @@ class Waveform:
 
 @dataclass(frozen=True)
 class MelFeatures:
-    """n_mels x T log-Mel matrix plus the hop that produced it."""
+    """n_mels x T log-Mel matrix."""
 
     bins: np.ndarray
-    frame_hop: float
     cmn_applied: bool = False
 
     def __post_init__(self):
@@ -170,7 +169,7 @@ def compute_logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> MelFeat
     power = spectrum.real**2 + spectrum.imag**2
     mel_power = power @ _filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate).T
     bins = np.log(np.maximum(mel_power, cfg.log_floor)).T
-    return MelFeatures(bins=bins, frame_hop=cfg.hop_s, cmn_applied=False)
+    return MelFeatures(bins=bins, cmn_applied=False)
 
 
 def apply_cmn(f: MelFeatures) -> MelFeatures:
@@ -178,7 +177,7 @@ def apply_cmn(f: MelFeatures) -> MelFeatures:
     if f.cmn_applied:
         raise ValueError("CMN already applied")
     centered = f.bins - f.bins.mean(axis=1, keepdims=True)
-    return MelFeatures(bins=centered, frame_hop=f.frame_hop, cmn_applied=True)
+    return MelFeatures(bins=centered, cmn_applied=True)
 
 
 def match_length(samples: np.ndarray, target: int) -> np.ndarray:
@@ -236,7 +235,7 @@ def write_mel(f: MelFeatures, sink: BinaryIO) -> None:
     sink.write(np.ascontiguousarray(f.bins, dtype="<f4").tobytes())
 
 
-def read_mel(source: BinaryIO, frame_hop: float = 0.010, cmn_applied: bool = False) -> MelFeatures:
+def read_mel(source: BinaryIO, cmn_applied: bool = False) -> MelFeatures:
     """Inverse of write_mel; the source is read once, whole, and bounds-checked."""
     data = source.read()
     if data[:4] != MEL_MAGIC:
@@ -247,4 +246,4 @@ def read_mel(source: BinaryIO, frame_hop: float = 0.010, cmn_applied: bool = Fal
     if len(data) - 12 < 4 * rows * cols:
         raise ValueError(f"truncated feature matrix ({len(data) - 12} of {4 * rows * cols} bytes)")
     bins = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=12).reshape(rows, cols)
-    return MelFeatures(bins=bins, frame_hop=frame_hop, cmn_applied=cmn_applied)
+    return MelFeatures(bins=bins, cmn_applied=cmn_applied)

@@ -26,7 +26,6 @@ class FusionModel:
 
     weights: np.ndarray
     bias: float
-    l2: float
     converged: bool
     iterations: int
 
@@ -36,8 +35,6 @@ class FusionModel:
             raise ValueError(f"weights must be a non-empty vector, got shape {weights.shape}")
         if not (np.all(np.isfinite(weights)) and np.isfinite(self.bias)):
             raise ValueError("fusion parameters must be finite")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be non-negative, got {self.l2}")
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -133,7 +130,6 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
     return FusionModel(
         weights=theta[:m],
         bias=float(theta[m]),
-        l2=l2,
         converged=converged,
         iterations=iterations,
     )
@@ -176,7 +172,7 @@ def serialize_fusion_model(model: FusionModel) -> str:
     return " ".join(parts) + "\n"
 
 
-def parse_fusion_model(text: str, l2: float = 0.0) -> FusionModel:
+def parse_fusion_model(text: str) -> FusionModel:
     """Read the one-line text form back into a model."""
     fields = text.split()
     if len(fields) < 2:
@@ -188,7 +184,6 @@ def parse_fusion_model(text: str, l2: float = 0.0) -> FusionModel:
     return FusionModel(
         weights=np.array(values[1:]),
         bias=values[0],
-        l2=l2,
         converged=True,
         iterations=0,
     )

@@ -66,18 +66,13 @@ def lr_at(cfg: CosineRestartConfig, step: int) -> tuple[float, int]:
     if step < 0:
         raise ValueError(f"step must be non-negative, got {step}")
     if cfg.doubling:
-        start = 0
-        length = cfg.cycle0_steps
-        cycle = 0
-        while step >= start + length:
-            start += length
-            length *= 2
-            cycle += 1
-        position = step - start
+        # cycle c covers [cycle0 * (2^c - 1), cycle0 * (2^(c+1) - 1))
+        cycle = (step // cfg.cycle0_steps + 1).bit_length() - 1
+        length = cfg.cycle0_steps << cycle
     else:
+        cycle = step // cfg.cycle0_steps
         length = cfg.cycle0_steps
-        cycle = step // length
-        position = step - cycle * length
+    position = step - cycle_start(cfg, cycle)
     lr_max_c = max(cfg.lr_max0 * cfg.decay**cycle, cfg.lr_min)
     frac = position / length
     lr = cfg.lr_min + 0.5 * (lr_max_c - cfg.lr_min) * (1.0 + math.cos(math.pi * frac))

@@ -12,6 +12,7 @@ single-row calls bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -129,74 +130,67 @@ def asnorm_score(raw, mean_e, std_e, mean_t, std_t):
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Fixed-duration segment layout over one utterance.
+    """Fixed-length segment layout over one utterance, in samples.
 
-    starts are offsets in seconds; padded means the utterance was shorter
-    than one segment and must be cyclically extended before slicing.
+    Segment i is the `length` samples from sample offsets[i]; offsets
+    never decrease, so equal offsets are adjacent. padded means the
+    utterance is shorter than one segment, so every segment is its cyclic
+    extension to `length` samples.
     """
 
-    utterance_duration: float
-    segment_duration: float
-    starts: tuple[float, ...]
+    length: int
+    offsets: tuple[int, ...]
     padded: bool
-
-    def __post_init__(self):
-        if self.segment_duration <= 0:
-            raise ValueError(f"segment_duration must be positive, got {self.segment_duration}")
-        if not self.starts:
-            raise ValueError("plan needs at least one segment")
-        if any(b < a for a, b in zip(self.starts, self.starts[1:])):
-            raise ValueError("segment starts must be non-decreasing")
-        if self.starts[0] < 0:
-            raise ValueError("segment starts must be non-negative")
-        span = max(self.utterance_duration, self.segment_duration)
-        if self.starts[-1] + self.segment_duration > span + 1e-9:
-            raise ValueError("last segment does not fit the utterance")
 
     @property
     def n_segments(self) -> int:
-        return len(self.starts)
+        return len(self.offsets)
 
 
-def segment_plan(utterance_len: float, n: int = 5, seg: float = 6.0) -> SegmentPlan:
-    """Evenly spaced, overlapping segment starts covering an utterance.
+def segment_plan(n_samples: int, sample_rate: int, n: int = 5, seg: float = 6.0) -> SegmentPlan:
+    """Evenly spaced, overlapping segments of seg seconds covering an utterance.
 
     Shorter-than-one-segment utterances get a single padded layout with
-    every start at zero; otherwise start i is i * (len - seg) / (n - 1),
-    so the first segment begins at 0 and the last ends exactly at len.
+    every offset at zero; otherwise segment i starts at i * (len - seg) /
+    (n - 1) seconds, rounded to a sample, so the first begins at 0 and the
+    last ends at the utterance's last sample.
     """
-    if utterance_len <= 0:
-        raise ValueError(f"utterance length must be positive, got {utterance_len}")
+    if n_samples <= 0:
+        raise ValueError(f"utterance length must be positive, got {n_samples} samples")
     if n < 1:
         raise ValueError(f"need at least one segment, got {n}")
     if seg <= 0:
         raise ValueError(f"segment duration must be positive, got {seg}")
-    if utterance_len < seg:
-        starts = (0.0,) * n
-        return SegmentPlan(utterance_len, seg, starts, padded=True)
-    if n == 1:
-        starts = (0.0,)
-    else:
-        step = (utterance_len - seg) / (n - 1)
-        starts = tuple(i * step for i in range(n))
-    return SegmentPlan(utterance_len, seg, starts, padded=False)
+    length = round(seg * sample_rate)
+    duration = n_samples / sample_rate
+    if duration < seg:
+        return SegmentPlan(length, (0,) * n, padded=True)
+    step = (duration - seg) / max(n - 1, 1)  # segment 0 is at 0 whatever the step
+    offsets = tuple(min(round(i * step * sample_rate), n_samples - length) for i in range(n))
+    return SegmentPlan(length, offsets, padded=False)
 
 
-def extract_segments(w: Waveform, plan: SegmentPlan) -> list[Waveform]:
-    """Slice a waveform into the planned fixed-duration segments.
+def extract_segments(w: Waveform, plan: SegmentPlan) -> list[tuple[list[int], Waveform]]:
+    """(segment indices, waveform) for each distinct planned segment, in
+    offset order.
 
-    A padded plan cyclically repeats the utterance out to one segment
-    length first, so all segments of a short utterance are identical.
+    Segments are views of the utterance's samples. A padded plan's one
+    cyclic extension of the utterance serves every index.
     """
-    seg_samples = int(round(plan.segment_duration * w.sample_rate))
     if plan.padded:
-        padded = match_length(w.samples, seg_samples)
-        return [Waveform(padded.copy(), w.sample_rate) for _ in plan.starts]
-    out = []
-    for start in plan.starts:
-        i0 = min(int(round(start * w.sample_rate)), len(w) - seg_samples)
-        out.append(Waveform(w.samples[i0 : i0 + seg_samples].copy(), w.sample_rate))
-    return out
+        extended = match_length(w.samples, plan.length)
+        return [(list(range(plan.n_segments)), Waveform(extended, w.sample_rate))]
+    offsets = plan.offsets
+    if not (offsets and plan.length >= 1 and min(offsets) >= 0
+            and max(offsets) + plan.length <= len(w)):
+        raise ValueError(
+            f"segments of {plan.length} samples at offsets {offsets} do not fit "
+            f"a {len(w)}-sample utterance"
+        )
+    return [
+        (list(indices), Waveform(w.samples[i0 : i0 + plan.length], w.sample_rate))
+        for i0, indices in itertools.groupby(range(len(offsets)), offsets.__getitem__)
+    ]
 
 
 def segment_id(utt_id: str, index: int) -> str:

@@ -177,7 +177,6 @@ class EmbeddingStore:
             if worst > 1e-6:
                 raise ValueError(f"normalized store has norm off by {worst:.3g}")
         self.vectors = vectors
-        self.normalized = bool(normalized)
 
     @property
     def dim(self) -> int:

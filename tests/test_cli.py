@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import svkit
 from svkit.cli import main
 from svkit.config import stage_seed
 from svkit.features import Waveform, read_mel, read_wav, write_wav
 from svkit.model import embed_waveform
-from svkit.scoring import extract_segments, segment_id, segment_plan
+from svkit.scoring import segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
 from svkit.trials import (
     EmbeddingStore,
@@ -375,32 +377,50 @@ class TestEmbedScoreEvaluate:
 
 class TestEmbed:
     @pytest.mark.parametrize("flags", [[], ["--msa"]], ids=["plain", "msa"])
-    def test_store_equals_per_segment_loop(self, tmp_path, capsys, flags):
-        # "short" is under one 6 s segment, so its MSA plan is padded
+    def test_store_equals_per_segment_loop(self, tmp_path, capsys, monkeypatch, flags):
+        # "short" is under one 6 s segment, so its MSA plan is padded;
+        # "exact" is one segment long, and "over" is two samples longer
         wavs = {
             "short": tone_wav(tmp_path / "short.wav", 330, duration=2.5, seed=1),
             "long": tone_wav(tmp_path / "long.wav", 610, duration=7.5, seed=2),
+            "exact": tone_wav(tmp_path / "exact.wav", 470, duration=6.0, seed=3),
+            "over": tone_wav(tmp_path / "over.wav", 520, duration=96002.5 / RATE, seed=4),
         }
         wav_list = tmp_path / "utts.txt"
         wav_list.write_text("".join(f"{u} {p}\n" for u, p in wavs.items()), encoding="utf-8")
         out = tmp_path / "emb.bin"
+        calls = []
+
+        def counted(w, **kwargs):
+            calls.append(len(w))
+            return embed_waveform(w, **kwargs)
+
+        monkeypatch.setattr("svkit.cli.embed_waveform", counted)
         assert main(["embed", "--wav-list", str(wav_list), "--output", str(out), *flags]) == 0
+        # the oracle embeds every planned segment separately
         seed = stage_seed(0, "embed")
-        ids, vectors = [], []
+        ids, vectors, distinct = [], [], 0
         for utt_id, path in wavs.items():
             wav = read_wav(path)
             if flags:
-                plan = segment_plan(wav.duration)
+                plan = segment_plan(len(wav), RATE)
                 assert plan.padded == (utt_id == "short")
-                for k, seg in enumerate(extract_segments(wav, plan)):
+                for k, offset in enumerate(plan.offsets):
+                    samples = (np.resize(wav.samples, plan.length) if plan.padded
+                               else wav.samples[offset : offset + plan.length])
                     ids.append(segment_id(utt_id, k))
-                    vectors.append(embed_waveform(seg, seed=seed))
+                    vectors.append(embed_waveform(Waveform(samples, RATE), seed=seed))
+                distinct += len(set(plan.offsets))
             else:
                 ids.append(utt_id)
                 vectors.append(embed_waveform(wav, seed=seed))
+                distinct += 1
         expected = tmp_path / "expected.bin"
         write_embeddings_file(EmbeddingStore(ids, vectors, normalized=True), expected)
         assert out.read_bytes() == expected.read_bytes()
+        # each distinct offset is embedded once: 1 + 5 + 1 + 3 segments
+        assert [len(read_wav(p)) for p in wavs.values()] == [40000, 120000, 96000, 96002]
+        assert len(calls) == distinct == (10 if flags else 4)
 
     def test_failing_utterance_is_named(self, tmp_path, capsys):
         good = tone_wav(tmp_path / "good.wav", 440)
@@ -415,6 +435,28 @@ class TestEmbed:
         assert captured.err.splitlines() == [
             f"error: utterance 'clip7' ({tmp_path / 'tiny.wav'}): "
             "waveform too short: 100 samples < 400 window"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "waveform too short: 0 samples < 400 window"),
+            (["--msa"], "utterance length must be positive, got 0 samples"),
+        ],
+        ids=["plain", "msa"],
+    )
+    def test_empty_utterance_is_named(self, tmp_path, capsys, flags, message):
+        write_wav(Waveform(np.zeros(0), RATE), tmp_path / "empty.wav")
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text("blank empty.wav\n", encoding="utf-8")
+        out = tmp_path / "emb.bin"
+        code = main(["embed", "--wav-list", str(wav_list), "--output", str(out), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: utterance 'blank' ({tmp_path / 'empty.wav'}): {message}"
         ]
         assert not out.exists()
 
@@ -552,6 +594,39 @@ class TestFuse:
         trials = write_trials(tmp_path / "t.txt", trial_objs)
         s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
         assert main(["fuse", "--trials", str(trials), "--scores", str(s1)]) == 1
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        model_bytes=st.one_of(
+            st.binary(max_size=40),
+            st.lists(
+                st.sampled_from(["0.5", "-2", "1e999", "nan", "inf", "x", "1_0", "\xa0", "\n"]),
+                max_size=5,
+            ).map(lambda tokens: " ".join(tokens).encode("utf-8")),
+        )
+    )
+    def test_fuzzed_model_file_keeps_cli_contract(self, tmp_path, capsys, model_bytes):
+        trial_objs = [Trial("a", "b"), Trial("a", "c")]
+        trials = write_trials(tmp_path / "t.txt", trial_objs)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        model = tmp_path / "model.txt"
+        model.write_bytes(model_bytes)
+        capsys.readouterr()
+        code = main(["fuse", "--trials", str(trials), "--scores", str(s1), "--model", str(model)])
+        captured = capsys.readouterr()
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) <= 1
+        if code == 0:
+            assert captured.err == ""
+            assert len(captured.out.splitlines()) == len(trial_objs)
+        else:
+            assert captured.out == ""
 
 
 class TestScheduleDump:

@@ -232,10 +232,11 @@ class TestPipelineConfig:
         feats = compute_logmel(one_window, features)
         assert feats.bins.shape == (features.n_mels, 1)
         # ... and segment plans, padded or not, within the MSA maxima
-        for duration in (win / cfg.sample_rate, 2 * cfg.segment_duration):
-            plan = segment_plan(duration, cfg.n_segments, cfg.segment_duration)
+        for n_samples in (win, round(2 * cfg.segment_duration * cfg.sample_rate)):
+            plan = segment_plan(n_samples, cfg.sample_rate, cfg.n_segments, cfg.segment_duration)
             assert 1 <= plan.n_segments <= MAX_N_SEGMENTS
-            assert 1 <= round(plan.segment_duration * cfg.sample_rate) <= MAX_SEGMENT_SAMPLES
+            assert 1 <= plan.length <= MAX_SEGMENT_SAMPLES
+            assert plan.padded or 0 <= plan.offsets[0] <= plan.offsets[-1] <= n_samples - plan.length
 
 
 class TestScheduleConfig:

@@ -149,23 +149,23 @@ class TestMelFilterbank:
 
 class TestApplyCmn:
     def test_constant_matrix_becomes_zero(self):
-        f = MelFeatures(np.full((80, 10), 5.0), 0.01)
+        f = MelFeatures(np.full((80, 10), 5.0))
         out = apply_cmn(f)
         assert np.allclose(out.bins, 0.0)
         assert out.cmn_applied
 
     def test_small_row_example(self):
-        f = MelFeatures(np.array([[1.0, 2.0, 3.0]]), 0.01)
+        f = MelFeatures(np.array([[1.0, 2.0, 3.0]]))
         assert np.allclose(apply_cmn(f).bins, [[-1.0, 0.0, 1.0]])
 
     def test_random_matrix_rows_are_zero_mean(self):
         rng = np.random.default_rng(5)
-        f = apply_cmn(MelFeatures(rng.standard_normal((80, 200)), 0.01))
+        f = apply_cmn(MelFeatures(rng.standard_normal((80, 200))))
         assert np.max(np.abs(f.bins.mean(axis=1))) <= 1e-6
 
     def test_double_application_rejected_but_idempotent_in_effect(self):
         rng = np.random.default_rng(6)
-        f = apply_cmn(MelFeatures(rng.standard_normal((80, 50)), 0.01))
+        f = apply_cmn(MelFeatures(rng.standard_normal((80, 50))))
         with pytest.raises(ValueError, match="already"):
             apply_cmn(f)
         # subtracting the (now zero) mean again changes nothing
@@ -207,7 +207,7 @@ class TestWavIO:
 class TestMelDump:
     def test_roundtrip(self):
         rng = np.random.default_rng(8)
-        f = MelFeatures(rng.standard_normal((80, 20)), 0.01)
+        f = MelFeatures(rng.standard_normal((80, 20)))
         buf = io.BytesIO()
         write_mel(f, buf)
         buf.seek(0)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from svkit.fusion import (
     FusionModel,
@@ -153,13 +155,13 @@ class TestFuse:
         rng = np.random.default_rng(7)
         matrix = rng.standard_normal((20, 3))
         model = FusionModel(
-            weights=np.array([1.0, 0.0, 0.0]), bias=0.0, l2=0.0, converged=True, iterations=0
+            weights=np.array([1.0, 0.0, 0.0]), bias=0.0, converged=True, iterations=0
         )
         assert np.array_equal(fuse_matrix(model, matrix), matrix[:, 0])
 
     def test_zero_weights_give_constant(self):
         model = FusionModel(
-            weights=np.zeros(2), bias=0.25, l2=0.0, converged=True, iterations=0
+            weights=np.zeros(2), bias=0.25, converged=True, iterations=0
         )
         fused = fuse_matrix(model, np.random.default_rng(8).standard_normal((10, 2)))
         assert np.all(fused == 0.25)
@@ -168,15 +170,15 @@ class TestFuse:
         rng = np.random.default_rng(9)
         matrix = rng.standard_normal((30, 2))
         w = np.array([0.7, 0.3])
-        m1 = FusionModel(weights=w, bias=0.1, l2=0.0, converged=True, iterations=0)
-        m2 = FusionModel(weights=3.0 * w, bias=0.1, l2=0.0, converged=True, iterations=0)
+        m1 = FusionModel(weights=w, bias=0.1, converged=True, iterations=0)
+        m2 = FusionModel(weights=3.0 * w, bias=0.1, converged=True, iterations=0)
         a = fuse_matrix(m1, matrix)
         b = fuse_matrix(m2, matrix)
         assert np.array_equal(np.argsort(a, kind="stable"), np.argsort(b, kind="stable"))
 
     def test_dimension_mismatch_rejected(self):
         model = FusionModel(
-            weights=np.zeros(2), bias=0.0, l2=0.0, converged=True, iterations=0
+            weights=np.zeros(2), bias=0.0, converged=True, iterations=0
         )
         with pytest.raises(ValueError, match="systems"):
             fuse_matrix(model, np.zeros((4, 3)))
@@ -184,7 +186,7 @@ class TestFuse:
     def test_fuse_builds_aligned_scoreset(self):
         trials = TrialList(trials=(Trial("a", "b"), Trial("a", "c")))
         model = FusionModel(
-            weights=np.array([2.0]), bias=1.0, l2=0.0, converged=True, iterations=0
+            weights=np.array([2.0]), bias=1.0, converged=True, iterations=0
         )
         out = fuse(model, np.array([[1.0], [2.0]]), trials)
         assert isinstance(out, ScoreSet)
@@ -225,13 +227,13 @@ class TestModelText:
         matrix, labels = synthetic_problem(rng)
         model = fit_fusion(matrix, labels, l2=1e-4)
         text = serialize_fusion_model(model)
-        back = parse_fusion_model(text, l2=model.l2)
+        back = parse_fusion_model(text)
         assert np.array_equal(back.weights, model.weights)
         assert back.bias == model.bias
 
     def test_text_layout(self):
         model = FusionModel(
-            weights=np.array([0.5, -1.25]), bias=2.0, l2=0.0, converged=True, iterations=0
+            weights=np.array([0.5, -1.25]), bias=2.0, converged=True, iterations=0
         )
         assert serialize_fusion_model(model) == "2.0 0.5 -1.25\n"
 
@@ -240,3 +242,35 @@ class TestModelText:
             parse_fusion_model("1.0\n")
         with pytest.raises(ValueError, match="bad fusion model value"):
             parse_fusion_model("1.0 abc\n")
+
+
+# model-like text: float reprs, special and malformed number tokens, and
+# arbitrary strings, joined by assorted whitespace
+MODEL_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "1_0", "0x10", "1,5", "abc", "\u0661\u0662"]),
+    st.text(max_size=6),
+)
+MODEL_TEXTS = st.one_of(
+    st.text(),
+    st.tuples(st.lists(MODEL_TOKENS, max_size=6), st.sampled_from([" ", "\t", "\n", "\x85 "]))
+    .map(lambda parts: parts[1].join(parts[0])),
+)
+
+
+class TestModelTextFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(MODEL_TEXTS)
+    def test_any_text_raises_only_value_error(self, text):
+        try:
+            model = parse_fusion_model(text)
+        except ValueError:
+            event("rejected")
+            return
+        event("parsed")
+        # whatever parses is finite, has one weight per token after the
+        # bias, and round-trips through the text form
+        assert model.n_systems == len(text.split()) - 1
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        back = parse_fusion_model(serialize_fusion_model(model))
+        assert np.array_equal(back.weights, model.weights) and back.bias == model.bias

@@ -16,6 +16,7 @@ from svkit.features import Waveform
 from svkit.model import length_normalize
 from svkit.scoring import (
     COHORT_BLOCK,
+    SegmentPlan,
     TRIAL_CHUNK,
     asnorm_score,
     cohort_stats,
@@ -317,64 +318,109 @@ class TestAsnormPipelineOracle:
 
 class TestSegmentPlan:
     def test_ten_second_utterance(self):
-        plan = segment_plan(10.0)
-        assert plan.starts == (0.0, 1.0, 2.0, 3.0, 4.0)
+        plan = segment_plan(160000, 16000)
+        assert plan.offsets == (0, 16000, 32000, 48000, 64000)
+        assert plan.length == 96000
         assert not plan.padded
 
     def test_exact_length_utterance(self):
-        plan = segment_plan(6.0)
-        assert plan.starts == (0.0,) * 5
+        plan = segment_plan(96000, 16000)
+        assert plan.offsets == (0,) * 5
         assert not plan.padded
 
     def test_short_utterance_padded(self):
-        plan = segment_plan(4.0)
+        plan = segment_plan(64000, 16000)
         assert plan.padded
-        assert plan.starts == (0.0,) * 5
+        assert plan.offsets == (0,) * 5
 
     def test_last_segment_ends_at_utterance_end(self):
         for length in (6.5, 7.0, 11.25, 60.0):
-            plan = segment_plan(length)
-            assert plan.starts[-1] + 6.0 == pytest.approx(length, abs=1e-9)
+            n_samples = round(length * 16000)
+            plan = segment_plan(n_samples, 16000)
+            assert plan.offsets[-1] + plan.length == n_samples
 
     def test_starts_non_decreasing_property(self):
+        # each offset is within one sample of an even spacing from the
+        # first sample to the last segment's start
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            length = float(rng.uniform(0.5, 30.0))
-            plan = segment_plan(length)
-            assert all(b >= a for a, b in zip(plan.starts, plan.starts[1:]))
-            assert plan.n_segments == 5
+        for _ in range(200):
+            n_samples = int(rng.integers(1, 30 * 16000))
+            n = int(rng.integers(1, 9))
+            plan = segment_plan(n_samples, 16000, n, float(rng.uniform(0.5, 8.0)))
+            assert plan.n_segments == n
+            assert all(b >= a for a, b in zip(plan.offsets, plan.offsets[1:]))
+            if plan.padded:
+                assert plan.offsets == (0,) * n and n_samples <= plan.length
+                continue
+            assert plan.offsets[0] == 0 and plan.offsets[-1] + plan.length <= n_samples
+            for i, offset in enumerate(plan.offsets):
+                assert abs(offset - i * (n_samples - plan.length) / max(n - 1, 1)) <= 1
 
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            segment_plan(0.0)
+            segment_plan(0, 16000)
 
 
 class TestExtractSegments:
     def test_segment_count_and_length(self):
         rng = np.random.default_rng(8)
         w = Waveform(rng.standard_normal(16000 * 10), 16000)
-        segs = extract_segments(w, segment_plan(w.duration))
-        assert len(segs) == 5
-        assert all(len(s) == 16000 * 6 for s in segs)
+        segs = extract_segments(w, segment_plan(len(w), w.sample_rate))
+        assert [indices for indices, _ in segs] == [[0], [1], [2], [3], [4]]
+        assert all(len(s) == 16000 * 6 for _, s in segs)
 
     def test_segments_slice_at_planned_starts(self):
         rng = np.random.default_rng(9)
         w = Waveform(rng.standard_normal(16000 * 10), 16000)
-        segs = extract_segments(w, segment_plan(w.duration))
-        for i, s in enumerate(segs):
-            i0 = i * 16000
+        for (indices,), s in extract_segments(w, segment_plan(len(w), w.sample_rate)):
+            i0 = indices * 16000
             assert np.array_equal(s.samples, w.samples[i0 : i0 + 96000])
+            assert np.shares_memory(s.samples, w.samples)
 
     def test_short_utterance_cyclic_padding(self):
         rng = np.random.default_rng(10)
         w = Waveform(rng.standard_normal(16000 * 4), 16000)
-        segs = extract_segments(w, segment_plan(w.duration))
-        assert all(len(s) == 96000 for s in segs)
-        for s in segs:
-            assert np.array_equal(s.samples[:64000], w.samples)
-            assert np.array_equal(s.samples[64000:], w.samples[:32000])
-        for s in segs[1:]:
-            assert np.array_equal(s.samples, segs[0].samples)
+        ((indices, s),) = extract_segments(w, segment_plan(len(w), w.sample_rate))
+        assert indices == [0, 1, 2, 3, 4]
+        assert len(s) == 96000
+        assert np.array_equal(s.samples[:64000], w.samples)
+        assert np.array_equal(s.samples[64000:], w.samples[:32000])
+
+    @pytest.mark.parametrize(
+        "n_samples, groups",
+        [
+            (96000, [[0, 1, 2, 3, 4]]),
+            (96001, [[0, 1], [2, 3, 4]]),
+            (96002, [[0, 1], [2, 3], [4]]),
+            (96003, [[0], [1], [2, 3], [4]]),
+            (96004, [[0], [1], [2], [3], [4]]),
+        ],
+    )
+    def test_equal_offsets_cut_once(self, n_samples, groups):
+        rng = np.random.default_rng(n_samples)
+        w = Waveform(rng.standard_normal(n_samples), 16000)
+        plan = segment_plan(len(w), w.sample_rate)
+        segs = extract_segments(w, plan)
+        assert [indices for indices, _ in segs] == groups
+        for indices, s in segs:
+            i0 = plan.offsets[indices[0]]
+            assert {plan.offsets[k] for k in indices} == {i0}
+            assert np.array_equal(s.samples, w.samples[i0 : i0 + plan.length])
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            SegmentPlan(96000, (0, 10), padded=False),
+            SegmentPlan(96000, (-1, 0), padded=False),
+            SegmentPlan(0, (0,), padded=False),
+            SegmentPlan(96000, (), padded=False),
+        ],
+        ids=["past-end", "negative", "empty-segment", "no-segments"],
+    )
+    def test_plan_that_does_not_fit_rejected(self, plan):
+        w = Waveform(np.zeros(96005), 16000)
+        with pytest.raises(ValueError, match="do not fit a 96005-sample utterance"):
+            extract_segments(w, plan)
 
 
 class TestMsaScore:
