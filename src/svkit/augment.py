@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .features import Waveform, match_length, read_wav
+from .trials import read_path_list, require_file
 
 BANK_CATEGORIES = ("noise", "music", "speech", "rir")
 
@@ -79,26 +79,13 @@ class NoiseBank:
 
     @classmethod
     def from_manifest(cls, path, sample_rate: int = 16000) -> "NoiseBank":
-        """Load from a manifest of "category path" lines.
-
-        Relative paths are resolved against the manifest's directory.
-        """
-        base = Path(path).parent
+        """Load from a manifest of "category path" lines (`read_path_list`)."""
         entries: dict[str, list[Waveform]] = {c: [] for c in BANK_CATEGORIES}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                tokens = raw.split(None, 1)
-                if not tokens:
-                    continue
-                if len(tokens) != 2:
-                    raise ValueError(f"{path}:{line_no}: expected 'category path'")
-                category, wav_path = tokens[0], tokens[1].strip()
-                if category not in BANK_CATEGORIES:
-                    raise ValueError(f"{path}:{line_no}: unknown category {category!r}")
-                resolved = Path(wav_path)
-                if not resolved.is_absolute():
-                    resolved = base / resolved
-                entries[category].append(read_wav(resolved, expected_rate=sample_rate))
+        for line_no, category, wav_path in read_path_list(path, "manifest"):
+            if category not in BANK_CATEGORIES:
+                raise ValueError(f"{path}:{line_no}: unknown category {category!r}")
+            wav = read_wav(require_file(wav_path, "wav"), expected_rate=sample_rate)
+            entries[category].append(wav)
         return cls(entries)
 
 

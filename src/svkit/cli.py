@@ -36,6 +36,9 @@ from .trials import (
     parse_scores,
     parse_trials,
     read_embeddings_file,
+    read_path_list,
+    read_text,
+    require_file,
     serialize_scores,
     write_embeddings_file,
 )
@@ -45,53 +48,15 @@ class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
 
 
-class DataError(Exception):
-    """Bad input file or value; maps to exit code 2."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _require_file(path, what: str) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{what} file not found: {path}")
-    return path
 
 
 def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         return load_pipeline_config(args.config)
     return PipelineConfig()
-
-
-def _read_trials(path, labeled: bool):
-    text = _require_file(path, "trials").read_text(encoding="utf-8")
-    return parse_trials(text, labeled=labeled)
-
-
-def _read_wav_list(path) -> list[tuple[str, Path]]:
-    """Utterance list: lines of "utt_id wav_path", paths relative to the list."""
-    list_path = _require_file(path, "wav list")
-    base = list_path.parent
-    entries = []
-    for line_no, raw in enumerate(list_path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split(None, 1)
-        if len(tokens) != 2:
-            raise DataError(f"{list_path}:{line_no}: expected 'utt_id wav_path'")
-        utt_id, wav = tokens
-        wav_path = Path(wav)
-        if not wav_path.is_absolute():
-            wav_path = base / wav_path
-        entries.append((utt_id, wav_path))
-    if not entries:
-        raise DataError(f"wav list is empty: {list_path}")
-    return entries
 
 
 def _emit(text: str, output) -> None:
@@ -103,7 +68,7 @@ def _emit(text: str, output) -> None:
 
 def cmd_features(args) -> int:
     cfg = _load_config(args)
-    wav = read_wav(_require_file(args.wav, "wav"), expected_rate=cfg.sample_rate)
+    wav = read_wav(require_file(args.wav, "wav"), expected_rate=cfg.sample_rate)
     feats = compute_logmel(wav, cfg.features)
     if cfg.cmn and not args.no_cmn:
         feats = apply_cmn(feats)
@@ -118,8 +83,8 @@ def cmd_augment(args) -> int:
     manifest = args.manifest or cfg.noise_manifest
     if manifest is None:
         raise UsageError("augment needs --manifest or a noise_manifest config entry")
-    bank = NoiseBank.from_manifest(_require_file(manifest, "manifest"), cfg.sample_rate)
-    wav = read_wav(_require_file(args.wav, "wav"), expected_rate=cfg.sample_rate)
+    bank = NoiseBank.from_manifest(manifest, cfg.sample_rate)
+    wav = read_wav(require_file(args.wav, "wav"), expected_rate=cfg.sample_rate)
     seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "augment")
     rng = np.random.default_rng(seed)
     out = apply_policy(wav, cfg.augment, bank, rng)
@@ -130,12 +95,18 @@ def cmd_augment(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = _load_config(args)
-    entries = _read_wav_list(args.wav_list)
+    entries = read_path_list(args.wav_list, "wav list")
+    if not entries:
+        raise ValueError(f"wav list is empty: {args.wav_list}")
+    first_line: dict[str, int] = {}
+    for line_no, utt_id, _ in entries:
+        if first_line.setdefault(utt_id, line_no) != line_no:
+            raise ValueError(f"{args.wav_list}:{line_no}: duplicate utterance id {utt_id!r}")
     seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "embed")
     ids: list[str] = []
     vectors: list[np.ndarray] = []
-    for utt_id, wav_path in entries:
-        wav = read_wav(_require_file(wav_path, "wav"), expected_rate=cfg.sample_rate)
+    for _, utt_id, wav_path in entries:
+        wav = read_wav(require_file(wav_path, "wav"), expected_rate=cfg.sample_rate)
         try:
             segments = [([utt_id], wav)]
             if args.msa:
@@ -147,7 +118,7 @@ def cmd_embed(args) -> int:
                 ids += seg_ids
                 vectors += [vector] * len(seg_ids)
         except ValueError as exc:
-            raise DataError(f"utterance {utt_id!r} ({wav_path}): {exc}") from None
+            raise ValueError(f"utterance {utt_id!r} ({wav_path}): {exc}") from None
     store = EmbeddingStore(ids, vectors, normalized=True)
     write_embeddings_file(store, args.output)
     print(f"embedded {len(entries)} utterances dim {store.dim}")
@@ -158,31 +129,24 @@ def cmd_score(args) -> int:
     cfg = _load_config(args)
     if args.asnorm and args.msa:
         raise UsageError("choose one of --asnorm and --msa")
-    trials = _read_trials(args.trials, labeled=args.labeled)
-    store = read_embeddings_file(_require_file(args.embeddings, "embeddings"), normalized=True)
+    trials = parse_trials(read_text(args.trials, "trials"), labeled=args.labeled)
+    store = read_embeddings_file(require_file(args.embeddings, "embeddings"), normalized=True)
     mode = "asnorm" if args.asnorm else "msa" if args.msa else "raw"
     cohort = None
     if mode == "asnorm":
         cohort_path = args.cohort or cfg.cohort_path
         if cohort_path is None:
             raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
-        cohort = read_embeddings_file(_require_file(cohort_path, "cohort"), normalized=True)
-    result = score_trials(
-        trials,
-        store,
-        mode=mode,
-        cohort=cohort,
-        top_k=args.topk if args.topk is not None else cfg.top_k,
-        n_segments=cfg.n_segments,
-    )
+        cohort = read_embeddings_file(require_file(cohort_path, "cohort"), normalized=True)
+    top_k = args.topk if args.topk is not None else cfg.top_k
+    result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
     _emit(serialize_scores(result), args.output)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    trials = _read_trials(args.trials, labeled=True)
-    score_text = _require_file(args.scores, "scores").read_text(encoding="utf-8")
-    scores = parse_scores(score_text, trials)
+    trials = parse_trials(read_text(args.trials, "trials"), labeled=True)
+    scores = parse_scores(read_text(args.scores, "scores"), trials)
     cfg = DcfConfig(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
     eer_pct, dcf = evaluate_scores(scores, cfg)
     print(f"EER(%) {eer_pct:.6f}")
@@ -193,31 +157,20 @@ def cmd_evaluate(args) -> int:
 def cmd_fuse(args) -> int:
     if not args.fit_labels and not args.model:
         raise UsageError("fuse needs --fit-labels (to fit) or --model (to apply)")
-    labeled = bool(args.fit_labels)
-    trials = _read_trials(args.trials, labeled=labeled)
-    score_sets = []
-    for path in args.scores:
-        text = _require_file(path, "scores").read_text(encoding="utf-8")
-        score_sets.append(parse_scores(text, trials))
-    matrix = stack_scores(score_sets)
+    trials = parse_trials(read_text(args.trials, "trials"), labeled=args.fit_labels)
+    matrix = stack_scores([parse_scores(read_text(p, "scores"), trials) for p in args.scores])
     if args.fit_labels:
         model = fit_fusion(matrix, trials.labels(), l2=args.l2)
         if args.model:
             Path(args.model).write_text(serialize_fusion_model(model), encoding="utf-8")
-    elif args.model:
-        text = _require_file(args.model, "model").read_text(encoding="utf-8")
-        model = parse_fusion_model(text)
-        if model.n_systems != matrix.shape[1]:
-            raise DataError(
-                f"model has {model.n_systems} systems but {matrix.shape[1]} score files given"
-            )
-    fused = fuse(model, matrix, trials)
-    _emit(serialize_scores(fused), args.output)
+    else:
+        model = parse_fusion_model(read_text(args.model, "model"))
+    _emit(serialize_scores(fuse(model, matrix, trials)), args.output)
     return 0
 
 
 def cmd_schedule_dump(args) -> int:
-    cfg = load_schedule_config(_require_file(args.config, "config"))
+    cfg = load_schedule_config(args.config)
     for step, lr, cycle in dump_schedule(cfg, args.steps):
         print(f"{step} {lr:.10e} {cycle}")
     return 0
@@ -340,7 +293,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .augment import AugmentPolicy
 from .features import FeatureConfig
 from .schedule import CosineRestartConfig
+from .scoring import MAX_N_SEGMENTS
+from .trials import read_text, require_file
 
 # a RIFF header stores the sample rate in 32 bits
 MAX_SAMPLE_RATE = 2**32 - 1
 # MSA segment geometry, bounded as input validation: n_segments sets an
-# MSA store's rows per utterance and the n_segments^2 cosines per trial;
-# 2^21 samples cap a padded utterance's cyclic extension at 16 MiB of
+# MSA store's rows per utterance, under the MAX_N_SEGMENTS cap that
+# score_trials also puts on the count it reads from a store; 2^21
+# samples cap a padded utterance's cyclic extension at 16 MiB of
 # float64. Other segments are views of the utterance, not copies.
-MAX_N_SEGMENTS = 32
 MAX_SEGMENT_SAMPLES = 1 << 21
 
 
@@ -164,9 +165,11 @@ def _read_config(path: Path, table: dict, kind: str) -> dict[str, dict[str, obje
     Every section of the table is present, empty if the file sets none of
     its keys.
     """
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    raw = parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = read_text(path, "config")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    raw = parse_config_text(text, source=str(path))
     sections: dict[str, dict[str, object]] = {section: {} for section, _, _ in table.values()}
     for key, value in raw.items():
         if key not in table:
@@ -201,10 +204,10 @@ def load_pipeline_config(path) -> PipelineConfig:
         dest = _PIPELINE_KEYS[key][1]
         ref = getattr(cfg, dest)
         if ref is not None:
-            ref_path = path.parent / ref  # an absolute ref replaces the base
-            if not os.path.isfile(ref_path):  # False, not OSError, for an over-long name
-                raise ConfigError(f"{path}: {key} file not found: {ref_path}")
-            resolved[dest] = str(ref_path)
+            try:  # an absolute ref replaces the base
+                resolved[dest] = str(require_file(path.parent / ref, key))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
     return replace(cfg, **resolved)
 
 

@@ -147,10 +147,7 @@ def fuse_matrix(model: FusionModel, matrix: np.ndarray) -> np.ndarray:
 
 def fuse(model: FusionModel, matrix: np.ndarray, trials: TrialList) -> ScoreSet:
     """Fused ScoreSet aligned with the given trial list."""
-    fused = fuse_matrix(model, matrix)
-    if len(fused) != len(trials):
-        raise ValueError(f"{len(trials)} trials but {len(fused)} matrix rows")
-    return ScoreSet(trials=trials, scores=fused)
+    return ScoreSet(trials=trials, scores=fuse_matrix(model, matrix))
 
 
 def stack_scores(score_sets: list[ScoreSet]) -> np.ndarray:

@@ -30,6 +30,9 @@ TRIAL_CHUNK = 128
 # is no faster), and a 32 x 5000 float64 score block is 1.3 MB, so peak
 # memory stays where per-row scoring had it
 COHORT_BLOCK = 32
+# segments per utterance, from a config or an MSA store: bounds the
+# n_segments^2 cosines per trial
+MAX_N_SEGMENTS = 32
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,22 +226,36 @@ def score_trials(
     mode: str = "raw",
     cohort: EmbeddingStore | None = None,
     top_k: int = 100,
-    n_segments: int = 5,
 ) -> ScoreSet:
     """Score every trial with the chosen backend.
 
     raw: plain cosine on each pair. asnorm: cosine then symmetric top-K
-    cohort normalization (cohort store required). msa: the store must hold
-    n_segments embeddings per utterance under segment ids, and each trial
-    gets the mean of the pairwise segment scores. A trial id missing from
-    the store raises ValueError.
+    cohort normalization (cohort store required). msa: each trial gets the
+    mean of the pairwise segment scores; the store holds n embeddings per
+    utterance under segment ids #0..#n-1, n being how many the first
+    utterance has in a row, and an utterance with more, or n over
+    MAX_N_SEGMENTS, is a ValueError. A trial id missing from the store
+    raises ValueError.
     """
     if mode not in ("raw", "asnorm", "msa"):
         raise ValueError(f"unknown scoring mode {mode!r}; expected raw, asnorm, or msa")
     if mode == "asnorm" and cohort is None:
         raise ValueError("asnorm scoring needs a cohort store")
     utts, enroll, test = trials.ids, trials.enroll, trials.test
-    ids = [segment_id(u, i) for u in utts for i in range(n_segments)] if mode == "msa" else utts
+    ids = utts
+    if mode == "msa":
+        n_segments = 1  # a store without utts[0]#0 then fails on that id
+        while (len(utts) and n_segments <= MAX_N_SEGMENTS
+               and segment_id(utts[0], n_segments) in store):
+            n_segments += 1
+        if n_segments > MAX_N_SEGMENTS:
+            raise ValueError(f"utterance {utts[0]!r} has more than {MAX_N_SEGMENTS} "
+                             "segments in the embedding store")
+        extra = [u for u in utts if segment_id(u, n_segments) in store]
+        if extra:
+            raise ValueError(f"utterance {extra[0]!r} has more than the {n_segments} "
+                             f"segments of {utts[0]!r} in the embedding store")
+        ids = [segment_id(u, i) for u in utts for i in range(n_segments)]
     rows = store.rows(ids)
     names = [f"embedding {i!r}" for i in ids]
     _check_unit(rows, names)

@@ -3,14 +3,17 @@
 Text formats are one trial per line: either "label enroll test" (label
 in {0, 1}) or "enroll test" for unlabeled lists. Scores are stored
 as "enroll test score" lines. Embeddings use the little-endian "EMB1"
-binary layout so round-trips are bit-exact.
+binary layout so round-trips are bit-exact. Every text input svkit
+reads goes through `read_text`, every other input file through `require_file`.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from math import floor, isfinite, log10
+from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
@@ -32,6 +35,40 @@ class StoreFormatError(ValueError):
     def __init__(self, offset: int, message: str):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset
+
+
+def require_file(path, what: str) -> Path:
+    """The path of a regular file, checked before any whole-file read (so
+    /dev/zero is never read); anything else is a ValueError."""
+    path = Path(path)
+    if not os.path.isfile(path):  # False, not OSError, for an over-long name
+        raise ValueError(f"{what} file not found: {path}")
+    return path
+
+
+def read_text(path, what: str) -> str:
+    """A text input file, decoded as UTF-8; a bad byte is named with its offset."""
+    path = require_file(path, what)
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} file {path}: byte {exc.start} is not UTF-8") from None
+
+
+def read_path_list(path, what: str) -> list[tuple[int, str, Path]]:
+    """(line number, key, path) for each "<key> <path>" line, blank lines
+    skipped. The path is the rest of the line, stripped, resolved against
+    the list's directory (an absolute path replaces it)."""
+    path = Path(path)
+    entries = []
+    for line_no, raw in enumerate(read_text(path, what).splitlines(), start=1):
+        tokens = raw.split(None, 1)
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise ValueError(f"{path}:{line_no}: expected '<key> <path>'")
+        entries.append((line_no, tokens[0], path.parent / tokens[1].strip()))
+    return entries
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from svkit.cli import main
 from svkit.config import stage_seed
 from svkit.features import Waveform, read_mel, read_wav, write_wav
 from svkit.model import embed_waveform
-from svkit.scoring import segment_id, segment_plan
+from svkit.scoring import MAX_N_SEGMENTS, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
 from svkit.trials import (
     EmbeddingStore,
@@ -282,6 +282,44 @@ class TestEmbedScoreEvaluate:
         assert code == 0
         assert len(parse_scores(capsys.readouterr().out)) == 2
 
+    def test_msa_segment_count_comes_from_store(self, tmp_path, wav_dir, capsys):
+        # 7 segments of 0.5 s over 1 s utterances, so every segment differs
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text(
+            "".join(f"u{i} {wav_dir / f'u{i}.wav'}\n" for i in range(4)), encoding="utf-8"
+        )
+        config = tmp_path / "msa.cfg"
+        config.write_text("n_segments = 7\nsegment_duration = 0.5\n", encoding="utf-8")
+        emb = tmp_path / "seg.bin"
+        assert main(["embed", "--msa", "--wav-list", str(wav_list), "--config", str(config),
+                     "--output", str(emb)]) == 0
+        store = read_embeddings_file(emb)
+        assert len(store) == 28
+        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1"), Trial("u2", "u3")])
+        outputs = []
+        for flags in ([], ["--config", str(config)]):
+            capsys.readouterr()
+            assert main(["score", "--msa", "--trials", str(trials), "--embeddings", str(emb),
+                         *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        segments = [store.rows([segment_id(u, k) for k in range(7)]) for u in ("u0", "u1")]
+        assert parse_scores(outputs[0]).scores[0] == pytest.approx(
+            np.mean(segments[0] @ segments[1].T), abs=1e-9)
+
+    def test_msa_segment_count_over_cap_is_data_error(self, tmp_path, capsys):
+        n = MAX_N_SEGMENTS + 1
+        ids = [segment_id(u, k) for u in ("u0", "u1") for k in range(n)]
+        emb = tmp_path / "seg.bin"
+        write_embeddings_file(EmbeddingStore(ids, np.tile(np.eye(4)[0], (len(ids), 1))), emb)
+        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1")])
+        code = main(["score", "--msa", "--trials", str(trials), "--embeddings", str(emb)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"utterance 'u0' has more than {MAX_N_SEGMENTS} segments" in captured.err
+
     @pytest.mark.parametrize(
         "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"]], ids=["raw", "asnorm", "msa"]
     )
@@ -421,6 +459,22 @@ class TestEmbed:
         # each distinct offset is embedded once: 1 + 5 + 1 + 3 segments
         assert [len(read_wav(p)) for p in wavs.values()] == [40000, 120000, 96000, 96002]
         assert len(calls) == distinct == (10 if flags else 4)
+
+    def test_duplicate_utterance_id_names_line_before_reading(self, tmp_path, capsys,
+                                                              monkeypatch):
+        good = tone_wav(tmp_path / "good.wav", 440)
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text(f"a {good}\nb {good}\n\na {good}\n", encoding="utf-8")
+        reads = []
+        monkeypatch.setattr("svkit.cli.read_wav", lambda *a, **k: reads.append(a))
+        out = tmp_path / "emb.bin"
+        code = main(["embed", "--wav-list", str(wav_list), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {wav_list}:4: duplicate utterance id 'a'"]
+        assert reads == []
+        assert not out.exists()
 
     def test_failing_utterance_is_named(self, tmp_path, capsys):
         good = tone_wav(tmp_path / "good.wav", 440)
@@ -589,6 +643,20 @@ class TestFuse:
         fitted = parse_scores(fused_out.read_text())
         assert np.allclose(applied.scores, fitted.scores, atol=1e-12)
 
+    def test_model_system_count_mismatch_is_data_error(self, tmp_path, capsys):
+        trial_objs = [Trial("a", "b"), Trial("a", "c")]
+        trials = write_trials(tmp_path / "t.txt", trial_objs)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        model = tmp_path / "model.txt"
+        model.write_text("0.1 1.0 2.0\n", encoding="utf-8")
+        code = main(["fuse", "--trials", str(trials), "--scores", str(s1), "--model", str(model)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: model has 2 systems but matrix has 1 columns"
+        ]
+
     def test_needs_fit_or_model(self, tmp_path, capsys):
         trial_objs = [Trial("a", "b", label=True), Trial("a", "c", label=False)]
         trials = write_trials(tmp_path / "t.txt", trial_objs)
@@ -625,6 +693,109 @@ class TestFuse:
         if code == 0:
             assert captured.err == ""
             assert len(captured.out.splitlines()) == len(trial_objs)
+        else:
+            assert captured.out == ""
+
+
+class TestTextInputs:
+    """Input files: one regular-file check, UTF-8 text, "<key> <path>" lists."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        write_trials(tmp_path / "labeled.txt", [Trial("a", "b", True), Trial("a", "c", False)])
+        write_trials(tmp_path / "pairs.txt", [Trial("a", "b"), Trial("a", "c")])
+        (tmp_path / "scores.txt").write_text("a b 0.5\na c 0.1\n", encoding="utf-8")
+        (tmp_path / "model.txt").write_text("0.0 1.0\n", encoding="utf-8")
+        (tmp_path / "bad.txt").write_bytes(b"a \xff\n")
+        tone_wav(tmp_path / "in.wav", 440)
+        return {p.stem: str(p) for p in tmp_path.iterdir()} | {"out": str(tmp_path / "o")}
+
+    @pytest.mark.parametrize(
+        "what, argv",
+        [
+            ("trials", ["evaluate", "--trials", "bad", "--scores", "scores"]),
+            ("scores", ["evaluate", "--trials", "labeled", "--scores", "bad"]),
+            ("trials", ["score", "--trials", "bad", "--embeddings", "scores"]),
+            ("scores", ["fuse", "--trials", "pairs", "--scores", "scores", "bad",
+                        "--model", "model"]),
+            ("model", ["fuse", "--trials", "pairs", "--scores", "scores", "--model", "bad"]),
+            ("wav list", ["embed", "--wav-list", "bad", "--output", "out"]),
+            ("manifest", ["augment", "--wav", "in", "--manifest", "bad", "--output", "out"]),
+            ("config", ["features", "--wav", "in", "--config", "bad", "--output", "out"]),
+            ("config", ["schedule-dump", "--config", "bad", "--steps", "3"]),
+        ],
+        ids=["evaluate-trials", "evaluate-scores", "score-trials", "fuse-scores", "fuse-model",
+             "embed-wav-list", "augment-manifest", "pipeline-config", "schedule-config"],
+    )
+    def test_non_utf8_byte_names_file_and_offset(self, files, capsys, what, argv):
+        code = main([files.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {what} file {files['bad']}: byte 2 is not UTF-8"
+        ]
+
+    def test_over_long_path_is_not_found(self, tmp_path, capsys):
+        long_name = str(tmp_path / ("x" * 5000))
+        code = main(["evaluate", "--trials", long_name, "--scores", long_name])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: trials file not found: {long_name}"]
+
+    def test_missing_manifest_wav_is_not_found(self, tmp_path, capsys):
+        manifest = tmp_path / "bank.txt"
+        manifest.write_text("noise gone.wav\n", encoding="utf-8")
+        wav = tone_wav(tmp_path / "in.wav", 440)
+        code = main(["augment", "--wav", str(wav), "--manifest", str(manifest),
+                     "--output", str(tmp_path / "o.wav")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [f"error: wav file not found: {tmp_path / 'gone.wav'}"]
+
+    KEYS = [b"u0", b"u1", b"noise", b"music", b"speech", b"rir", b"a#0", b"\xff", b"\xc3\xa9", b""]
+    SEPARATORS = [b" ", b"\t", b"  ", b"\x0c", b""]
+    PATHS = [b"in.wav", b"in.wav ", b"gone.wav", b".", b"/", b"\x00", b"\xff.wav", b""]
+    LINE = st.tuples(*map(st.sampled_from, (KEYS, SEPARATORS, PATHS))).map(b"".join)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["embed", "augment"]),
+        seed=st.integers(0, 7),
+        list_bytes=st.one_of(
+            st.binary(max_size=40),
+            st.lists(LINE, max_size=4).map(b"\n".join),
+            st.lists(LINE, max_size=4).map(b"\r\n".join),
+        ),
+    )
+    def test_fuzzed_path_list_keeps_cli_contract(self, tmp_path, capsys, command, seed,
+                                                 list_bytes):
+        wav = tmp_path / "in.wav"
+        if not wav.exists():
+            tone_wav(wav, 440, duration=0.1)
+        listing = tmp_path / "list.txt"
+        listing.write_bytes(list_bytes)
+        out = tmp_path / "out.bin"
+        argv = {
+            "embed": ["embed", "--wav-list", str(listing), "--output", str(out)],
+            "augment": ["augment", "--wav", str(wav), "--manifest", str(listing),
+                        "--output", str(out), "--seed", str(seed)],
+        }[command]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) <= 1
+        if code == 0:
+            assert captured.err == ""
+            assert len(captured.out.splitlines()) == 1
         else:
             assert captured.out == ""
 

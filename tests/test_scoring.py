@@ -16,6 +16,7 @@ from svkit.features import Waveform
 from svkit.model import length_normalize
 from svkit.scoring import (
     COHORT_BLOCK,
+    MAX_N_SEGMENTS,
     SegmentPlan,
     TRIAL_CHUNK,
     asnorm_score,
@@ -523,6 +524,39 @@ class TestScoreTrials:
         a = store.rows([segment_id("u0", i) for i in range(5)]).astype(np.float64)
         b = store.rows([segment_id("u1", i) for i in range(5)]).astype(np.float64)
         assert result.scores[0] == msa_score(a, b)
+
+    def test_msa_segment_count_is_read_from_store(self):
+        rng = np.random.default_rng(21)
+        utts = ["u0", "u1", "u2", "u3"]
+        store = make_store(rng, [segment_id(u, i) for u in utts for i in range(7)])
+        result = score_trials(self.trial_list(), store, mode="msa")
+        a = store.rows([segment_id("u2", i) for i in range(7)])
+        b = store.rows([segment_id("u3", i) for i in range(7)])
+        assert result.scores[1] == msa_score(a, b)
+
+    def test_msa_extra_segment_names_utterance(self):
+        rng = np.random.default_rng(22)
+        ids = [segment_id(u, i) for u in ["u0", "u1", "u2", "u3"] for i in range(5)]
+        store = make_store(rng, ids + [segment_id("u3", 5)])
+        with pytest.raises(ValueError, match="utterance 'u3' has more than the 5 segments of 'u0'"):
+            score_trials(self.trial_list(), store, mode="msa")
+
+    def test_msa_segment_count_over_cap_rejected(self):
+        rng = np.random.default_rng(24)
+        n = MAX_N_SEGMENTS + 1
+        store = make_store(rng, [segment_id(u, i) for u in ["u0", "u1", "u2", "u3"] for i in range(n)])
+        with pytest.raises(ValueError, match=f"utterance 'u0' has more than {MAX_N_SEGMENTS} segments"):
+            score_trials(self.trial_list(), store, mode="msa")
+
+    @pytest.mark.parametrize(
+        "ids, missing",
+        [(["u0", "u1", "u2", "u3"], "u0#0"), (["u0#0", "u1#0", "u2#0"], "u3#0")],
+        ids=["plain", "missing-segment"],
+    )
+    def test_msa_missing_segment_names_id(self, ids, missing):
+        store = make_store(np.random.default_rng(23), ids)
+        with pytest.raises(ValueError, match=f"utterance id '{missing}' not in embedding store"):
+            score_trials(self.trial_list(), store, mode="msa")
 
     def test_chunked_modes_equal_scalar_routes(self):
         # several gathers long, so chunk edges fall inside the list

@@ -1,7 +1,9 @@
 """Trial list, score file, and embedding store I/O."""
 
 import io
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +26,46 @@ from svkit.trials import (
     parse_scores,
     parse_trials,
     read_embeddings,
+    read_path_list,
+    read_text,
+    require_file,
     serialize_scores,
     serialize_trials,
     write_embeddings,
 )
+
+
+class TestInputFiles:
+    def test_require_file_rejects_missing_directory_device_and_long_name(self, tmp_path):
+        for path in (tmp_path / "absent", tmp_path, os.devnull, tmp_path / ("x" * 5000)):
+            with pytest.raises(ValueError) as exc:
+                require_file(path, "trials")
+            assert str(exc.value) == f"trials file not found: {path}"
+
+    def test_read_text_names_file_and_offset_of_bad_byte(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("1 é b\n".encode("utf-8") + b"0 a \xc3")
+        with pytest.raises(ValueError) as exc:
+            read_text(path, "trials")
+        assert str(exc.value) == f"trials file {path}: byte 11 is not UTF-8"
+        path.write_bytes(b"1 a b\r\n")
+        assert read_text(path, "trials") == "1 a b\r\n"
+
+    def test_path_list_resolves_against_list_directory(self, tmp_path):
+        listing = tmp_path / "list.txt"
+        listing.write_text("a x.wav\n\n  \nb\t sub/with space.wav \nc /abs/y.wav\n")
+        assert read_path_list(listing, "wav list") == [
+            (1, "a", tmp_path / "x.wav"),
+            (4, "b", tmp_path / "sub" / "with space.wav"),
+            (5, "c", Path("/abs/y.wav")),
+        ]
+
+    def test_path_list_one_token_line_names_file_and_line(self, tmp_path):
+        listing = tmp_path / "list.txt"
+        listing.write_text("a x.wav\nlonely \n")
+        with pytest.raises(ValueError) as exc:
+            read_path_list(listing, "wav list")
+        assert str(exc.value) == f"{listing}:2: expected '<key> <path>'"
 
 
 class TestParseTrials:
