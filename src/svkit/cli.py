@@ -33,6 +33,7 @@ from .schedule import dump_schedule
 from .selftest import run_selftest
 from .trials import (
     EmbeddingStore,
+    parse_file,
     parse_scores,
     parse_trials,
     read_embeddings_file,
@@ -129,7 +130,7 @@ def cmd_score(args) -> int:
     cfg = _load_config(args)
     if args.asnorm and args.msa:
         raise UsageError("choose one of --asnorm and --msa")
-    trials = parse_trials(read_text(args.trials, "trials"), labeled=args.labeled)
+    trials = parse_file(args.trials, "trials", parse_trials, args.labeled)
     store = read_embeddings_file(require_file(args.embeddings, "embeddings"), normalized=True)
     mode = "asnorm" if args.asnorm else "msa" if args.msa else "raw"
     cohort = None
@@ -145,8 +146,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    trials = parse_trials(read_text(args.trials, "trials"), labeled=True)
-    scores = parse_scores(read_text(args.scores, "scores"), trials)
+    trials = parse_file(args.trials, "trials", parse_trials, True)
+    scores = parse_file(args.scores, "scores", parse_scores, trials)
     cfg = DcfConfig(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
     eer_pct, dcf = evaluate_scores(scores, cfg)
     print(f"EER(%) {eer_pct:.6f}")
@@ -157,8 +158,9 @@ def cmd_evaluate(args) -> int:
 def cmd_fuse(args) -> int:
     if not args.fit_labels and not args.model:
         raise UsageError("fuse needs --fit-labels (to fit) or --model (to apply)")
-    trials = parse_trials(read_text(args.trials, "trials"), labeled=args.fit_labels)
-    matrix = stack_scores([parse_scores(read_text(p, "scores"), trials) for p in args.scores])
+    # applying a model takes a labeled or an unlabeled list: its first non-blank line decides
+    trials = parse_file(args.trials, "trials", parse_trials, True if args.fit_labels else None)
+    matrix = stack_scores([parse_file(p, "scores", parse_scores, trials) for p in args.scores])
     if args.fit_labels:
         model = fit_fusion(matrix, trials.labels(), l2=args.l2)
         if args.model:

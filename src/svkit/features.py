@@ -23,6 +23,8 @@ MEL_MAGIC = b"MEL1"
 # size the filterbank (n_mels x (n_fft/2 + 1) float64, at most 34 MB)
 MAX_N_FFT = 1 << 15
 MAX_N_MELS = 256
+# frames windowed and transformed per block in compute_logmel
+LOGMEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,25 @@ def compute_logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> MelFeat
     win, hop = cfg.frame_lengths(w.sample_rate)
     if len(w) < win:
         raise ValueError(f"waveform too short: {len(w)} samples < {win} window")
-    # the windowed frames are a temporary, freed before the power spectrum
-    # is allocated: that keeps a long utterance's peak memory down
     frames = sliding_window_view(w.samples, win)[::hop]
-    spectrum = np.fft.rfft(frames * _window(win), n=cfg.n_fft, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
+    window = _window(win)
+    # window, FFT and power go through buffers reused for every block of
+    # frames, so no full-length frame or spectrum temporary is allocated.
+    # An rfft row does not depend on its block, so the power rows are those
+    # of one whole-matrix rfft; the filterbank gemm stays one whole-matrix
+    # product, because a gemm in row blocks can change the last bits.
+    power = np.empty((len(frames), cfg.n_fft // 2 + 1))
+    windowed = np.empty((min(LOGMEL_BLOCK, len(frames)), win))
+    spectrum = np.empty((len(windowed), power.shape[1]), dtype=np.complex128)
+    imag_sq = np.empty(spectrum.shape)
+    for start in range(0, len(frames), LOGMEL_BLOCK):
+        block = frames[start : start + LOGMEL_BLOCK]
+        n = len(block)
+        np.multiply(block, window, out=windowed[:n])
+        np.fft.rfft(windowed[:n], n=cfg.n_fft, axis=1, out=spectrum[:n])
+        np.square(spectrum[:n].real, out=power[start : start + n])
+        np.square(spectrum[:n].imag, out=imag_sq[:n])
+        power[start : start + n] += imag_sq[:n]
     mel_power = power @ _filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate).T
     bins = np.log(np.maximum(mel_power, cfg.log_floor)).T
     return MelFeatures(bins=bins, cmn_applied=False)

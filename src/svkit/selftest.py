@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .augment import mix_at_snr, speed_output_length, speed_perturb
-from .features import Waveform, match_length
+from .features import LOGMEL_BLOCK, Waveform, match_length
 from .fusion import fit_fusion, fuse_matrix, mean_log_loss
 from .metrics import DcfConfig, eer, min_dcf, roc_points
 from .model import (
@@ -199,6 +199,24 @@ def check_reduction_identities() -> bool:
     return True
 
 
+def check_fft_block_rows() -> bool:
+    # compute_logmel transforms its frames in blocks of LOGMEL_BLOCK rows
+    # into a reused buffer; its bytes equal a whole-matrix rfft's only if
+    # every row is the same in a block as in the whole matrix, a property of
+    # numpy's FFT build. The sizes include a short tail block.
+    rng = np.random.default_rng(107)
+    for n_rows, win, n_fft in ((3 * LOGMEL_BLOCK + 8, 400, 512), (LOGMEL_BLOCK + 1, 320, 400)):
+        frames = rng.standard_normal((n_rows, win))
+        whole = np.fft.rfft(frames, n=n_fft, axis=1)
+        block = np.empty((LOGMEL_BLOCK, n_fft // 2 + 1), dtype=np.complex128)
+        for start in range(0, n_rows, LOGMEL_BLOCK):
+            part = frames[start : start + LOGMEL_BLOCK]
+            np.fft.rfft(part, n=n_fft, axis=1, out=block[: len(part)])
+            if block[: len(part)].tobytes() != whole[start : start + len(part)].tobytes():
+                return False
+    return True
+
+
 def check_snr_fidelity() -> bool:
     rng = np.random.default_rng(105)
     for _ in range(20):
@@ -272,6 +290,7 @@ CHECKS = (
     ("asnorm-oracle", check_asnorm_oracle),
     ("gradient-finite-difference", check_gradients),
     ("reduction-identities", check_reduction_identities),
+    ("fft-block-rows", check_fft_block_rows),
     ("snr-fidelity", check_snr_fidelity),
     ("schedule-values", check_schedule_values),
     ("shape-planner", check_shape_planner),

@@ -4,7 +4,8 @@ Text formats are one trial per line: either "label enroll test" (label
 in {0, 1}) or "enroll test" for unlabeled lists. Scores are stored
 as "enroll test score" lines. Embeddings use the little-endian "EMB1"
 binary layout so round-trips are bit-exact. Every text input svkit
-reads goes through `read_text`, every other input file through `require_file`.
+reads goes through `read_text` (trial and score files through
+`parse_file`), every other input file through `require_file`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ class TrialParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 class StoreFormatError(ValueError):
@@ -53,6 +55,18 @@ def read_text(path, what: str) -> str:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{what} file {path}: byte {exc.start} is not UTF-8") from None
+
+
+def parse_file(path, what: str, parse, *args):
+    """`parse(text, *args)` over a text input file. A parse error names the
+    file: "<path>:<line>: <message>" when it has a line, else "<path>: ..."."""
+    text = read_text(path, what)
+    try:
+        return parse(text, *args)
+    except TrialParseError as exc:
+        raise ValueError(f"{path}:{exc.line_no}: {exc.message}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_path_list(path, what: str) -> list[tuple[int, str, Path]]:
@@ -106,23 +120,21 @@ class TrialList:
         has_label = [t.label is not None for t in trials]
         if any(has_label) and not all(has_label):
             raise ValueError("trial labels must be all-or-none")
-        flat_ids = [u for t in trials for u in (t.enroll_id, t.test_id)]
-        self._intern(flat_ids, [t.label for t in trials] if any(has_label) else None)
+        labels = np.array([t.label for t in trials], dtype=bool) if any(has_label) else None
+        self._set(*_interned([u for t in trials for u in (t.enroll_id, t.test_id)]), labels)
 
     @classmethod
-    def _from_flat_ids(cls, flat_ids: list[str], labels: list[bool] | None) -> TrialList:
-        """List from the ids [enroll0, test0, enroll1, test1, ...], unchecked."""
+    def _from_codes(cls, ids: list[str], pairs: np.ndarray, labels: np.ndarray | None) -> TrialList:
+        """List from its unique ids, the codes [enroll0, test0, enroll1, ...]
+        into them and its bool labels (None or empty when unlabeled), unchecked."""
         trial_list = cls.__new__(cls)
-        trial_list._intern(flat_ids, labels)
+        trial_list._set(ids, pairs, labels)
         return trial_list
 
-    def _intern(self, flat_ids: list[str], labels: list[bool] | None) -> None:
-        ids = list(dict.fromkeys(flat_ids))
-        code = dict(zip(ids, range(len(ids))))
-        pairs = np.fromiter(map(code.__getitem__, flat_ids), np.intp, len(flat_ids))
+    def _set(self, ids: list[str], pairs: np.ndarray, labels: np.ndarray | None) -> None:
         self.ids = np.array(ids, dtype=object)
         self.enroll, self.test = pairs.reshape(-1, 2).T
-        self._labels = np.array(labels, dtype=bool) if labels else None
+        self._labels = labels if labels is not None and len(labels) else None
         for array in (self.ids, self.enroll, self.test, self._labels):
             if array is not None:
                 array.setflags(write=False)
@@ -240,19 +252,99 @@ class EmbeddingStore:
         return self.vectors[index]
 
 
-def parse_trials(text: str, labeled: bool) -> TrialList:
+# The text layer. parse_trials and parse_scores first try one tokenizer
+# that proves a text well-formed chunk by chunk at C speed; any text it
+# cannot prove goes to the per-line loop, which accepts the same language
+# and alone raises, so every error names its line as the loop counts it.
+
+_CHUNK_CHARS = 1 << 16
+# each "\n" becomes the token "\x00", so no text holding a NUL is proven;
+# nor is one holding a line break of str.splitlines() other than "\n"
+_LOOP_ONLY = ("\x00", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class _Unproven(Exception):
+    """The tokenizer cannot prove the text well-formed: the per-line loop decides."""
+
+
+def _field_chunks(text: str, width: int) -> Iterator[list[str]]:
+    """The fields of `text` row-major, one chunk of about 64 KiB of whole lines
+    at a time. Raises _Unproven unless every line ends at "\n" (or the end of
+    the text) and has exactly `width` fields, so no line is blank."""
+    if any(c in text for c in _LOOP_ONLY):
+        raise _Unproven
+    step = width + 1
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        chunk = text[start:end]
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        tokens = chunk.replace("\n", " \x00 ").split()
+        lines = chunk.count("\n")
+        # exactly `lines` markers exist, so a marker at every step-th token
+        # and nowhere else leaves `width` fields on every line
+        if len(tokens) != lines * step or tokens[width::step].count("\x00") != lines:
+            raise _Unproven
+        del tokens[width::step]
+        yield tokens
+        start = end
+
+
+def _codes(code: dict[str, int], ids: list[str]) -> np.ndarray:
+    """The code of each id in `code`, an id not yet in it added in first-seen order."""
+    fresh = [u for u in dict.fromkeys(ids) if u not in code]
+    code.update(zip(fresh, range(len(code), len(code) + len(fresh))))
+    return np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+
+
+def _interned(flat_ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """(unique ids in first-seen order, the code of each of `flat_ids`)."""
+    code: dict[str, int] = {}
+    codes = _codes(code, flat_ids)
+    return list(code), codes
+
+
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
+def parse_trials(text: str, labeled: bool | None) -> TrialList:
     """Parse a trial list from text.
 
     Labeled lines are "label enroll test" with label in {0, 1}; unlabeled
-    lines are "enroll test". Blank lines are skipped. Duplicate pairs are
-    allowed; order is preserved.
+    lines are "enroll test". With `labeled=None` the first non-blank line
+    decides: three fields make the list labeled, any other count unlabeled.
+    Blank lines are skipped. Duplicate pairs are allowed; order is preserved.
     """
+    want = labeled
+    if want is None:  # a blank first line leaves the decision to the loop
+        want = len(text.partition("\n")[0].split()) == 3
+    code: dict[str, int] = {}
+    pairs, labels = [], []
+    try:
+        for fields in _field_chunks(text, 3 if want else 2):
+            if want:
+                marks = fields[::3]
+                if not set(marks) <= {"0", "1"}:
+                    raise _Unproven
+                labels.append(np.frombuffer("".join(marks).encode(), np.uint8) == ord("1"))
+                del fields[::3]
+            pairs.append(_codes(code, fields))
+    except _Unproven:
+        return _parse_trial_lines(text, labeled)
+    return TrialList._from_codes(list(code), _concat(pairs, np.intp), _concat(labels, bool))
+
+
+def _parse_trial_lines(text: str, labeled: bool | None) -> TrialList:
     # ids are tokens of str.split(), so they are non-empty and hold no
     # whitespace: the checks Trial makes on its ids cannot fail here
-    want = 3 if labeled else 2
     fields: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
+        if labeled is None and tokens:
+            labeled = len(tokens) == 3
+        want = 3 if labeled else 2
         if len(tokens) != want:
             if not tokens:
                 continue
@@ -262,9 +354,9 @@ def parse_trials(text: str, labeled: bool) -> TrialList:
         fields += tokens
     labels = None
     if labeled:
-        labels = [y == "1" for y in fields[::3]]
+        labels = np.array([y == "1" for y in fields[::3]], dtype=bool)
         del fields[::3]
-    return TrialList._from_flat_ids(fields, labels)
+    return TrialList._from_codes(*_interned(fields), labels)
 
 
 def serialize_trials(trial_list: TrialList) -> str:
@@ -285,11 +377,32 @@ def format_score(value: float) -> str:
     return f"{v:.{decimals}f}"
 
 
+def _score_decimals(scores: np.ndarray) -> np.ndarray:
+    """format_score's number of decimals for every score (9 for ±0)."""
+    magnitude = np.abs(scores)
+    zero = magnitude == 0.0
+    logs = np.log10(np.where(zero, 1.0, magnitude))
+    exponents = np.floor(logs)
+    # np.log10 may differ from math.log10 in the last bits, which moves the
+    # floor only for a log next to an integer: those take format_score's route
+    for k in np.flatnonzero(~zero & (np.abs(logs - np.rint(logs)) < 1e-9)).tolist():
+        exponents[k] = floor(log10(magnitude[k]))
+    decimals = np.maximum(0.0, 8.0 - exponents).astype(np.intp)
+    decimals[zero] = 9
+    return decimals
+
+
 def serialize_scores(score_set: ScoreSet) -> str:
-    """One "enroll test score" line per trial."""
+    """One "enroll test score" line per trial, each score as format_score
+    writes it: one %-format per precision in use, applied in one call."""
     enroll, test = (ids.tolist() for ids in score_set.trials.pair_ids())
-    scores = score_set.scores.tolist()
-    return "".join(f"{e} {t} {format_score(s)}\n" for e, t, s in zip(enroll, test, scores))
+    scores = score_set.scores
+    decimals = _score_decimals(scores)
+    line_formats = {d: f"%s %s %.{d}f\n" for d in np.unique(decimals).tolist()}
+    fields: list = [None] * (3 * len(scores))
+    fields[0::3], fields[1::3] = enroll, test
+    fields[2::3] = np.where(scores == 0.0, 0.0, scores).tolist()  # -0.0 writes as 0
+    return "".join(map(line_formats.__getitem__, decimals.tolist())) % tuple(fields)
 
 
 def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
@@ -299,6 +412,35 @@ def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
     parsed set then carries its labels); otherwise an unlabeled TrialList is
     reconstructed from the score file itself.
     """
+    code: dict[str, int] = {}
+    pairs, values = [], []
+    done = 0
+    if trials is not None:
+        want_ids = np.stack((trials.enroll, trials.test), axis=1)
+    try:
+        for fields in _field_chunks(text, 3):
+            n = len(fields) // 3
+            try:
+                values.append(np.fromiter(map(float, fields[2::3]), np.float64, n))
+            except ValueError:
+                raise _Unproven from None
+            del fields[2::3]
+            if trials is None:
+                pairs.append(_codes(code, fields))
+            elif fields != trials.ids[want_ids[done : done + n]].ravel().tolist():
+                raise _Unproven
+            done += n
+        scores = _concat(values, np.float64)
+        if not np.isfinite(scores).all() or (trials is not None and done != len(trials)):
+            raise _Unproven
+    except _Unproven:
+        return _parse_score_lines(text, trials)
+    if trials is None:
+        trials = TrialList._from_codes(list(code), _concat(pairs, np.intp), None)
+    return ScoreSet(trials, scores)
+
+
+def _parse_score_lines(text: str, trials: TrialList | None) -> ScoreSet:
     flat_ids: list[str] = []
     scores: list[float] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -316,7 +458,7 @@ def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
         flat_ids += tokens[:2]
         scores.append(value)
     if trials is None:
-        trials = TrialList._from_flat_ids(flat_ids, None)
+        trials = TrialList._from_codes(*_interned(flat_ids), None)
     elif len(scores) != len(trials):
         raise ValueError(f"score file has {len(scores)} lines for {len(trials)} trials")
     else:

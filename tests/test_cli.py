@@ -584,9 +584,7 @@ class TestEvaluateFixture:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert "line 2" in captured.err
-        assert f"non-finite score '{token}'" in captured.err
+        assert captured.err == f"error: {scores}:2: non-finite score '{token}'\n"
 
 
 class TestFuse:
@@ -656,6 +654,51 @@ class TestFuse:
         assert captured.err.splitlines() == [
             "error: model has 2 systems but matrix has 1 columns"
         ]
+
+    def test_bad_second_score_file_is_named(self, tmp_path, capsys):
+        trial_objs = [Trial("a", "b"), Trial("a", "c")]
+        trials = write_trials(tmp_path / "p.txt", trial_objs)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        s2 = tmp_path / "s2.txt"
+        s2.write_text("a b 0.25\na c nan\n", encoding="utf-8")
+        model = tmp_path / "m.txt"
+        model.write_text("0.1 1.0 2.0\n", encoding="utf-8")
+        argv = ["fuse", "--trials", str(trials), "--scores", str(s1), str(s2), "--model", str(model)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {s2}:2: non-finite score 'nan'\n"
+        # a well-formed file for other trials names the file and its line
+        s2.write_text("a b 0.25\n\na d 0.5\n", encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {s2}: score line 3 is for (a, d), trial list has (a, c)\n"
+        )
+
+    def test_model_applies_to_labeled_and_unlabeled_list_alike(self, tmp_path, capsys):
+        trial_objs = [Trial(f"e{i % 3}", f"t{i}", label=bool(i % 2)) for i in range(6)]
+        labeled = write_trials(tmp_path / "labeled.txt", trial_objs)
+        unlabeled = write_trials(
+            tmp_path / "unlabeled.txt", [Trial(t.enroll_id, t.test_id) for t in trial_objs]
+        )
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, np.linspace(-1, 1, 6))
+        s2 = self.write_score_file(tmp_path / "s2.txt", trial_objs, np.cos(np.arange(6)))
+        model = tmp_path / "m.txt"
+        model.write_text("0.1 1.0 2.0\n", encoding="utf-8")
+        fused = []
+        for trials in (labeled, unlabeled):
+            out = tmp_path / f"fused-{trials.stem}.txt"
+            argv = ["fuse", "--trials", str(trials), "--scores", str(s1), str(s2),
+                    "--model", str(model), "--output", str(out)]
+            assert main(argv) == 0
+            fused.append(out.read_bytes())
+        assert fused[0] == fused[1]
+        assert len(fused[0].splitlines()) == 6
+        # a list mixing the forms fails at the first line that disagrees
+        labeled.write_text("1 e0 t0\n\ne1 t1\n", encoding="utf-8")
+        argv = ["fuse", "--trials", str(labeled), "--scores", str(s1), "--model", str(model)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {labeled}:3: expected 3 fields, got 2\n"
 
     def test_needs_fit_or_model(self, tmp_path, capsys):
         trial_objs = [Trial("a", "b", label=True), Trial("a", "c", label=False)]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from _sources import RecordingSource
 from svkit.features import (
+    LOGMEL_BLOCK,
     FeatureConfig,
     MelFeatures,
     Waveform,
@@ -97,6 +98,9 @@ class TestComputeLogmel:
         hop = int(round(cfg.hop_s * RATE))
         rng = np.random.default_rng(5)
         lengths = [win, win + hop - 1, win + hop, *rng.integers(win, 3 * RATE, size=5)]
+        # frame counts either side of one and two whole frame blocks, and a 10 s clip
+        frame_counts = [LOGMEL_BLOCK * k + d for k in (1, 2) for d in (-1, 0, 1)]
+        lengths += [win + (count - 1) * hop for count in frame_counts] + [10 * RATE]
         other = dataclasses.replace(cfg, n_mels=24)  # interleaved, so the cached filterbank switches
         for n in lengths:
             w = Waveform(0.3 * rng.standard_normal(int(n)), RATE)

@@ -4,6 +4,7 @@ import io
 import os
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _sources import RecordingSource
-from _text_oracle import Rejected, first_seen, reference_scores, reference_trials
+from _text_oracle import Mismatch, Rejected, first_seen, reference_scores, reference_trials
+from svkit import trials as trials_module
 from svkit.fusion import stack_scores
 from svkit.metrics import roc_points
 from svkit.scoring import score_trials
@@ -432,35 +434,36 @@ def check_trials(text, labeled):
         with pytest.raises(TrialParseError) as info:
             parse_trials(text, labeled)
         assert info.value.line_no == rejected.line_no
+        assert str(info.value) == str(rejected)
         return
     tl = parse_trials(text, labeled)
     enroll, test = tl.pair_ids()
     assert list(zip(enroll.tolist(), test.tolist())) == pairs
     assert tl.ids.tolist() == first_seen(pairs)
+    assert tl.enroll.dtype == tl.test.dtype == np.intp
     assert tl.labeled == bool(labels)
     if labels:
         assert tl.labels().tolist() == labels
 
 
 def check_scores(text, trials):
+    expected = None
+    if trials is not None:
+        expected = list(zip(*(ids.tolist() for ids in trials.pair_ids())))
     try:
-        pairs, scores, line_nos = reference_scores(text)
+        pairs, scores, _ = reference_scores(text, expected)
     except Rejected as rejected:
         with pytest.raises(TrialParseError) as info:
             parse_scores(text, trials)
         assert info.value.line_no == rejected.line_no
+        assert str(info.value) == str(rejected)
         return
-    if trials is not None:
-        expected = list(zip(*(ids.tolist() for ids in trials.pair_ids())))
-        if len(expected) != len(pairs):
-            with pytest.raises(ValueError, match="lines for"):
-                parse_scores(text, trials)
-            return
-        bad = [k for k, (a, b) in enumerate(zip(pairs, expected)) if a != b]
-        if bad:
-            with pytest.raises(ValueError, match=f"^score line {line_nos[bad[0]]} is for"):
-                parse_scores(text, trials)
-            return
+    except Mismatch as mismatch:
+        with pytest.raises(ValueError) as info:
+            parse_scores(text, trials)
+        assert type(info.value) is ValueError
+        assert str(info.value) == str(mismatch)
+        return
     got = parse_scores(text, trials)
     assert got.scores.tolist() == scores
     if trials is None:
@@ -470,6 +473,21 @@ def check_scores(text, trials):
         assert not got.trials.labeled
     else:
         assert got.trials is trials
+
+
+def near_trial_list(data, pairs):
+    """The trial list `pairs` describes, or one near it: a pair dropped,
+    renamed or added at the end."""
+    pairs = list(pairs)
+    edit = data.draw(st.sampled_from(["same", "drop", "rename", "add"]))
+    if edit == "add":
+        pairs.append((data.draw(IDS), data.draw(IDS)))
+    elif edit == "drop" and pairs:
+        del pairs[data.draw(st.integers(0, len(pairs) - 1))]
+    elif edit == "rename" and pairs:
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        pairs[k] = (pairs[k][0], pairs[k][1] + "x")
+    return TrialList(tuple(Trial(e, t) for e, t in pairs))
 
 
 class TestParserFuzz:
@@ -497,13 +515,98 @@ class TestParserFuzz:
             pairs, _, _ = reference_scores(text)
         except Rejected:
             pairs = [(data.draw(IDS), data.draw(IDS))]
-        edit = data.draw(st.sampled_from(["same", "drop", "rename"]))
-        if edit == "drop" and pairs:
-            del pairs[data.draw(st.integers(0, len(pairs) - 1))]
-        elif edit == "rename" and pairs:
-            k = data.draw(st.integers(0, len(pairs) - 1))
-            pairs[k] = (pairs[k][0], pairs[k][1] + "x")
-        check_scores(text, TrialList(tuple(Trial(e, t) for e, t in pairs)))
+        check_scores(text, near_trial_list(data, pairs))
+
+
+# Every line break of str.splitlines() but "\n", and other text that makes
+# a line blank or odd: with any of them the parsers must still give what
+# the per-line oracle gives.
+ODD_TEXT = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+            "\x00", "\t", "\x1f", "\u3000", "\n", "\n\n", "\n \t\n", " \n"]
+FIELDS = st.one_of(IDS, st.sampled_from(["0", "1", "2", "ü/ñ.wav", "日本語", "-0.5"]), SCORE_TOKENS)
+GOOD_SCORES = st.floats(allow_nan=False, allow_infinity=False).map(format_score)
+
+
+@st.composite
+def mixed_texts(draw):
+    """Lines of one shape (labeled trial, unlabeled trial or score) with up
+    to three defects: a line of random fields (ids, labels and scores
+    mixed), a field moved to the next line (so the field count of the two
+    lines still adds up), a line whose fields are parted by odd text, or odd
+    text put in anywhere. A final newline or none."""
+    shape = draw(st.sampled_from(["labeled", "unlabeled", "scores"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        fields = [draw(IDS), draw(IDS)]
+        if shape == "labeled":
+            fields.insert(0, draw(st.sampled_from(["0", "1"])))
+        elif shape == "scores":
+            fields.append(draw(GOOD_SCORES))
+        rows.append(fields)
+    seps = [draw(SEP) for _ in rows]
+    odd = 0
+    for _ in range(draw(st.integers(0, 3))):
+        defect = draw(st.sampled_from(["fields", "move", "odd-sep", "odd"]))
+        k = draw(st.integers(0, max(0, len(rows) - 1)))
+        if defect == "fields" and rows:
+            rows[k] = draw(st.lists(FIELDS, max_size=4))
+        elif defect == "move" and k + 1 < len(rows) and rows[k]:
+            rows[k + 1].insert(0, rows[k].pop())
+        elif defect == "odd-sep" and rows:
+            seps[k] = draw(st.sampled_from(ODD_TEXT))
+        else:
+            odd += 1
+    text = "\n".join(sep.join(fields) for sep, fields in zip(seps, rows))
+    text += draw(st.sampled_from(["", "\n"]))
+    for _ in range(odd):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(ODD_TEXT)) + text[at:]
+    return text
+
+
+class TestTokenizer:
+    """parse_trials and parse_scores against the per-line oracle, with
+    chunks small enough that most texts cross several chunk boundaries."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mixed_texts(), st.integers(1, 48), st.data())
+    def test_parsers_equal_line_oracle(self, text, chunk_chars, data):
+        with mock.patch.object(trials_module, "_CHUNK_CHARS", chunk_chars):
+            for labeled in (True, False, None):
+                check_trials(text, labeled)
+            check_scores(text, None)
+            try:
+                pairs = reference_scores(text)[0]
+            except Rejected:
+                try:
+                    pairs = reference_trials(text, None)[0]
+                except Rejected:
+                    pairs = [(data.draw(IDS), data.draw(IDS))]
+            check_scores(text, near_trial_list(data, pairs))
+
+    def test_well_formed_text_never_reaches_the_loop(self, monkeypatch):
+        def loop(*args):
+            raise AssertionError("the per-line loop ran")
+
+        monkeypatch.setattr(trials_module, "_parse_trial_lines", loop)
+        monkeypatch.setattr(trials_module, "_parse_score_lines", loop)
+        # about 300 KiB, so several 64 KiB chunks, no final newline
+        pairs = [(f"s{k % 701:04d}_ü", f"s{k % 557:04d}_u") for k in range(12000)]
+        labeled = "\n".join(f"{k % 2} {e}\t{t}" for k, (e, t) in enumerate(pairs))
+        scores = "\n".join(f"{e} {t}  {format_score(k / 7.0 - 800)}" for k, (e, t) in enumerate(pairs))
+        assert len(scores) > 4 * trials_module._CHUNK_CHARS
+        check_trials(labeled, True)
+        check_trials(labeled, None)
+        check_trials(labeled.replace("0 s", "s").replace("1 s", "s"), False)
+        check_scores(scores, None)
+        check_scores(scores, parse_trials(labeled, True))
+
+    def test_error_in_a_later_chunk_names_its_line(self):
+        lines = [f"e{k} t{k} 0.{k}" for k in range(20000)]
+        lines[15000] = "e t 1e999"
+        with pytest.raises(TrialParseError) as info:
+            parse_scores("\n".join(lines))
+        assert str(info.value) == "line 15001: non-finite score '1e999'"
 
 
 POWERS = [float(f"1e{k}") for k in range(-12, 4)]
@@ -511,6 +614,8 @@ EDGE_SCORES = [0.0, -0.0, 1e15, -1e15, 1e300, -1.7976931348623157e308, 5e-324, 1
 for _p in POWERS:
     EDGE_SCORES += [_p, -_p, np.nextafter(_p, 0.0), np.nextafter(_p, np.inf)]
     EDGE_SCORES += [-np.nextafter(_p, 0.0), -np.nextafter(_p, np.inf)]
+EDGE_SCORES += [10**k * (1 + s * 2**-52) for k in range(-12, 13) for s in (1, -1)]
+EDGE_SCORES += [2.225073858507201e-308, -1e-310, 1e-320, -5e-324]  # subnormals
 
 
 def expected_score_text(tl, scores):
@@ -539,3 +644,18 @@ class TestScoreText:
         tl = TrialList(tuple(Trial(f"e{k % 3}", f"t{k}") for k in range(len(values))))
         text = serialize_scores(ScoreSet(tl, np.array(values, dtype=np.float64)))
         assert text == expected_score_text(tl, values)
+
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_np_log10_off_by_one_ulp_writes_same_bytes(self, monkeypatch, direction):
+        # a vectorized log10 may differ from math.log10 in its last bit, which
+        # moves the floor next to every power of ten
+        exact = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: np.nextafter(exact(x), direction))
+        tl = TrialList(tuple(Trial(f"e{k}", f"t{k}") for k in range(len(EDGE_SCORES))))
+        text = serialize_scores(ScoreSet(tl, np.array(EDGE_SCORES, dtype=np.float64)))
+        assert text == expected_score_text(tl, EDGE_SCORES)
+
+    def test_ids_with_percent_signs_are_written_verbatim(self):
+        tl = TrialList((Trial("%s", "a%d"), Trial("%%", "%.3f%")))
+        text = serialize_scores(ScoreSet(tl, np.array([0.5, -2.0])))
+        assert text == "%s a%d 0.500000000\n%% %.3f% -2.00000000\n"
