@@ -38,7 +38,6 @@ from .trials import (
     parse_trials,
     read_embeddings_file,
     read_path_list,
-    read_text,
     require_file,
     serialize_scores,
     write_embeddings_file,
@@ -128,13 +127,12 @@ def cmd_embed(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = _load_config(args)
-    if args.asnorm and args.msa:
-        raise UsageError("choose one of --asnorm and --msa")
-    trials = parse_file(args.trials, "trials", parse_trials, args.labeled)
+    # without --labeled the first non-blank line decides the trial form
+    trials = parse_file(args.trials, "trials", parse_trials, True if args.labeled else None)
     store = read_embeddings_file(require_file(args.embeddings, "embeddings"), normalized=True)
-    mode = "asnorm" if args.asnorm else "msa" if args.msa else "raw"
+    mode = "msa" if args.msa else "asnorm" if args.asnorm else "raw"
     cohort = None
-    if mode == "asnorm":
+    if args.asnorm:
         cohort_path = args.cohort or cfg.cohort_path
         if cohort_path is None:
             raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
@@ -166,7 +164,7 @@ def cmd_fuse(args) -> int:
         if args.model:
             Path(args.model).write_text(serialize_fusion_model(model), encoding="utf-8")
     else:
-        model = parse_fusion_model(read_text(args.model, "model"))
+        model = parse_file(args.model, "model", parse_fusion_model)
     _emit(serialize_scores(fuse(model, matrix, trials)), args.output)
     return 0
 

@@ -135,11 +135,6 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return np.maximum(0.0, np.minimum(up, down))
 
 
-def mel_filter_centers(n_mels: int, sample_rate: int) -> np.ndarray:
-    """Center frequency in Hz of each filter, for diagnostics and tests."""
-    return _mel_corners(n_mels, sample_rate)[1:-1]
-
-
 @functools.lru_cache(maxsize=4)
 def _window(win: int) -> np.ndarray:
     window = np.hamming(win)

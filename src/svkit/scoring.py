@@ -43,14 +43,13 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_unit(rows: np.ndarray, names: Sequence[str]) -> None:
-    """Reject last-axis rows (len(names) of them, after flattening the
-    leading axes) whose L2 norm is off 1 by more than NORM_TOL; names[i]
-    labels row i."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # a NaN norm is off too
+    """Reject rows[i], a vector or a stack of them, if the L2 norm of any
+    of its vectors is off 1 by more than NORM_TOL; names[i] labels rows[i]."""
+    norms = np.sqrt(np.einsum("...j,...j->...", rows, rows))
+    bad = np.argwhere(~(np.abs(norms - 1.0) <= NORM_TOL))  # a NaN norm is off too
     if len(bad):
-        raise ValueError(f"{names[bad[0]]} is not length-normalized (norm {norms[bad[0]]:.6g})")
+        raise ValueError(f"{names[bad[0][0]]} is not length-normalized "
+                         f"(norm {norms[tuple(bad[0])]:.6g})")
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -69,12 +68,14 @@ def cohort_stats(
     k: int = 100,
     names: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-K imposter score statistics for each row of an (n, dim) stack.
+    """Top-K imposter score statistics for each row of an (n, dim) stack,
+    or of an (n, s, dim) stack of s segment vectors per row.
 
     Scores every row against every cohort vector, keeps the K largest, and
     returns their means and population (1/K) standard deviations as two
-    float64 arrays of length n. names[i] labels row i in errors (default
-    "embedding row i").
+    float64 arrays of length n. A row of segments scores as its mean
+    segment vector s_0 + sum(s_i - s_0) / s, exactly s_0 for identical
+    segments. names[i] labels row i in errors (default "embedding row i").
 
     Every block, a single row included, is one gemm of fixed shape: rows
     zero-padded to COHORT_BLOCK, against the cohort's first multiple of 8
@@ -84,13 +85,16 @@ def cohort_stats(
     `svkit selftest` checks).
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != cohort.dim:
+    if rows.ndim not in (2, 3) or rows.shape[-1] != cohort.dim:
         raise ValueError(
             f"embedding stack shape {rows.shape} does not match cohort dim {cohort.dim}"
         )
     if names is None:
         names = [f"embedding row {i}" for i in range(len(rows))]
-    _check_unit(rows, names)
+    _check_unit(rows, names)  # each segment, before the mean, which is not unit-norm
+    if rows.ndim == 3:  # one segment is its own mean: a view, no temporary
+        first, segs = rows[:, 0], rows.shape[1]
+        rows = first if segs == 1 else first + np.sum(rows[:, 1:] - rows[:, :1], axis=1) / segs
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n_cohort = len(cohort)
@@ -201,11 +205,13 @@ def segment_id(utt_id: str, index: int) -> str:
     return f"{utt_id}#{index}"
 
 
-def _msa_means(a: np.ndarray, b: np.ndarray) -> list[float]:
+def _msa_means(a: np.ndarray, b: np.ndarray) -> np.ndarray | list[float]:
     """Mean pairwise segment score of each pair of stacks a[i], b[i],
     accumulated relative to the first pair's score so that identical
     segments on both sides reproduce the plain cosine score bit for bit
     (a straight sum-and-divide can drift by one ulp)."""
+    if a.shape[1] == b.shape[1] == 1:  # the plain cosine route, with no fsum loop
+        return dot_rows(a[:, 0], b[:, 0])
     blocks = dot_rows(a[:, :, None], b[:, None]).reshape(len(a), -1)
     return [row[0] + math.fsum(row - row[0]) / len(row) for row in blocks]
 
@@ -227,24 +233,23 @@ def score_trials(
     cohort: EmbeddingStore | None = None,
     top_k: int = 100,
 ) -> ScoreSet:
-    """Score every trial with the chosen backend.
+    """Score every trial: similarity by mode, then AS-Norm if a cohort is given.
 
-    raw: plain cosine on each pair. asnorm: cosine then symmetric top-K
-    cohort normalization (cohort store required). msa: each trial gets the
-    mean of the pairwise segment scores; the store holds n embeddings per
-    utterance under segment ids #0..#n-1, n being how many the first
-    utterance has in a row, and an utterance with more, or n over
-    MAX_N_SEGMENTS, is a ValueError. A trial id missing from the store
-    raises ValueError.
+    raw: plain cosine on each pair. msa: the mean of the pairwise segment
+    scores; the store holds n embeddings per utterance under segment ids
+    #0..#n-1, n being how many the first utterance has in a row, and an
+    utterance with more, or n over MAX_N_SEGMENTS, is a ValueError.
+    asnorm: raw, with a cohort required. With a cohort, each side is
+    normalized by its top-K cohort scores (an MSA side's mean segment
+    vector's). A trial id missing from the store raises ValueError.
     """
     if mode not in ("raw", "asnorm", "msa"):
         raise ValueError(f"unknown scoring mode {mode!r}; expected raw, asnorm, or msa")
     if mode == "asnorm" and cohort is None:
         raise ValueError("asnorm scoring needs a cohort store")
     utts, enroll, test = trials.ids, trials.enroll, trials.test
-    ids = utts
-    if mode == "msa":
-        n_segments = 1  # a store without utts[0]#0 then fails on that id
+    ids, n_segments = utts, 1  # a plain store is one segment per utterance
+    if mode == "msa":  # a store without utts[0]#0 then fails on that id
         while (len(utts) and n_segments <= MAX_N_SEGMENTS
                and segment_id(utts[0], n_segments) in store):
             n_segments += 1
@@ -257,16 +262,13 @@ def score_trials(
                              f"segments of {utts[0]!r} in the embedding store")
         ids = [segment_id(u, i) for u in utts for i in range(n_segments)]
     rows = store.rows(ids)
-    names = [f"embedding {i!r}" for i in ids]
-    _check_unit(rows, names)
-    if mode == "msa":
-        rows = rows.reshape(len(utts), n_segments, store.dim)
+    _check_unit(rows, [f"embedding {i!r}" for i in ids])
+    rows = rows.reshape(len(utts), n_segments, store.dim)
     scores = np.empty(len(trials))
     for s in range(0, len(trials), TRIAL_CHUNK):
-        a = rows[enroll[s : s + TRIAL_CHUNK]]
-        b = rows[test[s : s + TRIAL_CHUNK]]
-        scores[s : s + TRIAL_CHUNK] = _msa_means(a, b) if mode == "msa" else dot_rows(a, b)
-    if mode == "asnorm":
-        mean, std = cohort_stats(rows, cohort, top_k, names)
+        scores[s : s + TRIAL_CHUNK] = _msa_means(rows[enroll[s : s + TRIAL_CHUNK]],
+                                                 rows[test[s : s + TRIAL_CHUNK]])
+    if cohort is not None:
+        mean, std = cohort_stats(rows, cohort, top_k, [f"embedding {u!r}" for u in utts])
         scores = asnorm_score(scores, mean[enroll], std[enroll], mean[test], std[test])
     return ScoreSet(trials=trials, scores=scores)

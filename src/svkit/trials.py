@@ -222,9 +222,10 @@ class EmbeddingStore:
             raise ValueError("duplicate utterance ids in store")
         if normalized and len(self.ids):
             norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))  # no n x d temporary
-            worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > 1e-6:
-                raise ValueError(f"normalized store has norm off by {worst:.3g}")
+            worst = int(np.argmax(np.abs(norms - 1.0)))
+            if abs(norms[worst] - 1.0) > 1e-6:
+                raise ValueError(f"embedding {self.ids[worst]!r} is not length-normalized "
+                                 f"(norm {norms[worst]:.6g})")
         self.vectors = vectors
 
     @property
@@ -538,4 +539,7 @@ def write_embeddings_file(store: EmbeddingStore, path) -> None:
 
 def read_embeddings_file(path, normalized: bool = False) -> EmbeddingStore:
     with open(path, "rb") as source:
-        return read_embeddings(source, normalized=normalized)
+        try:
+            return read_embeddings(source, normalized=normalized)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

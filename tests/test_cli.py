@@ -16,14 +16,16 @@ from svkit.cli import main
 from svkit.config import stage_seed
 from svkit.features import Waveform, read_mel, read_wav, write_wav
 from svkit.model import embed_waveform
-from svkit.scoring import MAX_N_SEGMENTS, segment_id, segment_plan
+from svkit.scoring import MAX_N_SEGMENTS, score_trials, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
 from svkit.trials import (
     EmbeddingStore,
     Trial,
     TrialList,
     parse_scores,
+    parse_trials,
     read_embeddings_file,
+    serialize_scores,
     serialize_trials,
     write_embeddings_file,
 )
@@ -307,6 +309,78 @@ class TestEmbedScoreEvaluate:
         assert parse_scores(outputs[0]).scores[0] == pytest.approx(
             np.mean(segments[0] @ segments[1].T), abs=1e-9)
 
+    def test_asnorm_msa_flow(self, tmp_path, wav_dir, capsys):
+        wav_list, plain, trials = self.setup_pipeline(tmp_path, wav_dir)
+        # 7 segments of 0.5 s over 1 s clips, so every segment differs
+        config = tmp_path / "msa.cfg"
+        config.write_text("n_segments = 7\nsegment_duration = 0.5\n", encoding="utf-8")
+        segments = tmp_path / "seg.bin"
+        assert main(["embed", "--msa", "--wav-list", str(wav_list), "--config", str(config),
+                     "--output", str(segments)]) == 0
+        # five copies of each plain vector as its segments
+        store = read_embeddings_file(plain)
+        tiled = tmp_path / "tiled.bin"
+        tiled_ids = [segment_id(u, k) for u in store.ids for k in range(5)]
+        write_embeddings_file(EmbeddingStore(tiled_ids, np.repeat(store.vectors, 5, axis=0)), tiled)
+        capsys.readouterr()
+
+        def score(emb, *flags):
+            out = tmp_path / "scores.txt"
+            assert main(["score", "--labeled", "--trials", str(trials), "--embeddings", str(emb),
+                         "--cohort", str(plain), "--topk", "3", "--output", str(out),
+                         *flags]) == 0
+            assert capsys.readouterr() == ("", "")
+            return out.read_text(encoding="utf-8")
+
+        got = score(segments, "--asnorm", "--msa")
+        want = score_trials(parse_trials(trials.read_text(encoding="utf-8"), True),
+                            read_embeddings_file(segments), mode="msa",
+                            cohort=read_embeddings_file(plain), top_k=3)
+        assert got == serialize_scores(want)
+        assert got != score(segments, "--msa")
+        assert score(tiled, "--asnorm", "--msa") == score(plain, "--asnorm")
+
+    def test_labeled_and_unlabeled_lists_score_alike(self, tmp_path, wav_dir, capsys):
+        _, emb, labeled = self.setup_pipeline(tmp_path, wav_dir)
+        unlabeled = tmp_path / "unlabeled.txt"
+        unlabeled.write_text("".join(line.split(" ", 1)[1] for line in
+                                     labeled.read_text(encoding="utf-8").splitlines(True)),
+                             encoding="utf-8")
+        capsys.readouterr()
+        outputs = []
+        for trials, flags in ((labeled, []), (unlabeled, []), (labeled, ["--labeled"])):
+            assert main(["score", "--trials", str(trials), "--embeddings", str(emb), *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == 4
+        # --labeled still forces the labeled form
+        argv = ["score", "--labeled", "--trials", str(unlabeled), "--embeddings", str(emb)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {unlabeled}:1: expected 3 fields, got 2\n"
+
+    def test_truncated_cohort_names_file(self, tmp_path, wav_dir, capsys):
+        _, emb, trials = self.setup_pipeline(tmp_path, wav_dir)
+        # header, then one record at offset 16 whose 12-byte vector starts at offset 19
+        cohort = tmp_path / "trunc.emb"
+        cohort.write_bytes(b"EMB1" + struct.pack("<IQ", 3, 1) + struct.pack("<H", 1) + b"a"
+                           + bytes(11))
+        capsys.readouterr()
+        code = main(["score", "--labeled", "--trials", str(trials), "--embeddings", str(emb),
+                     "--asnorm", "--cohort", str(cohort)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {cohort}: offset 19: truncated vector (11 of 12 bytes)\n"
+
+    def test_unnormalized_store_names_vector(self, tmp_path, capsys):
+        emb = tmp_path / "e.emb"
+        write_embeddings_file(EmbeddingStore(["a", "b"], np.array([[1.0, 0.0], [0.5, 0.0]])), emb)
+        trials = write_trials(tmp_path / "t.txt", [Trial("a", "b")])
+        assert main(["score", "--trials", str(trials), "--embeddings", str(emb)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {emb}: embedding 'b' is not length-normalized (norm 0.5)\n"
+
     def test_msa_segment_count_over_cap_is_data_error(self, tmp_path, capsys):
         n = MAX_N_SEGMENTS + 1
         ids = [segment_id(u, k) for u in ("u0", "u1") for k in range(n)]
@@ -321,7 +395,8 @@ class TestEmbedScoreEvaluate:
         assert f"utterance 'u0' has more than {MAX_N_SEGMENTS} segments" in captured.err
 
     @pytest.mark.parametrize(
-        "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"]], ids=["raw", "asnorm", "msa"]
+        "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"], ["--asnorm", "--msa", "--topk", "3"]],
+        ids=["raw", "asnorm", "msa", "asnorm-msa"],
     )
     def test_missing_trial_id_is_data_error(self, tmp_path, wav_dir, capsys, flags):
         wav_list, emb, _ = self.setup_pipeline(tmp_path, wav_dir)
@@ -340,7 +415,8 @@ class TestEmbedScoreEvaluate:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"]], ids=["raw", "asnorm", "msa"]
+        "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"], ["--asnorm", "--msa", "--topk", "3"]],
+        ids=["raw", "asnorm", "msa", "asnorm-msa"],
     )
     def test_blank_trial_file_gives_empty_scores(self, tmp_path, wav_dir, capsys, flags):
         wav_list, emb, _ = self.setup_pipeline(tmp_path, wav_dir)
@@ -699,6 +775,20 @@ class TestFuse:
         argv = ["fuse", "--trials", str(labeled), "--scores", str(s1), "--model", str(model)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {labeled}:3: expected 3 fields, got 2\n"
+
+    def test_bad_model_value_names_file(self, tmp_path, capsys):
+        trial_objs = [Trial("a", "b"), Trial("a", "c")]
+        trials = write_trials(tmp_path / "t.txt", trial_objs)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        model = tmp_path / "m.txt"
+        model.write_text("0.1 x\n", encoding="utf-8")
+        code = main(["fuse", "--trials", str(trials), "--scores", str(s1), "--model", str(model)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {model}: bad fusion model value: could not convert string to float: 'x'\n"
+        )
 
     def test_needs_fit_or_model(self, tmp_path, capsys):
         trial_objs = [Trial("a", "b", label=True), Trial("a", "c", label=False)]

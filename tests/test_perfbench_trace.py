@@ -15,6 +15,8 @@ import pytest
 
 from svkit.cli import main
 from svkit.features import Waveform, write_wav
+from svkit.scoring import segment_id
+from svkit.trials import EmbeddingStore, write_embeddings_file
 
 TRACE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
 
@@ -86,3 +88,34 @@ def test_traced_msa_embed_counts_padded_plans(trace, tmp_path):
     # one embedding for the padded clip, one per distinct segment of the other
     assert totals["model.embed_waveform.calls"] == 1 + 5
     assert totals["cli.embed.calls"] == 1
+
+
+def test_traced_asnorm_msa_score_calls_cohort_stats_once(trace, tmp_path):
+    rng = np.random.default_rng(1)
+
+    def units(n):
+        vectors = rng.standard_normal((n, 16))
+        return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+    utts = [f"u{i}" for i in range(6)]
+    write_embeddings_file(
+        EmbeddingStore([segment_id(u, k) for u in utts for k in range(5)], units(30)),
+        tmp_path / "seg.bin",
+    )
+    write_embeddings_file(EmbeddingStore([f"c{i}" for i in range(20)], units(20)),
+                          tmp_path / "cohort.bin")
+    trials = tmp_path / "trials.txt"
+    trials.write_text("".join(f"{a} {b}\n" for a in utts for b in utts if a < b), encoding="utf-8")
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        code = main(["score", "--asnorm", "--msa", "--trials", str(trials),
+                     "--embeddings", str(tmp_path / "seg.bin"),
+                     "--cohort", str(tmp_path / "cohort.bin"), "--topk", "5",
+                     "--output", str(tmp_path / "scores.txt")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    totals = trace.layer_totals(tracer.spans)
+    assert totals["scoring.cohort_stats.calls"] == 1
+    assert totals["scoring.score_trials.msa.calls"] == 1

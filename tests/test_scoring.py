@@ -164,6 +164,16 @@ class TestCohortStats:
         with pytest.raises(ValueError, match="embedding row 1 is not length-normalized"):
             cohort_stats(rows, cohort, k=2)
 
+    def test_unnormalized_segment_names_its_row(self):
+        # each segment is checked before the mean, which is not unit-norm
+        rng = np.random.default_rng(26)
+        cohort = make_store(rng, ["a", "b", "c"], dim=4)
+        segments = random_units(rng, 12, 4).reshape(4, 3, 4)
+        segments[2, 1] *= 1.5
+        message = r"embedding row 2 is not length-normalized \(norm 1\.5\)"
+        with pytest.raises(ValueError, match=message):
+            cohort_stats(segments, cohort, k=2)
+
 
 @st.composite
 def stacks_and_cohorts(draw):
@@ -192,6 +202,36 @@ class TestStackedStatistics:
         for i, row in enumerate(rows):
             mean_i, std_i = cohort_stats(row[None], cohort, k)
             assert mean[i] == mean_i[0] and std[i] == std_i[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacks_and_cohorts(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_segment_stack_equals_row_by_row(self, case, n_segments, seed):
+        rows, cohort, k = case
+        n, dim = rows.shape
+        rng = np.random.default_rng(seed)
+        stack = random_units(rng, n * n_segments, dim).reshape(n, n_segments, dim)
+        mean, std = cohort_stats(stack, cohort, k)
+        assert mean.shape == std.shape == (n,)
+        for i in range(n):
+            mean_i, std_i = cohort_stats(stack[i : i + 1], cohort, k)
+            assert mean[i] == mean_i[0] and std[i] == std_i[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(stacks_and_cohorts())
+    def test_one_segment_stack_equals_plain_stack(self, case):
+        rows, cohort, k = case
+        mean, std = cohort_stats(rows, cohort, k)
+        mean_1, std_1 = cohort_stats(rows[:, None], cohort, k)
+        assert np.array_equal(mean, mean_1) and np.array_equal(std, std_1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(stacks_and_cohorts(), st.integers(2, 6))
+    def test_identical_segments_equal_plain_stack(self, case, n_segments):
+        # full float64 rows, where a sum-and-divide mean can be an ulp off
+        rows, cohort, k = case
+        mean, std = cohort_stats(rows, cohort, k)
+        mean_s, std_s = cohort_stats(np.repeat(rows[:, None], n_segments, axis=1), cohort, k)
+        assert np.array_equal(mean, mean_s) and np.array_equal(std, std_s)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -501,13 +541,17 @@ class TestScoreTrials:
         assert result.scores[0] == asnorm_score(raw, mean[0], std[0], mean[1], std[1])
 
     def test_degenerate_cohort_names_utterance(self):
-        # every cohort vector is spkB's, so spkA's top-3 scores are identical
+        # every cohort vector is spkB's (its first segment's, for MSA), so
+        # spkA's top-3 scores are identical
         rng = np.random.default_rng(25)
-        store = make_store(rng, ["spkA", "spkB"])
-        cohort = EmbeddingStore([f"c{i}" for i in range(5)], np.tile(store.get("spkB"), (5, 1)))
         trials = TrialList(trials=(Trial("spkA", "spkB"),))
-        with pytest.raises(ValueError, match="degenerate cohort for embedding 'spkA':"):
-            score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=3)
+        for mode, ids in (("asnorm", ["spkA", "spkB"]),
+                          ("msa", ["spkA#0", "spkA#1", "spkB#0", "spkB#1"])):
+            store = make_store(rng, ids)
+            spk_b = store.get(ids[len(ids) // 2])
+            cohort = EmbeddingStore([f"c{i}" for i in range(5)], np.tile(spk_b, (5, 1)))
+            with pytest.raises(ValueError, match="degenerate cohort for embedding 'spkA':"):
+                score_trials(trials, store, mode=mode, cohort=cohort, top_k=3)
 
     def test_asnorm_without_cohort_rejected(self):
         rng = np.random.default_rng(17)
@@ -570,6 +614,7 @@ class TestScoreTrials:
         raw = score_trials(trials, store, mode="raw").scores
         asnorm = score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=10).scores
         msa = score_trials(trials, segments, mode="msa").scores
+        msa_asnorm = score_trials(trials, segments, mode="msa", cohort=cohort, top_k=10).scores
         for k, t in enumerate(trials):
             e, x = store.get(t.enroll_id), store.get(t.test_id)
             assert raw[k] == cosine_score(e, x)
@@ -579,12 +624,79 @@ class TestScoreTrials:
             seg_e = segments.rows([segment_id(t.enroll_id, i) for i in range(5)])
             seg_x = segments.rows([segment_id(t.test_id, i) for i in range(5)])
             assert msa[k] == msa_score(seg_e, seg_x)
+            mean_e, std_e = cohort_stats(seg_e[None], cohort, 10)
+            mean_x, std_x = cohort_stats(seg_x[None], cohort, 10)
+            want = asnorm_score(msa_score(seg_e, seg_x), mean_e, std_e, mean_x, std_x)[0]
+            assert msa_asnorm[k] == want
 
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(19)
         store = make_store(rng, ["u0", "u1", "u2", "u3"])
         with pytest.raises(ValueError, match="unknown scoring mode"):
             score_trials(self.trial_list(), store, mode="plda")
+
+
+def brute_force_msa_asnorm(seg_e, seg_t, cohort_rows, k):
+    """Independent AS-Norm over MSA scores, in plain python: every dot is a
+    math.fsum of products, a side's score against cohort vector c is the
+    math.fsum mean of its per-segment dots, and the statistics are those of
+    the K largest, with the population (1/K) std."""
+    def dot(x, y):
+        return math.fsum(a * b for a, b in zip(x, y))
+
+    raw = math.fsum(dot(x, y) for x in seg_e for y in seg_t) / (len(seg_e) * len(seg_t))
+    halves = []
+    for side in (seg_e, seg_t):
+        scores = [math.fsum(dot(s, c) for s in side) / len(side) for c in cohort_rows]
+        top = sorted(scores, reverse=True)[:k]
+        mu = math.fsum(top) / k
+        sigma = math.sqrt(math.fsum((x - mu) ** 2 for x in top) / k)
+        halves.append((raw - mu) / sigma)
+    return 0.5 * (halves[0] + halves[1])
+
+
+class TestAsnormOverMsa:
+    """AS-Norm normalizes any similarity: given a cohort, an MSA side is
+    normalized by its top-K cohort scores, each the mean of its segments'."""
+
+    @pytest.mark.parametrize("n_segments", [1, 2, 5])
+    def test_matches_brute_force(self, n_segments):
+        rng = np.random.default_rng(31)
+        utts = [f"u{i}" for i in range(12)]
+        segments = make_store(rng, [segment_id(u, k) for u in utts for k in range(n_segments)], 24)
+        cohort = make_store(rng, [f"c{i}" for i in range(77)], 24)
+        pairs = rng.integers(len(utts), size=(40, 2))
+        trials = TrialList(trials=tuple(Trial(utts[i], utts[j]) for i, j in pairs))
+        got = score_trials(trials, segments, mode="msa", cohort=cohort, top_k=10).scores
+        cohort_rows = cohort.vectors.tolist()
+        for score, t in zip(got, trials):
+            seg_e, seg_t = (segments.rows([segment_id(u, i) for i in range(n_segments)]).tolist()
+                            for u in (t.enroll_id, t.test_id))
+            assert score == pytest.approx(
+                brute_force_msa_asnorm(seg_e, seg_t, cohort_rows, 10), abs=1e-9)
+
+    def test_identical_segments_reduce_to_raw_asnorm(self):
+        rng = np.random.default_rng(32)
+        utts = [f"u{i}" for i in range(40)]
+        plain = make_store(rng, utts, dim=256)
+        tiled = EmbeddingStore([segment_id(u, k) for u in utts for k in range(5)],
+                               np.repeat(plain.vectors, 5, axis=0))
+        cohort = make_store(rng, [f"c{i}" for i in range(777)], dim=256)
+        pairs = rng.integers(len(utts), size=(2 * TRIAL_CHUNK + 9, 2))
+        trials = TrialList(trials=tuple(Trial(utts[i], utts[j]) for i, j in pairs))
+        want = score_trials(trials, plain, mode="asnorm", cohort=cohort, top_k=100).scores
+        got = score_trials(trials, tiled, mode="msa", cohort=cohort, top_k=100).scores
+        assert np.array_equal(got, want)
+
+    def test_raw_with_cohort_is_asnorm(self):
+        rng = np.random.default_rng(33)
+        store = make_store(rng, ["u0", "u1", "u2", "u3"], dim=16)
+        cohort = make_store(rng, [f"c{i}" for i in range(30)], dim=16)
+        trials = TestScoreTrials().trial_list()
+        asnorm = score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=5).scores
+        raw = score_trials(trials, store, mode="raw", cohort=cohort, top_k=5).scores
+        assert np.array_equal(raw, asnorm)
+        assert not np.array_equal(raw, score_trials(trials, store, mode="raw").scores)
 
 
 class TestAsnormShiftStructure:
