@@ -119,7 +119,7 @@ def cmd_embed(args) -> int:
                 vectors += [vector] * len(seg_ids)
         except ValueError as exc:
             raise ValueError(f"utterance {utt_id!r} ({wav_path}): {exc}") from None
-    store = EmbeddingStore(ids, vectors, normalized=True)
+    store = EmbeddingStore(ids, vectors)
     write_embeddings_file(store, args.output)
     print(f"embedded {len(entries)} utterances dim {store.dim}")
     return 0
@@ -129,14 +129,14 @@ def cmd_score(args) -> int:
     cfg = _load_config(args)
     # without --labeled the first non-blank line decides the trial form
     trials = parse_file(args.trials, "trials", parse_trials, True if args.labeled else None)
-    store = read_embeddings_file(require_file(args.embeddings, "embeddings"), normalized=True)
+    store = read_embeddings_file(require_file(args.embeddings, "embeddings"))
     mode = "msa" if args.msa else "asnorm" if args.asnorm else "raw"
     cohort = None
     if args.asnorm:
         cohort_path = args.cohort or cfg.cohort_path
         if cohort_path is None:
             raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
-        cohort = read_embeddings_file(require_file(cohort_path, "cohort"), normalized=True)
+        cohort = read_embeddings_file(require_file(cohort_path, "cohort"))
     top_k = args.topk if args.topk is not None else cfg.top_k
     result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
     _emit(serialize_scores(result), args.output)

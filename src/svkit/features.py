@@ -3,7 +3,7 @@
 The front end is fixed by convention: 25 ms Hamming windows every 10 ms,
 512-point FFT, power spectrum, 80 triangular filters on the HTK mel scale
 spanning 0 Hz to Nyquist, natural log with a 1e-10 floor, no pre-emphasis.
-All parameters are overridable through FeatureConfig.
+All but the floor (LOG_FLOOR) are overridable through FeatureConfig.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ MAX_N_FFT = 1 << 15
 MAX_N_MELS = 256
 # frames windowed and transformed per block in compute_logmel
 LOGMEL_BLOCK = 64
+LOG_FLOOR = 1e-10  # log-mel entries are ln(max(power, LOG_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,9 @@ class FeatureConfig:
     hop_s: float = 0.010
     n_fft: int = 512
     n_mels: int = 80
-    log_floor: float = 1e-10
 
     def __post_init__(self):
-        for name in ("window_s", "hop_s", "log_floor"):
+        for name in ("window_s", "hop_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -153,7 +153,7 @@ def compute_logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> MelFeat
     """Log-Mel filterbank energies of a waveform.
 
     Frames are Hamming-windowed, the power spectrum is weighted by the mel
-    filterbank, and entries are ln(max(power, log_floor)). Frame count is
+    filterbank, and entries are ln(max(power, LOG_FLOOR)). Frame count is
     1 + floor((len - window) / hop).
     """
     win, hop = cfg.frame_lengths(w.sample_rate)
@@ -179,7 +179,7 @@ def compute_logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> MelFeat
         np.square(spectrum[:n].imag, out=imag_sq[:n])
         power[start : start + n] += imag_sq[:n]
     mel_power = power @ _filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate).T
-    bins = np.log(np.maximum(mel_power, cfg.log_floor)).T
+    bins = np.log(np.maximum(mel_power, LOG_FLOOR)).T
     return MelFeatures(bins=bins, cmn_applied=False)
 
 
@@ -246,7 +246,7 @@ def write_mel(f: MelFeatures, sink: BinaryIO) -> None:
     sink.write(np.ascontiguousarray(f.bins, dtype="<f4").tobytes())
 
 
-def read_mel(source: BinaryIO, cmn_applied: bool = False) -> MelFeatures:
+def read_mel(source: BinaryIO) -> MelFeatures:
     """Inverse of write_mel; the source is read once, whole, and bounds-checked."""
     data = source.read()
     if data[:4] != MEL_MAGIC:
@@ -257,4 +257,4 @@ def read_mel(source: BinaryIO, cmn_applied: bool = False) -> MelFeatures:
     if len(data) - 12 < 4 * rows * cols:
         raise ValueError(f"truncated feature matrix ({len(data) - 12} of {4 * rows * cols} bytes)")
     bins = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=12).reshape(rows, cols)
-    return MelFeatures(bins=bins, cmn_applied=cmn_applied)
+    return MelFeatures(bins=bins)

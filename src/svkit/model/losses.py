@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..scoring import dot_rows
+from ..trials import NORM_TOL
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:
@@ -71,7 +72,7 @@ class SubcenterWeights:
             raise ValueError(f"need at least 1 subcenter, got {k}")
         norms = np.linalg.norm(tensor, axis=0)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > 1e-6:
+        if worst > NORM_TOL:
             raise ValueError(f"subcenter vectors must be unit-norm, off by {worst:.3g}")
         self.tensor = tensor
 

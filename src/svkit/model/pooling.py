@@ -2,7 +2,7 @@
 
 Scores e_t = v . tanh(W h_t + b) turn into softmax attention weights; the
 pooled vector concatenates the attention-weighted mean and standard
-deviation. The variance is clamped at a small floor before the square root.
+deviation. The variance is clamped at VAR_FLOOR before the square root.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class PoolGradients:
     v: np.ndarray
 
 
-def _forward(frames: np.ndarray, params: AttentionParams, eps: float):
+def _forward(frames: np.ndarray, params: AttentionParams):
     z = frames @ params.w.T + params.b
     tanh_z = np.tanh(z)
     scores = tanh_z @ params.v
@@ -66,16 +66,16 @@ def _forward(frames: np.ndarray, params: AttentionParams, eps: float):
     mean = alpha @ frames
     second = alpha @ (frames * frames)
     var = second - mean * mean
-    sigma = np.sqrt(np.maximum(var, eps))
+    sigma = np.sqrt(np.maximum(var, VAR_FLOOR))
     return tanh_z, alpha, mean, var, sigma
 
 
-def attentive_stats_pool(frames: np.ndarray, params: AttentionParams, eps: float = VAR_FLOOR) -> np.ndarray:
+def attentive_stats_pool(frames: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Pool (T, D) frames into a 2D-dim [mean, std] vector."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise ValueError(f"frames must be (T >= 1, D), got {frames.shape}")
-    _, _, mean, _, sigma = _forward(frames, params, eps)
+    _, _, mean, _, sigma = _forward(frames, params)
     return np.concatenate([mean, sigma])
 
 
@@ -83,7 +83,6 @@ def attentive_stats_pool_vjp(
     frames: np.ndarray,
     params: AttentionParams,
     upstream: np.ndarray,
-    eps: float = VAR_FLOOR,
 ) -> tuple[np.ndarray, PoolGradients]:
     """Pooled vector plus gradients of <upstream, pooled>.
 
@@ -98,11 +97,11 @@ def attentive_stats_pool_vjp(
     if upstream.shape != (2 * d,):
         raise ValueError(f"upstream must have shape ({2 * d},), got {upstream.shape}")
 
-    tanh_z, alpha, mean, var, sigma = _forward(frames, params, eps)
+    tanh_z, alpha, mean, var, sigma = _forward(frames, params)
     pooled = np.concatenate([mean, sigma])
 
     u_mean, u_sigma = upstream[:d], upstream[d:]
-    dvar = np.where(var > eps, u_sigma * 0.5 / sigma, 0.0)
+    dvar = np.where(var > VAR_FLOOR, u_sigma * 0.5 / sigma, 0.0)
     dmean = u_mean - 2.0 * mean * dvar
 
     # alpha enters through both statistics

@@ -1,7 +1,9 @@
 """Trial scoring: raw cosine, adaptive symmetric normalization, and
 segment-matrix averaging.
 
-All scorers consume unit-norm embeddings (checked, not fixed up here).
+All scorers consume unit-norm embeddings, never fixed up here: a store,
+a cohort included, is unit-norm by construction, and the scorers check
+their array inputs with `trials.check_unit`.
 Every trial cosine goes through one kernel, `dot_rows`, which runs the
 same BLAS dot as np.dot on each pair of rows, so a score computed in a
 batch of any size equals the single-pair score bit for bit. Cohort scores
@@ -15,14 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
 from .features import Waveform, match_length
-from .trials import EmbeddingStore, ScoreSet, TrialList
+from .trials import EmbeddingStore, ScoreSet, TrialList, check_unit
 
-NORM_TOL = 1e-4
 SIGMA_FLOOR = 1e-9
 # trials per gathered chunk: bounds the enroll/test row copies
 TRIAL_CHUNK = 128
@@ -42,23 +43,13 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _check_unit(rows: np.ndarray, names: Sequence[str]) -> None:
-    """Reject rows[i], a vector or a stack of them, if the L2 norm of any
-    of its vectors is off 1 by more than NORM_TOL; names[i] labels rows[i]."""
-    norms = np.sqrt(np.einsum("...j,...j->...", rows, rows))
-    bad = np.argwhere(~(np.abs(norms - 1.0) <= NORM_TOL))  # a NaN norm is off too
-    if len(bad):
-        raise ValueError(f"{names[bad[0][0]]} is not length-normalized "
-                         f"(norm {norms[tuple(bad[0])]:.6g})")
-
-
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two unit-norm embeddings."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"embedding dims differ or are not 1-D: {a.shape} vs {b.shape}")
-    _check_unit(np.stack([a, b]), ["enrollment embedding", "test embedding"])
+    check_unit(np.stack([a, b]), ("enrollment embedding", "test embedding").__getitem__)
     return float(dot_rows(a, b))
 
 
@@ -66,7 +57,7 @@ def cohort_stats(
     rows: np.ndarray,
     cohort: EmbeddingStore,
     k: int = 100,
-    names: Sequence[str] | None = None,
+    label: Callable[[int], str] = "embedding row {}".format,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-K imposter score statistics for each row of an (n, dim) stack,
     or of an (n, s, dim) stack of s segment vectors per row.
@@ -75,7 +66,8 @@ def cohort_stats(
     returns their means and population (1/K) standard deviations as two
     float64 arrays of length n. A row of segments scores as its mean
     segment vector s_0 + sum(s_i - s_0) / s, exactly s_0 for identical
-    segments. names[i] labels row i in errors (default "embedding row i").
+    segments. Errors name row i as label(i); the rows are checked here,
+    and the cohort, an EmbeddingStore, is unit-norm by construction.
 
     Every block, a single row included, is one gemm of fixed shape: rows
     zero-padded to COHORT_BLOCK, against the cohort's first multiple of 8
@@ -89,9 +81,7 @@ def cohort_stats(
         raise ValueError(
             f"embedding stack shape {rows.shape} does not match cohort dim {cohort.dim}"
         )
-    if names is None:
-        names = [f"embedding row {i}" for i in range(len(rows))]
-    _check_unit(rows, names)  # each segment, before the mean, which is not unit-norm
+    check_unit(rows, label)  # each segment, before the mean, which is not unit-norm
     if rows.ndim == 3:  # one segment is its own mean: a view, no temporary
         first, segs = rows[:, 0], rows.shape[1]
         rows = first if segs == 1 else first + np.sum(rows[:, 1:] - rows[:, :1], axis=1) / segs
@@ -123,7 +113,7 @@ def cohort_stats(
     bad = np.flatnonzero(~(std >= SIGMA_FLOOR))  # a NaN std is degenerate too
     if len(bad):
         raise ValueError(
-            f"degenerate cohort for {names[bad[0]]}: top-{k} scores have std "
+            f"degenerate cohort for {label(bad[0])}: top-{k} scores have std "
             f"{std[bad[0]]:.3g} (all nearly identical)"
         )
     return mean, std
@@ -222,7 +212,7 @@ def msa_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
     emb_b = np.atleast_2d(np.asarray(emb_b, dtype=np.float64))
     if emb_a.shape[1] != emb_b.shape[1]:
         raise ValueError(f"embedding dims differ: {emb_a.shape[1]} vs {emb_b.shape[1]}")
-    _check_unit(np.concatenate([emb_a, emb_b]), ["segment"] * (len(emb_a) + len(emb_b)))
+    check_unit(np.concatenate([emb_a, emb_b]), lambda i: "segment")
     return float(_msa_means(emb_a[None], emb_b[None])[0])
 
 
@@ -261,14 +251,12 @@ def score_trials(
             raise ValueError(f"utterance {extra[0]!r} has more than the {n_segments} "
                              f"segments of {utts[0]!r} in the embedding store")
         ids = [segment_id(u, i) for u in utts for i in range(n_segments)]
-    rows = store.rows(ids)
-    _check_unit(rows, [f"embedding {i!r}" for i in ids])
-    rows = rows.reshape(len(utts), n_segments, store.dim)
+    rows = store.rows(ids).reshape(len(utts), n_segments, store.dim)
     scores = np.empty(len(trials))
     for s in range(0, len(trials), TRIAL_CHUNK):
         scores[s : s + TRIAL_CHUNK] = _msa_means(rows[enroll[s : s + TRIAL_CHUNK]],
                                                  rows[test[s : s + TRIAL_CHUNK]])
     if cohort is not None:
-        mean, std = cohort_stats(rows, cohort, top_k, [f"embedding {u!r}" for u in utts])
+        mean, std = cohort_stats(rows, cohort, top_k, lambda i: f"embedding {utts[i]!r}")
         scores = asnorm_score(scores, mean[enroll], std[enroll], mean[test], std[test])
     return ScoreSet(trials=trials, scores=scores)

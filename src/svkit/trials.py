@@ -15,11 +15,12 @@ import struct
 from dataclasses import dataclass
 from math import floor, isfinite, log10
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
 EMB_MAGIC = b"EMB1"
+NORM_TOL = 1e-6  # on an embedding's L2 norm; rounding to float32 moves it under 1e-7
 
 
 class TrialParseError(ValueError):
@@ -198,15 +199,27 @@ class ScoreSet:
         return len(self.trials)
 
 
-class EmbeddingStore:
-    """Id-indexed matrix of fixed-dimension speaker embeddings.
+def check_unit(vectors: np.ndarray, label: Callable[[int], str]) -> None:
+    """Reject an (n, ..., dim) array if the L2 norm of any of its vectors
+    is off 1 by more than NORM_TOL; a NaN norm is off too. The error names
+    the first such vector's row i as label(i), built only then."""
+    norms = np.sqrt(np.einsum("...j,...j->...", vectors, vectors))  # no n x d temporary
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)
+    if off.any():
+        first = tuple(np.argwhere(off)[0])
+        raise ValueError(f"{label(first[0])} is not length-normalized "
+                         f"(norm {norms[first]:.6g})")
 
-    Vectors are rounded to float32 (the on-disk precision) and held as
-    float64, the precision scoring computes in. `normalized` asserts every
-    vector has unit L2 norm within 1e-6.
+
+class EmbeddingStore:
+    """Id-indexed matrix of fixed-dimension, unit-norm speaker embeddings.
+
+    Vectors are rounded to float32 (the on-disk precision) and held,
+    read-only, as float64, the precision scoring computes in. Each must
+    have unit L2 norm within NORM_TOL (`check_unit`).
     """
 
-    def __init__(self, ids: Sequence[str], vectors: np.ndarray, normalized: bool = False):
+    def __init__(self, ids: Sequence[str], vectors: np.ndarray):
         vectors = np.ascontiguousarray(vectors, dtype=np.float32).astype(np.float64)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
@@ -220,12 +233,8 @@ class EmbeddingStore:
         self._index = {u: k for k, u in enumerate(self.ids)}
         if len(self._index) != len(self.ids):
             raise ValueError("duplicate utterance ids in store")
-        if normalized and len(self.ids):
-            norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))  # no n x d temporary
-            worst = int(np.argmax(np.abs(norms - 1.0)))
-            if abs(norms[worst] - 1.0) > 1e-6:
-                raise ValueError(f"embedding {self.ids[worst]!r} is not length-normalized "
-                                 f"(norm {norms[worst]:.6g})")
+        check_unit(vectors, lambda i: f"embedding {self.ids[i]!r}")
+        vectors.flags.writeable = False
         self.vectors = vectors
 
     @property
@@ -495,8 +504,9 @@ def write_embeddings(store: EmbeddingStore, sink: BinaryIO) -> None:
         sink.write(le_vectors[k].tobytes())
 
 
-def read_embeddings(source: BinaryIO, normalized: bool = False) -> EmbeddingStore:
-    """Inverse of write_embeddings; the source is read once, whole, and bounds-checked."""
+def read_embeddings(source: BinaryIO) -> EmbeddingStore:
+    """Inverse of write_embeddings; the source is read once, whole, and
+    bounds-checked, and every vector must be unit-norm (`EmbeddingStore`)."""
     data = memoryview(source.read())
 
     def take(n: int, what: str) -> memoryview:
@@ -529,7 +539,7 @@ def read_embeddings(source: BinaryIO, normalized: bool = False) -> EmbeddingStor
         ids[utt_id] = None
         vector_bytes += take(4 * dim, "vector")
     vectors = np.frombuffer(vector_bytes, dtype="<f4").reshape(len(ids), dim)
-    return EmbeddingStore(list(ids), vectors, normalized=normalized)
+    return EmbeddingStore(list(ids), vectors)
 
 
 def write_embeddings_file(store: EmbeddingStore, path) -> None:
@@ -537,9 +547,9 @@ def write_embeddings_file(store: EmbeddingStore, path) -> None:
         write_embeddings(store, sink)
 
 
-def read_embeddings_file(path, normalized: bool = False) -> EmbeddingStore:
+def read_embeddings_file(path) -> EmbeddingStore:
     with open(path, "rb") as source:
         try:
-            return read_embeddings(source, normalized=normalized)
+            return read_embeddings(source)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

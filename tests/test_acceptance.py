@@ -299,11 +299,10 @@ def test_asnorm_matches_brute_force(reported):
         rng = np.random.default_rng(11)
         d = 32
         utt_ids = [f"u{i}" for i in range(100)]
-        store = EmbeddingStore(utt_ids, unit_rows(rng, 100, d).astype(np.float32), normalized=True)
+        store = EmbeddingStore(utt_ids, unit_rows(rng, 100, d).astype(np.float32))
         cohort = EmbeddingStore(
             [f"c{i}" for i in range(200)],
             unit_rows(rng, 200, d).astype(np.float32),
-            normalized=True,
         )
         trials = TrialList(
             trials=tuple(Trial(utt_ids[2 * i], utt_ids[2 * i + 1]) for i in range(50))
@@ -403,7 +402,7 @@ def synthetic_speaker_store(rng, n_speakers, n_utts, dim, noise, prefix):
             v = means[s] + noise * rng.standard_normal(dim)
             ids.append(f"{prefix}{s:03d}u{u:02d}")
             vectors.append(v / np.linalg.norm(v))
-    return ids, EmbeddingStore(ids, np.array(vectors, dtype=np.float32), normalized=True)
+    return ids, EmbeddingStore(ids, np.array(vectors, dtype=np.float32))
 
 
 def test_synthetic_pipeline_end_to_end(reported):

@@ -374,7 +374,9 @@ class TestEmbedScoreEvaluate:
 
     def test_unnormalized_store_names_vector(self, tmp_path, capsys):
         emb = tmp_path / "e.emb"
-        write_embeddings_file(EmbeddingStore(["a", "b"], np.array([[1.0, 0.0], [0.5, 0.0]])), emb)
+        emb.write_bytes(b"EMB1" + struct.pack("<IQ", 2, 2)
+                        + struct.pack("<H", 1) + b"a" + struct.pack("<2f", 1.0, 0.0)
+                        + struct.pack("<H", 1) + b"b" + struct.pack("<2f", 0.5, 0.0))
         trials = write_trials(tmp_path / "t.txt", [Trial("a", "b")])
         assert main(["score", "--trials", str(trials), "--embeddings", str(emb)]) == 2
         captured = capsys.readouterr()
@@ -530,7 +532,7 @@ class TestEmbed:
                 vectors.append(embed_waveform(wav, seed=seed))
                 distinct += 1
         expected = tmp_path / "expected.bin"
-        write_embeddings_file(EmbeddingStore(ids, vectors, normalized=True), expected)
+        write_embeddings_file(EmbeddingStore(ids, vectors), expected)
         assert out.read_bytes() == expected.read_bytes()
         # each distinct offset is embedded once: 1 + 5 + 1 + 3 segments
         assert [len(read_wav(p)) for p in wavs.values()] == [40000, 120000, 96000, 96002]

@@ -78,7 +78,7 @@ def cohort_from_scores(e, target_scores, rng):
         perp = perp / np.linalg.norm(perp)
         vectors.append(s * e + math.sqrt(1.0 - s * s) * perp)
     ids = [f"c{i}" for i in range(len(vectors))]
-    return EmbeddingStore(ids, np.array(vectors), normalized=False)
+    return EmbeddingStore(ids, np.array(vectors))
 
 
 class TestCohortStats:
@@ -552,6 +552,21 @@ class TestScoreTrials:
             cohort = EmbeddingStore([f"c{i}" for i in range(5)], np.tile(spk_b, (5, 1)))
             with pytest.raises(ValueError, match="degenerate cohort for embedding 'spkA':"):
                 score_trials(trials, store, mode=mode, cohort=cohort, top_k=3)
+
+    def test_scaled_cohort_rejected(self):
+        # a cohort at 3x unit norm once reached AS-Norm unchecked and scored
+        # -4.86 where the same cohort at unit norm scores -6.14
+        rng = np.random.default_rng(0)
+        store = make_store(rng, ["e", "t"])
+        unit_rows = random_units(rng, 20, 8)
+        ids = [f"c{i}" for i in range(20)]
+        trials = TrialList(trials=(Trial("e", "t"),))
+        with pytest.raises(ValueError, match=r"^embedding 'c0' is not length-normalized"):
+            score_trials(trials, store, mode="asnorm", cohort=EmbeddingStore(ids, 3.0 * unit_rows),
+                         top_k=5)
+        result = score_trials(trials, store, mode="asnorm", cohort=EmbeddingStore(ids, unit_rows),
+                              top_k=5)
+        assert result.scores[0] == pytest.approx(-6.14, abs=5e-3)
 
     def test_asnorm_without_cohort_rejected(self):
         rng = np.random.default_rng(17)

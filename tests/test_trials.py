@@ -18,6 +18,7 @@ from svkit.fusion import stack_scores
 from svkit.metrics import roc_points
 from svkit.scoring import score_trials
 from svkit.trials import (
+    NORM_TOL,
     EmbeddingStore,
     ScoreSet,
     StoreFormatError,
@@ -169,7 +170,7 @@ class TestIndexArrays:
 
     def test_whole_list_paths_build_no_trial(self, monkeypatch):
         text = "1 a b\n0 a c\n1 c b\n0 b c\n"
-        store = EmbeddingStore(["a", "b", "c"], np.eye(3), normalized=True)
+        store = EmbeddingStore(["a", "b", "c"], np.eye(3))
 
         def no_trial(self):
             raise AssertionError("a Trial was built")
@@ -258,11 +259,21 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingStore(["a", "a"], np.zeros((2, 4), dtype=np.float32))
 
-    def test_normalized_flag_checked(self):
+    def test_unit_norm_enforced(self):
         v = np.ones((1, 4), dtype=np.float32)
         with pytest.raises(ValueError, match="norm"):
-            EmbeddingStore(["a"], v, normalized=True)
-        EmbeddingStore(["a"], v / 2.0, normalized=True)
+            EmbeddingStore(["a"], v)
+        store = EmbeddingStore(["a"], v / 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            store.vectors[0, 0] = 0.0
+
+    def test_first_bad_vector_named(self):
+        v = np.eye(4)
+        v[1] *= 1.5
+        v[3] *= 3.0  # off by more, but after 'b'
+        message = r"^embedding 'b' is not length-normalized \(norm 1\.5\)$"
+        with pytest.raises(ValueError, match=message):
+            EmbeddingStore(list("abcd"), v)
 
     def test_nonfinite_rejected(self):
         v = np.full((1, 4), np.nan, dtype=np.float32)
@@ -270,10 +281,10 @@ class TestEmbeddingStore:
             EmbeddingStore(["a"], v)
 
     def test_get_and_rows(self):
-        v = np.arange(8, dtype=np.float32).reshape(2, 4)
+        v = np.array([[0.5, -0.5, 0.5, -0.5], [0.0, 0.0, 0.0, 1.0]], dtype=np.float32)
         store = EmbeddingStore(["a", "b"], v)
-        assert store.get("b").tolist() == [4, 5, 6, 7]
-        assert store.rows(["b", "a"]).tolist() == [[4, 5, 6, 7], [0, 1, 2, 3]]
+        assert store.get("b").tolist() == [0, 0, 0, 1]
+        assert store.rows(["b", "a"]).tolist() == [[0, 0, 0, 1], [0.5, -0.5, 0.5, -0.5]]
         with pytest.raises(KeyError):
             store.get("c")
         with pytest.raises(ValueError, match="'c' not in embedding store"):
@@ -295,7 +306,8 @@ class TestStoreRoundtrip:
 
     def test_random_vectors_bit_identical(self):
         rng = np.random.default_rng(3)
-        vecs = rng.standard_normal((3, 8)).astype(np.float32)
+        vecs = rng.standard_normal((3, 8))
+        vecs = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).astype(np.float32)
         store = EmbeddingStore(["u1", "u2", "u3"], vecs)
         raw, back = self._roundtrip(store)
         assert back.ids == store.ids
@@ -310,7 +322,7 @@ class TestStoreRoundtrip:
             read_embeddings(io.BytesIO(b"EMB2" + b"\x00" * 12))
 
     def test_truncated_record_names_offset(self):
-        store = EmbeddingStore(["u1"], np.ones((1, 4), dtype=np.float32))
+        store = EmbeddingStore(["u1"], np.full((1, 4), 0.5, dtype=np.float32))
         buf = io.BytesIO()
         write_embeddings(store, buf)
         clipped = buf.getvalue()[:-3]
@@ -379,9 +391,51 @@ class TestStoreRoundtrip:
             read_embeddings(buf)
 
     def test_unicode_ids_roundtrip(self):
-        store = EmbeddingStore(["idé/001"], np.ones((1, 2), dtype=np.float32))
+        store = EmbeddingStore(["idé/001"], np.array([[0.6, 0.8]], dtype=np.float32))
         _, back = self._roundtrip(store)
         assert back.ids == ("idé/001",)
+
+
+def emb1_bytes(vectors: np.ndarray) -> bytes:
+    """EMB1 bytes built by hand, ids u0, u1, ...: the writer takes only a
+    store, and a store cannot hold a vector that is not unit-norm."""
+    parts = [b"EMB1", struct.pack("<IQ", vectors.shape[1], len(vectors))]
+    for k, row in enumerate(vectors.astype("<f4")):
+        utt_id = f"u{k}".encode()
+        parts += [struct.pack("<H", len(utt_id)), utt_id, row.tobytes()]
+    return b"".join(parts)
+
+
+def unit_f64(seed: int, n: int, dim: int) -> np.ndarray:
+    rows = np.random.default_rng(seed).standard_normal((n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestStoreUnitNorm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 512))
+    def test_float32_rounded_unit_vectors_load(self, seed, n, dim):
+        vectors = unit_f64(seed, n, dim)
+        back = read_embeddings(io.BytesIO(emb1_bytes(vectors)))
+        assert back.vectors.tobytes() == vectors.astype(np.float32).astype(np.float64).tobytes()
+
+    # the margin covers the float32 rounding of the scaled vector, whose
+    # norm it moves by under 6e-8 relative
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(1, 512),
+        st.data(),
+        st.one_of(st.floats(1e-3, 1 - 1.1 * NORM_TOL), st.floats(1 + 1.1 * NORM_TOL, 1e3)),
+    )
+    def test_scaled_vector_rejected_by_id(self, seed, n, dim, data, f):
+        vectors = unit_f64(seed, n, dim)
+        bad = data.draw(st.integers(0, n - 1), label="position")
+        vectors[bad] *= f
+        with pytest.raises(ValueError) as info:
+            read_embeddings(io.BytesIO(emb1_bytes(vectors)))
+        assert str(info.value).startswith(f"embedding 'u{bad}' is not length-normalized (norm ")
 
 
 # Differential fuzzing of the text parsers against tests/_text_oracle.py.
