@@ -206,12 +206,14 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
     """Read a RIFF PCM wav file: 16-bit signed mono at the expected rate.
 
     Anything else (other sample widths, channel counts, rates, compressed
-    streams, non-RIFF or truncated headers) is rejected with ValueError.
+    streams, non-RIFF files, truncated headers, or fewer data frames than
+    the header claims) is rejected with ValueError.
     """
     try:
         fh = wave.open(str(path), "rb")
     except (wave.Error, EOFError) as exc:
-        raise ValueError(f"{path}: not a readable RIFF wav ({exc or 'truncated header'})") from None
+        reason = str(exc) or "truncated header"
+        raise ValueError(f"{path}: not a readable RIFF wav ({reason})") from None
     with fh:
         if fh.getcomptype() != "NONE":
             raise ValueError(f"{path}: compressed wav not supported")
@@ -222,7 +224,10 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
         rate = fh.getframerate()
         if rate != expected_rate:
             raise ValueError(f"{path}: expected {expected_rate} Hz, got {rate} Hz")
-        raw = fh.readframes(fh.getnframes())
+        n_frames = fh.getnframes()
+        raw = fh.readframes(n_frames)
+    if len(raw) != 2 * n_frames:
+        raise ValueError(f"{path}: truncated wav data ({len(raw) // 2} of {n_frames} frames)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
 

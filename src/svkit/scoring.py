@@ -4,18 +4,19 @@ segment-matrix averaging.
 All scorers consume unit-norm embeddings, never fixed up here: a store,
 a cohort included, is unit-norm by construction, and the scorers check
 their array inputs with `trials.check_unit`.
-Every trial cosine goes through one kernel, `dot_rows`, which runs the
+Every trial score goes through one kernel, `dot_rows`, which runs the
 same BLAS dot as np.dot on each pair of rows, so a score computed in a
-batch of any size equals the single-pair score bit for bit. Cohort scores
-are the one exception: `cohort_stats` scores each block of rows as one
-gemm of fixed shape, and its contract is that a stacked call equals its
-single-row calls bit for bit.
+batch of any size equals the single-pair score bit for bit. An MSA
+score, the mean of all pairwise segment cosines, is bilinear, so it is one
+such dot of the two sides' `segment_means` rows, which `cohort_stats`
+scores too. Cohort scores are the one exception: `cohort_stats` scores
+each block of rows as one gemm of fixed shape, and its contract is that a
+stacked call equals its single-row calls bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +33,7 @@ TRIAL_CHUNK = 128
 # memory stays where per-row scoring had it
 COHORT_BLOCK = 32
 # segments per utterance, from a config or an MSA store: bounds the
-# n_segments^2 cosines per trial
+# segment ids probed and gathered per utterance
 MAX_N_SEGMENTS = 32
 
 
@@ -53,6 +54,16 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(dot_rows(a, b))
 
 
+def segment_means(rows: np.ndarray, label: Callable[[int], str]) -> np.ndarray:
+    """Mean segment vector s_0 + sum(s_i - s_0) / s of each row of an
+    (n, s, dim) stack: exactly s_0 for identical segments, a view of it for
+    one. Each segment is first checked for unit norm, naming row i as
+    label(i); the mean is not unit-norm."""
+    check_unit(rows, label)
+    first, segs = rows[:, 0], rows.shape[1]
+    return first if segs == 1 else first + np.sum(rows[:, 1:] - rows[:, :1], axis=1) / segs
+
+
 def cohort_stats(
     rows: np.ndarray,
     cohort: EmbeddingStore,
@@ -64,10 +75,9 @@ def cohort_stats(
 
     Scores every row against every cohort vector, keeps the K largest, and
     returns their means and population (1/K) standard deviations as two
-    float64 arrays of length n. A row of segments scores as its mean
-    segment vector s_0 + sum(s_i - s_0) / s, exactly s_0 for identical
-    segments. Errors name row i as label(i); the rows are checked here,
-    and the cohort, an EmbeddingStore, is unit-norm by construction.
+    float64 arrays of length n; a row of segments scores as its
+    `segment_means` row. Errors name row i as label(i); the rows are checked
+    here, and the cohort, an EmbeddingStore, is unit-norm by construction.
 
     Every block, a single row included, is one gemm of fixed shape: rows
     zero-padded to COHORT_BLOCK, against the cohort's first multiple of 8
@@ -81,10 +91,7 @@ def cohort_stats(
         raise ValueError(
             f"embedding stack shape {rows.shape} does not match cohort dim {cohort.dim}"
         )
-    check_unit(rows, label)  # each segment, before the mean, which is not unit-norm
-    if rows.ndim == 3:  # one segment is its own mean: a view, no temporary
-        first, segs = rows[:, 0], rows.shape[1]
-        rows = first if segs == 1 else first + np.sum(rows[:, 1:] - rows[:, :1], axis=1) / segs
+    rows = segment_means(rows if rows.ndim == 3 else rows[:, None], label)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n_cohort = len(cohort)
@@ -195,25 +202,14 @@ def segment_id(utt_id: str, index: int) -> str:
     return f"{utt_id}#{index}"
 
 
-def _msa_means(a: np.ndarray, b: np.ndarray) -> np.ndarray | list[float]:
-    """Mean pairwise segment score of each pair of stacks a[i], b[i],
-    accumulated relative to the first pair's score so that identical
-    segments on both sides reproduce the plain cosine score bit for bit
-    (a straight sum-and-divide can drift by one ulp)."""
-    if a.shape[1] == b.shape[1] == 1:  # the plain cosine route, with no fsum loop
-        return dot_rows(a[:, 0], b[:, 0])
-    blocks = dot_rows(a[:, :, None], b[:, None]).reshape(len(a), -1)
-    return [row[0] + math.fsum(row - row[0]) / len(row) for row in blocks]
-
-
 def msa_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    """Mean of all pairwise cosine scores between two segment sets."""
+    """Mean of all pairwise cosine scores between two segment sets of any sizes."""
     emb_a = np.atleast_2d(np.asarray(emb_a, dtype=np.float64))
     emb_b = np.atleast_2d(np.asarray(emb_b, dtype=np.float64))
     if emb_a.shape[1] != emb_b.shape[1]:
         raise ValueError(f"embedding dims differ: {emb_a.shape[1]} vs {emb_b.shape[1]}")
-    check_unit(np.concatenate([emb_a, emb_b]), lambda i: "segment")
-    return float(_msa_means(emb_a[None], emb_b[None])[0])
+    mean_a, mean_b = (segment_means(e[None], lambda i: "segment") for e in (emb_a, emb_b))
+    return float(dot_rows(mean_a, mean_b)[0])
 
 
 def score_trials(
@@ -252,11 +248,13 @@ def score_trials(
                              f"segments of {utts[0]!r} in the embedding store")
         ids = [segment_id(u, i) for u in utts for i in range(n_segments)]
     rows = store.rows(ids).reshape(len(utts), n_segments, store.dim)
+    label = lambda i: f"embedding {utts[i]!r}"
+    means = segment_means(rows, label)
     scores = np.empty(len(trials))
     for s in range(0, len(trials), TRIAL_CHUNK):
-        scores[s : s + TRIAL_CHUNK] = _msa_means(rows[enroll[s : s + TRIAL_CHUNK]],
-                                                 rows[test[s : s + TRIAL_CHUNK]])
+        scores[s : s + TRIAL_CHUNK] = dot_rows(means[enroll[s : s + TRIAL_CHUNK]],
+                                               means[test[s : s + TRIAL_CHUNK]])
     if cohort is not None:
-        mean, std = cohort_stats(rows, cohort, top_k, lambda i: f"embedding {utts[i]!r}")
+        mean, std = cohort_stats(rows, cohort, top_k, label)
         scores = asnorm_score(scores, mean[enroll], std[enroll], mean[test], std[test])
     return ScoreSet(trials=trials, scores=scores)

@@ -139,6 +139,33 @@ class TestFeatures:
         assert len(err.splitlines()) == 1
         assert "fake.wav" in err
 
+    @pytest.mark.parametrize(
+        "keep, reason",
+        [
+            (30, "not a readable RIFF wav (truncated header)"),
+            (44 + 2 * 1600, "truncated wav data (1600 of 16000 frames)"),
+        ],
+        ids=["header", "data"],
+    )
+    @pytest.mark.parametrize("command", ["features", "embed"])
+    def test_truncated_wav_is_data_error(self, tmp_path, capsys, command, keep, reason):
+        wav = tone_wav(tmp_path / "cut.wav", 440)  # 1 s: 16000 frames after a 44-byte header
+        wav.write_bytes(wav.read_bytes()[:keep])
+        out = tmp_path / "out"
+        if command == "features":
+            argv = ["features", "--wav", str(wav), "--output", str(out)]
+        else:
+            wav_list = tmp_path / "utts.txt"
+            wav_list.write_text(f"u0 {wav}\n", encoding="utf-8")
+            argv = ["embed", "--wav-list", str(wav_list), "--output", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == [f"error: {wav}: {reason}"]
+        assert not out.exists()
+
 
 class TestAugment:
     def make_manifest(self, tmp_path):

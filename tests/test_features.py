@@ -214,6 +214,24 @@ class TestWavIO:
         with pytest.raises(ValueError, match="mono"):
             read_wav(path)
 
+    @pytest.mark.parametrize(
+        "keep, reason",
+        [
+            (30, "not a readable RIFF wav (truncated header)"),
+            (44 + 2 * 16_000, "truncated wav data (16000 of 160000 frames)"),
+            (44 + 2 * 16_000 + 1, "truncated wav data (16000 of 160000 frames)"),
+        ],
+        ids=["header", "data", "odd-byte"],
+    )
+    def test_truncated_file_rejected(self, tmp_path, keep, reason):
+        # a 44-byte header whose data chunk claims 160000 frames, cut short
+        path = tmp_path / "cut.wav"
+        write_wav(Waveform(np.zeros(160_000), RATE), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError) as info:
+            read_wav(path)
+        assert str(info.value) == f"{path}: {reason}"
+
 
 class TestMelDump:
     def test_roundtrip(self):

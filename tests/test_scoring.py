@@ -480,13 +480,14 @@ class TestMsaScore:
         eye = np.eye(5)
         assert msa_score(eye, eye) == pytest.approx(0.2, abs=1e-15)
 
-    def test_matches_double_loop_oracle(self):
+    @pytest.mark.parametrize("n_a, n_b", [(1, 5), (3, 7), (5, 5)], ids=["1x5", "3x7", "5x5"])
+    def test_matches_double_loop_oracle(self, n_a, n_b):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            a = random_units(rng, 5, 10)
-            b = random_units(rng, 5, 10)
+            a = random_units(rng, n_a, 10)
+            b = random_units(rng, n_b, 10)
             got = msa_score(a, b)
-            want = sum(float(x @ y) for x in a for y in b) / 25.0
+            want = sum(float(x @ y) for x in a for y in b) / (n_a * n_b)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_symmetric(self):
