@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .trials import (
     read_embeddings_file,
     read_path_list,
     require_file,
-    serialize_scores,
+    score_text_chunks,
     write_embeddings_file,
 )
 
@@ -59,11 +60,26 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _emit(text: str, output) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], output) -> None:
+    """Write text chunks, as they come, to the output file or else stdout.
+
+    A failure part-way through removes the output file, so a failed command
+    leaves none; an exception that is not a data or I/O error is reported
+    as a data error naming the file."""
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
+    path = Path(output)
+    sink = path.open("w", encoding="utf-8")
+    try:
+        with sink:
+            sink.writelines(chunks)
+    except BaseException as exc:
+        if path.is_file() and not path.is_symlink():  # never a device or a link
+            path.unlink()
+        if isinstance(exc, (ValueError, OSError)) or not isinstance(exc, Exception):
+            raise
+        raise ValueError(f"{path}: not written: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_features(args) -> int:
@@ -139,7 +155,7 @@ def cmd_score(args) -> int:
         cohort = read_embeddings_file(require_file(cohort_path, "cohort"))
     top_k = args.topk if args.topk is not None else cfg.top_k
     result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
-    _emit(serialize_scores(result), args.output)
+    _emit(score_text_chunks(result), args.output)
     return 0
 
 
@@ -165,7 +181,7 @@ def cmd_fuse(args) -> int:
             Path(args.model).write_text(serialize_fusion_model(model), encoding="utf-8")
     else:
         model = parse_file(args.model, "model", parse_fusion_model)
-    _emit(serialize_scores(fuse(model, matrix, trials)), args.output)
+    _emit(score_text_chunks(fuse(model, matrix, trials)), args.output)
     return 0
 
 

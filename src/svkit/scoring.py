@@ -11,14 +11,16 @@ score, the mean of all pairwise segment cosines, is bilinear, so it is one
 such dot of the two sides' `segment_means` rows, which `cohort_stats`
 scores too. Cohort scores are the one exception: `cohort_stats` scores
 each block of rows as one gemm of fixed shape, and its contract is that a
-stacked call equals its single-row calls bit for bit.
+stacked call equals its single-row calls bit for bit. `score_trials` reads
+a store through index arrays (`MeanRows`), so it copies only bounded
+blocks of rows, never the whole store.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .features import Waveform, match_length
 from .trials import EmbeddingStore, ScoreSet, TrialList, check_unit
 
 SIGMA_FLOOR = 1e-9
-# trials per gathered chunk: bounds the enroll/test row copies
+# trials, or utterances, per gathered chunk: bounds every row copy
 TRIAL_CHUNK = 128
 # rows per cohort_stats gemm: 32 rows already reach full gemm speed (64
 # is no faster), and a 32 x 5000 float64 score block is 1.3 MB, so peak
@@ -60,12 +62,26 @@ def segment_means(rows: np.ndarray, label: Callable[[int], str]) -> np.ndarray:
     one. Each segment is first checked for unit norm, naming row i as
     label(i); the mean is not unit-norm."""
     check_unit(rows, label)
+    return _unchecked_means(rows)
+
+
+def _unchecked_means(rows: np.ndarray) -> np.ndarray:
     first, segs = rows[:, 0], rows.shape[1]
     return first if segs == 1 else first + np.sum(rows[:, 1:] - rows[:, :1], axis=1) / segs
 
 
+class MeanRows(NamedTuple):
+    """Checked mean segment vectors read through an index: row i is
+    vectors[index[i]], the mean of `segments` segments. A plain store's
+    vectors are their own means."""
+
+    vectors: np.ndarray
+    index: np.ndarray
+    segments: int = 1
+
+
 def cohort_stats(
-    rows: np.ndarray,
+    rows: np.ndarray | MeanRows,
     cohort: EmbeddingStore,
     k: int = 100,
     label: Callable[[int], str] = "embedding row {}".format,
@@ -78,6 +94,7 @@ def cohort_stats(
     float64 arrays of length n; a row of segments scores as its
     `segment_means` row. Errors name row i as label(i); the rows are checked
     here, and the cohort, an EmbeddingStore, is unit-norm by construction.
+    Rows given as `MeanRows` are already checked means, read block by block.
 
     Every block, a single row included, is one gemm of fixed shape: rows
     zero-padded to COHORT_BLOCK, against the cohort's first multiple of 8
@@ -86,12 +103,16 @@ def cohort_stats(
     single-row calls bit for bit (a property of the BLAS build, which
     `svkit selftest` checks).
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim not in (2, 3) or rows.shape[-1] != cohort.dim:
-        raise ValueError(
-            f"embedding stack shape {rows.shape} does not match cohort dim {cohort.dim}"
-        )
-    rows = segment_means(rows if rows.ndim == 3 else rows[:, None], label)
+    if isinstance(rows, MeanRows):
+        means, shape = rows, (len(rows.index), rows.segments, rows.vectors.shape[1])
+    else:
+        rows = np.asarray(rows, dtype=np.float64)
+        means, shape = None, rows.shape
+    if len(shape) not in (2, 3) or shape[-1] != cohort.dim:
+        raise ValueError(f"embedding stack shape {shape} does not match cohort dim {cohort.dim}")
+    if means is None:
+        means = MeanRows(segment_means(rows if rows.ndim == 3 else rows[:, None], label),
+                         np.arange(len(rows)))
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n_cohort = len(cohort)
@@ -104,12 +125,13 @@ def cohort_stats(
     head = cohort.vectors[:c8].T
     tail = np.zeros((8, cohort.dim))
     tail[: n_cohort - c8] = cohort.vectors[c8:]
+    vectors, index = means.vectors, means.index
     blk = np.zeros((COHORT_BLOCK, cohort.dim))
-    mean = np.empty(len(rows))
-    std = np.empty(len(rows))
-    for s in range(0, len(rows), COHORT_BLOCK):
-        n = min(COHORT_BLOCK, len(rows) - s)
-        blk[:n] = rows[s : s + n]
+    mean = np.empty(len(index))
+    std = np.empty(len(index))
+    for s in range(0, len(index), COHORT_BLOCK):
+        n = min(COHORT_BLOCK, len(index) - s)
+        blk[:n] = vectors[index[s : s + n]]
         blk[n:] = 0.0
         top = np.concatenate([blk @ head, blk @ tail.T], axis=1)[:n, :n_cohort]
         if cut:
@@ -228,14 +250,21 @@ def score_trials(
     asnorm: raw, with a cohort required. With a cohort, each side is
     normalized by its top-K cohort scores (an MSA side's mean segment
     vector's). A trial id missing from the store raises ValueError.
+
+    The store is read through index arrays (`MeanRows`): a plain store's
+    vectors are scored in place, and a segment store's means are formed
+    once, TRIAL_CHUNK utterances at a time. Each chunk of trials gathers
+    only its own rows and is normalized as it is scored.
     """
     if mode not in ("raw", "asnorm", "msa"):
         raise ValueError(f"unknown scoring mode {mode!r}; expected raw, asnorm, or msa")
     if mode == "asnorm" and cohort is None:
         raise ValueError("asnorm scoring needs a cohort store")
     utts, enroll, test = trials.ids, trials.enroll, trials.test
-    ids, n_segments = utts, 1  # a plain store is one segment per utterance
-    if mode == "msa":  # a store without utts[0]#0 then fails on that id
+    if mode != "msa":
+        rows = MeanRows(store.vectors, store.row_index(utts))
+    else:  # a store without utts[0]#0 then fails on that id
+        n_segments = 1
         while (len(utts) and n_segments <= MAX_N_SEGMENTS
                and segment_id(utts[0], n_segments) in store):
             n_segments += 1
@@ -246,15 +275,19 @@ def score_trials(
         if extra:
             raise ValueError(f"utterance {extra[0]!r} has more than the {n_segments} "
                              f"segments of {utts[0]!r} in the embedding store")
-        ids = [segment_id(u, i) for u in utts for i in range(n_segments)]
-    rows = store.rows(ids).reshape(len(utts), n_segments, store.dim)
-    label = lambda i: f"embedding {utts[i]!r}"
-    means = segment_means(rows, label)
+        index = store.row_index([segment_id(u, i) for u in utts for i in range(n_segments)])
+        index = index.reshape(len(utts), n_segments)
+        means = np.empty((len(utts), store.dim))
+        for s in range(0, len(utts), TRIAL_CHUNK):  # store vectors are unit-norm already
+            means[s : s + TRIAL_CHUNK] = _unchecked_means(store.vectors[index[s : s + TRIAL_CHUNK]])
+        rows = MeanRows(means, np.arange(len(utts)), n_segments)
+    if cohort is not None:
+        mean, std = cohort_stats(rows, cohort, top_k, lambda i: f"embedding {utts[i]!r}")
+    vectors, index = rows.vectors, rows.index
     scores = np.empty(len(trials))
     for s in range(0, len(trials), TRIAL_CHUNK):
-        scores[s : s + TRIAL_CHUNK] = dot_rows(means[enroll[s : s + TRIAL_CHUNK]],
-                                               means[test[s : s + TRIAL_CHUNK]])
-    if cohort is not None:
-        mean, std = cohort_stats(rows, cohort, top_k, label)
-        scores = asnorm_score(scores, mean[enroll], std[enroll], mean[test], std[test])
+        e, t = enroll[s : s + TRIAL_CHUNK], test[s : s + TRIAL_CHUNK]
+        raw = dot_rows(vectors[index[e]], vectors[index[t]])
+        scores[s : s + TRIAL_CHUNK] = (
+            raw if cohort is None else asnorm_score(raw, mean[e], std[e], mean[t], std[t]))
     return ScoreSet(trials=trials, scores=scores)

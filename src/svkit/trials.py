@@ -215,12 +215,13 @@ class EmbeddingStore:
     """Id-indexed matrix of fixed-dimension, unit-norm speaker embeddings.
 
     Vectors are rounded to float32 (the on-disk precision) and held,
-    read-only, as float64, the precision scoring computes in. Each must
-    have unit L2 norm within NORM_TOL (`check_unit`).
+    read-only, as float64, the precision scoring computes in: a float32
+    input, strided or not, is copied once. Each must have unit L2 norm
+    within NORM_TOL (`check_unit`).
     """
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray):
-        vectors = np.ascontiguousarray(vectors, dtype=np.float32).astype(np.float64)
+        vectors = np.asarray(vectors, dtype=np.float32).astype(np.float64, order="C")
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
         if len(ids) != vectors.shape[0]:
@@ -253,13 +254,16 @@ class EmbeddingStore:
         except KeyError:
             raise KeyError(f"utterance id {utt_id!r} not in embedding store") from None
 
-    def rows(self, utt_ids: Sequence[str]) -> np.ndarray:
-        """Stacked vectors for the given ids, in order; a missing id is a ValueError."""
+    def row_index(self, utt_ids: Sequence[str]) -> np.ndarray:
+        """The row of `vectors` holding each id, in order; a missing id is a ValueError."""
         try:
-            index = [self._index[u] for u in utt_ids]
+            return np.fromiter(map(self._index.__getitem__, utt_ids), np.intp, len(utt_ids))
         except KeyError as exc:
             raise ValueError(f"utterance id {exc.args[0]!r} not in embedding store") from None
-        return self.vectors[index]
+
+    def rows(self, utt_ids: Sequence[str]) -> np.ndarray:
+        """Stacked vectors for the given ids, in order; a missing id is a ValueError."""
+        return self.vectors[self.row_index(utt_ids)]
 
 
 # The text layer. parse_trials and parse_scores first try one tokenizer
@@ -268,6 +272,8 @@ class EmbeddingStore:
 # and alone raises, so every error names its line as the loop counts it.
 
 _CHUNK_CHARS = 1 << 16
+# score lines per chunk of written score text: about 250 KB of text
+SCORE_CHUNK = 8192
 # each "\n" becomes the token "\x00", so no text holding a NUL is proven;
 # nor is one holding a line break of str.splitlines() other than "\n"
 _LOOP_ONLY = ("\x00", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
@@ -302,10 +308,20 @@ def _field_chunks(text: str, width: int) -> Iterator[list[str]]:
 
 
 def _codes(code: dict[str, int], ids: list[str]) -> np.ndarray:
-    """The code of each id in `code`, an id not yet in it added in first-seen order."""
-    fresh = [u for u in dict.fromkeys(ids) if u not in code]
-    code.update(zip(fresh, range(len(code), len(code) + len(fresh))))
-    return np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+    """The code of each id in `code`, an id not yet in it added in first-seen order.
+
+    Each id is hashed once: a new id is first stored under its slot, its
+    position plus len(code), which is at least len(code) and so no code
+    yet; the new ids' first slots, ranked by one cumsum, become their codes."""
+    known, n = len(code), len(ids)
+    got = np.fromiter(map(code.setdefault, ids, range(known, known + n)), np.intp, n)
+    first = got == np.arange(known, known + n)
+    rank = np.cumsum(first) + (known - 1)  # at a new id's first slot, its code
+    fresh = got >= known
+    got[fresh] = rank[got[fresh] - known]
+    firsts = np.flatnonzero(first).tolist()
+    code.update(zip(map(ids.__getitem__, firsts), range(known, known + len(firsts))))
+    return got
 
 
 def _interned(flat_ids: list[str]) -> tuple[list[str], np.ndarray]:
@@ -402,17 +418,26 @@ def _score_decimals(scores: np.ndarray) -> np.ndarray:
     return decimals
 
 
+def score_text_chunks(score_set: ScoreSet) -> Iterator[str]:
+    """serialize_scores' text, SCORE_CHUNK lines at a time, so no whole
+    score file is ever held: each chunk applies one %-format per precision
+    in use in one call."""
+    trials, scores = score_set.trials, score_set.scores
+    for s in range(0, len(scores), SCORE_CHUNK):
+        chunk = scores[s : s + SCORE_CHUNK]
+        decimals = _score_decimals(chunk).tolist()
+        line_formats = {d: f"%s %s %.{d}f\n" for d in set(decimals)}
+        fields: list = [None] * (3 * len(chunk))
+        fields[0::3] = trials.ids[trials.enroll[s : s + SCORE_CHUNK]].tolist()
+        fields[1::3] = trials.ids[trials.test[s : s + SCORE_CHUNK]].tolist()
+        fields[2::3] = np.where(chunk == 0.0, 0.0, chunk).tolist()  # -0.0 writes as 0
+        yield "".join(map(line_formats.__getitem__, decimals)) % tuple(fields)
+
+
 def serialize_scores(score_set: ScoreSet) -> str:
     """One "enroll test score" line per trial, each score as format_score
-    writes it: one %-format per precision in use, applied in one call."""
-    enroll, test = (ids.tolist() for ids in score_set.trials.pair_ids())
-    scores = score_set.scores
-    decimals = _score_decimals(scores)
-    line_formats = {d: f"%s %s %.{d}f\n" for d in np.unique(decimals).tolist()}
-    fields: list = [None] * (3 * len(scores))
-    fields[0::3], fields[1::3] = enroll, test
-    fields[2::3] = np.where(scores == 0.0, 0.0, scores).tolist()  # -0.0 writes as 0
-    return "".join(map(line_formats.__getitem__, decimals.tolist())) % tuple(fields)
+    writes it."""
+    return "".join(score_text_chunks(score_set))
 
 
 def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
@@ -506,7 +531,9 @@ def write_embeddings(store: EmbeddingStore, sink: BinaryIO) -> None:
 
 def read_embeddings(source: BinaryIO) -> EmbeddingStore:
     """Inverse of write_embeddings; the source is read once, whole, and
-    bounds-checked, and every vector must be unit-norm (`EmbeddingStore`)."""
+    bounds-checked, and every vector must be unit-norm (`EmbeddingStore`).
+    The file bytes are dropped once the vector bytes are gathered, so they
+    are never held beside the float64 copy."""
     data = memoryview(source.read())
 
     def take(n: int, what: str) -> memoryview:
@@ -529,15 +556,15 @@ def read_embeddings(source: BinaryIO) -> EmbeddingStore:
     for _ in range(count):
         record_offset = offset
         (id_len,) = struct.unpack("<H", take(2, "id length"))
-        id_bytes = take(id_len, "id bytes")
         try:
-            utt_id = str(id_bytes, "utf-8")
+            utt_id = str(take(id_len, "id bytes"), "utf-8")
         except UnicodeDecodeError:
             raise StoreFormatError(record_offset, "id is not UTF-8") from None
         if utt_id in ids:
             raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
         ids[utt_id] = None
         vector_bytes += take(4 * dim, "vector")
+    del data  # no view of the file bytes is left, so they are freed here
     vectors = np.frombuffer(vector_bytes, dtype="<f4").reshape(len(ids), dim)
     return EmbeddingStore(list(ids), vectors)
 

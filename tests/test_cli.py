@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import svkit
+from svkit import cli as cli_module
 from svkit.cli import main
 from svkit.config import stage_seed
 from svkit.features import Waveform, read_mel, read_wav, write_wav
@@ -19,12 +21,15 @@ from svkit.model import embed_waveform
 from svkit.scoring import MAX_N_SEGMENTS, score_trials, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
 from svkit.trials import (
+    SCORE_CHUNK,
     EmbeddingStore,
+    ScoreSet,
     Trial,
     TrialList,
     parse_scores,
     parse_trials,
     read_embeddings_file,
+    score_text_chunks,
     serialize_scores,
     serialize_trials,
     write_embeddings_file,
@@ -81,6 +86,24 @@ class TestTopLevel:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         ).stdout
         assert out.strip() == "[]"
+
+    def test_score_loads_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, which costs every command 10-30 ms
+        rng = np.random.default_rng(7)
+        write_embeddings_file(EmbeddingStore(["a", "b", "c"], unit_rows(rng, 3, 4)),
+                              tmp_path / "emb.bin")
+        write_trials(tmp_path / "t.txt", [Trial("a", "b", True), Trial("a", "c", False)])
+        code = (
+            "import sys; from svkit.cli import main; "
+            "code = main(['score', '--trials', 't.txt', '--embeddings', 'emb.bin', "
+            "'--output', 's.txt']); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(svkit.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env, cwd=tmp_path).stdout
+        assert out.split() == ["0", "False"]
+        assert (tmp_path / "s.txt").read_text(encoding="utf-8").count("\n") == 2
 
     def test_threads_flag_is_usage_error(self, capsys):
         # the flag is gone: nothing ever read it
@@ -857,6 +880,114 @@ class TestFuse:
             assert len(captured.out.splitlines()) == len(trial_objs)
         else:
             assert captured.out == ""
+
+
+def unit_rows(rng, n, dim):
+    rows = rng.standard_normal((n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestStreamedOutput:
+    """score and fuse write their text chunk by chunk, and a failed command
+    leaves no --output file."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(8)
+        utts = [f"u{i}" for i in range(20)]
+        write_embeddings_file(EmbeddingStore(utts, unit_rows(rng, 20, 8)), tmp_path / "emb.bin")
+        write_embeddings_file(EmbeddingStore([f"c{i}" for i in range(30)], unit_rows(rng, 30, 8)),
+                              tmp_path / "cohort.bin")
+        pairs = rng.integers(20, size=(3 * SCORE_CHUNK, 2))
+        write_trials(tmp_path / "t.txt", [Trial(utts[a], utts[b], bool(a % 2))
+                                          for a, b in pairs])
+        return tmp_path
+
+    def argv(self, tmp_path, command, out):
+        if command == "score":
+            return ["score", "--trials", str(tmp_path / "t.txt"),
+                    "--embeddings", str(tmp_path / "emb.bin"), "--output", str(out)]
+        scores = tmp_path / "s.txt"
+        assert main(self.argv(tmp_path, "score", scores)) == 0
+        return ["fuse", "--fit-labels", "--trials", str(tmp_path / "t.txt"),
+                "--scores", str(scores), str(scores), "--output", str(out)]
+
+    @pytest.mark.parametrize("command", ["score", "fuse"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failure_mid_stream_removes_output(self, inputs, capsys, monkeypatch, command,
+                                               existing):
+        out = inputs / "out.txt"
+        argv = self.argv(inputs, command, out)
+        assert main(argv) == 0
+        want = out.read_text(encoding="utf-8")
+        assert want.count("\n") == 3 * SCORE_CHUNK
+        if not existing:
+            out.unlink()
+        real = cli_module.score_text_chunks
+
+        def failing(score_set):
+            chunks = real(score_set)
+            yield next(chunks)
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(cli_module, "score_text_chunks", failing)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: not written: RuntimeError: disk gone\n"
+        assert not out.exists()
+        monkeypatch.setattr(cli_module, "score_text_chunks", real)
+        assert main(argv) == 0
+        assert out.read_text(encoding="utf-8") == want
+
+    def test_failure_mid_stream_through_symlink_keeps_link(self, inputs, capsys, monkeypatch):
+        # a symlink is written through and never removed: its target is left
+        # holding the chunks written before the failure
+        target, out = inputs / "target.txt", inputs / "link.txt"
+        target.write_text("old\n", encoding="utf-8")
+        out.symlink_to(target)
+        real = cli_module.score_text_chunks
+
+        def failing(score_set):
+            chunks = real(score_set)
+            yield next(chunks)
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(cli_module, "score_text_chunks", failing)
+        assert main(self.argv(inputs, "score", out)) == 2
+        assert capsys.readouterr().err == f"error: {out}: not written: RuntimeError: disk gone\n"
+        assert out.is_symlink()
+        assert target.read_text(encoding="utf-8").count("\n") == SCORE_CHUNK
+
+    @pytest.mark.parametrize("case", ["missing-id", "bad-cohort"])
+    def test_error_before_first_chunk_creates_no_file(self, inputs, capsys, case):
+        out = inputs / "out.txt"
+        argv = self.argv(inputs, "score", out)
+        if case == "missing-id":
+            write_trials(inputs / "t.txt", [Trial("u0", "u1"), Trial("u2", "ghost")])
+        else:  # a cohort of another dimension
+            write_embeddings_file(EmbeddingStore(["c0", "c1"], np.eye(2)), inputs / "cohort.bin")
+            argv += ["--asnorm", "--cohort", str(inputs / "cohort.bin"), "--topk", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_writing_200k_scores_holds_one_chunk(self, tmp_path):
+        rng = np.random.default_rng(9)
+        trials = TrialList._from_codes([f"utt{i:05d}" for i in range(2000)],
+                                       rng.integers(2000, size=400_000), None)
+        score_set = ScoreSet(trials, rng.standard_normal(200_000))
+        out = tmp_path / "scores.txt"
+        tracemalloc.start()
+        try:
+            cli_module._emit(score_text_chunks(score_set), out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert out.read_text(encoding="utf-8") == serialize_scores(score_set)
 
 
 class TestTextInputs:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,7 +209,8 @@ class TestStackedStatistics:
     def test_segment_stack_equals_row_by_row(self, case, n_segments, seed):
         rows, cohort, k = case
         n, dim = rows.shape
-        rng = np.random.default_rng(seed)
+        # a stream apart from the case's, so no segment is a cohort vector
+        rng = np.random.default_rng([seed, 1])
         stack = random_units(rng, n * n_segments, dim).reshape(n, n_segments, dim)
         mean, std = cohort_stats(stack, cohort, k)
         assert mean.shape == std.shape == (n,)
@@ -645,11 +647,40 @@ class TestScoreTrials:
             want = asnorm_score(msa_score(seg_e, seg_x), mean_e, std_e, mean_x, std_x)[0]
             assert msa_asnorm[k] == want
 
+    @pytest.mark.parametrize("mode, segments", [("asnorm", 1), ("msa", 3)])
+    def test_cohort_dim_mismatch_names_stack_shape(self, mode, segments):
+        rng = np.random.default_rng(27)
+        utts = ["u0", "u1", "u2", "u3"]
+        ids = utts if mode == "asnorm" else [segment_id(u, i) for u in utts for i in range(3)]
+        store = make_store(rng, ids)
+        cohort = make_store(rng, [f"c{i}" for i in range(6)], dim=4)
+        message = rf"^embedding stack shape \(4, {segments}, 8\) does not match cohort dim 4$"
+        with pytest.raises(ValueError, match=message):
+            score_trials(self.trial_list(), store, mode=mode, cohort=cohort, top_k=3)
+
     def test_unknown_mode_rejected(self):
         rng = np.random.default_rng(19)
         store = make_store(rng, ["u0", "u1", "u2", "u3"])
         with pytest.raises(ValueError, match="unknown scoring mode"):
             score_trials(self.trial_list(), store, mode="plda")
+
+    @pytest.mark.parametrize("with_cohort", [False, True], ids=["raw", "asnorm"])
+    def test_memory_bounded_by_scores_and_half_the_store(self, with_cohort):
+        # the store is read through index arrays and AS-Norm runs per chunk,
+        # so no copy of the store and no per-trial temporary is ever held
+        rng = np.random.default_rng(40)
+        utts = [f"u{i}" for i in range(2000)]
+        store = make_store(rng, utts, dim=256)
+        cohort = make_store(rng, [f"c{i}" for i in range(1000)], dim=256) if with_cohort else None
+        trials = TrialList._from_codes(utts, rng.integers(len(utts), size=200_000), None)
+        tracemalloc.start()
+        try:
+            result = score_trials(trials, store, cohort=cohort, top_k=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 100_000
+        assert peak < result.scores.nbytes + store.vectors.nbytes / 2
 
 
 def brute_force_msa_asnorm(seg_e, seg_t, cohort_rows, k):
