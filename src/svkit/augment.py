@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import Waveform, match_length, read_wav
-from .trials import read_path_list, require_file
+from .trials import read_path_list
 
 BANK_CATEGORIES = ("noise", "music", "speech", "rir")
 
@@ -84,7 +84,7 @@ class NoiseBank:
         for line_no, category, wav_path in read_path_list(path, "manifest"):
             if category not in BANK_CATEGORIES:
                 raise ValueError(f"{path}:{line_no}: unknown category {category!r}")
-            wav = read_wav(require_file(wav_path, "wav"), expected_rate=sample_rate)
+            wav = read_wav(wav_path, expected_rate=sample_rate)
             entries[category].append(wav)
         return cls(entries)
 
@@ -136,16 +136,13 @@ def mix_at_snr(signal: Waveform, noise: Waveform, snr_db: float) -> Waveform:
 
 
 def make_babble(
-    speech: list[Waveform],
-    k: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    k_range: tuple[int, int] = (3, 7),
+    speech: list[Waveform], k: int, n_samples: int, rng: np.random.Generator
 ) -> Waveform:
-    """Sum of k distinct randomly chosen speech clips, each length-matched."""
-    lo, hi = k_range
-    if not lo <= k <= hi:
-        raise ValueError(f"babble speaker count {k} outside [{lo}, {hi}]")
+    """Sum of k distinct randomly chosen speech clips, each length-matched.
+
+    The policy's babble_min..babble_max range bounds k (`apply_policy`)."""
+    if k < 1:
+        raise ValueError(f"babble speaker count must be >= 1, got {k}")
     if len(speech) < k:
         raise ValueError(f"speech bank has {len(speech)} clips, need {k}")
     chosen = rng.choice(len(speech), size=k, replace=False)
@@ -196,9 +193,8 @@ def apply_policy(
         out = mix_at_snr(out, clips[int(rng.integers(len(clips)))], snr)
     if rng.random() < policy.p_babble:
         clips = bank.category("speech")
-        lo, hi = policy.babble_min, policy.babble_max
-        k = int(rng.integers(lo, hi + 1))
-        babble = make_babble(clips, k, len(out), rng, k_range=(lo, hi))
+        k = int(rng.integers(policy.babble_min, policy.babble_max + 1))
+        babble = make_babble(clips, k, len(out), rng)
         snr = rng.uniform(policy.snr_babble_lo, policy.snr_babble_hi)
         out = mix_at_snr(out, babble, snr)
     if rng.random() < policy.p_reverb:

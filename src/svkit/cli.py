@@ -39,7 +39,6 @@ from .trials import (
     parse_trials,
     read_embeddings_file,
     read_path_list,
-    require_file,
     score_text_chunks,
     write_embeddings_file,
 )
@@ -84,7 +83,7 @@ def _emit(chunks: Iterable[str], output) -> None:
 
 def cmd_features(args) -> int:
     cfg = _load_config(args)
-    wav = read_wav(require_file(args.wav, "wav"), expected_rate=cfg.sample_rate)
+    wav = read_wav(args.wav, expected_rate=cfg.sample_rate)
     feats = compute_logmel(wav, cfg.features)
     if cfg.cmn and not args.no_cmn:
         feats = apply_cmn(feats)
@@ -100,7 +99,7 @@ def cmd_augment(args) -> int:
     if manifest is None:
         raise UsageError("augment needs --manifest or a noise_manifest config entry")
     bank = NoiseBank.from_manifest(manifest, cfg.sample_rate)
-    wav = read_wav(require_file(args.wav, "wav"), expected_rate=cfg.sample_rate)
+    wav = read_wav(args.wav, expected_rate=cfg.sample_rate)
     seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "augment")
     rng = np.random.default_rng(seed)
     out = apply_policy(wav, cfg.augment, bank, rng)
@@ -122,7 +121,7 @@ def cmd_embed(args) -> int:
     ids: list[str] = []
     vectors: list[np.ndarray] = []
     for _, utt_id, wav_path in entries:
-        wav = read_wav(require_file(wav_path, "wav"), expected_rate=cfg.sample_rate)
+        wav = read_wav(wav_path, expected_rate=cfg.sample_rate)
         try:
             segments = [([utt_id], wav)]
             if args.msa:
@@ -145,14 +144,14 @@ def cmd_score(args) -> int:
     cfg = _load_config(args)
     # without --labeled the first non-blank line decides the trial form
     trials = parse_file(args.trials, "trials", parse_trials, True if args.labeled else None)
-    store = read_embeddings_file(require_file(args.embeddings, "embeddings"))
+    store = read_embeddings_file(args.embeddings)
     mode = "msa" if args.msa else "asnorm" if args.asnorm else "raw"
     cohort = None
     if args.asnorm:
         cohort_path = args.cohort or cfg.cohort_path
         if cohort_path is None:
             raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
-        cohort = read_embeddings_file(require_file(cohort_path, "cohort"))
+        cohort = read_embeddings_file(cohort_path, "cohort")
     top_k = args.topk if args.topk is not None else cfg.top_k
     result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
     _emit(score_text_chunks(result), args.output)

@@ -18,6 +18,8 @@ from typing import BinaryIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .trials import require_file
+
 MEL_MAGIC = b"MEL1"
 # upper bounds on the FFT size and filter count, so a config value cannot
 # size the filterbank (n_mels x (n_fft/2 + 1) float64, at most 34 MB)
@@ -207,8 +209,10 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
 
     Anything else (other sample widths, channel counts, rates, compressed
     streams, non-RIFF files, truncated headers, or fewer data frames than
-    the header claims) is rejected with ValueError.
+    the header claims) is rejected with ValueError, as is a path that is
+    not a regular file (`require_file`).
     """
+    path = require_file(path, "wav")
     try:
         fh = wave.open(str(path), "rb")
     except (wave.Error, EOFError) as exc:

@@ -70,7 +70,8 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
 
     Minimizes mean log-loss + l2 * ||w||^2 / 2 (bias unregularized) with
     damped Newton iterations from a zero start; converged means the
-    gradient infinity-norm reached 1e-8 within the iteration budget.
+    gradient infinity-norm reached 1e-8 within the iteration budget, and
+    iterations counts the Newton steps taken.
     """
     matrix = _check_matrix(matrix)
     labels = np.asarray(labels, dtype=bool)
@@ -93,14 +94,11 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
         )
 
     current = objective(theta)
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
+    for iterations in range(MAX_ITER + 1):
         p = _sigmoid(design @ theta)
         grad = design.T @ (p - y) / n + reg * theta
-        if float(np.max(np.abs(grad))) <= GRAD_TOL:
-            converged = True
-            iterations -= 1
+        converged = float(np.max(np.abs(grad))) <= GRAD_TOL
+        if converged or iterations == MAX_ITER:
             break
         curvature = p * (1.0 - p) / n
         hessian = design.T @ (design * curvature[:, None]) + np.diag(reg)
@@ -120,13 +118,6 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
         else:
             # no descent direction left at this precision
             break
-    else:
-        iterations = MAX_ITER
-
-    p = _sigmoid(design @ theta)
-    grad = design.T @ (p - y) / n + reg * theta
-    if float(np.max(np.abs(grad))) <= GRAD_TOL:
-        converged = True
     return FusionModel(
         weights=theta[:m],
         bias=float(theta[m]),

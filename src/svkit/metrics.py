@@ -61,8 +61,10 @@ class DcfConfig:
     def __post_init__(self):
         if not 0 < self.p_target < 1:
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
-        if self.c_miss <= 0 or self.c_fa <= 0:
-            raise ValueError("costs must be positive")
+        for name in ("c_miss", "c_fa"):
+            cost = getattr(self, name)
+            if not 0 < cost < np.inf:  # False for NaN
+                raise ValueError(f"costs must be finite and positive, got {name} {cost}")
 
 
 def roc_points(scores: ScoreSet) -> RocCurve:

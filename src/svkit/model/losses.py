@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..scoring import dot_rows
-from ..trials import NORM_TOL
+from ..trials import check_unit
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:
@@ -28,19 +28,16 @@ def length_normalize(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Scale, additive angular margin, and subcenter count."""
+    """Scale and additive angular margin; the weight tensor sets the subcenter count."""
 
     scale: float = 30.0
     margin: float = 0.3
-    subcenters: int = 2
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if not 0.0 <= self.margin < math.pi / 2:
             raise ValueError(f"margin must be in [0, pi/2), got {self.margin}")
-        if self.subcenters < 1:
-            raise ValueError(f"subcenters must be >= 1, got {self.subcenters}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,8 @@ class LossEval:
 
 
 class SubcenterWeights:
-    """embed_dim x n_classes x k tensor with unit-norm subcenter columns."""
+    """embed_dim x n_classes x k tensor with unit-norm subcenter columns
+    (`check_unit`, naming the class)."""
 
     def __init__(self, tensor: np.ndarray):
         tensor = np.asarray(tensor, dtype=np.float64)
@@ -70,10 +68,7 @@ class SubcenterWeights:
             raise ValueError(f"need at least 2 classes, got {n_classes}")
         if k < 1:
             raise ValueError(f"need at least 1 subcenter, got {k}")
-        norms = np.linalg.norm(tensor, axis=0)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > NORM_TOL:
-            raise ValueError(f"subcenter vectors must be unit-norm, off by {worst:.3g}")
+        check_unit(tensor.transpose(1, 2, 0), lambda c: f"a subcenter of class {c}")
         self.tensor = tensor
 
     @property
@@ -154,8 +149,6 @@ def aam_softmax_loss(x: np.ndarray, y: int, weights, cfg: LossConfig) -> LossEva
     n_classes = tensor.shape[1]
     if not 0 <= y < n_classes:
         raise ValueError(f"label {y} outside [0, {n_classes})")
-    if isinstance(weights, SubcenterWeights) and weights.subcenters != cfg.subcenters:
-        raise ValueError(f"config expects {cfg.subcenters} subcenters, weights have {weights.subcenters}")
 
     cosines, active = subcenter_cosines(x, tensor)
     cos_y = float(cosines[y])

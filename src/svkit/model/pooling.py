@@ -57,6 +57,9 @@ class PoolGradients:
 
 
 def _forward(frames: np.ndarray, params: AttentionParams):
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[0] < 1:
+        raise ValueError(f"frames must be (T >= 1, D), got {frames.shape}")
     z = frames @ params.w.T + params.b
     tanh_z = np.tanh(z)
     scores = tanh_z @ params.v
@@ -67,15 +70,12 @@ def _forward(frames: np.ndarray, params: AttentionParams):
     second = alpha @ (frames * frames)
     var = second - mean * mean
     sigma = np.sqrt(np.maximum(var, VAR_FLOOR))
-    return tanh_z, alpha, mean, var, sigma
+    return frames, tanh_z, alpha, mean, var, sigma
 
 
 def attentive_stats_pool(frames: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Pool (T, D) frames into a 2D-dim [mean, std] vector."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise ValueError(f"frames must be (T >= 1, D), got {frames.shape}")
-    _, _, mean, _, sigma = _forward(frames, params)
+    _, _, _, mean, _, sigma = _forward(frames, params)
     return np.concatenate([mean, sigma])
 
 
@@ -89,15 +89,11 @@ def attentive_stats_pool_vjp(
     upstream has length 2D. Where the variance clamp is active the sigma
     path contributes zero gradient.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames, tanh_z, alpha, mean, var, sigma = _forward(frames, params)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise ValueError(f"frames must be (T >= 1, D), got {frames.shape}")
     d = frames.shape[1]
     if upstream.shape != (2 * d,):
         raise ValueError(f"upstream must have shape ({2 * d},), got {upstream.shape}")
-
-    tanh_z, alpha, mean, var, sigma = _forward(frames, params)
     pooled = np.concatenate([mean, sigma])
 
     u_mean, u_sigma = upstream[:d], upstream[d:]

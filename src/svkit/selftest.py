@@ -118,7 +118,7 @@ def check_asnorm_oracle() -> bool:
 
 def check_gradients() -> bool:
     rng = np.random.default_rng(103)
-    cfg = LossConfig(scale=30.0, margin=0.3, subcenters=2)
+    cfg = LossConfig(scale=30.0, margin=0.3)
     checked = 0
     while checked < 10:
         dim, n = int(rng.integers(4, 10)), int(rng.integers(2, 6))
@@ -163,7 +163,7 @@ def check_reduction_identities() -> bool:
         x = length_normalize(rng.standard_normal(dim))
         w = SubcenterWeights.random(dim, n, 1, rng)
         y = int(rng.integers(n))
-        no_margin = aam_softmax_loss(x, y, w, LossConfig(scale=30.0, margin=0.0, subcenters=1))
+        no_margin = aam_softmax_loss(x, y, w, LossConfig(scale=30.0, margin=0.0))
         cosines, _ = subcenter_cosines(x, w)
         plain = softmax_ce_loss(30.0 * cosines, y)
         if abs(no_margin.loss - plain.loss) > 1e-12:

@@ -5,7 +5,7 @@ in {0, 1}) or "enroll test" for unlabeled lists. Scores are stored
 as "enroll test score" lines. Embeddings use the little-endian "EMB1"
 binary layout so round-trips are bit-exact. Every text input svkit
 reads goes through `read_text` (trial and score files through
-`parse_file`), every other input file through `require_file`.
+`parse_file`); every reader of an input file checks it with `require_file`.
 """
 
 from __future__ import annotations
@@ -574,7 +574,9 @@ def write_embeddings_file(store: EmbeddingStore, path) -> None:
         write_embeddings(store, sink)
 
 
-def read_embeddings_file(path) -> EmbeddingStore:
+def read_embeddings_file(path, what: str = "embeddings") -> EmbeddingStore:
+    """`read_embeddings` of a file; `what` names it if it is not a regular file."""
+    path = require_file(path, what)
     with open(path, "rb") as source:
         try:
             return read_embeddings(source)

@@ -171,7 +171,7 @@ def aam_instance(rng, subcenters=None, margin=0.3):
             continue
         if np.max(np.abs(per)) >= 0.99:
             continue
-        cfg = LossConfig(scale=30.0, margin=margin, subcenters=k)
+        cfg = LossConfig(scale=30.0, margin=margin)
         if aam_softmax_loss(x, y, w, cfg).loss < 1e-3:
             continue
         return x, y, w, cfg
@@ -246,7 +246,7 @@ def test_margin_subcenter_and_segment_reductions(reported):
         # margin 0 turns the margin loss into softmax-CE on scaled cosines
         for _ in range(30):
             x, y, w, _ = aam_instance(rng, margin=0.0)
-            cfg = LossConfig(scale=30.0, margin=0.0, subcenters=w.subcenters)
+            cfg = LossConfig(scale=30.0, margin=0.0)
             cosines, _ = subcenter_cosines(x, w)
             assert abs(aam_softmax_loss(x, y, w, cfg).loss - softmax_ce_loss(30.0 * cosines, y).loss) <= 1e-12
 

@@ -714,6 +714,23 @@ class TestEvaluateFixture:
         assert captured.out == ""
         assert captured.err == f"error: {scores}:2: non-finite score '{token}'\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--c-miss", "nan"), ("--c-miss", "inf"), ("--c-fa", "inf"), ("--c-fa", "0"),
+    ])
+    def test_non_finite_or_non_positive_cost_is_data_error(self, tmp_path, capsys, flag, value):
+        trials = write_trials(
+            tmp_path / "t.txt",
+            [Trial("a", "b", label=True), Trial("a", "c", label=False)],
+        )
+        scores = tmp_path / "s.txt"
+        scores.write_text("a b 0.900000000\na c 0.100000000\n")
+        code = main(["evaluate", "--trials", str(trials), "--scores", str(scores), flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        name = flag[2:].replace("-", "_")
+        assert captured.err == f"error: costs must be finite and positive, got {name} {float(value)}\n"
+
 
 class TestFuse:
     def write_score_file(self, path, trials, values):

@@ -88,8 +88,15 @@ class TestSubcenterCosines:
 
 class TestSubcenterWeights:
     def test_non_unit_rejected(self):
-        with pytest.raises(ValueError, match="unit-norm"):
+        with pytest.raises(ValueError, match="not length-normalized"):
             SubcenterWeights(np.ones((4, 2, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
+    def test_non_finite_or_off_norm_entry_names_its_class(self, bad):
+        tensor = SubcenterWeights.random(4, 3, 2, np.random.default_rng(5)).tensor.copy()
+        tensor[1, 2, 1] = bad
+        with pytest.raises(ValueError, match=r"^a subcenter of class 2 is not length-normalized"):
+            SubcenterWeights(tensor)
 
     def test_single_class_rejected(self):
         t = np.ones((4, 1, 1)) / 2.0
@@ -149,7 +156,7 @@ def random_aam_instance(rng, dim=None, n=None, k=None, margin=0.3):
         gap_ok = subcenters == 1 or np.all(top2[:, -1] - top2[:, -2] > 1e-3)
         if not (gap_ok and np.max(np.abs(per)) < 0.99):
             continue
-        probe = LossConfig(scale=30.0, margin=margin, subcenters=subcenters)
+        probe = LossConfig(scale=30.0, margin=margin)
         if aam_softmax_loss(x, y, w, probe).loss >= 1e-3:
             return x, y, w
 
@@ -159,7 +166,7 @@ class TestAamSoftmaxLoss:
         rng = np.random.default_rng(8)
         for _ in range(10):
             x, y, w = random_aam_instance(rng)
-            cfg = LossConfig(scale=30.0, margin=0.0, subcenters=w.subcenters)
+            cfg = LossConfig(scale=30.0, margin=0.0)
             aam = aam_softmax_loss(x, y, w, cfg)
             cosines, _ = subcenter_cosines(x, w)
             ce = softmax_ce_loss(30.0 * cosines, y)
@@ -169,7 +176,7 @@ class TestAamSoftmaxLoss:
         rng = np.random.default_rng(9)
         x, o = orthonormal_pair(rng, 32)
         tensor = np.stack([x[:, None], o[:, None]], axis=1)
-        cfg = LossConfig(scale=1.0, margin=0.0, subcenters=1)
+        cfg = LossConfig(scale=1.0, margin=0.0)
         out = aam_softmax_loss(x, 0, tensor, cfg)
         assert out.loss == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-9)
 
@@ -178,7 +185,7 @@ class TestAamSoftmaxLoss:
         worst_x = worst_w = 0.0
         for _ in range(25):
             x, y, w = random_aam_instance(rng)
-            cfg = LossConfig(scale=30.0, margin=0.3, subcenters=w.subcenters)
+            cfg = LossConfig(scale=30.0, margin=0.3)
             out = aam_softmax_loss(x, y, w, cfg)
 
             num_x = central_difference(
@@ -197,7 +204,7 @@ class TestAamSoftmaxLoss:
         rng = np.random.default_rng(11)
         x, y, w = random_aam_instance(rng, dim=8, n=6, k=2)
         for margin in (0.3, 0.5, 0.6):
-            cfg = LossConfig(scale=30.0, margin=margin, subcenters=2)
+            cfg = LossConfig(scale=30.0, margin=margin)
             out = aam_softmax_loss(x, y, w, cfg)
             num = central_difference(
                 lambda xv: aam_softmax_loss(xv, y, w.tensor, cfg).loss, x.copy()
@@ -214,7 +221,7 @@ class TestAamSoftmaxLoss:
             if not 0.05 < theta < math.pi / 2 - 0.55:
                 continue
             losses = [
-                aam_softmax_loss(x, y, w, LossConfig(scale=30.0, margin=m, subcenters=w.subcenters)).loss
+                aam_softmax_loss(x, y, w, LossConfig(scale=30.0, margin=m)).loss
                 for m in (0.0, 0.1, 0.3, 0.5)
             ]
             assert all(b > a for a, b in zip(losses, losses[1:]))
@@ -223,7 +230,7 @@ class TestAamSoftmaxLoss:
     def test_gradient_only_through_active_subcenter(self):
         rng = np.random.default_rng(13)
         x, y, w = random_aam_instance(rng, dim=8, n=4, k=3)
-        out = aam_softmax_loss(x, y, w, LossConfig(scale=30.0, margin=0.3, subcenters=3))
+        out = aam_softmax_loss(x, y, w, LossConfig(scale=30.0, margin=0.3))
         for j in range(4):
             for k in range(3):
                 column = out.grad_w[:, j, k]
@@ -237,12 +244,10 @@ class TestAamSoftmaxLoss:
         _, y, w = random_aam_instance(rng, dim=8, n=4, k=1)
         huge = np.full(8, 10.0)
         with pytest.raises(ValueError, match="outside"):
-            aam_softmax_loss(huge, y, w, LossConfig(scale=30.0, margin=0.3, subcenters=1))
+            aam_softmax_loss(huge, y, w, LossConfig(scale=30.0, margin=0.3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LossConfig(scale=-1.0)
         with pytest.raises(ValueError):
             LossConfig(margin=math.pi)
-        with pytest.raises(ValueError):
-            LossConfig(subcenters=0)

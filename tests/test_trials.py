@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from _sources import RecordingSource
 from _text_oracle import Mismatch, Rejected, first_seen, reference_scores, reference_trials
 from svkit import trials as trials_module
+from svkit.augment import NoiseBank
+from svkit.features import read_wav
 from svkit.fusion import stack_scores
 from svkit.metrics import roc_points
 from svkit.scoring import score_trials
@@ -49,6 +51,20 @@ class TestInputFiles:
             with pytest.raises(ValueError) as exc:
                 require_file(path, "trials")
             assert str(exc.value) == f"trials file not found: {path}"
+
+    @pytest.mark.parametrize("what, read", [
+        ("trials", lambda p: read_text(p, "trials")),
+        ("wav list", lambda p: read_path_list(p, "wav list")),
+        ("wav", read_wav),
+        ("embeddings", read_embeddings_file),
+        ("cohort", lambda p: read_embeddings_file(p, "cohort")),
+        ("manifest", NoiseBank.from_manifest),
+    ])
+    def test_every_reader_checks_its_own_file(self, tmp_path, what, read):
+        for path in (tmp_path, Path(os.devnull)):
+            with pytest.raises(ValueError) as exc:
+                read(path)
+            assert str(exc.value) == f"{what} file not found: {path}"
 
     def test_read_text_names_file_and_offset_of_bad_byte(self, tmp_path):
         path = tmp_path / "t.txt"
