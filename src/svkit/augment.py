@@ -22,10 +22,7 @@ BANK_CATEGORIES = ("noise", "music", "speech", "rir")
 
 @dataclass(frozen=True)
 class AugmentPolicy:
-    """Application probabilities and SNR/speaker ranges for the four augmentations.
-
-    Each field is named after the config key that sets it.
-    """
+    """Application probabilities and SNR/speaker ranges for the four augmentations."""
 
     p_noise: float = 0.2
     p_music: float = 0.2
@@ -48,10 +45,11 @@ class AugmentPolicy:
         for name in ("noise", "music", "babble"):
             lo, hi = getattr(self, f"snr_{name}_lo"), getattr(self, f"snr_{name}_hi")
             if hi < lo:
-                raise ValueError(f"snr_{name}_db range is empty: [{lo}, {hi}]")
-        lo, hi = self.babble_min, self.babble_max
-        if lo < 1 or hi < lo:
-            raise ValueError(f"babble_speakers range invalid: [{lo}, {hi}]")
+                raise ValueError(f"snr_{name}_lo {lo} is above snr_{name}_hi {hi}")
+        if self.babble_min < 1:
+            raise ValueError(f"babble_min must be >= 1, got {self.babble_min}")
+        if self.babble_max < self.babble_min:
+            raise ValueError(f"babble_min {self.babble_min} is above babble_max {self.babble_max}")
 
 
 class NoiseBank:
@@ -180,8 +178,17 @@ def apply_policy(
     Draws are independent Bernoulli trials in the fixed order
     noise -> music -> babble -> reverb; SNRs and the babble speaker count
     are sampled uniformly from the policy ranges. Fully deterministic for a
-    given rng state.
+    given rng state. Before any draw, ValueError unless the bank can serve
+    every augmentation the policy may apply: a non-empty category for each
+    probability above zero, and babble_max speech clips for babble.
     """
+    sources = ((policy.p_noise, "noise"), (policy.p_music, "music"),
+               (policy.p_babble, "speech"), (policy.p_reverb, "rir"))
+    for p, category in sources:
+        if p > 0:
+            bank.category(category)
+    if policy.p_babble > 0 and bank.size("speech") < policy.babble_max:
+        raise ValueError(f"speech bank has {bank.size('speech')} clips, need {policy.babble_max}")
     out = w
     if rng.random() < policy.p_noise:
         clips = bank.category("noise")

@@ -148,7 +148,7 @@ def cmd_score(args) -> int:
     mode = "msa" if args.msa else "asnorm" if args.asnorm else "raw"
     cohort = None
     if args.asnorm:
-        cohort_path = args.cohort or cfg.cohort_path
+        cohort_path = args.cohort or cfg.cohort
         if cohort_path is None:
             raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
         cohort = read_embeddings_file(cohort_path, "cohort")

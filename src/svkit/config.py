@@ -1,17 +1,23 @@
 """Flat key-value configuration files and reproducible seed fan-out.
 
 Config files hold one "key = value" pair per line, with # comments and
-blank lines ignored. Unknown keys are rejected so typos surface at load
-time instead of silently falling back to defaults. Environment variables
-never override config values.
+blank lines ignored. Each key sets the config dataclass field of the same
+name, so messages name the key as written: a field annotated int, float,
+bool or `str | None` (a file path) is a key, and a field whose default
+factory is a dataclass (PipelineConfig.features, .augment) is a section
+whose fields are keys in turn. The key tables are derived from the
+fields. Unknown keys are rejected so typos surface at load time instead
+of silently falling back to defaults. Environment variables never
+override config values.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Callable, get_type_hints
 
 from .augment import AugmentPolicy
 from .features import FeatureConfig
@@ -53,34 +59,35 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _as_bool(key: str, value: str) -> bool:
+def _as_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1"):
         return True
     if lowered in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{key} must be a boolean, got {value!r}")
+    raise ValueError(f"must be a boolean, got {value!r}")
 
 
-def _as_int(key: str, value: str) -> int:
+def _as_int(value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+        raise ValueError(f"must be an integer, got {value!r}") from None
 
 
-def _as_float(key: str, value: str) -> float:
+def _as_float(value: str) -> float:
     try:
         number = float(value)
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        raise ValueError(f"must be a number, got {value!r}") from None
     if not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
+        raise ValueError(f"must be finite, got {value!r}")
     return number
 
 
-def _as_text(key: str, value: str) -> str:
-    return value
+# field annotation -> parser of a config value; a `str | None` field names
+# a file, which load_pipeline_config resolves against the config's folder
+_PARSERS = {int: _as_int, float: _as_float, bool: _as_bool, str | None: str}
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ class PipelineConfig:
     cmn: bool = True
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
     noise_manifest: str | None = None
-    cohort_path: str | None = None
+    cohort: str | None = None
     top_k: int = 100
     n_segments: int = 5
     segment_duration: float = 6.0
@@ -121,91 +128,72 @@ class PipelineConfig:
         self.features.frame_lengths(self.sample_rate)
 
 
-# config key -> (section, field, parser); section "" is the loaded object
-# itself, any other section names the nested config that holds the field
-_PIPELINE_KEYS = {
-    "sample_rate": ("", "sample_rate", _as_int),
-    "window": ("features", "window_s", _as_float),
-    "hop": ("features", "hop_s", _as_float),
-    "n_fft": ("features", "n_fft", _as_int),
-    "n_mels": ("features", "n_mels", _as_int),
-    "cmn": ("", "cmn", _as_bool),
-    "noise_manifest": ("", "noise_manifest", _as_text),
-    "cohort": ("", "cohort_path", _as_text),
-    "top_k": ("", "top_k", _as_int),
-    "n_segments": ("", "n_segments", _as_int),
-    "segment_duration": ("", "segment_duration", _as_float),
-    "seed": ("", "seed", _as_int),
-    "p_noise": ("augment", "p_noise", _as_float),
-    "p_music": ("augment", "p_music", _as_float),
-    "p_babble": ("augment", "p_babble", _as_float),
-    "p_reverb": ("augment", "p_reverb", _as_float),
-    "snr_noise_lo": ("augment", "snr_noise_lo", _as_float),
-    "snr_noise_hi": ("augment", "snr_noise_hi", _as_float),
-    "snr_music_lo": ("augment", "snr_music_lo", _as_float),
-    "snr_music_hi": ("augment", "snr_music_hi", _as_float),
-    "snr_babble_lo": ("augment", "snr_babble_lo", _as_float),
-    "snr_babble_hi": ("augment", "snr_babble_hi", _as_float),
-    "babble_min": ("augment", "babble_min", _as_int),
-    "babble_max": ("augment", "babble_max", _as_int),
-}
-
-_SCHEDULE_KEYS = {
-    "cycle0_steps": ("", "cycle0_steps", _as_int),
-    "lr_max0": ("", "lr_max0", _as_float),
-    "lr_min": ("", "lr_min", _as_float),
-    "decay": ("", "decay", _as_float),
-    "doubling": ("", "doubling", _as_bool),
-}
+def _sections(cls) -> dict[str, type]:
+    """Section -> the config class it builds: "" is cls itself, and each
+    field whose default factory is a dataclass is a section of its own."""
+    nested = {f.name: f.default_factory for f in fields(cls) if is_dataclass(f.default_factory)}
+    return {"": cls, **nested}
 
 
-def _read_config(path: Path, table: dict, kind: str) -> dict[str, dict[str, object]]:
-    """Typed values of a config file by section, as {section: {field: value}}.
+def _key_table(cls) -> dict[str, tuple[str, Callable[[str], object]]]:
+    """Config key -> (section, parser): every field of cls or of one of its
+    sections whose annotation has a parser is a key of its own name."""
+    table = {}
+    for section, owner in _sections(cls).items():
+        hints = get_type_hints(owner)
+        table.update({f.name: (section, _PARSERS[hints[f.name]])
+                      for f in fields(owner) if hints[f.name] in _PARSERS})
+    return table
 
-    Every section of the table is present, empty if the file sets none of
-    its keys.
-    """
+
+_PIPELINE_KEYS = _key_table(PipelineConfig)
+_SCHEDULE_KEYS = _key_table(CosineRestartConfig)
+
+
+def _load(path: Path, cls, table: dict, kind: str):
+    """A cls built from a config file; a field without a default must be set."""
     try:
         text = read_text(path, "config")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     raw = parse_config_text(text, source=str(path))
-    sections: dict[str, dict[str, object]] = {section: {} for section, _, _ in table.values()}
+    sections = _sections(cls)
+    values: dict[str, dict[str, object]] = {section: {} for section in sections}
     for key, value in raw.items():
         if key not in table:
             raise ConfigError(
                 f"{path}: unknown {kind} key {key!r}; known keys: {', '.join(sorted(table))}"
             )
-        section, name, parse = table[key]
-        sections[section][name] = parse(key, value)
-    return sections
+        section, parse = table[key]
+        try:
+            values[section][key] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key} {exc}") from None
+    for f in fields(cls):  # a section is built by its default factory, so has no required field
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values[""]:
+            raise ConfigError(f"{path}: {kind} config needs {f.name}")
+    try:
+        nested = {section: owner(**values[section]) for section, owner in sections.items() if section}
+        return cls(**values[""], **nested)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_pipeline_config(path) -> PipelineConfig:
     """Parse, type-check, and range-check a pipeline config file.
 
-    Referenced files (noise manifest, cohort embeddings) must exist at
-    load time; paths are resolved relative to the config file and stored
-    resolved.
+    Referenced files (the `str | None` fields: noise manifest, cohort
+    embeddings) must exist at load time; paths are resolved relative to
+    the config file and stored resolved.
     """
     path = Path(path)
-    sections = _read_config(path, _PIPELINE_KEYS, "config")
-    try:
-        cfg = PipelineConfig(
-            augment=AugmentPolicy(**sections["augment"]),
-            features=FeatureConfig(**sections["features"]),
-            **sections[""],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
+    cfg = _load(path, PipelineConfig, _PIPELINE_KEYS, "config")
     resolved = {}
-    for key in ("noise_manifest", "cohort"):
-        dest = _PIPELINE_KEYS[key][1]
-        ref = getattr(cfg, dest)
+    for key, (_, parse) in _PIPELINE_KEYS.items():
+        ref = getattr(cfg, key) if parse is str else None
         if ref is not None:
             try:  # an absolute ref replaces the base
-                resolved[dest] = str(require_file(path.parent / ref, key))
+                resolved[key] = str(require_file(path.parent / ref, key))
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
     return replace(cfg, **resolved)
@@ -213,14 +201,7 @@ def load_pipeline_config(path) -> PipelineConfig:
 
 def load_schedule_config(path) -> CosineRestartConfig:
     """Schedule parameters from the same flat key-value format."""
-    path = Path(path)
-    values = _read_config(path, _SCHEDULE_KEYS, "schedule")[""]
-    if "cycle0_steps" not in values:
-        raise ConfigError(f"{path}: schedule config needs cycle0_steps")
-    try:
-        return CosineRestartConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _load(Path(path), CosineRestartConfig, _SCHEDULE_KEYS, "schedule")
 
 
 def stage_seed(seed: int, stage: str) -> int:

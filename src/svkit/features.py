@@ -50,10 +50,6 @@ class Waveform:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class MelFeatures:
@@ -77,13 +73,15 @@ class MelFeatures:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    window_s: float = 0.025
-    hop_s: float = 0.010
+    """Front-end geometry: window and hop in seconds, FFT size, mel filters."""
+
+    window: float = 0.025
+    hop: float = 0.010
     n_fft: int = 512
     n_mels: int = 80
 
     def __post_init__(self):
-        for name in ("window_s", "hop_s"):
+        for name in ("window", "hop"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -95,11 +93,11 @@ class FeatureConfig:
     def frame_lengths(self, sample_rate: int) -> tuple[int, int]:
         """Window and hop in samples at a rate. ValueError unless each is at
         least one sample and the window fits in n_fft."""
-        win, hop = self.window_s * sample_rate, self.hop_s * sample_rate
+        win, hop = self.window * sample_rate, self.hop * sample_rate
         if not (math.isfinite(win) and math.isfinite(hop)):
             raise ValueError(f"window and hop overflow at {sample_rate} Hz")
         win, hop = round(win), round(hop)
-        for name, seconds, n in (("window", self.window_s, win), ("hop", self.hop_s, hop)):
+        for name, seconds, n in (("window", self.window, win), ("hop", self.hop, hop)):
             if n < 1:
                 raise ValueError(f"{name} of {seconds:g} s is under one sample at {sample_rate} Hz")
         if win > self.n_fft:

@@ -71,18 +71,6 @@ class SubcenterWeights:
         check_unit(tensor.transpose(1, 2, 0), lambda c: f"a subcenter of class {c}")
         self.tensor = tensor
 
-    @property
-    def dim(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.tensor.shape[1]
-
-    @property
-    def subcenters(self) -> int:
-        return self.tensor.shape[2]
-
     @classmethod
     def random(cls, dim: int, n_classes: int, subcenters: int, rng: np.random.Generator) -> "SubcenterWeights":
         raw = rng.standard_normal((dim, n_classes, subcenters))

@@ -221,13 +221,47 @@ class TestApplyPolicy:
                 applied += 1
         assert 0.18 <= applied / runs <= 0.22
 
+    @pytest.mark.parametrize(
+        "entries, policy, message",
+        [
+            ({"speech": 4}, AugmentPolicy(p_noise=0.0, p_music=0.0, p_babble=1.0, p_reverb=0.0),
+             "speech bank has 4 clips, need 7"),
+            ({"speech": 8}, AugmentPolicy(), "noise bank category 'noise' is empty"),
+            ({"noise": 1, "music": 1, "speech": 8}, AugmentPolicy(),
+             "noise bank category 'rir' is empty"),
+        ],
+    )
+    def test_bank_checked_against_policy_before_any_draw(self, entries, policy, message):
+        rng_data = np.random.default_rng(16)
+        bank = NoiseBank({c: [noise_wave(rng_data, n=200) for _ in range(k)] for c, k in entries.items()})
+        w = noise_wave(rng_data, n=256)
+        messages = set()
+        for seed in range(20):
+            with pytest.raises(ValueError) as info:
+                apply_policy(w, policy, bank, np.random.default_rng(seed))
+            messages.add(str(info.value))
+        assert messages == {message}
+
+    def test_category_of_a_disabled_augmentation_may_be_empty(self):
+        rng_data = np.random.default_rng(17)
+        full = tiny_bank(rng_data)
+        bank = NoiseBank({c: full.category(c) for c in ("noise", "music", "speech")})
+        w = noise_wave(rng_data, n=256)
+        policy = AugmentPolicy(p_reverb=0.0)
+        for seed in range(20):
+            a = apply_policy(w, policy, bank, np.random.default_rng(seed))
+            b = apply_policy(w, policy, full, np.random.default_rng(seed))
+            assert np.array_equal(a.samples, b.samples)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             AugmentPolicy(p_noise=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="snr_noise_lo 10.0 is above snr_noise_hi 5.0"):
             AugmentPolicy(snr_noise_lo=10.0, snr_noise_hi=5.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="babble_min must be >= 1, got 0"):
             AugmentPolicy(babble_min=0)
+        with pytest.raises(ValueError, match="babble_min 5 is above babble_max 3"):
+            AugmentPolicy(babble_min=5, babble_max=3)
 
 
 class TestNoiseBank:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import svkit
 from svkit import cli as cli_module
+from svkit import selftest
 from svkit.cli import main
 from svkit.config import stage_seed
 from svkit.features import Waveform, read_mel, read_wav, write_wav
@@ -670,6 +671,23 @@ class TestEmbed:
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "line, argv, message",
+        [
+            ("top_k = x", ["score", "--trials", "t", "--embeddings", "e"],
+             "top_k must be an integer, got 'x'"),
+            ("doubling = maybe", ["schedule-dump", "--steps", "3"],
+             "doubling must be a boolean, got 'maybe'"),
+        ],
+    )
+    def test_config_type_error_names_file(self, tmp_path, capsys, line, argv, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        assert main([*argv, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: {message}\n"
+
 
 class TestEvaluateFixture:
     def test_perfect_separation_prints_zero(self, tmp_path, capsys):
@@ -1141,3 +1159,14 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+
+    def test_failing_and_raising_checks_fail_the_run(self, monkeypatch, capsys):
+        def raises():
+            raise RuntimeError("boom")
+
+        checks = (("holds", lambda: True), ("fails", lambda: False), ("raises", raises))
+        monkeypatch.setattr(selftest, "CHECKS", checks)
+        assert main(["selftest"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "PASS holds\nFAIL fails\nFAIL raises\n"
+        assert captured.err == "2 of 3 properties failed\n"

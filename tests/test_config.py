@@ -47,6 +47,31 @@ PLAUSIBLE_VALUES = {
     "babble_min": ["2", "3"],
     "babble_max": ["5", "7"],
 }
+# every key with a value that no config may hold, whichever message it draws
+INVALID_VALUES = {
+    "sample_rate": "0",
+    "window": "0",
+    "hop": "0",
+    "n_fft": "1",
+    "n_mels": "0",
+    "cmn": "maybe",
+    "noise_manifest": "missing.txt",
+    "cohort": "missing.bin",
+    "top_k": "0",
+    "n_segments": "0",
+    "segment_duration": "0",
+    "seed": "-1",
+    **{f"p_{c}": "1.5" for c in ("noise", "music", "babble", "reverb")},
+    **{f"snr_{c}_lo": "100" for c in ("noise", "music", "babble")},
+    **{f"snr_{c}_hi": "-5" for c in ("noise", "music", "babble")},
+    "babble_min": "0",
+    "babble_max": "1",
+    "cycle0_steps": "0",
+    "lr_max0": "0",
+    "lr_min": "1",
+    "decay": "0",
+    "doubling": "maybe",
+}
 HOSTILE_VALUES = [
     "nan", "-nan", "inf", "-inf", "Infinity", "1e-300", "1e300", "1e308", "0", "-0", "-1",
     "0.5", "0.00001", "32768", "32769", "257", str(2**32 - 1), str(2**32), str(2**63),
@@ -150,7 +175,7 @@ class TestPipelineConfig:
         cfg_file = tmp_path / "pipeline.cfg"
         cfg_file.write_text("cohort = cohort.emb\n")
         cfg = load_pipeline_config(cfg_file)
-        assert cfg.cohort_path == str(tmp_path / "cohort.emb")
+        assert cfg.cohort == str(tmp_path / "cohort.emb")
 
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -225,8 +250,8 @@ class TestPipelineConfig:
         event("loaded")
         # whatever loads has a frame geometry the front end accepts
         features = cfg.features
-        win = int(round(features.window_s * cfg.sample_rate))
-        hop = int(round(features.hop_s * cfg.sample_rate))
+        win = int(round(features.window * cfg.sample_rate))
+        hop = int(round(features.hop * cfg.sample_rate))
         assert 1 <= win <= features.n_fft and hop >= 1
         one_window = Waveform(np.linspace(-0.5, 0.5, win), cfg.sample_rate)
         feats = compute_logmel(one_window, features)
@@ -306,7 +331,8 @@ class TestKeyTables:
     def test_key_sets_exactly_its_field(self, tmp_path, key):
         (tmp_path / "cohort.emb").write_bytes(b"")
         cfg_file = tmp_path / "pipeline.cfg"
-        section, name, _ = _PIPELINE_KEYS[key]
+        section, _ = _PIPELINE_KEYS[key]
+        name = key
         defaults = _leaves(PipelineConfig())
         assert (section, name) in defaults
         changed = []
@@ -319,6 +345,29 @@ class TestKeyTables:
             changed.append({leaf for leaf, v in leaves.items() if v != defaults[leaf]})
         assert {(section, name)} in changed
         assert all(c <= {(section, name)} for c in changed)
+
+    def test_invalid_values_cover_every_key(self):
+        assert sorted(INVALID_VALUES) == sorted({**_PIPELINE_KEYS, **_SCHEDULE_KEYS})
+
+    @pytest.mark.parametrize("key", sorted(INVALID_VALUES))
+    def test_invalid_value_names_key_and_file(self, tmp_path, key):
+        cfg_file = tmp_path / "bad.cfg"
+        if key in _SCHEDULE_KEYS:
+            lines, load = {"cycle0_steps": "10", key: INVALID_VALUES[key]}, load_schedule_config
+        else:
+            lines, load = {key: INVALID_VALUES[key]}, load_pipeline_config
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        with pytest.raises(ConfigError) as info:
+            load(cfg_file)
+        message = str(info.value)
+        assert message.startswith(f"{cfg_file}: ")
+        assert key in message.split(": ", 1)[1]
+
+    def test_value_error_reported_before_missing_file(self, tmp_path):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text("cohort = missing.bin\ntop_k = 0\n")
+        with pytest.raises(ConfigError, match="top_k must be >= 1"):
+            load_pipeline_config(cfg_file)
 
 
 class TestStageSeed:

@@ -46,8 +46,8 @@ def sine(freq, seconds=1.0, rate=RATE, amp=0.5):
 def gather_logmel(w: Waveform, cfg: FeatureConfig) -> np.ndarray:
     """Reference log-mel: each frame gathered by explicit sample indices,
     the window and filterbank built afresh on every call."""
-    win = int(round(cfg.window_s * w.sample_rate))
-    hop = int(round(cfg.hop_s * w.sample_rate))
+    win = int(round(cfg.window * w.sample_rate))
+    hop = int(round(cfg.hop * w.sample_rate))
     n_frames = 1 + (len(w) - win) // hop
     index = (np.arange(n_frames) * hop)[:, None] + np.arange(win)[None, :]
     frames = w.samples[index] * np.hamming(win)
@@ -98,12 +98,12 @@ class TestComputeLogmel:
 
     @pytest.mark.parametrize(
         "cfg",
-        [FeatureConfig(), FeatureConfig(window_s=0.02, hop_s=0.015, n_fft=400, n_mels=40)],
+        [FeatureConfig(), FeatureConfig(window=0.02, hop=0.015, n_fft=400, n_mels=40)],
         ids=["default", "odd-geometry"],
     )
     def test_equals_gather_reference_bit_for_bit(self, cfg):
-        win = int(round(cfg.window_s * RATE))
-        hop = int(round(cfg.hop_s * RATE))
+        win = int(round(cfg.window * RATE))
+        hop = int(round(cfg.hop * RATE))
         rng = np.random.default_rng(5)
         lengths = [win, win + hop - 1, win + hop, *rng.integers(win, 3 * RATE, size=5)]
         # frame counts either side of one and two whole frame blocks, and a 10 s clip
@@ -124,11 +124,11 @@ class TestComputeLogmel:
     )
     def test_bad_frame_geometry_rejected(self, window, hop, match):
         with pytest.raises(ValueError, match=match):
-            compute_logmel(Waveform(np.zeros(RATE), RATE), FeatureConfig(window_s=window, hop_s=hop))
+            compute_logmel(Waveform(np.zeros(RATE), RATE), FeatureConfig(window=window, hop=hop))
 
     @pytest.mark.parametrize(
         "field, value",
-        [("window_s", math.inf), ("hop_s", math.nan), ("n_fft", 2**15 + 1), ("n_mels", 257)],
+        [("window", math.inf), ("hop", math.nan), ("n_fft", 2**15 + 1), ("n_mels", 257)],
     )
     def test_feature_config_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from svkit import fusion
 from svkit.fusion import (
     FusionModel,
     fit_fusion,
@@ -112,6 +113,26 @@ class TestFitFusion:
             model = fit_fusion(matrix, labels)
         assert model.converged
         assert np.all(np.isfinite(model.weights))
+
+    def test_damped_step_taken_and_converges(self, monkeypatch):
+        # well-separated scores, an extreme target on system 0 and a
+        # non-target far on the wrong side of system 1: some full Newton
+        # step raises the objective, so the line search halves it
+        rng = np.random.default_rng(0)
+        labels = np.arange(60) % 2 == 0
+        matrix = 3.0 * labels[:, None] + rng.standard_normal((60, 2))
+        matrix[0, 0], matrix[1, 1] = 300.0, 30.0
+        calls = []
+
+        def counted(fused, labels):
+            calls.append(1)
+            return mean_log_loss(fused, labels)
+
+        monkeypatch.setattr(fusion, "mean_log_loss", counted)
+        model = fit_fusion(matrix, labels)
+        # the start and each accepted step cost one objective each; the rest are halved steps
+        assert len(calls) > 1 + model.iterations
+        assert model.converged
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single-class"):
