@@ -34,6 +34,7 @@ from .schedule import dump_schedule
 from .selftest import run_selftest
 from .trials import (
     EmbeddingStore,
+    TrialList,
     parse_file,
     parse_scores,
     parse_trials,
@@ -158,8 +159,17 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _labeled_trials(path) -> TrialList:
+    """The labeled trial list of a file, which must hold a trial: an empty
+    list is unlabeled, so it is named as what it is."""
+    trials = parse_file(path, "trials", parse_trials, True)
+    if not len(trials):
+        raise ValueError(f"{path}: no trials")
+    return trials
+
+
 def cmd_evaluate(args) -> int:
-    trials = parse_file(args.trials, "trials", parse_trials, True)
+    trials = _labeled_trials(args.trials)
     scores = parse_file(args.scores, "scores", parse_scores, trials)
     cfg = DcfConfig(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
     eer_pct, dcf = evaluate_scores(scores, cfg)
@@ -172,7 +182,8 @@ def cmd_fuse(args) -> int:
     if not args.fit_labels and not args.model:
         raise UsageError("fuse needs --fit-labels (to fit) or --model (to apply)")
     # applying a model takes a labeled or an unlabeled list: its first non-blank line decides
-    trials = parse_file(args.trials, "trials", parse_trials, True if args.fit_labels else None)
+    trials = (_labeled_trials(args.trials) if args.fit_labels
+              else parse_file(args.trials, "trials", parse_trials, None))
     matrix = stack_scores([parse_file(p, "scores", parse_scores, trials) for p in args.scores])
     if args.fit_labels:
         model = fit_fusion(matrix, trials.labels(), l2=args.l2)

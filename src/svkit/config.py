@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
@@ -68,11 +69,18 @@ def _as_bool(value: str) -> bool:
     raise ValueError(f"must be a boolean, got {value!r}")
 
 
+# a config number is an ASCII literal: no "_" separator, no non-ASCII digit
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def _as_int(value: str) -> int:
     try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"must be an integer, got {value!r}") from None
+        if _INTEGER.fullmatch(value):
+            return int(value)
+    except ValueError:  # over int()'s digit limit
+        pass
+    raise ValueError(f"must be an integer, got {value!r}")
 
 
 def _as_float(value: str) -> float:
@@ -82,6 +90,8 @@ def _as_float(value: str) -> float:
         raise ValueError(f"must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ValueError(f"must be finite, got {value!r}")
+    if not _DECIMAL.fullmatch(value):
+        raise ValueError(f"must be a number, got {value!r}")
     return number
 
 

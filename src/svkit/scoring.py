@@ -127,15 +127,20 @@ def cohort_stats(
     tail[: n_cohort - c8] = cohort.vectors[c8:]
     vectors, index = means.vectors, means.index
     blk = np.zeros((COHORT_BLOCK, cohort.dim))
+    # both gemms of a block write into one score buffer, partitioned in place
+    scores = np.empty((COHORT_BLOCK, c8 + 8))
     mean = np.empty(len(index))
     std = np.empty(len(index))
     for s in range(0, len(index), COHORT_BLOCK):
         n = min(COHORT_BLOCK, len(index) - s)
         blk[:n] = vectors[index[s : s + n]]
         blk[n:] = 0.0
-        top = np.concatenate([blk @ head, blk @ tail.T], axis=1)[:n, :n_cohort]
+        np.matmul(blk, head, out=scores[:, :c8])
+        np.matmul(blk, tail.T, out=scores[:, c8:])
+        top = scores[:n, :n_cohort]
         if cut:
-            top = np.partition(top, cut, axis=1)[:, cut:]
+            top.partition(cut, axis=1)
+            top = top[:, cut:]
         m = np.mean(top, axis=1)
         mean[s : s + n] = m
         std[s : s + n] = np.sqrt(np.mean((top - m[:, None]) ** 2, axis=1))

@@ -21,6 +21,8 @@ import numpy as np
 
 EMB_MAGIC = b"EMB1"
 NORM_TOL = 1e-6  # on an embedding's L2 norm; rounding to float32 moves it under 1e-7
+# float32 vector bytes an EMB1 read stages before decoding them to float64
+_STAGE_BYTES = 1 << 16
 
 
 class TrialParseError(ValueError):
@@ -203,7 +205,14 @@ def check_unit(vectors: np.ndarray, label: Callable[[int], str]) -> None:
     """Reject an (n, ..., dim) array if the L2 norm of any of its vectors
     is off 1 by more than NORM_TOL; a NaN norm is off too. The error names
     the first such vector's row i as label(i), built only then."""
-    norms = np.sqrt(np.einsum("...j,...j->...", vectors, vectors))  # no n x d temporary
+    _check_norms(_norms(vectors), label)
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...j,...j->...", vectors, vectors))  # no n x d temporary
+
+
+def _check_norms(norms: np.ndarray, label: Callable[[int], str]) -> None:
     off = ~(np.abs(norms - 1.0) <= NORM_TOL)
     if off.any():
         first = tuple(np.argwhere(off)[0])
@@ -216,27 +225,42 @@ class EmbeddingStore:
 
     Vectors are rounded to float32 (the on-disk precision) and held,
     read-only, as float64, the precision scoring computes in: a float32
-    input, strided or not, is copied once. Each must have unit L2 norm
-    within NORM_TOL (`check_unit`).
+    input, strided or not, is copied once, and `read_embeddings` decodes
+    into the array the store keeps. Each must have unit L2 norm within
+    NORM_TOL (`check_unit`).
     """
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray):
+        ids = tuple(str(i) for i in ids)
         vectors = np.asarray(vectors, dtype=np.float32).astype(np.float64, order="C")
+        self._set(ids, {u: k for k, u in enumerate(ids)}, vectors)
+
+    @classmethod
+    def _from_rows(cls, index: dict[str, int], vectors: np.ndarray) -> EmbeddingStore:
+        """A store that keeps `vectors`, C-ordered float64 rows already
+        rounded to float32, with no copy; `index` maps the ids, in row
+        order, to their rows."""
+        store = cls.__new__(cls)
+        store._set(tuple(index), index, vectors)
+        return store
+
+    def _set(self, ids: tuple[str, ...], index: dict[str, int], vectors: np.ndarray) -> None:
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
         if len(ids) != vectors.shape[0]:
             raise ValueError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
         if vectors.shape[1] < 1:
             raise ValueError("embedding dimension must be positive")
-        if not np.all(np.isfinite(vectors)):
+        # squares of float32-range values cannot overflow float64, so a
+        # row's norm is finite exactly when all its entries are
+        norms = _norms(vectors)
+        if not np.isfinite(norms).all():
             raise ValueError("embedding vectors must be finite")
-        self.ids = tuple(str(i) for i in ids)
-        self._index = {u: k for k, u in enumerate(self.ids)}
-        if len(self._index) != len(self.ids):
+        if len(index) != len(ids):
             raise ValueError("duplicate utterance ids in store")
-        check_unit(vectors, lambda i: f"embedding {self.ids[i]!r}")
+        _check_norms(norms, lambda i: f"embedding {ids[i]!r}")
         vectors.flags.writeable = False
-        self.vectors = vectors
+        self.ids, self._index, self.vectors = ids, index, vectors
 
     @property
     def dim(self) -> int:
@@ -530,43 +554,59 @@ def write_embeddings(store: EmbeddingStore, sink: BinaryIO) -> None:
 
 
 def read_embeddings(source: BinaryIO) -> EmbeddingStore:
-    """Inverse of write_embeddings; the source is read once, whole, and
-    bounds-checked, and every vector must be unit-norm (`EmbeddingStore`).
-    The file bytes are dropped once the vector bytes are gathered, so they
-    are never held beside the float64 copy."""
-    data = memoryview(source.read())
+    """Inverse of write_embeddings over a seekable source, from its
+    position to its end. The records are streamed, every read clamped to
+    the bytes left, and each vector is decoded into the store's float64
+    array, which the header's count sizes only as far as the bytes left
+    can hold it: that array is the one full-size allocation of a load.
+    Bytes after the last record are an error, and every vector must be
+    unit-norm (`EmbeddingStore`)."""
+    start = source.tell()
+    size = source.seek(0, os.SEEK_END) - start
+    source.seek(start)
 
-    def take(n: int, what: str) -> memoryview:
+    def take(n: int, what: str) -> bytes:
         nonlocal offset
-        chunk = data[offset : offset + n]
+        chunk = source.read(min(n, size - offset))
         if len(chunk) != n:
             raise StoreFormatError(offset, f"truncated {what} ({len(chunk)} of {n} bytes)")
         offset += n
         return chunk
 
-    magic = bytes(data[:4])
+    magic = source.read(min(4, size))
     if magic != EMB_MAGIC:
         raise StoreFormatError(0, f"bad magic {magic!r}, expected {EMB_MAGIC!r}")
     offset = 4
     dim, count = struct.unpack("<IQ", take(12, "header"))
     if dim < 1:
         raise StoreFormatError(4, f"non-positive dimension {dim}")
-    ids: dict[str, None] = {}
-    vector_bytes = bytearray()
-    for _ in range(count):
+    width = 4 * dim
+    # a record takes at least 2 + width bytes, so record k's vector can be
+    # whole only if k < len(vectors): past that, the bytes left fall short
+    # of it. Vectors are read into float32 blocks, each decoded in one copy
+    vectors = np.empty((min(count, (size - offset) // (2 + width)), dim))
+    stage = np.empty((min(len(vectors), max(1, _STAGE_BYTES // width)), dim), "<f4")
+    index: dict[str, int] = {}
+    done = 0  # rows decoded into vectors
+    for k in range(count):
         record_offset = offset
         (id_len,) = struct.unpack("<H", take(2, "id length"))
         try:
             utt_id = str(take(id_len, "id bytes"), "utf-8")
         except UnicodeDecodeError:
             raise StoreFormatError(record_offset, "id is not UTF-8") from None
-        if utt_id in ids:
+        if index.setdefault(utt_id, k) != k:
             raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
-        ids[utt_id] = None
-        vector_bytes += take(4 * dim, "vector")
-    del data  # no view of the file bytes is left, so they are freed here
-    vectors = np.frombuffer(vector_bytes, dtype="<f4").reshape(len(ids), dim)
-    return EmbeddingStore(list(ids), vectors)
+        got = source.readinto(stage[k - done]) if k < len(vectors) else size - offset
+        if got != width:
+            raise StoreFormatError(offset, f"truncated vector ({got} of {width} bytes)")
+        offset += width
+        if k + 1 - done == len(stage) or k + 1 == count:
+            vectors[done : k + 1] = stage[: k + 1 - done]
+            done = k + 1
+    if offset != size:
+        raise StoreFormatError(offset, f"{size - offset} bytes after the last of {count} records")
+    return EmbeddingStore._from_rows(index, vectors)
 
 
 def write_embeddings_file(store: EmbeddingStore, path) -> None:

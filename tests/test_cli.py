@@ -732,6 +732,17 @@ class TestEvaluateFixture:
         assert captured.out == ""
         assert captured.err == f"error: {scores}:2: non-finite score '{token}'\n"
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_trial_list_says_so(self, tmp_path, capsys, text):
+        trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+        trials.write_text(text)
+        scores.write_text("")
+        code = main(["evaluate", "--trials", str(trials), "--scores", str(scores)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {trials}: no trials\n"
+
     @pytest.mark.parametrize("flag, value", [
         ("--c-miss", "nan"), ("--c-miss", "inf"), ("--c-fa", "inf"), ("--c-fa", "0"),
     ])
@@ -803,6 +814,19 @@ class TestFuse:
         applied = parse_scores(capsys.readouterr().out)
         fitted = parse_scores(fused_out.read_text())
         assert np.allclose(applied.scores, fitted.scores, atol=1e-12)
+
+    def test_fit_on_empty_trial_list_says_so(self, tmp_path, capsys):
+        trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
+        trials.write_text("")
+        scores.write_text("")
+        model = tmp_path / "model.txt"
+        code = main(["fuse", "--trials", str(trials), "--scores", str(scores), "--fit-labels",
+                     "--model", str(model)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {trials}: no trials\n"
+        assert not model.exists()
 
     def test_model_system_count_mismatch_is_data_error(self, tmp_path, capsys):
         trial_objs = [Trial("a", "b"), Trial("a", "c")]

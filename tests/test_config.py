@@ -194,6 +194,30 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="p_noise must be finite"):
             load_pipeline_config(cfg_file)
 
+    @pytest.mark.parametrize("line, message", [
+        ("top_k = 1_0", "top_k must be an integer, got '1_0'"),
+        ("seed = \u0663", "seed must be an integer, got '\u0663'"),
+        ("n_mels = \uff14\uff10", "n_mels must be an integer, got '\uff14\uff10'"),
+        ("segment_duration = 4_0.5", "segment_duration must be a number, got '4_0.5'"),
+        ("p_noise = \u0660.5", "p_noise must be a number, got '\u0660.5'"),
+        ("p_noise = 0x1p-1", "p_noise must be a number, got '0x1p-1'"),
+    ])
+    def test_numbers_are_ascii_literals(self, tmp_path, line, message):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_pipeline_config(cfg_file)
+        assert str(info.value) == f"{cfg_file}: {message}"
+
+    def test_ascii_number_forms_load(self, tmp_path):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text("top_k = +50\nseed = 007\nsegment_duration = 4.\n"
+                            "p_noise = .5\np_music = 25E-2\nsnr_noise_lo = -1.5e+1\n")
+        cfg = load_pipeline_config(cfg_file)
+        assert (cfg.top_k, cfg.seed, cfg.segment_duration) == (50, 7, 4.0)
+        assert (cfg.augment.p_noise, cfg.augment.p_music, cfg.augment.snr_noise_lo) == (
+            0.5, 0.25, -15.0)
+
     @pytest.mark.parametrize(
         "text, match",
         [

@@ -252,6 +252,14 @@ class TestMelDump:
         with pytest.raises(ValueError, match="truncated feature header"):
             read_mel(io.BytesIO(b"MEL1\x00\x00"))
 
+    @pytest.mark.parametrize("tail", [b"\x00", b"garbage" * 4])
+    def test_bytes_after_the_matrix_rejected(self, tail):
+        buf = io.BytesIO()
+        write_mel(MelFeatures(np.ones((3, 2))), buf)
+        message = f"offset 36: {len(tail)} bytes after the 3 x 2 feature matrix"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_mel(io.BytesIO(buf.getvalue() + tail))
+
     def test_header_dims_size_no_read(self):
         source = RecordingSource(b"MEL1" + struct.pack("<II", 2**32 - 1, 2**32 - 1))
         with pytest.raises(ValueError, match="truncated feature matrix"):

@@ -129,6 +129,26 @@ class TestCohortStats:
             assert got_mean[0] == pytest.approx(mean, abs=1e-12)
             assert got_std[0] == pytest.approx(math.sqrt(var), abs=1e-12)
 
+    @pytest.mark.parametrize("n_rows", [32, 4096])
+    def test_peak_memory_does_not_grow_with_rows(self, n_rows):
+        # one score block of COHORT_BLOCK x (cohort + 8) is scored and
+        # partitioned in place; beyond it only per-row arrays grow (the
+        # means and stds, the row index and the row norms: 32 bytes a row)
+        rng = np.random.default_rng(41)
+        n_cohort = 2003
+        cohort = EmbeddingStore([f"c{i}" for i in range(n_cohort)],
+                                random_units(rng, n_cohort, 64))
+        rows = random_units(rng, n_rows, 64)
+        tracemalloc.start()
+        try:
+            mean, _ = cohort_stats(rows, cohort, k=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mean) == n_rows
+        block = COHORT_BLOCK * (n_cohort + 8) * 8
+        assert peak < 1.5 * block + 32 * n_rows
+
     def test_degenerate_cohort_rejected(self):
         e = unit(np.append(1.0, np.zeros(3)))
         copies = np.tile(e, (5, 1))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _emb1_oracle import FormatFault, decode_emb1
 from _sources import RecordingSource
 from _text_oracle import Mismatch, Rejected, first_seen, reference_scores, reference_trials
 from svkit import trials as trials_module
@@ -462,10 +463,10 @@ class TestStoreLayouts:
         for store in stores:
             assert store.vectors.flags.c_contiguous and not store.vectors.flags.writeable
 
-    def test_file_bytes_freed_before_float64_copy(self, tmp_path):
-        # a load holds the float32 vector bytes and then their float64 copy,
-        # never the file bytes beside both: peak ~3.3x the float32 bytes
-        # here, against ~4.3x with the file bytes kept
+    def test_load_holds_only_the_float64_array(self, tmp_path):
+        # records stream into the store's float64 array: neither the file
+        # bytes, nor a float32 copy of the vectors, nor an n x dim finite
+        # mask is held beside it
         vectors = unit_f64(6, 1000, 1024).astype("<f4")
         path = tmp_path / "emb.bin"
         write_embeddings_file(EmbeddingStore([f"u{k:04d}" for k in range(1000)], vectors), path)
@@ -476,7 +477,22 @@ class TestStoreLayouts:
         finally:
             tracemalloc.stop()
         assert store.vectors.tobytes() == vectors.astype(np.float64).tobytes()
-        assert peak < path.stat().st_size + 2.5 * vectors.nbytes
+        assert peak < store.vectors.nbytes + 2**20
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("case", ["count-below-records", "garbage"])
+    def test_bytes_after_the_last_record_rejected(self, layout, case):
+        # a header count below the records, or garbage after the last one
+        count = 2 if case == "count-below-records" else 3
+        data, starts = emb1_records(2, count, [(u, struct.pack("<2f", 0.6, 0.8))
+                                               for u in LAYOUTS[layout]])
+        end = starts[2] if count == 2 else len(data)
+        if case == "garbage":
+            data += b"\x00junk"
+        with pytest.raises(StoreFormatError) as info:
+            read_embeddings(io.BytesIO(data))
+        message = f"{len(data) - end} bytes after the last of {count} records"
+        assert (info.value.offset, str(info.value)) == (end, f"offset {end}: {message}")
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("case", ["truncated-vector", "duplicate-id", "bad-utf8",
@@ -505,6 +521,51 @@ class TestStoreLayouts:
             "count-beyond-data": (end, "truncated id length (0 of 2 bytes)"),
         }[case]
         assert (info.value.offset, str(info.value)) == (want[0], f"offset {want[0]}: {want[1]}")
+
+
+# a well-formed file, or one with a single structural fault: record
+# boundaries only move, so no fault makes a vector of garbage bytes
+FAULTS = ["none", "cut", "count", "tail", "duplicate-id", "bad-utf8"]
+
+
+class TestStreamedReaderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.lists(st.text(max_size=5), unique=True, max_size=50),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(FAULTS),
+        st.data(),
+    )
+    def test_reader_equals_struct_decoder(self, dim, ids, seed, fault, data):
+        id_bytes = [u.encode() for u in ids]
+        if fault in ("duplicate-id", "bad-utf8") and len(ids) >= 2:
+            j = data.draw(st.integers(1, len(ids) - 1), label="record")
+            id_bytes[j] = id_bytes[0] if fault == "duplicate-id" else b"\xff" * (len(ids[j]) or 1)
+        vectors = unit_f64(seed, len(ids), dim).astype("<f4")
+        count = len(ids)
+        if fault == "count":
+            count = data.draw(st.integers(0, len(ids) + 3).filter(lambda c: c != len(ids)))
+        raw, _ = emb1_records(dim, count, zip(id_bytes, map(np.ndarray.tobytes, vectors)))
+        if fault == "cut":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+        elif fault == "tail":
+            raw += data.draw(st.binary(min_size=1, max_size=40), label="tail")
+        source = RecordingSource(raw)
+        try:
+            want_ids, want_rows = decode_emb1(raw)
+        except FormatFault as want:
+            with pytest.raises(StoreFormatError) as got:
+                read_embeddings(source)
+            assert (got.value.offset, str(got.value)) == (
+                want.offset, f"offset {want.offset}: {want.message}")
+        else:
+            store = read_embeddings(source)
+            assert store.ids == tuple(want_ids)
+            assert store.vectors.shape == (len(want_ids), dim)
+            assert store.vectors.tolist() == want_rows
+            assert store.vectors.flags.c_contiguous and not store.vectors.flags.writeable
+        assert source.largest_read <= source.size
 
 
 def emb1_bytes(vectors: np.ndarray) -> bytes:
