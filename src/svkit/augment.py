@@ -1,10 +1,12 @@
 """Offline speed perturbation and online noise/music/babble/reverb augmentation.
 
 Noise, music, and babble are mixed at an exact target SNR measured over the
-whole clip; reverb is a full linear convolution truncated to the input length
-and rescaled to the input's peak amplitude. Each online augmentation fires
-independently with its policy probability, in the fixed order
-noise -> music -> babble -> reverb.
+whole clip; reverb is a linear convolution truncated to the input length and
+rescaled to the input's peak amplitude, computed by overlap-add in blocks
+whose FFT size follows the RIR length, never the clip's, so its buffers are
+one clip-length output array and a few RIR-sized blocks. Each online
+augmentation fires independently with its policy probability, in the fixed
+order noise -> music -> babble -> reverb.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .features import Waveform, match_length, read_wav
 from .trials import read_path_list
 
 BANK_CATEGORIES = ("noise", "music", "speech", "rir")
+# smallest overlap-add FFT size of add_reverb, so a short RIR does not
+# split a clip into thousands of tiny blocks
+REVERB_MIN_FFT = 256
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,9 @@ def mix_at_snr(signal: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     if p_signal <= 0.0 or p_noise <= 0.0:
         raise ValueError("degenerate SNR: silent signal or silent noise")
     gain = math.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return Waveform(signal.samples + gain * matched, signal.sample_rate)
+    mixed = gain * matched
+    mixed += signal.samples
+    return Waveform(mixed, signal.sample_rate)
 
 
 def make_babble(
@@ -152,18 +159,46 @@ def make_babble(
     return Waveform(mixed, speech[0].sample_rate)
 
 
+def reverb_fft_size(n_taps: int) -> int:
+    """Overlap-add FFT size for an RIR of n_taps: the power of two at
+    least 4 * n_taps and at least REVERB_MIN_FFT. Each block then carries
+    n_fft - n_taps + 1 input samples, at least three quarters of it."""
+    return max(REVERB_MIN_FFT, 1 << (4 * n_taps - 1).bit_length())
+
+
+def _peak(samples: np.ndarray) -> float:
+    """max |x| without an |x| temporary."""
+    return float(max(samples.max(), -samples.min()))
+
+
 def add_reverb(w: Waveform, rir: Waveform) -> Waveform:
-    """Convolve with a room impulse response, keep the input length and peak level."""
+    """Convolve with a room impulse response, keep the input length and peak level.
+
+    Overlap-add: the input is transformed in blocks at `reverb_fft_size`
+    of the RIR, cut to the input length (later taps never reach the kept
+    output), and each block's convolution is summed into one output
+    array of the input length.
+    """
     if w.sample_rate != rir.sample_rate:
         raise ValueError("waveform and RIR sample rates differ")
     if len(rir) == 0 or not np.any(rir.samples):
         raise ValueError("silent RIR")
-    n = 1 << (len(w) + len(rir) - 2).bit_length()  # a power of two >= the full length
-    wet = np.fft.irfft(np.fft.rfft(w.samples, n) * np.fft.rfft(rir.samples, n), n)[: len(w)]
-    in_peak = float(np.max(np.abs(w.samples)))
-    wet_peak = float(np.max(np.abs(wet)))
+    if len(w) == 0:
+        raise ValueError("empty signal")
+    x = w.samples
+    taps = rir.samples[: len(x)]
+    n_fft = reverb_fft_size(len(taps))
+    step = n_fft - len(taps) + 1
+    kernel = np.fft.rfft(taps, n_fft)
+    wet = np.zeros(len(x))
+    for start in range(0, len(x), step):
+        block = np.fft.irfft(np.fft.rfft(x[start : start + step], n_fft) * kernel, n_fft)
+        out = wet[start : start + n_fft]
+        out += block[: len(out)]
+    in_peak = _peak(x)
+    wet_peak = _peak(wet)
     if in_peak > 0.0 and wet_peak > 0.0:
-        wet = wet * (in_peak / wet_peak)
+        wet *= in_peak / wet_peak
     return Waveform(wet, w.sample_rate)
 
 

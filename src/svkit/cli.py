@@ -35,6 +35,7 @@ from .selftest import run_selftest
 from .trials import (
     EmbeddingStore,
     TrialList,
+    output_file,
     parse_file,
     parse_scores,
     parse_trials,
@@ -69,17 +70,13 @@ def _emit(chunks: Iterable[str], output) -> None:
     if not output:
         sys.stdout.writelines(chunks)
         return
-    path = Path(output)
-    sink = path.open("w", encoding="utf-8")
     try:
-        with sink:
+        with output_file(output, "w") as sink:
             sink.writelines(chunks)
-    except BaseException as exc:
-        if path.is_file() and not path.is_symlink():  # never a device or a link
-            path.unlink()
-        if isinstance(exc, (ValueError, OSError)) or not isinstance(exc, Exception):
-            raise
-        raise ValueError(f"{path}: not written: {type(exc).__name__}: {exc}") from exc
+    except (ValueError, OSError):
+        raise
+    except Exception as exc:
+        raise ValueError(f"{Path(output)}: not written: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_features(args) -> int:

@@ -13,7 +13,6 @@ override config values.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -219,8 +218,12 @@ def stage_seed(seed: int, stage: str) -> int:
 
     XORs the global seed with the first 8 bytes of SHA-256(stage name),
     so stages are decorrelated but every run with the same config seed
-    reproduces the same per-stage streams on any platform.
+    reproduces the same per-stage streams on any platform. hashlib is
+    imported here, on the first call, because importing it maps OpenSSL
+    into the process: only the commands that seed a stage pay for it.
     """
+    import hashlib
+
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     digest = hashlib.sha256(stage.encode("utf-8")).digest()

@@ -179,8 +179,9 @@ def compute_logmel(w: Waveform, cfg: FeatureConfig = FeatureConfig()) -> MelFeat
         np.square(spectrum[:n].imag, out=imag_sq[:n])
         power[start : start + n] += imag_sq[:n]
     mel_power = power @ _filterbank(cfg.n_mels, cfg.n_fft, w.sample_rate).T
-    bins = np.log(np.maximum(mel_power, LOG_FLOOR)).T
-    return MelFeatures(bins=bins, cmn_applied=False)
+    np.maximum(mel_power, LOG_FLOOR, out=mel_power)
+    np.log(mel_power, out=mel_power)
+    return MelFeatures(bins=mel_power.T, cmn_applied=False)
 
 
 def apply_cmn(f: MelFeatures) -> MelFeatures:
@@ -230,14 +231,16 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
         raw = fh.readframes(n_frames)
     if len(raw) != 2 * n_frames:
         raise ValueError(f"{path}: truncated wav data ({len(raw) // 2} of {n_frames} frames)")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
     return Waveform(samples, rate)
 
 
 def write_wav(w: Waveform, path) -> None:
     """Write 16-bit signed mono PCM, clipping to [-1, 1)."""
-    clipped = np.clip(w.samples, -1.0, 32767.0 / 32768.0)
-    pcm = np.round(clipped * 32768.0).astype("<i2")
+    scaled = np.clip(w.samples, -1.0, 32767.0 / 32768.0)
+    scaled *= 32768.0
+    pcm = np.round(scaled, out=scaled).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trials import ScoreSet, TrialList
+from .trials import ScoreSet, TrialList, TrialParseError
 
 GRAD_TOL = 1e-8
 MAX_ITER = 200
@@ -161,7 +161,11 @@ def serialize_fusion_model(model: FusionModel) -> str:
 
 
 def parse_fusion_model(text: str) -> FusionModel:
-    """Read the one-line text form back into a model."""
+    """Read the one-line text form back into a model. Blank lines are
+    skipped; a second non-blank line is an error naming that line."""
+    nonblank = [n for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if len(nonblank) > 1:
+        raise TrialParseError(nonblank[1], "fusion model is one line, bias then weights")
     fields = text.split()
     if len(fields) < 2:
         raise ValueError("fusion model text needs a bias and at least one weight")

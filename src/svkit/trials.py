@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import floor, isfinite, log10
 from pathlib import Path
@@ -26,7 +27,8 @@ _STAGE_BYTES = 1 << 16
 
 
 class TrialParseError(ValueError):
-    """Malformed trial or score line; carries the 1-based line number."""
+    """Malformed line of a text input (trials, scores, a fusion model);
+    carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -49,6 +51,22 @@ def require_file(path, what: str) -> Path:
     if not os.path.isfile(path):  # False, not OSError, for an over-long name
         raise ValueError(f"{what} file not found: {path}")
     return path
+
+
+@contextmanager
+def output_file(path, mode: str):
+    """An output file opened for writing (text is UTF-8). If the block
+    fails, the file is removed (never a device or a link), so a failed
+    write leaves no partial file."""
+    path = Path(path)
+    sink = path.open(mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with sink:
+            yield sink
+    except BaseException:
+        if path.is_file() and not path.is_symlink():
+            path.unlink()
+        raise
 
 
 def read_text(path, what: str) -> str:
@@ -540,14 +558,17 @@ def write_embeddings(store: EmbeddingStore, sink: BinaryIO) -> None:
 
     Layout: magic "EMB1", u32 dim, u64 record count, then per record a
     u16 id byte length, the UTF-8 id bytes, and dim little-endian f32.
+    Every id is checked before the first write, so an id the layout
+    cannot hold writes nothing.
     """
+    encoded = [utt_id.encode("utf-8") for utt_id in store.ids]
+    for utt_id, id_bytes in zip(store.ids, encoded):
+        if len(id_bytes) > 0xFFFF:
+            raise ValueError(f"utterance id longer than 65535 bytes: {utt_id[:40]!r}...")
     sink.write(EMB_MAGIC)
     sink.write(struct.pack("<IQ", store.dim, len(store)))
     le_vectors = store.vectors.astype("<f4", copy=False)
-    for k, utt_id in enumerate(store.ids):
-        id_bytes = utt_id.encode("utf-8")
-        if len(id_bytes) > 0xFFFF:
-            raise ValueError(f"utterance id longer than 65535 bytes: {utt_id[:40]!r}...")
+    for k, id_bytes in enumerate(encoded):
         sink.write(struct.pack("<H", len(id_bytes)))
         sink.write(id_bytes)
         sink.write(le_vectors[k].tobytes())
@@ -610,7 +631,7 @@ def read_embeddings(source: BinaryIO) -> EmbeddingStore:
 
 
 def write_embeddings_file(store: EmbeddingStore, path) -> None:
-    with open(path, "wb") as sink:
+    with output_file(path, "wb") as sink:
         write_embeddings(store, sink)
 
 

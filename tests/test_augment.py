@@ -1,6 +1,7 @@
 """Speed perturbation, SNR mixing, babble, reverb, and the policy driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from svkit.augment import (
     apply_policy,
     make_babble,
     mix_at_snr,
+    reverb_fft_size,
     speed_output_length,
     speed_perturb,
 )
@@ -146,9 +148,8 @@ class TestAddReverb:
         assert np.allclose(out.samples, expected, atol=1e-12)
         assert abs(np.max(np.abs(out.samples)) - in_peak) <= 1e-12
 
-    # full lengths 436, 4096 and 4097: both sides of a power-of-two FFT size
-    @pytest.mark.parametrize("n, m", [(400, 37), (4000, 97), (4000, 98)])
-    def test_matches_naive_convolution_oracle(self, n, m):
+    @staticmethod
+    def assert_matches_naive_convolution(n, m):
         rng = np.random.default_rng(10)
         w = noise_wave(rng, n=n)
         rir = Waveform(rng.standard_normal(m) * 0.1, RATE)
@@ -160,7 +161,50 @@ class TestAddReverb:
                 full[i + j] += x * h
         naive = full[: len(w)]
         naive *= np.max(np.abs(w.samples)) / np.max(np.abs(naive))
+        assert len(out) == n
         assert np.max(np.abs(out.samples - naive)) <= 1e-6
+
+    # full lengths 436, 4096 and 4097: both sides of a power-of-two size
+    @pytest.mark.parametrize("n, m", [(400, 37), (4000, 97), (4000, 98)])
+    def test_matches_naive_convolution_oracle(self, n, m):
+        self.assert_matches_naive_convolution(n, m)
+
+    # an overlap-add block carries step = n_fft - m + 1 input samples: clips
+    # end just before, on and just after a block edge, and three blocks in
+    @pytest.mark.parametrize("m", [1, 2, 64, 65])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "3 blocks + 5"])
+    def test_block_edges_match_naive_convolution(self, m, extra):
+        step = reverb_fft_size(m) - m + 1
+        n = 3 * step + 5 if extra == "3 blocks + 5" else step + extra
+        self.assert_matches_naive_convolution(n, m)
+
+    @pytest.mark.parametrize("n, m", [(50, 51), (50, 300), (1, 7)])
+    def test_rir_longer_than_clip_matches_naive_convolution(self, n, m):
+        self.assert_matches_naive_convolution(n, m)
+
+    def test_fft_size_follows_the_rir(self):
+        assert [reverb_fft_size(m) for m in (1, 64, 65, 800, 1024, 1025)] == [
+            256, 256, 512, 4096, 4096, 8192]
+
+    def test_peak_memory_near_clip_size(self):
+        # one clip-length output array and RIR-sized blocks; the FFT of
+        # the whole clip that it replaced peaked at 4.32 MB for this clip
+        rng = np.random.default_rng(18)
+        w = noise_wave(rng, n=10 * RATE)
+        rir = np.zeros(800)
+        rir[0], rir[350] = 1.0, 0.4
+        tracemalloc.start()
+        try:
+            out = add_reverb(w, Waveform(rir, RATE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == len(w)
+        assert peak <= 2 * w.samples.nbytes + (1 << 20)
+
+    def test_empty_signal_rejected(self):
+        with pytest.raises(ValueError, match="empty signal"):
+            add_reverb(Waveform(np.zeros(0), RATE), Waveform(np.ones(3), RATE))
 
     def test_silent_rir_rejected(self):
         rng = np.random.default_rng(11)
@@ -252,6 +296,29 @@ class TestApplyPolicy:
             a = apply_policy(w, policy, bank, np.random.default_rng(seed))
             b = apply_policy(w, policy, full, np.random.default_rng(seed))
             assert np.array_equal(a.samples, b.samples)
+
+    def test_peak_memory_with_every_augmentation(self):
+        # at most three clip-length arrays are live at once: the running
+        # output, the babble, and the new mix or a mean-square temporary
+        rng = np.random.default_rng(19)
+        w = noise_wave(rng, n=10 * RATE)
+        rir = np.zeros(800)
+        rir[0], rir[350] = 1.0, 0.4
+        bank = NoiseBank({
+            "noise": [noise_wave(rng, n=RATE // 2)],
+            "music": [noise_wave(rng, n=RATE // 2)],
+            "speech": [noise_wave(rng, n=RATE // 2) for _ in range(7)],
+            "rir": [Waveform(rir, RATE)],
+        })
+        policy = AugmentPolicy(p_noise=1.0, p_music=1.0, p_babble=1.0, p_reverb=1.0)
+        tracemalloc.start()
+        try:
+            out = apply_policy(w, policy, bank, np.random.default_rng(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == len(w)
+        assert peak <= 3 * w.samples.nbytes + (1 << 20)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

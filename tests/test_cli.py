@@ -59,6 +59,16 @@ def write_trials(path, trials):
     return path
 
 
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(svkit.__file__).parents[1])}
+
+
+def run_child(code, cwd=None):
+    """stdout of `python -c code` in a new interpreter that imports this
+    svkit, run in `cwd`; a non-zero exit fails the test."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=CHILD_ENV, cwd=cwd).stdout
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -82,10 +92,7 @@ class TestTopLevel:
             "import sys, svkit.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(svkit.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        ).stdout
+        out = run_child(code)
         assert out.strip() == "[]"
 
     def test_score_loads_no_numpy_ma(self, tmp_path):
@@ -100,11 +107,40 @@ class TestTopLevel:
             "'--output', 's.txt']); "
             "print(code, 'numpy.ma' in sys.modules)"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(svkit.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env, cwd=tmp_path).stdout
+        out = run_child(code, cwd=tmp_path)
         assert out.split() == ["0", "False"]
         assert (tmp_path / "s.txt").read_text(encoding="utf-8").count("\n") == 2
+
+    # importing hashlib maps OpenSSL (about 3.5 MB of RSS); only the
+    # commands that seed a stage (augment, embed) need it, for stage_seed
+    # and for numpy.random, which imports it through secrets
+    @pytest.mark.parametrize("argv, loads", [
+        (["--version"], False),
+        (["features", "--wav", "u.wav", "--output", "u.mel"], False),
+        (["score", "--trials", "t.txt", "--embeddings", "emb.bin"], False),
+        (["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm",
+          "--cohort", "cohort.bin", "--topk", "2"], False),
+        (["evaluate", "--trials", "t.txt", "--scores", "s.txt"], False),
+        (["fuse", "--trials", "t.txt", "--scores", "s.txt", "s.txt", "--fit-labels"], False),
+        (["embed", "--wav-list", "wavs.txt", "--output", "out.bin"], True),
+    ], ids=["version", "features", "score", "score-asnorm", "evaluate", "fuse-fit", "embed"])
+    def test_only_seeded_commands_load_hashlib(self, tmp_path, argv, loads):
+        rng = np.random.default_rng(8)
+        write_embeddings_file(EmbeddingStore(["a", "b", "c"], unit_rows(rng, 3, 4)),
+                              tmp_path / "emb.bin")
+        write_embeddings_file(EmbeddingStore([f"k{i}" for i in range(4)], unit_rows(rng, 4, 4)),
+                              tmp_path / "cohort.bin")
+        write_trials(tmp_path / "t.txt", [Trial("a", "b", True), Trial("a", "c", False)])
+        (tmp_path / "s.txt").write_text("a b 0.5\na c -0.5\n", encoding="utf-8")
+        tone_wav(tmp_path / "u.wav", 440)
+        (tmp_path / "wavs.txt").write_text("u u.wav\n", encoding="utf-8")
+        code = (
+            "import sys; from svkit.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, 'hashlib' in sys.modules, '_hashlib' in sys.modules)"
+        )
+        out = run_child(code, cwd=tmp_path)
+        assert out.splitlines()[-1].split() == ["0", str(loads), str(loads)]
 
     def test_threads_flag_is_usage_error(self, capsys):
         # the flag is gone: nothing ever read it
@@ -589,6 +625,19 @@ class TestEmbed:
         assert [len(read_wav(p)) for p in wavs.values()] == [40000, 120000, 96000, 96002]
         assert len(calls) == distinct == (10 if flags else 4)
 
+    def test_id_too_long_for_emb1_leaves_no_output(self, tmp_path, capsys):
+        good = tone_wav(tmp_path / "good.wav", 440)
+        long_id = "x" * 70000
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text(f"a {good}\n{long_id} {good}\n", encoding="utf-8")
+        out = tmp_path / "emb.bin"
+        code = main(["embed", "--wav-list", str(wav_list), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: utterance id longer than 65535 bytes: {long_id[:40]!r}...\n"
+        assert not out.exists()
+
     def test_duplicate_utterance_id_names_line_before_reading(self, tmp_path, capsys,
                                                               monkeypatch):
         good = tone_wav(tmp_path / "good.wav", 440)
@@ -900,6 +949,19 @@ class TestFuse:
         assert captured.err == (
             f"error: {model}: bad fusion model value: could not convert string to float: 'x'\n"
         )
+        # the model is one line: a second non-blank line is named, blank lines are not
+        for text, line_no in (("0.1 1.0\n0.5\n", 2), ("\n0.1 1.0\n\n \n0.5", 5)):
+            model.write_text(text, encoding="utf-8")
+            code = main(["fuse", "--trials", str(trials), "--scores", str(s1), "--model", str(model)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {model}:{line_no}: fusion model is one line, bias then weights\n"
+            )
+        model.write_text("\n0.1 1.0\n\n", encoding="utf-8")
+        assert main(["fuse", "--trials", str(trials), "--scores", str(s1), "--model", str(model)]) == 0
+        assert capsys.readouterr().out == "a b 0.600000000\na c -0.400000000\n"
 
     def test_needs_fit_or_model(self, tmp_path, capsys):
         trial_objs = [Trial("a", "b", label=True), Trial("a", "c", label=False)]

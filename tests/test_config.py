@@ -394,7 +394,68 @@ class TestKeyTables:
             load_pipeline_config(cfg_file)
 
 
+def _iroot(x, k):
+    """floor(x ** (1 / k)) of a non-negative integer, bit by bit."""
+    r = 0
+    for bit in reversed(range(x.bit_length() // k + 1)):
+        if (r | 1 << bit) ** k <= x:
+            r |= 1 << bit
+    return r
+
+
+_PRIMES = [p for p in range(2, 312) if all(p % q for q in range(2, p))]
+_M32 = 0xFFFFFFFF
+# FIPS 180-4: the first 32 fraction bits of the cube roots of the first 64
+# primes, and of the square roots of the first 8
+_SHA256_K = [_iroot(p << 96, 3) & _M32 for p in _PRIMES]
+_SHA256_H0 = [_iroot(p << 64, 2) & _M32 for p in _PRIMES[:8]]
+
+
+def _rotr(x, n):
+    return (x >> n | x << (32 - n)) & _M32
+
+
+def sha256_oracle(data):
+    """SHA-256 in plain integer arithmetic (FIPS 180-4), without hashlib."""
+    h = list(_SHA256_H0)
+    bits = (8 * len(data)).to_bytes(8, "big")
+    padded = data + b"\x80" + b"\0" * ((55 - len(data)) % 64) + bits
+    for off in range(0, len(padded), 64):
+        w = [int.from_bytes(padded[off + 4 * i : off + 4 * i + 4], "big") for i in range(16)]
+        for t in range(16, 64):
+            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ w[t - 15] >> 3
+            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ w[t - 2] >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _M32)
+        a, b, c, d, e, f, g, hh = h
+        for t in range(64):
+            big1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
+            t1 = (hh + big1 + (e & f ^ ~e & g) + _SHA256_K[t] + w[t]) & _M32
+            big0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
+            t2 = big0 + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, hh = (t1 + t2) & _M32, a, b, c, (d + t1) & _M32, e, f, g
+        h = [(x + y) & _M32 for x, y in zip(h, (a, b, c, d, e, f, g, hh))]
+    return b"".join(x.to_bytes(4, "big") for x in h)
+
+
 class TestStageSeed:
+    def test_sha256_oracle_matches_published_vectors(self):
+        assert sha256_oracle(b"abc").hex() == (
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+        assert sha256_oracle(b"").hex() == (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+        two_blocks = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+        assert sha256_oracle(two_blocks).hex() == (
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+
+    @pytest.mark.parametrize("seed, stage", [
+        (0, "embed"), (0, "augment"), (42, "embed"), (2**62 + 12345, "augment"),
+        (2**63 - 1, "score"), (7, "\u00e9tape"), (3, ""),
+    ])
+    def test_matches_independent_sha256(self, seed, stage):
+        digest = sha256_oracle(stage.encode("utf-8"))
+        expected = (seed ^ int.from_bytes(digest[:8], "little")) & (2**63 - 1)
+        assert stage_seed(seed, stage) == expected
+
     def test_deterministic(self):
         assert stage_seed(42, "embed") == stage_seed(42, "embed")
 
