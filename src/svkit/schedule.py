@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,9 @@ def lr_at(cfg: CosineRestartConfig, step: int) -> tuple[float, int]:
     return lr, cycle
 
 
-def dump_schedule(cfg: CosineRestartConfig, n_steps: int) -> list[tuple[int, float, int]]:
-    """(step, lr, cycle) rows for the first n_steps steps."""
+def dump_schedule(cfg: CosineRestartConfig, n_steps: int) -> Iterator[tuple[int, float, int]]:
+    """(step, lr, cycle) rows for the first n_steps steps, each made as it is
+    read; a bad n_steps raises at the call."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    return [(step, *lr_at(cfg, step)) for step in range(n_steps)]
+    return ((step, *lr_at(cfg, step)) for step in range(n_steps))

@@ -30,14 +30,15 @@ from .model import (
 )
 from .schedule import CosineRestartConfig, cycle_start, lr_at
 from .scoring import COHORT_BLOCK, asnorm_score, cohort_stats, cosine_score, msa_score
-from .trials import EmbeddingStore, ScoreSet, Trial, TrialList
+from .trials import EmbeddingStore, ScoreSet, TrialList
 
 
 def _labeled_scores(targets, nontargets) -> ScoreSet:
-    trials = [Trial(f"e{i}", f"t{i}", label=True) for i in range(len(targets))]
-    trials += [Trial(f"e{i}", f"n{i}", label=False) for i in range(len(nontargets))]
+    enroll = [f"e{i}" for i in range(len(targets))] + [f"e{i}" for i in range(len(nontargets))]
+    test = [f"t{i}" for i in range(len(targets))] + [f"n{i}" for i in range(len(nontargets))]
+    labels = [True] * len(targets) + [False] * len(nontargets)
     scores = np.concatenate([targets, nontargets])
-    return ScoreSet(trials=TrialList(trials=tuple(trials)), scores=scores)
+    return ScoreSet(trials=TrialList(enroll, test, labels), scores=scores)
 
 
 def _central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -106,43 +106,35 @@ def read_path_list(path, what: str) -> list[tuple[int, str, Path]]:
     return entries
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One (enrollment, test) utterance pair, optionally labeled.
-
-    label is True for same-speaker, False for different-speaker, None for
-    unlabeled trials.
-    """
-
-    enroll_id: str
-    test_id: str
-    label: bool | None = None
-
-    def __post_init__(self):
-        for name, value in (("enroll_id", self.enroll_id), ("test_id", self.test_id)):
-            if not value:
-                raise ValueError(f"{name} must be non-empty")
-            if any(c.isspace() for c in value):
-                raise ValueError(f"{name} {value!r} contains whitespace")
-
-
 class TrialList:
     """Ordered trials held as index arrays over their unique utterance ids.
 
-    `ids` is an object array holding each utterance id once, in first-seen
-    order over every trial's (enroll, test); `enroll` and `test` are np.intp
-    arrays indexing into it, one entry per trial. Labels are all-or-none and
-    kept as one bool array (None when the list is unlabeled or empty).
-    Nothing is held per trial: `Trial` objects are built only on iteration.
-    Two lists with the same trials in the same order have equal arrays.
+    A list is built from id sequences or parsed from text (`parse_trials`);
+    nothing is held per trial. `TrialList(enroll, test, labels)` pairs
+    enroll[k] with test[k], labeled True for same-speaker or False
+    (`labels=None` for an unlabeled list); an id is non-empty and holds no
+    whitespace. `ids` is an object array holding each utterance id once, in
+    first-seen order over every trial's (enroll, test); `enroll` and `test`
+    are np.intp arrays indexing into it, one entry per trial. Labels are
+    all-or-none and kept as one bool array (None when the list is unlabeled
+    or empty). Two lists with the same trials in the same order have equal
+    arrays.
     """
 
-    def __init__(self, trials: Sequence[Trial] = ()):
-        has_label = [t.label is not None for t in trials]
-        if any(has_label) and not all(has_label):
-            raise ValueError("trial labels must be all-or-none")
-        labels = np.array([t.label for t in trials], dtype=bool) if any(has_label) else None
-        self._set(*_interned([u for t in trials for u in (t.enroll_id, t.test_id)]), labels)
+    def __init__(self, enroll: Sequence[str], test: Sequence[str],
+                 labels: Sequence[bool] | None = None):
+        n = len(enroll)
+        if len(test) != n or (labels is not None and len(labels) != n):
+            raise ValueError("enroll, test and labels must have equal lengths")
+        if labels is not None:
+            if any(y is None for y in labels):
+                raise ValueError("trial labels must be all-or-none")
+            labels = np.array(labels, dtype=bool)
+        ids, pairs = _interned([u for pair in zip(enroll, test) for u in pair])
+        for u in ids:
+            if u.split() != [u]:  # str.split() splits at every str.isspace character
+                raise ValueError(f"utterance id {u!r} is empty or contains whitespace")
+        self._set(ids, pairs, labels)
 
     @classmethod
     def _from_codes(cls, ids: list[str], pairs: np.ndarray, labels: np.ndarray | None) -> TrialList:
@@ -164,18 +156,8 @@ class TrialList:
     def labeled(self) -> bool:
         return self._labels is not None
 
-    @property
-    def trials(self) -> tuple[Trial, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         return len(self.enroll)
-
-    def __iter__(self) -> Iterator[Trial]:
-        ids = self.ids
-        labels = self._labels.tolist() if self.labeled else [None] * len(self)
-        for e, t, label in zip(self.enroll.tolist(), self.test.tolist(), labels):
-            yield Trial(ids[e], ids[t], label)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrialList):
@@ -250,7 +232,8 @@ class EmbeddingStore:
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray):
         ids = tuple(str(i) for i in ids)
-        vectors = np.asarray(vectors, dtype=np.float32).astype(np.float64, order="C")
+        with np.errstate(invalid="ignore", over="ignore"):  # _set rejects what these casts flag
+            vectors = np.asarray(vectors, dtype=np.float32).astype(np.float64, order="C")
         self._set(ids, {u: k for k, u in enumerate(ids)}, vectors)
 
     @classmethod
@@ -290,22 +273,12 @@ class EmbeddingStore:
     def __contains__(self, utt_id: str) -> bool:
         return utt_id in self._index
 
-    def get(self, utt_id: str) -> np.ndarray:
-        try:
-            return self.vectors[self._index[utt_id]]
-        except KeyError:
-            raise KeyError(f"utterance id {utt_id!r} not in embedding store") from None
-
     def row_index(self, utt_ids: Sequence[str]) -> np.ndarray:
         """The row of `vectors` holding each id, in order; a missing id is a ValueError."""
         try:
             return np.fromiter(map(self._index.__getitem__, utt_ids), np.intp, len(utt_ids))
         except KeyError as exc:
             raise ValueError(f"utterance id {exc.args[0]!r} not in embedding store") from None
-
-    def rows(self, utt_ids: Sequence[str]) -> np.ndarray:
-        """Stacked vectors for the given ids, in order; a missing id is a ValueError."""
-        return self.vectors[self.row_index(utt_ids)]
 
 
 # The text layer. parse_trials and parse_scores first try one tokenizer
@@ -406,7 +379,7 @@ def parse_trials(text: str, labeled: bool | None) -> TrialList:
 
 def _parse_trial_lines(text: str, labeled: bool | None) -> TrialList:
     # ids are tokens of str.split(), so they are non-empty and hold no
-    # whitespace: the checks Trial makes on its ids cannot fail here
+    # whitespace: the checks TrialList() makes on its ids cannot fail here
     fields: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -609,22 +582,24 @@ def read_embeddings(source: BinaryIO) -> EmbeddingStore:
     stage = np.empty((min(len(vectors), max(1, _STAGE_BYTES // width)), dim), "<f4")
     index: dict[str, int] = {}
     done = 0  # rows decoded into vectors
-    for k in range(count):
-        record_offset = offset
-        (id_len,) = struct.unpack("<H", take(2, "id length"))
-        try:
-            utt_id = str(take(id_len, "id bytes"), "utf-8")
-        except UnicodeDecodeError:
-            raise StoreFormatError(record_offset, "id is not UTF-8") from None
-        if index.setdefault(utt_id, k) != k:
-            raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
-        got = source.readinto(stage[k - done]) if k < len(vectors) else size - offset
-        if got != width:
-            raise StoreFormatError(offset, f"truncated vector ({got} of {width} bytes)")
-        offset += width
-        if k + 1 - done == len(stage) or k + 1 == count:
-            vectors[done : k + 1] = stage[: k + 1 - done]
-            done = k + 1
+    # a signalling NaN flags `invalid` as it decodes; the store rejects it as not finite
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(count):
+            record_offset = offset
+            (id_len,) = struct.unpack("<H", take(2, "id length"))
+            try:
+                utt_id = str(take(id_len, "id bytes"), "utf-8")
+            except UnicodeDecodeError:
+                raise StoreFormatError(record_offset, "id is not UTF-8") from None
+            if index.setdefault(utt_id, k) != k:
+                raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
+            got = source.readinto(stage[k - done]) if k < len(vectors) else size - offset
+            if got != width:
+                raise StoreFormatError(offset, f"truncated vector ({got} of {width} bytes)")
+            offset += width
+            if k + 1 - done == len(stage) or k + 1 == count:
+                vectors[done : k + 1] = stage[: k + 1 - done]
+                done = k + 1
     if offset != size:
         raise StoreFormatError(offset, f"{size - offset} bytes after the last of {count} records")
     return EmbeddingStore._from_rows(index, vectors)

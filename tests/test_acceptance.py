@@ -33,7 +33,7 @@ from svkit.model import (
 )
 from svkit.schedule import CosineRestartConfig, cycle_start, lr_at
 from svkit.scoring import cosine_score, msa_score, score_trials
-from svkit.trials import EmbeddingStore, ScoreSet, Trial, TrialList, serialize_trials
+from svkit.trials import EmbeddingStore, ScoreSet, TrialList, serialize_trials
 
 RATE = 16000
 
@@ -94,10 +94,9 @@ _TEST_IDS = [f"t{i}" for i in range(100_000)]
 
 
 def labeled_set(scores, labels):
-    trials = tuple(
-        Trial("e", _TEST_IDS[i], label=bool(labels[i])) for i in range(len(scores))
-    )
-    return ScoreSet(trials=TrialList(trials=trials), scores=scores)
+    n = len(scores)
+    trials = TrialList(["e"] * n, _TEST_IDS[:n], [bool(labels[i]) for i in range(n)])
+    return ScoreSet(trials=trials, scores=scores)
 
 
 def random_labels(rng, size):
@@ -304,14 +303,12 @@ def test_asnorm_matches_brute_force(reported):
             [f"c{i}" for i in range(200)],
             unit_rows(rng, 200, d).astype(np.float32),
         )
-        trials = TrialList(
-            trials=tuple(Trial(utt_ids[2 * i], utt_ids[2 * i + 1]) for i in range(50))
-        )
+        trials = TrialList([utt_ids[2 * i] for i in range(50)],
+                           [utt_ids[2 * i + 1] for i in range(50)])
         result = score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=100)
         cohort_rows = cohort.vectors.astype(np.float64)
-        for trial, got in zip(trials, result.scores):
-            e = store.get(trial.enroll_id).astype(np.float64)
-            t = store.get(trial.test_id).astype(np.float64)
+        for enroll_id, test_id, got in zip(*trials.pair_ids(), result.scores):
+            e, t = store.vectors[store.row_index([enroll_id, test_id])].astype(np.float64)
             assert abs(got - brute_force_asnorm(e, t, cohort_rows, 100)) <= 1e-9
 
 
@@ -415,18 +412,18 @@ def test_synthetic_pipeline_end_to_end(reported):
         def utt(s, u):
             return f"s{s:03d}u{u:02d}"
 
-        trial_objs = []
+        trial_rows = []
         for _ in range(2500):
             s = int(rng.integers(n_speakers))
             u, v = rng.choice(n_utts, size=2, replace=False)
-            trial_objs.append(Trial(utt(s, u), utt(s, v), label=True))
+            trial_rows.append((utt(s, u), utt(s, v), True))
         for _ in range(2500):
             s = int(rng.integers(n_speakers))
             s2 = int((s + 1 + rng.integers(n_speakers - 1)) % n_speakers)
             u = int(rng.integers(n_utts))
             v = int(rng.integers(n_utts))
-            trial_objs.append(Trial(utt(s, u), utt(s2, v), label=False))
-        trials = TrialList(trials=tuple(trial_objs))
+            trial_rows.append((utt(s, u), utt(s2, v), False))
+        trials = TrialList(*zip(*trial_rows))
         assert len(trials) == 5000
 
         raw = score_trials(trials, store, mode="raw")
@@ -436,8 +433,9 @@ def test_synthetic_pipeline_end_to_end(reported):
         # stored vectors with none of the library's scoring or metric code
         index = {u: i for i, u in enumerate(store.ids)}
         rows = store.vectors.astype(np.float64)
-        enroll = rows[[index[t.enroll_id] for t in trials]]
-        test = rows[[index[t.test_id] for t in trials]]
+        enroll_ids, test_ids = trials.pair_ids()
+        enroll = rows[[index[u] for u in enroll_ids]]
+        test = rows[[index[u] for u in test_ids]]
         direct = np.sum(enroll * test, axis=1)
         p_miss, p_fa = oracle_rates(direct, trials.labels())
         eer_direct = oracle_eer(p_miss, p_fa)
@@ -516,11 +514,9 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
         manifest = write_noise_manifest(tmp_path)
         config = tmp_path / "pipeline.cfg"
         config.write_text("seed = 11\n", encoding="utf-8")
-        trial_objs = [
-            Trial(f"u{i}", f"u{j}") for i in range(5) for j in range(5) if i < j
-        ]
+        pairs = [(f"u{i}", f"u{j}") for i in range(5) for j in range(5) if i < j]
         trials = tmp_path / "trials.txt"
-        trials.write_text(serialize_trials(TrialList(trials=tuple(trial_objs))), encoding="utf-8")
+        trials.write_text(serialize_trials(TrialList(*zip(*pairs))), encoding="utf-8")
 
         for run in ("run1", "run2"):
             run_dir = tmp_path / run

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: subcommands, exit codes, streams."""
 
+import contextlib
 import os
 import struct
 import subprocess
@@ -25,7 +26,6 @@ from svkit.trials import (
     SCORE_CHUNK,
     EmbeddingStore,
     ScoreSet,
-    Trial,
     TrialList,
     parse_scores,
     parse_trials,
@@ -54,8 +54,8 @@ def wav_dir(tmp_path):
     return tmp_path
 
 
-def write_trials(path, trials):
-    path.write_text(serialize_trials(TrialList(trials=tuple(trials))), encoding="utf-8")
+def write_trials(path, trial_list):
+    path.write_text(serialize_trials(trial_list), encoding="utf-8")
     return path
 
 
@@ -100,7 +100,7 @@ class TestTopLevel:
         rng = np.random.default_rng(7)
         write_embeddings_file(EmbeddingStore(["a", "b", "c"], unit_rows(rng, 3, 4)),
                               tmp_path / "emb.bin")
-        write_trials(tmp_path / "t.txt", [Trial("a", "b", True), Trial("a", "c", False)])
+        write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"], [True, False]))
         code = (
             "import sys; from svkit.cli import main; "
             "code = main(['score', '--trials', 't.txt', '--embeddings', 'emb.bin', "
@@ -130,7 +130,7 @@ class TestTopLevel:
                               tmp_path / "emb.bin")
         write_embeddings_file(EmbeddingStore([f"k{i}" for i in range(4)], unit_rows(rng, 4, 4)),
                               tmp_path / "cohort.bin")
-        write_trials(tmp_path / "t.txt", [Trial("a", "b", True), Trial("a", "c", False)])
+        write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"], [True, False]))
         (tmp_path / "s.txt").write_text("a b 0.5\na c -0.5\n", encoding="utf-8")
         tone_wav(tmp_path / "u.wav", 440)
         (tmp_path / "wavs.txt").write_text("u u.wav\n", encoding="utf-8")
@@ -282,12 +282,8 @@ class TestEmbedScoreEvaluate:
         assert main(["embed", "--wav-list", str(wav_list), "--output", str(emb)]) == 0
         trials = write_trials(
             tmp_path / "trials.txt",
-            [
-                Trial("u0", "u1", label=True),
-                Trial("u0", "u2", label=False),
-                Trial("u1", "u3", label=False),
-                Trial("u2", "u3", label=True),
-            ],
+            TrialList(["u0", "u0", "u1", "u2"], ["u1", "u2", "u3", "u3"],
+                      [True, False, False, True]),
         )
         return wav_list, emb, trials
 
@@ -365,7 +361,7 @@ class TestEmbedScoreEvaluate:
         store = read_embeddings_file(emb)
         assert len(store) == 20
         assert "u0#0" in store and "u3#4" in store
-        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1"), Trial("u2", "u3")])
+        trials = write_trials(tmp_path / "t.txt", TrialList(["u0", "u2"], ["u1", "u3"]))
         capsys.readouterr()
         code = main(["score", "--trials", str(trials), "--embeddings", str(emb), "--msa"])
         assert code == 0
@@ -384,7 +380,7 @@ class TestEmbedScoreEvaluate:
                      "--output", str(emb)]) == 0
         store = read_embeddings_file(emb)
         assert len(store) == 28
-        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1"), Trial("u2", "u3")])
+        trials = write_trials(tmp_path / "t.txt", TrialList(["u0", "u2"], ["u1", "u3"]))
         outputs = []
         for flags in ([], ["--config", str(config)]):
             capsys.readouterr()
@@ -392,7 +388,8 @@ class TestEmbedScoreEvaluate:
                          *flags]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        segments = [store.rows([segment_id(u, k) for k in range(7)]) for u in ("u0", "u1")]
+        segments = [store.vectors[store.row_index([segment_id(u, k) for k in range(7)])]
+                    for u in ("u0", "u1")]
         assert parse_scores(outputs[0]).scores[0] == pytest.approx(
             np.mean(segments[0] @ segments[1].T), abs=1e-9)
 
@@ -464,18 +461,36 @@ class TestEmbedScoreEvaluate:
         emb.write_bytes(b"EMB1" + struct.pack("<IQ", 2, 2)
                         + struct.pack("<H", 1) + b"a" + struct.pack("<2f", 1.0, 0.0)
                         + struct.pack("<H", 1) + b"b" + struct.pack("<2f", 0.5, 0.0))
-        trials = write_trials(tmp_path / "t.txt", [Trial("a", "b")])
+        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
         assert main(["score", "--trials", str(trials), "--embeddings", str(emb)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {emb}: embedding 'b' is not length-normalized (norm 0.5)\n"
+
+    @pytest.mark.parametrize("slot", ["--embeddings", "--cohort"])
+    def test_signalling_nan_vector_is_one_line_error(self, tmp_path, capsys, slot):
+        # float32 0x7f800001 is a signalling NaN: decoding it flags `invalid`
+        bad = tmp_path / "snan.emb"
+        bad.write_bytes(b"EMB1" + struct.pack("<IQ", 2, 1) + struct.pack("<H", 1) + b"a"
+                        + struct.pack("<2I", 0x7F800001, 0))
+        good = tmp_path / "e.emb"
+        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), good)
+        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
+        argv = ["score", "--trials", str(trials), "--embeddings", str(bad)]
+        if slot == "--cohort":
+            argv = ["score", "--trials", str(trials), "--embeddings", str(good),
+                    "--asnorm", "--cohort", str(bad)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: embedding vectors must be finite\n"
 
     def test_msa_segment_count_over_cap_is_data_error(self, tmp_path, capsys):
         n = MAX_N_SEGMENTS + 1
         ids = [segment_id(u, k) for u in ("u0", "u1") for k in range(n)]
         emb = tmp_path / "seg.bin"
         write_embeddings_file(EmbeddingStore(ids, np.tile(np.eye(4)[0], (len(ids), 1))), emb)
-        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1")])
+        trials = write_trials(tmp_path / "t.txt", TrialList(["u0"], ["u1"]))
         code = main(["score", "--msa", "--trials", str(trials), "--embeddings", str(emb)])
         captured = capsys.readouterr()
         assert code == 2
@@ -493,7 +508,7 @@ class TestEmbedScoreEvaluate:
             assert main(["embed", "--wav-list", str(wav_list), "--output", str(emb), "--msa"]) == 0
         if "--asnorm" in flags:
             flags = flags + ["--cohort", str(emb)]
-        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1"), Trial("u2", "ghost")])
+        trials = write_trials(tmp_path / "t.txt", TrialList(["u0", "u2"], ["u1", "ghost"]))
         capsys.readouterr()
         code = main(["score", "--trials", str(trials), "--embeddings", str(emb), *flags])
         captured = capsys.readouterr()
@@ -534,7 +549,7 @@ class TestEmbedScoreEvaluate:
         write_embeddings_file(
             EmbeddingStore([f"c{i}" for i in range(5)], np.tile(vectors[1], (5, 1))), cohort
         )
-        trials = write_trials(tmp_path / "t.txt", [Trial("spkA", "spkB")])
+        trials = write_trials(tmp_path / "t.txt", TrialList(["spkA"], ["spkB"]))
         code = main(
             ["score", "--trials", str(trials), "--embeddings", str(emb),
              "--asnorm", "--cohort", str(cohort), "--topk", "3"]
@@ -548,7 +563,7 @@ class TestEmbedScoreEvaluate:
     def test_store_header_count_is_data_error(self, tmp_path, capsys):
         emb = tmp_path / "huge.bin"
         emb.write_bytes(b"EMB1" + struct.pack("<IQ", 256, 2**40))
-        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1")])
+        trials = write_trials(tmp_path / "t.txt", TrialList(["u0"], ["u1"]))
         code = main(["score", "--trials", str(trials), "--embeddings", str(emb)])
         err = capsys.readouterr().err
         assert code == 2
@@ -562,7 +577,7 @@ class TestEmbedScoreEvaluate:
             b"EMB1" + struct.pack("<IQ", 1, 1) + struct.pack("<H", 1) + b"\xff"
             + struct.pack("<f", 1.0)
         )
-        trials = write_trials(tmp_path / "t.txt", [Trial("u0", "u1")])
+        trials = write_trials(tmp_path / "t.txt", TrialList(["u0"], ["u1"]))
         code = main(["score", "--trials", str(trials), "--embeddings", str(emb)])
         captured = capsys.readouterr()
         assert code == 2
@@ -742,12 +757,7 @@ class TestEvaluateFixture:
     def test_perfect_separation_prints_zero(self, tmp_path, capsys):
         trials = write_trials(
             tmp_path / "t.txt",
-            [
-                Trial("a", "b", label=True),
-                Trial("a", "c", label=True),
-                Trial("a", "d", label=False),
-                Trial("a", "e", label=False),
-            ],
+            TrialList(["a", "a", "a", "a"], ["b", "c", "d", "e"], [True, True, False, False]),
         )
         scores = tmp_path / "s.txt"
         scores.write_text(
@@ -761,7 +771,7 @@ class TestEvaluateFixture:
     def test_score_trial_mismatch_is_data_error(self, tmp_path, capsys):
         trials = write_trials(
             tmp_path / "t.txt",
-            [Trial("a", "b", label=True), Trial("a", "c", label=False)],
+            TrialList(["a", "a"], ["b", "c"], [True, False]),
         )
         scores = tmp_path / "s.txt"
         scores.write_text("a b 0.900000000\nx y 0.100000000\n")
@@ -771,7 +781,7 @@ class TestEvaluateFixture:
     def test_non_finite_score_names_line(self, tmp_path, capsys, token):
         trials = write_trials(
             tmp_path / "t.txt",
-            [Trial("a", "b", label=True), Trial("a", "c", label=False)],
+            TrialList(["a", "a"], ["b", "c"], [True, False]),
         )
         scores = tmp_path / "s.txt"
         scores.write_text(f"a b 0.900000000\na c {token}\n")
@@ -798,7 +808,7 @@ class TestEvaluateFixture:
     def test_non_finite_or_non_positive_cost_is_data_error(self, tmp_path, capsys, flag, value):
         trials = write_trials(
             tmp_path / "t.txt",
-            [Trial("a", "b", label=True), Trial("a", "c", label=False)],
+            TrialList(["a", "a"], ["b", "c"], [True, False]),
         )
         scores = tmp_path / "s.txt"
         scores.write_text("a b 0.900000000\na c 0.100000000\n")
@@ -813,23 +823,22 @@ class TestEvaluateFixture:
 class TestFuse:
     def write_score_file(self, path, trials, values):
         lines = [
-            f"{t.enroll_id} {t.test_id} {v:.9f}" for t, v in zip(trials, values)
+            f"{e} {t} {v:.9f}" for e, t, v in zip(*trials.pair_ids(), values)
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
     def test_fit_and_apply_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
-        trial_objs = [
-            Trial(f"e{i}", f"t{i}", label=bool(i % 2)) for i in range(40)
-        ]
-        trials = write_trials(tmp_path / "t.txt", trial_objs)
-        labels = np.array([t.label for t in trial_objs], dtype=float)
+        trial_list = TrialList([f"e{i}" for i in range(40)], [f"t{i}" for i in range(40)],
+                               [bool(i % 2) for i in range(40)])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        labels = trial_list.labels().astype(float)
         s1 = self.write_score_file(
-            tmp_path / "s1.txt", trial_objs, labels + 0.5 * rng.standard_normal(40)
+            tmp_path / "s1.txt", trial_list, labels + 0.5 * rng.standard_normal(40)
         )
         s2 = self.write_score_file(
-            tmp_path / "s2.txt", trial_objs, labels + 0.8 * rng.standard_normal(40)
+            tmp_path / "s2.txt", trial_list, labels + 0.8 * rng.standard_normal(40)
         )
         model = tmp_path / "model.txt"
         fused_out = tmp_path / "fused.txt"
@@ -848,7 +857,7 @@ class TestFuse:
         assert len(fields) == 3
 
         unlabeled = write_trials(
-            tmp_path / "t2.txt", [Trial(t.enroll_id, t.test_id) for t in trial_objs]
+            tmp_path / "t2.txt", TrialList(*trial_list.pair_ids())
         )
         capsys.readouterr()
         code = main(
@@ -878,9 +887,9 @@ class TestFuse:
         assert not model.exists()
 
     def test_model_system_count_mismatch_is_data_error(self, tmp_path, capsys):
-        trial_objs = [Trial("a", "b"), Trial("a", "c")]
-        trials = write_trials(tmp_path / "t.txt", trial_objs)
-        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        trial_list = TrialList(["a", "a"], ["b", "c"])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.5, -0.5])
         model = tmp_path / "model.txt"
         model.write_text("0.1 1.0 2.0\n", encoding="utf-8")
         code = main(["fuse", "--trials", str(trials), "--scores", str(s1), "--model", str(model)])
@@ -892,9 +901,9 @@ class TestFuse:
         ]
 
     def test_bad_second_score_file_is_named(self, tmp_path, capsys):
-        trial_objs = [Trial("a", "b"), Trial("a", "c")]
-        trials = write_trials(tmp_path / "p.txt", trial_objs)
-        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        trial_list = TrialList(["a", "a"], ["b", "c"])
+        trials = write_trials(tmp_path / "p.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.5, -0.5])
         s2 = tmp_path / "s2.txt"
         s2.write_text("a b 0.25\na c nan\n", encoding="utf-8")
         model = tmp_path / "m.txt"
@@ -912,13 +921,14 @@ class TestFuse:
         )
 
     def test_model_applies_to_labeled_and_unlabeled_list_alike(self, tmp_path, capsys):
-        trial_objs = [Trial(f"e{i % 3}", f"t{i}", label=bool(i % 2)) for i in range(6)]
-        labeled = write_trials(tmp_path / "labeled.txt", trial_objs)
+        trial_list = TrialList([f"e{i % 3}" for i in range(6)], [f"t{i}" for i in range(6)],
+                               [bool(i % 2) for i in range(6)])
+        labeled = write_trials(tmp_path / "labeled.txt", trial_list)
         unlabeled = write_trials(
-            tmp_path / "unlabeled.txt", [Trial(t.enroll_id, t.test_id) for t in trial_objs]
+            tmp_path / "unlabeled.txt", TrialList(*trial_list.pair_ids())
         )
-        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, np.linspace(-1, 1, 6))
-        s2 = self.write_score_file(tmp_path / "s2.txt", trial_objs, np.cos(np.arange(6)))
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, np.linspace(-1, 1, 6))
+        s2 = self.write_score_file(tmp_path / "s2.txt", trial_list, np.cos(np.arange(6)))
         model = tmp_path / "m.txt"
         model.write_text("0.1 1.0 2.0\n", encoding="utf-8")
         fused = []
@@ -937,9 +947,9 @@ class TestFuse:
         assert capsys.readouterr().err == f"error: {labeled}:3: expected 3 fields, got 2\n"
 
     def test_bad_model_value_names_file(self, tmp_path, capsys):
-        trial_objs = [Trial("a", "b"), Trial("a", "c")]
-        trials = write_trials(tmp_path / "t.txt", trial_objs)
-        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        trial_list = TrialList(["a", "a"], ["b", "c"])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.5, -0.5])
         model = tmp_path / "m.txt"
         model.write_text("0.1 x\n", encoding="utf-8")
         code = main(["fuse", "--trials", str(trials), "--scores", str(s1), "--model", str(model)])
@@ -964,9 +974,9 @@ class TestFuse:
         assert capsys.readouterr().out == "a b 0.600000000\na c -0.400000000\n"
 
     def test_needs_fit_or_model(self, tmp_path, capsys):
-        trial_objs = [Trial("a", "b", label=True), Trial("a", "c", label=False)]
-        trials = write_trials(tmp_path / "t.txt", trial_objs)
-        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        trial_list = TrialList(["a", "a"], ["b", "c"], [True, False])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.5, -0.5])
         assert main(["fuse", "--trials", str(trials), "--scores", str(s1)]) == 1
 
     @settings(
@@ -984,9 +994,9 @@ class TestFuse:
         )
     )
     def test_fuzzed_model_file_keeps_cli_contract(self, tmp_path, capsys, model_bytes):
-        trial_objs = [Trial("a", "b"), Trial("a", "c")]
-        trials = write_trials(tmp_path / "t.txt", trial_objs)
-        s1 = self.write_score_file(tmp_path / "s1.txt", trial_objs, [0.5, -0.5])
+        trial_list = TrialList(["a", "a"], ["b", "c"])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.5, -0.5])
         model = tmp_path / "model.txt"
         model.write_bytes(model_bytes)
         capsys.readouterr()
@@ -998,7 +1008,7 @@ class TestFuse:
         assert len(captured.err.splitlines()) <= 1
         if code == 0:
             assert captured.err == ""
-            assert len(captured.out.splitlines()) == len(trial_objs)
+            assert len(captured.out.splitlines()) == len(trial_list)
         else:
             assert captured.out == ""
 
@@ -1020,8 +1030,9 @@ class TestStreamedOutput:
         write_embeddings_file(EmbeddingStore([f"c{i}" for i in range(30)], unit_rows(rng, 30, 8)),
                               tmp_path / "cohort.bin")
         pairs = rng.integers(20, size=(3 * SCORE_CHUNK, 2))
-        write_trials(tmp_path / "t.txt", [Trial(utts[a], utts[b], bool(a % 2))
-                                          for a, b in pairs])
+        write_trials(tmp_path / "t.txt", TrialList([utts[a] for a in pairs[:, 0]],
+                                                   [utts[b] for b in pairs[:, 1]],
+                                                   [bool(a % 2) for a in pairs[:, 0]]))
         return tmp_path
 
     def argv(self, tmp_path, command, out):
@@ -1086,7 +1097,7 @@ class TestStreamedOutput:
         out = inputs / "out.txt"
         argv = self.argv(inputs, "score", out)
         if case == "missing-id":
-            write_trials(inputs / "t.txt", [Trial("u0", "u1"), Trial("u2", "ghost")])
+            write_trials(inputs / "t.txt", TrialList(["u0", "u2"], ["u1", "ghost"]))
         else:  # a cohort of another dimension
             write_embeddings_file(EmbeddingStore(["c0", "c1"], np.eye(2)), inputs / "cohort.bin")
             argv += ["--asnorm", "--cohort", str(inputs / "cohort.bin"), "--topk", "1"]
@@ -1116,8 +1127,8 @@ class TestTextInputs:
 
     @pytest.fixture
     def files(self, tmp_path):
-        write_trials(tmp_path / "labeled.txt", [Trial("a", "b", True), Trial("a", "c", False)])
-        write_trials(tmp_path / "pairs.txt", [Trial("a", "b"), Trial("a", "c")])
+        write_trials(tmp_path / "labeled.txt", TrialList(["a", "a"], ["b", "c"], [True, False]))
+        write_trials(tmp_path / "pairs.txt", TrialList(["a", "a"], ["b", "c"]))
         (tmp_path / "scores.txt").write_text("a b 0.5\na c 0.1\n", encoding="utf-8")
         (tmp_path / "model.txt").write_text("0.0 1.0\n", encoding="utf-8")
         (tmp_path / "bad.txt").write_bytes(b"a \xff\n")
@@ -1227,6 +1238,19 @@ class TestScheduleDump:
             lr, cycle = lr_at(cfg, int(step_s))
             assert int(cycle_s) == cycle
             assert float(lr_s) == pytest.approx(lr, rel=1e-9)
+
+    def test_200k_steps_hold_no_row_list(self, tmp_path):
+        cfg_file = tmp_path / "sched.cfg"
+        cfg_file.write_text("cycle0_steps = 10\n")
+        argv = ["schedule-dump", "--config", str(cfg_file), "--steps", "200000"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20  # a list of the rows takes about 24 MiB
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_non_positive_steps_is_data_error(self, tmp_path, capsys, steps):

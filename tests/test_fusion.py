@@ -18,7 +18,7 @@ from svkit.fusion import (
     serialize_fusion_model,
     stack_scores,
 )
-from svkit.trials import ScoreSet, Trial, TrialList, parse_trials
+from svkit.trials import ScoreSet, TrialList, parse_trials
 
 
 def synthetic_problem(rng, n=300, m=3, noise=1.0):
@@ -205,7 +205,7 @@ class TestFuse:
             fuse_matrix(model, np.zeros((4, 3)))
 
     def test_fuse_builds_aligned_scoreset(self):
-        trials = TrialList(trials=(Trial("a", "b"), Trial("a", "c")))
+        trials = TrialList(["a", "a"], ["b", "c"])
         model = FusionModel(
             weights=np.array([2.0]), bias=1.0, converged=True, iterations=0
         )
@@ -216,14 +216,14 @@ class TestFuse:
 
 class TestStackScores:
     def test_stacks_columns_in_order(self):
-        trials = TrialList(trials=(Trial("a", "b"), Trial("a", "c")))
+        trials = TrialList(["a", "a"], ["b", "c"])
         s1 = ScoreSet(trials=trials, scores=np.array([1.0, 2.0]))
         s2 = ScoreSet(trials=trials, scores=np.array([3.0, 4.0]))
         assert np.array_equal(stack_scores([s1, s2]), [[1.0, 3.0], [2.0, 4.0]])
 
     def test_mismatched_trials_rejected(self):
-        t1 = TrialList(trials=(Trial("a", "b"),))
-        t2 = TrialList(trials=(Trial("a", "c"),))
+        t1 = TrialList(["a"], ["b"])
+        t2 = TrialList(["a"], ["c"])
         s1 = ScoreSet(trials=t1, scores=np.array([1.0]))
         s2 = ScoreSet(trials=t2, scores=np.array([1.0]))
         with pytest.raises(ValueError, match="different trial lists"):
@@ -231,12 +231,12 @@ class TestStackScores:
 
     def test_same_pairs_built_separately_accepted(self):
         parsed = parse_trials("a b\na\tc\n", labeled=False)
-        built = TrialList(trials=(Trial("a", "b"), Trial("a", "c")))
+        built = TrialList(["a", "a"], ["b", "c"])
         s1 = ScoreSet(trials=parsed, scores=np.array([1.0, 2.0]))
         s2 = ScoreSet(trials=built, scores=np.array([3.0, 4.0]))
         assert np.array_equal(stack_scores([s1, s2]), [[1.0, 3.0], [2.0, 4.0]])
         # differs from the lists above only in the second trial's test id
-        renamed = TrialList(trials=(Trial("a", "b"), Trial("a", "d")))
+        renamed = TrialList(["a", "a"], ["b", "d"])
         s3 = ScoreSet(trials=renamed, scores=np.array([3.0, 4.0]))
         with pytest.raises(ValueError, match="different trial lists"):
             stack_scores([s1, s3])

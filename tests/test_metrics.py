@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svkit.metrics import DcfConfig, RocCurve, eer, evaluate_scores, min_dcf, roc_points
-from svkit.trials import ScoreSet, Trial, TrialList
+from svkit.trials import ScoreSet, TrialList
 
 
 def labeled_scores(target_scores, nontarget_scores):
-    trials = []
-    scores = []
-    for i, s in enumerate(target_scores):
-        trials.append(Trial(f"e{i}", f"t{i}", label=True))
-        scores.append(s)
-    for i, s in enumerate(nontarget_scores):
-        trials.append(Trial(f"e{i}", f"n{i}", label=False))
-        scores.append(s)
-    return ScoreSet(trials=TrialList(trials=tuple(trials)), scores=np.array(scores))
+    n_tar, n_non = len(target_scores), len(nontarget_scores)
+    enroll = [f"e{i}" for i in range(n_tar)] + [f"e{i}" for i in range(n_non)]
+    test = [f"t{i}" for i in range(n_tar)] + [f"n{i}" for i in range(n_non)]
+    trials = TrialList(enroll, test, [True] * n_tar + [False] * n_non)
+    return ScoreSet(trials=trials, scores=np.array([*target_scores, *nontarget_scores]))
 
 
 def sweep_oracle(target_scores, nontarget_scores):
@@ -75,12 +71,12 @@ class TestRocPoints:
         assert np.all(np.diff(curve.p_fa) <= 0)
 
     def test_single_class_rejected(self):
-        trials = TrialList(trials=(Trial("a", "b", label=True), Trial("a", "c", label=True)))
+        trials = TrialList(["a", "a"], ["b", "c"], [True, True])
         with pytest.raises(ValueError, match="degenerate labels"):
             roc_points(ScoreSet(trials=trials, scores=np.array([0.1, 0.2])))
 
     def test_unlabeled_rejected(self):
-        trials = TrialList(trials=(Trial("a", "b"), Trial("a", "c")))
+        trials = TrialList(["a", "a"], ["b", "c"])
         with pytest.raises(ValueError, match="labeled"):
             roc_points(ScoreSet(trials=trials, scores=np.array([0.1, 0.2])))
 

@@ -92,10 +92,16 @@ class TestScheduleProperties:
 
     def test_dump_matches_pointwise(self):
         cfg = CosineRestartConfig(cycle0_steps=10)
-        rows = dump_schedule(cfg, 25)
+        rows = list(dump_schedule(cfg, 25))
         assert len(rows) == 25
         for step, lr, cycle in rows:
             assert (lr, cycle) == lr_at(cfg, step)
+
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_dump_rejects_step_count_at_the_call(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            dump_schedule(CosineRestartConfig(cycle0_steps=10), n_steps)
 
 
 class TestConfigValidation:

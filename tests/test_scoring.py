@@ -29,7 +29,7 @@ from svkit.scoring import (
     segment_id,
     segment_plan,
 )
-from svkit.trials import EmbeddingStore, Trial, TrialList
+from svkit.trials import EmbeddingStore, TrialList
 
 
 def unit(v):
@@ -539,19 +539,13 @@ def make_store(rng, utt_ids, dim=8):
 
 class TestScoreTrials:
     def trial_list(self):
-        return TrialList(
-            trials=(
-                Trial("u0", "u1"),
-                Trial("u2", "u3"),
-                Trial("u0", "u3"),
-            )
-        )
+        return TrialList(["u0", "u2", "u0"], ["u1", "u3", "u3"])
 
     def test_raw_mode(self):
         rng = np.random.default_rng(15)
         store = make_store(rng, ["u0", "u1", "u2", "u3"])
         result = score_trials(self.trial_list(), store, mode="raw")
-        want = cosine_score(store.get("u0"), store.get("u1"))
+        want = cosine_score(*store.vectors[store.row_index(["u0", "u1"])])
         assert result.scores[0] == want
 
     def test_asnorm_mode_matches_manual(self):
@@ -559,19 +553,20 @@ class TestScoreTrials:
         store = make_store(rng, ["u0", "u1", "u2", "u3"])
         cohort = make_store(rng, [f"c{i}" for i in range(12)])
         result = score_trials(self.trial_list(), store, mode="asnorm", cohort=cohort, top_k=5)
-        raw = cosine_score(store.get("u0"), store.get("u1"))
-        mean, std = cohort_stats(store.rows(["u0", "u1"]), cohort, 5)
+        pair = store.vectors[store.row_index(["u0", "u1"])]
+        raw = cosine_score(*pair)
+        mean, std = cohort_stats(pair, cohort, 5)
         assert result.scores[0] == asnorm_score(raw, mean[0], std[0], mean[1], std[1])
 
     def test_degenerate_cohort_names_utterance(self):
         # every cohort vector is spkB's (its first segment's, for MSA), so
         # spkA's top-3 scores are identical
         rng = np.random.default_rng(25)
-        trials = TrialList(trials=(Trial("spkA", "spkB"),))
+        trials = TrialList(["spkA"], ["spkB"])
         for mode, ids in (("asnorm", ["spkA", "spkB"]),
                           ("msa", ["spkA#0", "spkA#1", "spkB#0", "spkB#1"])):
             store = make_store(rng, ids)
-            spk_b = store.get(ids[len(ids) // 2])
+            spk_b = store.vectors[store.row_index([ids[len(ids) // 2]])]
             cohort = EmbeddingStore([f"c{i}" for i in range(5)], np.tile(spk_b, (5, 1)))
             with pytest.raises(ValueError, match="degenerate cohort for embedding 'spkA':"):
                 score_trials(trials, store, mode=mode, cohort=cohort, top_k=3)
@@ -583,7 +578,7 @@ class TestScoreTrials:
         store = make_store(rng, ["e", "t"])
         unit_rows = random_units(rng, 20, 8)
         ids = [f"c{i}" for i in range(20)]
-        trials = TrialList(trials=(Trial("e", "t"),))
+        trials = TrialList(["e"], ["t"])
         with pytest.raises(ValueError, match=r"^embedding 'c0' is not length-normalized"):
             score_trials(trials, store, mode="asnorm", cohort=EmbeddingStore(ids, 3.0 * unit_rows),
                          top_k=5)
@@ -603,8 +598,8 @@ class TestScoreTrials:
         ids = [segment_id(u, i) for u in utts for i in range(5)]
         store = make_store(rng, ids)
         result = score_trials(self.trial_list(), store, mode="msa")
-        a = store.rows([segment_id("u0", i) for i in range(5)]).astype(np.float64)
-        b = store.rows([segment_id("u1", i) for i in range(5)]).astype(np.float64)
+        a, b = (store.vectors[store.row_index([segment_id(u, i) for i in range(5)])]
+                .astype(np.float64) for u in ("u0", "u1"))
         assert result.scores[0] == msa_score(a, b)
 
     def test_msa_segment_count_is_read_from_store(self):
@@ -612,8 +607,8 @@ class TestScoreTrials:
         utts = ["u0", "u1", "u2", "u3"]
         store = make_store(rng, [segment_id(u, i) for u in utts for i in range(7)])
         result = score_trials(self.trial_list(), store, mode="msa")
-        a = store.rows([segment_id("u2", i) for i in range(7)])
-        b = store.rows([segment_id("u3", i) for i in range(7)])
+        a = store.vectors[store.row_index([segment_id("u2", i) for i in range(7)])]
+        b = store.vectors[store.row_index([segment_id("u3", i) for i in range(7)])]
         assert result.scores[1] == msa_score(a, b)
 
     def test_msa_extra_segment_names_utterance(self):
@@ -645,7 +640,7 @@ class TestScoreTrials:
         rng = np.random.default_rng(20)
         utts = [f"u{i}" for i in range(40)]
         pairs = rng.integers(len(utts), size=(3 * TRIAL_CHUNK + 7, 2))
-        trials = TrialList(trials=tuple(Trial(utts[i], utts[j]) for i, j in pairs))
+        trials = TrialList([utts[i] for i in pairs[:, 0]], [utts[j] for j in pairs[:, 1]])
         store = make_store(rng, utts, dim=24)
         cohort = make_store(rng, [f"c{i}" for i in range(30)], dim=24)
         segments = make_store(rng, [segment_id(u, k) for u in utts for k in range(5)], dim=24)
@@ -653,14 +648,14 @@ class TestScoreTrials:
         asnorm = score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=10).scores
         msa = score_trials(trials, segments, mode="msa").scores
         msa_asnorm = score_trials(trials, segments, mode="msa", cohort=cohort, top_k=10).scores
-        for k, t in enumerate(trials):
-            e, x = store.get(t.enroll_id), store.get(t.test_id)
+        for k, (enroll_id, test_id) in enumerate(zip(*trials.pair_ids())):
+            e, x = store.vectors[store.row_index([enroll_id, test_id])]
             assert raw[k] == cosine_score(e, x)
             mean_e, std_e = cohort_stats(e[None], cohort, 10)
             mean_x, std_x = cohort_stats(x[None], cohort, 10)
             assert asnorm[k] == asnorm_score(cosine_score(e, x), mean_e, std_e, mean_x, std_x)[0]
-            seg_e = segments.rows([segment_id(t.enroll_id, i) for i in range(5)])
-            seg_x = segments.rows([segment_id(t.test_id, i) for i in range(5)])
+            seg_ids = [[segment_id(u, i) for i in range(5)] for u in (enroll_id, test_id)]
+            seg_e, seg_x = (segments.vectors[segments.row_index(ids)] for ids in seg_ids)
             assert msa[k] == msa_score(seg_e, seg_x)
             mean_e, std_e = cohort_stats(seg_e[None], cohort, 10)
             mean_x, std_x = cohort_stats(seg_x[None], cohort, 10)
@@ -733,12 +728,13 @@ class TestAsnormOverMsa:
         segments = make_store(rng, [segment_id(u, k) for u in utts for k in range(n_segments)], 24)
         cohort = make_store(rng, [f"c{i}" for i in range(77)], 24)
         pairs = rng.integers(len(utts), size=(40, 2))
-        trials = TrialList(trials=tuple(Trial(utts[i], utts[j]) for i, j in pairs))
+        trials = TrialList([utts[i] for i in pairs[:, 0]], [utts[j] for j in pairs[:, 1]])
         got = score_trials(trials, segments, mode="msa", cohort=cohort, top_k=10).scores
         cohort_rows = cohort.vectors.tolist()
-        for score, t in zip(got, trials):
-            seg_e, seg_t = (segments.rows([segment_id(u, i) for i in range(n_segments)]).tolist()
-                            for u in (t.enroll_id, t.test_id))
+        for score, enroll_id, test_id in zip(got, *trials.pair_ids()):
+            seg_e, seg_t = (segments.vectors[segments.row_index(
+                                [segment_id(u, i) for i in range(n_segments)])].tolist()
+                            for u in (enroll_id, test_id))
             assert score == pytest.approx(
                 brute_force_msa_asnorm(seg_e, seg_t, cohort_rows, 10), abs=1e-9)
 
@@ -750,7 +746,7 @@ class TestAsnormOverMsa:
                                np.repeat(plain.vectors, 5, axis=0))
         cohort = make_store(rng, [f"c{i}" for i in range(777)], dim=256)
         pairs = rng.integers(len(utts), size=(2 * TRIAL_CHUNK + 9, 2))
-        trials = TrialList(trials=tuple(Trial(utts[i], utts[j]) for i, j in pairs))
+        trials = TrialList([utts[i] for i in pairs[:, 0]], [utts[j] for j in pairs[:, 1]])
         want = score_trials(trials, plain, mode="asnorm", cohort=cohort, top_k=100).scores
         got = score_trials(trials, tiled, mode="msa", cohort=cohort, top_k=100).scores
         assert np.array_equal(got, want)

@@ -4,6 +4,7 @@ import io
 import os
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +28,6 @@ from svkit.trials import (
     EmbeddingStore,
     ScoreSet,
     StoreFormatError,
-    Trial,
     TrialList,
     TrialParseError,
     format_score,
@@ -98,14 +98,15 @@ class TestParseTrials:
         tl = parse_trials("1 a.wav b.wav\n0 a.wav c.wav", labeled=True)
         assert len(tl) == 2
         assert tl.labeled
-        assert [t.label for t in tl] == [True, False]
-        assert tl.trials[0] == Trial("a.wav", "b.wav", True)
+        assert tl.labels().tolist() == [True, False]
+        assert [ids[0] for ids in tl.pair_ids()] == ["a.wav", "b.wav"]
 
     def test_unlabeled_single_line(self):
         tl = parse_trials("a.wav b.wav", labeled=False)
         assert len(tl) == 1
         assert not tl.labeled
-        assert tl.trials[0].label is None
+        with pytest.raises(ValueError, match="unlabeled"):
+            tl.labels()
 
     def test_out_of_range_label_reports_line(self):
         with pytest.raises(TrialParseError, match="line 1"):
@@ -125,7 +126,7 @@ class TestParseTrials:
 
     def test_ids_with_slashes_are_opaque(self):
         tl = parse_trials("1 id1/x/00001.wav id2/y/00002.wav", labeled=True)
-        assert tl.trials[0].enroll_id == "id1/x/00001.wav"
+        assert tl.pair_ids()[0][0] == "id1/x/00001.wav"
 
     def test_roundtrip_preserves_order_and_labels(self):
         text = "1 a b\n0 c d\n1 e f\n"
@@ -135,20 +136,50 @@ class TestParseTrials:
         assert serialize_trials(tl2) == "x y\nu v\n"
 
 
-class TestTrialInvariants:
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            Trial("", "b")
+# every str.isspace character: str.split() splits at each of them
+ISSPACE_CHARS = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+LIST_IDS = st.one_of(
+    st.sampled_from(["a", "b", "c"]),  # repeats, so ids are interned
+    st.text(st.characters(codec="utf-8").filter(lambda c: not c.isspace()), min_size=1),
+)
 
-    def test_whitespace_id_rejected(self):
-        with pytest.raises(ValueError):
-            Trial("a b", "c")
-        with pytest.raises(ValueError):
-            Trial("a", "c\nd")
 
-    def test_mixed_labeling_rejected(self):
-        with pytest.raises(ValueError, match="all-or-none"):
-            TrialList((Trial("a", "b", True), Trial("c", "d")))
+class TestTrialListConstructor:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(LIST_IDS, LIST_IDS, st.booleans()), max_size=12),
+           st.booleans(), st.data())
+    def test_builds_what_parsing_its_text_builds(self, rows, labeled, data):
+        enroll, test = [e for e, _, _ in rows], [t for _, t, _ in rows]
+        labels = [y for _, _, y in rows] if labeled else None
+        tl = TrialList(enroll, test, labels)
+        assert parse_trials(serialize_trials(tl), labeled) == tl
+        assert [ids.tolist() for ids in tl.pair_ids()] == [enroll, test]
+        assert tl.ids.tolist() == first_seen(list(zip(enroll, test)))
+        if labeled and rows:
+            assert tl.labels().tolist() == labels
+        assert tl.labeled == (labeled and bool(rows))
+
+        # a broken id on either side, at any trial
+        if rows:
+            k = data.draw(st.integers(0, len(rows) - 1))
+            side = data.draw(st.sampled_from([enroll, test]))
+            good = side[k]
+            at = data.draw(st.integers(0, len(good)))
+            spaces = [" ", "\n", "\x1c", "\u2028", data.draw(st.sampled_from(ISSPACE_CHARS))]
+            for bad in ["", *(good[:at] + c + good[at:] for c in spaces)]:
+                side[k] = bad
+                with pytest.raises(ValueError, match="empty or contains whitespace"):
+                    TrialList(enroll, test, labels)
+            side[k] = good
+            # a None among the labels
+            with pytest.raises(ValueError, match="all-or-none"):
+                TrialList(enroll, test, [True] * k + [None] + [False] * (len(rows) - k - 1))
+        # mismatched lengths
+        longer = data.draw(st.sampled_from(["enroll", "test", "labels"]))
+        args = {"enroll": enroll, "test": test, "labels": [True] * len(rows)}
+        args[longer] = args[longer] + [True if longer == "labels" else "a"]
+        with pytest.raises(ValueError, match="equal lengths"):
+            TrialList(**args)
 
 
 class TestIndexArrays:
@@ -159,17 +190,6 @@ class TestIndexArrays:
         assert tl.enroll.tolist() == [0, 0, 2]
         assert tl.test.tolist() == [1, 2, 1]
         assert tl.labels().tolist() == [True, False, True]
-
-    def test_trial_objects_build_the_same_arrays(self):
-        text = "1 a b\n0 a c\n1 c b\n1 a b\n"
-        built = TrialList(tuple(parse_trials(text, labeled=True)))
-        assert built == parse_trials(text, labeled=True)
-        assert built.trials == (
-            Trial("a", "b", True),
-            Trial("a", "c", False),
-            Trial("c", "b", True),
-            Trial("a", "b", True),
-        )
 
     def test_equality_covers_pairs_and_labels(self):
         tl = parse_trials("1 a b\n0 a c\n", labeled=True)
@@ -200,17 +220,17 @@ class TestIndexArrays:
     def test_empty_list_is_unlabeled(self):
         # as before: a list with no trials carries no labels either way
         assert not parse_trials("\n\n", labeled=True).labeled
-        assert not TrialList(()).labeled
-        assert len(TrialList(())) == 0
+        assert not TrialList([], []).labeled
+        assert len(TrialList([], [])) == 0
 
     def test_whole_list_paths_build_no_trial(self, monkeypatch):
         text = "1 a b\n0 a c\n1 c b\n0 b c\n"
         store = EmbeddingStore(["a", "b", "c"], np.eye(3))
 
-        def no_trial(self):
-            raise AssertionError("a Trial was built")
+        def no_trial(self, *args):
+            raise AssertionError("a list was built id by id")
 
-        monkeypatch.setattr(Trial, "__post_init__", no_trial)
+        monkeypatch.setattr(TrialList, "__init__", no_trial)
         tl = parse_trials(text, labeled=True)
         raw = score_trials(tl, store)
         scores = parse_scores(serialize_scores(raw), tl)
@@ -243,19 +263,19 @@ class TestScoreSet:
         assert text == "a.wav b.wav 0.500000000\n"
 
     def test_empty_scoreset_serializes_empty(self):
-        tl = TrialList(())
+        tl = TrialList([], [])
         assert serialize_scores(ScoreSet(tl, np.array([]))) == ""
 
     def test_roundtrip_of_random_scores(self):
         rng = np.random.default_rng(7)
         n = 100
-        tl = TrialList(tuple(Trial(f"e{k}", f"t{k}") for k in range(n)))
+        tl = TrialList([f"e{k}" for k in range(n)], [f"t{k}" for k in range(n)])
         scores = rng.uniform(-1.0, 1.0, size=n)
         back = parse_scores(serialize_scores(ScoreSet(tl, scores)), trials=tl)
         assert np.max(np.abs(back.scores - scores)) <= 1e-8
 
     def test_roundtrip_of_large_magnitude_scores(self):
-        tl = TrialList(tuple(Trial(f"e{k}", f"t{k}") for k in range(4)))
+        tl = TrialList([f"e{k}" for k in range(4)], [f"t{k}" for k in range(4)])
         scores = np.array([5.0, -12.25, 0.0, 123.456789])
         back = parse_scores(serialize_scores(ScoreSet(tl, scores)), trials=tl)
         # 9 significant digits keep these well under 1e-6 absolute
@@ -274,19 +294,23 @@ class TestScoreSet:
 
     def test_parse_scores_standalone_rebuilds_trials(self):
         ss = parse_scores("a b 0.25\nc d -0.125\n")
-        assert [t.enroll_id for t in ss.trials] == ["a", "c"]
+        assert ss.trials.pair_ids()[0].tolist() == ["a", "c"]
         assert ss.scores.tolist() == [0.25, -0.125]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-100.0, max_value=100.0), max_size=20))
     def test_score_roundtrip_property(self, values):
-        tl = TrialList(tuple(Trial(f"e{k}", f"t{k}") for k in range(len(values))))
+        n = len(values)
+        tl = TrialList([f"e{k}" for k in range(n)], [f"t{k}" for k in range(n)])
         scores = np.array(values, dtype=np.float64)
         back = parse_scores(serialize_scores(ScoreSet(tl, scores)), trials=tl)
         if len(values):
             # at least 9 significant digits: relative error below 1e-8
             tol = np.maximum(np.abs(scores), 1.0) * 1e-8
             assert np.all(np.abs(back.scores - scores) <= tol)
+
+
+SNAN_BITS = 0x7F800001  # a float32 signalling NaN: casting it flags `invalid`
 
 
 class TestEmbeddingStore:
@@ -315,15 +339,29 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError, match="finite"):
             EmbeddingStore(["a"], v)
 
-    def test_get_and_rows(self):
+    @pytest.mark.parametrize("load", [
+        lambda: EmbeddingStore(["a"], [[1e300, 0.0]]),  # overflows float32
+        lambda: EmbeddingStore(["a"], np.array([[SNAN_BITS, 0]], np.uint32).view(np.float32)),
+        lambda: read_embeddings(io.BytesIO(
+            b"EMB1" + struct.pack("<IQ", 2, 1) + struct.pack("<H", 1) + b"a"
+            + struct.pack("<2I", SNAN_BITS, 0))),
+    ], ids=["overflow", "snan", "snan-emb1"])
+    def test_cast_flags_warn_nothing(self, load):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^embedding vectors must be finite$"):
+                load()
+
+    def test_row_index(self):
         v = np.array([[0.5, -0.5, 0.5, -0.5], [0.0, 0.0, 0.0, 1.0]], dtype=np.float32)
         store = EmbeddingStore(["a", "b"], v)
-        assert store.get("b").tolist() == [0, 0, 0, 1]
-        assert store.rows(["b", "a"]).tolist() == [[0, 0, 0, 1], [0.5, -0.5, 0.5, -0.5]]
-        with pytest.raises(KeyError):
-            store.get("c")
-        with pytest.raises(ValueError, match="'c' not in embedding store"):
-            store.rows(["a", "c"])
+        assert store.row_index(["b", "a"]).tolist() == [1, 0]
+        assert store.vectors[store.row_index(["b"])[0]].tolist() == [0, 0, 0, 1]
+        assert store.vectors[store.row_index(["b", "a"])].tolist() == [
+            [0, 0, 0, 1], [0.5, -0.5, 0.5, -0.5]]
+        for missing in (["c"], ["a", "c"]):
+            with pytest.raises(ValueError, match="'c' not in embedding store"):
+                store.row_index(missing)
 
 
 class TestStoreRoundtrip:
@@ -713,7 +751,7 @@ def near_trial_list(data, pairs):
     elif edit == "rename" and pairs:
         k = data.draw(st.integers(0, len(pairs) - 1))
         pairs[k] = (pairs[k][0], pairs[k][1] + "x")
-    return TrialList(tuple(Trial(e, t) for e, t in pairs))
+    return TrialList([e for e, _ in pairs], [t for _, t in pairs])
 
 
 class TestParserFuzz:
@@ -845,12 +883,13 @@ EDGE_SCORES += [2.225073858507201e-308, -1e-310, 1e-320, -5e-324]  # subnormals
 
 
 def expected_score_text(tl, scores):
-    return "".join(f"{t.enroll_id} {t.test_id} {format_score(s)}\n" for t, s in zip(tl, scores))
+    return "".join(f"{e} {t} {format_score(s)}\n" for e, t, s in zip(*tl.pair_ids(), scores))
 
 
 class TestScoreText:
     def test_edge_scores_byte_identical(self):
-        tl = TrialList(tuple(Trial(f"e{k % 5}", f"t{k}") for k in range(len(EDGE_SCORES))))
+        n = len(EDGE_SCORES)
+        tl = TrialList([f"e{k % 5}" for k in range(n)], [f"t{k}" for k in range(n)])
         scores = np.array(EDGE_SCORES, dtype=np.float64)
         text = serialize_scores(ScoreSet(tl, scores))
         assert text == expected_score_text(tl, EDGE_SCORES)
@@ -867,7 +906,8 @@ class TestScoreText:
         )
     )
     def test_serialize_equals_format_score(self, values):
-        tl = TrialList(tuple(Trial(f"e{k % 3}", f"t{k}") for k in range(len(values))))
+        n = len(values)
+        tl = TrialList([f"e{k % 3}" for k in range(n)], [f"t{k}" for k in range(n)])
         text = serialize_scores(ScoreSet(tl, np.array(values, dtype=np.float64)))
         assert text == expected_score_text(tl, values)
 
@@ -877,7 +917,8 @@ class TestScoreText:
         # moves the floor next to every power of ten
         exact = np.log10
         monkeypatch.setattr(np, "log10", lambda x: np.nextafter(exact(x), direction))
-        tl = TrialList(tuple(Trial(f"e{k}", f"t{k}") for k in range(len(EDGE_SCORES))))
+        n = len(EDGE_SCORES)
+        tl = TrialList([f"e{k}" for k in range(n)], [f"t{k}" for k in range(n)])
         text = serialize_scores(ScoreSet(tl, np.array(EDGE_SCORES, dtype=np.float64)))
         assert text == expected_score_text(tl, EDGE_SCORES)
 
@@ -896,6 +937,6 @@ class TestScoreText:
         assert serialize_scores(score_set) == "".join(chunks)
 
     def test_ids_with_percent_signs_are_written_verbatim(self):
-        tl = TrialList((Trial("%s", "a%d"), Trial("%%", "%.3f%")))
+        tl = TrialList(["%s", "%%"], ["a%d", "%.3f%"])
         text = serialize_scores(ScoreSet(tl, np.array([0.5, -2.0])))
         assert text == "%s a%d 0.500000000\n%% %.3f% -2.00000000\n"
