@@ -136,6 +136,24 @@ class TestParseTrials:
         assert serialize_trials(tl2) == "x y\nu v\n"
 
 
+class TestTrialInvariants:
+    def test_empty_id_rejected(self):
+        with pytest.raises(ValueError, match="empty or contains whitespace"):
+            TrialList([""], ["b"])
+        with pytest.raises(ValueError, match="empty or contains whitespace"):
+            TrialList(["a"], [""])
+
+    def test_whitespace_id_rejected(self):
+        with pytest.raises(ValueError, match="empty or contains whitespace"):
+            TrialList(["a b"], ["c"])
+        with pytest.raises(ValueError, match="empty or contains whitespace"):
+            TrialList(["a"], ["c\nd"])
+
+    def test_mixed_labeling_rejected(self):
+        with pytest.raises(ValueError, match="all-or-none"):
+            TrialList(["a", "c"], ["b", "d"], [True, None])
+
+
 # every str.isspace character: str.split() splits at each of them
 ISSPACE_CHARS = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 LIST_IDS = st.one_of(
@@ -190,6 +208,16 @@ class TestIndexArrays:
         assert tl.enroll.tolist() == [0, 0, 2]
         assert tl.test.tolist() == [1, 2, 1]
         assert tl.labels().tolist() == [True, False, True]
+
+    def test_trial_objects_build_the_same_arrays(self):
+        # a list built from id sequences equals the parse of the same trials
+        text = "1 a b\n0 a c\n1 c b\n1 a b\n"
+        built = TrialList(["a", "a", "c", "a"], ["b", "c", "b", "b"], [True, False, True, True])
+        assert built == parse_trials(text, labeled=True)
+        assert built.ids.tolist() == ["a", "b", "c"]
+        assert built.enroll.tolist() == [0, 0, 2, 0]
+        assert built.test.tolist() == [1, 2, 1, 1]
+        assert built.labels().tolist() == [True, False, True, True]
 
     def test_equality_covers_pairs_and_labels(self):
         tl = parse_trials("1 a b\n0 a c\n", labeled=True)
