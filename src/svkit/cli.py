@@ -10,7 +10,9 @@ fixed config reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable
 
@@ -139,6 +141,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if not args.asnorm and (args.cohort is not None or args.topk is not None):
+        raise UsageError("--cohort and --topk need --asnorm")
     cfg = _load_config(args)
     # without --labeled the first non-blank line decides the trial form
     trials = parse_file(args.trials, "trials", parse_trials, True if args.labeled else None)
@@ -151,17 +155,22 @@ def cmd_score(args) -> int:
             raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
         cohort = read_embeddings_file(cohort_path, "cohort")
     top_k = args.topk if args.topk is not None else cfg.top_k
-    result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
+    try:  # a scoring error (an id missing from the store, say) names the store
+        result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
+    except ValueError as exc:
+        raise ValueError(f"{args.embeddings}: {exc}") from None
     _emit(score_text_chunks(result), args.output)
     return 0
 
 
 def _labeled_trials(path) -> TrialList:
-    """The labeled trial list of a file, which must hold a trial: an empty
-    list is unlabeled, so it is named as what it is."""
+    """The labeled trial list of a file, which must hold a target and a
+    nontarget trial: an empty list is unlabeled, so it is named as what it is."""
     trials = parse_file(path, "trials", parse_trials, True)
     if not len(trials):
         raise ValueError(f"{path}: no trials")
+    if trials.labels().all() or not trials.labels().any():
+        raise ValueError(f"{path}: need both target and nontarget trials")
     return trials
 
 
@@ -182,13 +191,15 @@ def cmd_fuse(args) -> int:
     trials = (_labeled_trials(args.trials) if args.fit_labels
               else parse_file(args.trials, "trials", parse_trials, None))
     matrix = stack_scores([parse_file(p, "scores", parse_scores, trials) for p in args.scores])
-    if args.fit_labels:
-        model = fit_fusion(matrix, trials.labels(), l2=args.l2)
-        if args.model:
-            Path(args.model).write_text(serialize_fusion_model(model), encoding="utf-8")
-    else:
-        model = parse_file(args.model, "model", parse_fusion_model)
-    _emit(score_text_chunks(fuse(model, matrix, trials)), args.output)
+    with ExitStack() as written:  # a failure below removes the model file too
+        if args.fit_labels:
+            model = fit_fusion(matrix, trials.labels(), l2=args.l2)
+            if args.model:
+                written.enter_context(output_file(args.model, "w")).write(
+                    serialize_fusion_model(model))
+        else:
+            model = parse_file(args.model, "model", parse_fusion_model)
+        _emit(score_text_chunks(fuse(model, matrix, trials)), args.output)
     return 0
 
 
@@ -208,11 +219,9 @@ def cmd_shapes(args) -> int:
 
 def cmd_selftest(args) -> int:
     results = run_selftest()
-    failed = 0
     for name, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failed += 1
+    failed = sum(not ok for _, ok in results)
     if failed:
         print(f"{failed} of {len(results)} properties failed", file=sys.stderr)
         return 2
@@ -312,10 +321,17 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed reader is seen here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone: fd 1 to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        print("error: <stdout>: broken pipe", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -322,28 +322,39 @@ def _field_chunks(text: str, width: int) -> Iterator[list[str]]:
         start = end
 
 
-def _codes(code: dict[str, int], ids: list[str]) -> np.ndarray:
-    """The code of each id in `code`, an id not yet in it added in first-seen order.
+class _Codes(dict):
+    """Utterance id -> code, codes in first-seen order: looking up an id not
+    yet held stores it under the next code, len(self)."""
 
-    Each id is hashed once: a new id is first stored under its slot, its
-    position plus len(code), which is at least len(code) and so no code
-    yet; the new ids' first slots, ranked by one cumsum, become their codes."""
-    known, n = len(code), len(ids)
-    got = np.fromiter(map(code.setdefault, ids, range(known, known + n)), np.intp, n)
-    first = got == np.arange(known, known + n)
-    rank = np.cumsum(first) + (known - 1)  # at a new id's first slot, its code
-    fresh = got >= known
-    got[fresh] = rank[got[fresh] - known]
-    firsts = np.flatnonzero(first).tolist()
-    code.update(zip(map(ids.__getitem__, firsts), range(known, known + len(firsts))))
-    return got
+    def __missing__(self, utt_id: str) -> int:
+        code = self[utt_id] = len(self)
+        return code
+
+    def of(self, ids: Sequence[str]) -> np.ndarray:
+        """The code of each of `ids`, in order, as one np.intp array."""
+        return np.fromiter(map(self.__getitem__, ids), np.intp, len(ids))
 
 
 def _interned(flat_ids: list[str]) -> tuple[list[str], np.ndarray]:
     """(unique ids in first-seen order, the code of each of `flat_ids`)."""
-    code: dict[str, int] = {}
-    codes = _codes(code, flat_ids)
-    return list(code), codes
+    codes = _Codes()
+    got = codes.of(flat_ids)
+    return list(codes), got
+
+
+def _lines(text: str, width: int | None) -> Iterator[tuple[int, list[str]]]:
+    """(line number, str.split() fields) of each non-blank line of `text`; a line
+    of other than `width` fields is a TrialParseError. With `width=None` the
+    first non-blank line decides: 3 if it has three fields, else 2."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if width is None:
+            width = 3 if len(fields) == 3 else 2
+        if len(fields) != width:
+            raise TrialParseError(line_no, f"expected {width} fields, got {len(fields)}")
+        yield line_no, fields
 
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -361,7 +372,7 @@ def parse_trials(text: str, labeled: bool | None) -> TrialList:
     want = labeled
     if want is None:  # a blank first line leaves the decision to the loop
         want = len(text.partition("\n")[0].split()) == 3
-    code: dict[str, int] = {}
+    codes = _Codes()
     pairs, labels = [], []
     try:
         for fields in _field_chunks(text, 3 if want else 2):
@@ -371,33 +382,24 @@ def parse_trials(text: str, labeled: bool | None) -> TrialList:
                     raise _Unproven
                 labels.append(np.frombuffer("".join(marks).encode(), np.uint8) == ord("1"))
                 del fields[::3]
-            pairs.append(_codes(code, fields))
+            pairs.append(codes.of(fields))
     except _Unproven:
         return _parse_trial_lines(text, labeled)
-    return TrialList._from_codes(list(code), _concat(pairs, np.intp), _concat(labels, bool))
+    return TrialList._from_codes(list(codes), _concat(pairs, np.intp), _concat(labels, bool))
 
 
 def _parse_trial_lines(text: str, labeled: bool | None) -> TrialList:
     # ids are tokens of str.split(), so they are non-empty and hold no
     # whitespace: the checks TrialList() makes on its ids cannot fail here
     fields: list[str] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if labeled is None and tokens:
-            labeled = len(tokens) == 3
-        want = 3 if labeled else 2
-        if len(tokens) != want:
-            if not tokens:
-                continue
-            raise TrialParseError(line_no, f"expected {want} fields, got {len(tokens)}")
-        if labeled and tokens[0] not in ("0", "1"):
-            raise TrialParseError(line_no, f"label must be 0 or 1, got {tokens[0]!r}")
+    labels: list[bool] = []  # stays empty for an unlabeled list
+    for line_no, tokens in _lines(text, None if labeled is None else 3 if labeled else 2):
+        if len(tokens) == 3:
+            if tokens[0] not in ("0", "1"):
+                raise TrialParseError(line_no, f"label must be 0 or 1, got {tokens[0]!r}")
+            labels.append(tokens.pop(0) == "1")
         fields += tokens
-    labels = None
-    if labeled:
-        labels = np.array([y == "1" for y in fields[::3]], dtype=bool)
-        del fields[::3]
-    return TrialList._from_codes(*_interned(fields), labels)
+    return TrialList._from_codes(*_interned(fields), np.array(labels, dtype=bool))
 
 
 def serialize_trials(trial_list: TrialList) -> str:
@@ -455,18 +457,14 @@ def serialize_scores(score_set: ScoreSet) -> str:
     return "".join(score_text_chunks(score_set))
 
 
-def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
-    """Parse "enroll test score" lines; a score must be finite.
-
-    When `trials` is given, every line must match it pairwise in order (the
-    parsed set then carries its labels); otherwise an unlabeled TrialList is
-    reconstructed from the score file itself.
-    """
-    code: dict[str, int] = {}
-    pairs, values = [], []
+def parse_scores(text: str, trials: TrialList) -> ScoreSet:
+    """Parse the "enroll test score" lines written for `trials`: one per trial,
+    in its order, each score finite. A malformed line is a TrialParseError,
+    found before any line is checked against the list; a pair or count that
+    does not fit it is a ValueError. The set carries `trials`, labels and all."""
+    want_ids = np.stack((trials.enroll, trials.test), axis=1)
+    values = []
     done = 0
-    if trials is not None:
-        want_ids = np.stack((trials.enroll, trials.test), axis=1)
     try:
         for fields in _field_chunks(text, 3):
             n = len(fields) // 3
@@ -475,30 +473,21 @@ def parse_scores(text: str, trials: TrialList | None = None) -> ScoreSet:
             except ValueError:
                 raise _Unproven from None
             del fields[2::3]
-            if trials is None:
-                pairs.append(_codes(code, fields))
-            elif fields != trials.ids[want_ids[done : done + n]].ravel().tolist():
+            if fields != trials.ids[want_ids[done : done + n]].ravel().tolist():
                 raise _Unproven
             done += n
         scores = _concat(values, np.float64)
-        if not np.isfinite(scores).all() or (trials is not None and done != len(trials)):
+        if not np.isfinite(scores).all() or done != len(trials):
             raise _Unproven
     except _Unproven:
         return _parse_score_lines(text, trials)
-    if trials is None:
-        trials = TrialList._from_codes(list(code), _concat(pairs, np.intp), None)
     return ScoreSet(trials, scores)
 
 
-def _parse_score_lines(text: str, trials: TrialList | None) -> ScoreSet:
+def _parse_score_lines(text: str, trials: TrialList) -> ScoreSet:
     flat_ids: list[str] = []
     scores: list[float] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) != 3:
-            raise TrialParseError(line_no, f"expected 3 fields, got {len(tokens)}")
+    for line_no, tokens in _lines(text, 3):
         try:
             value = float(tokens[2])
         except ValueError:
@@ -507,22 +496,16 @@ def _parse_score_lines(text: str, trials: TrialList | None) -> ScoreSet:
             raise TrialParseError(line_no, f"non-finite score {tokens[2]!r}")
         flat_ids += tokens[:2]
         scores.append(value)
-    if trials is None:
-        trials = TrialList._from_codes(*_interned(flat_ids), None)
-    elif len(scores) != len(trials):
+    if len(scores) != len(trials):
         raise ValueError(f"score file has {len(scores)} lines for {len(trials)} trials")
-    else:
-        got = np.array(flat_ids, dtype=object).reshape(-1, 2)
-        want_e, want_t = trials.pair_ids()
-        bad = np.flatnonzero((got[:, 0] != want_e) | (got[:, 1] != want_t))
-        if len(bad):
-            k = bad[0]
-            # the file line of entry k, counted only on this error path
-            line_no = [n for n, raw in enumerate(text.splitlines(), 1) if raw.split()][k]
-            raise ValueError(
-                f"score line {line_no} is for ({got[k, 0]}, {got[k, 1]}), trial list has "
-                f"({want_e[k]}, {want_t[k]})"
-            )
+    got = np.array(flat_ids, dtype=object).reshape(-1, 2)
+    want = np.stack(trials.pair_ids(), axis=1)
+    bad = np.flatnonzero((got != want).any(axis=1))
+    if len(bad):
+        k = bad[0]
+        line_no = [n for n, _ in _lines(text, 3)][k]  # counted only on this error path
+        raise ValueError(f"score line {line_no} is for ({got[k, 0]}, {got[k, 1]}), "
+                         f"trial list has ({want[k, 0]}, {want[k, 1]})")
     return ScoreSet(trials, np.array(scores, dtype=np.float64))
 
 

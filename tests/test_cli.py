@@ -69,6 +69,15 @@ def run_child(code, cwd=None):
                           check=True, env=CHILD_ENV, cwd=cwd).stdout
 
 
+def run_svkit(argv, cwd, stdout=subprocess.DEVNULL, env=CHILD_ENV):
+    """(exit code, stderr) of `python -m svkit argv` in a new interpreter
+    that imports this svkit, run in `cwd` with its stdout sent to `stdout`;
+    the exit code is returned, not checked."""
+    done = subprocess.run([sys.executable, "-m", "svkit", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, cwd=cwd)
+    return done.returncode, done.stderr
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -141,6 +150,29 @@ class TestTopLevel:
         )
         out = run_child(code, cwd=tmp_path)
         assert out.splitlines()[-1].split() == ["0", str(loads), str(loads)]
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ["schedule-dump", "--config", "s.cfg", "--steps", "5"],
+        ["schedule-dump", "--config", "s.cfg", "--steps", "100000"],
+        ["score", "--trials", "t.txt", "--embeddings", "emb.bin"],
+    ], ids=["schedule-5", "schedule-100k", "score"])
+    def test_closed_stdout_is_one_line_error(self, tmp_path, argv, buffered):
+        (tmp_path / "s.cfg").write_text("cycle0_steps = 10\n", encoding="utf-8")
+        write_embeddings_file(EmbeddingStore(["a", "b", "c"],
+                                             unit_rows(np.random.default_rng(9), 3, 4)),
+                              tmp_path / "emb.bin")
+        write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"]))
+        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            code, err = run_svkit(argv, tmp_path, stdout=write_end, env=env)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (2, "error: <stdout>: broken pipe\n")
 
     def test_threads_flag_is_usage_error(self, capsys):
         # the flag is gone: nothing ever read it
@@ -324,7 +356,7 @@ class TestEmbedScoreEvaluate:
         )
         assert code == 0
         text = capsys.readouterr().out
-        parsed = parse_scores(text)
+        parsed = parse_scores(text, parse_trials(trials.read_text(encoding="utf-8"), True))
         assert len(parsed) == 4
 
     def test_asnorm_needs_cohort(self, tmp_path, wav_dir, capsys):
@@ -349,7 +381,8 @@ class TestEmbedScoreEvaluate:
             ]
         )
         assert code == 0
-        assert len(parse_scores(capsys.readouterr().out)) == 4
+        trial_list = parse_trials(trials.read_text(encoding="utf-8"), True)
+        assert len(parse_scores(capsys.readouterr().out, trial_list)) == 4
 
     def test_msa_flow(self, tmp_path, wav_dir, capsys):
         wav_list = tmp_path / "utts.txt"
@@ -361,11 +394,12 @@ class TestEmbedScoreEvaluate:
         store = read_embeddings_file(emb)
         assert len(store) == 20
         assert "u0#0" in store and "u3#4" in store
-        trials = write_trials(tmp_path / "t.txt", TrialList(["u0", "u2"], ["u1", "u3"]))
+        trial_list = TrialList(["u0", "u2"], ["u1", "u3"])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
         capsys.readouterr()
         code = main(["score", "--trials", str(trials), "--embeddings", str(emb), "--msa"])
         assert code == 0
-        assert len(parse_scores(capsys.readouterr().out)) == 2
+        assert len(parse_scores(capsys.readouterr().out, trial_list)) == 2
 
     def test_msa_segment_count_comes_from_store(self, tmp_path, wav_dir, capsys):
         # 7 segments of 0.5 s over 1 s utterances, so every segment differs
@@ -380,7 +414,8 @@ class TestEmbedScoreEvaluate:
                      "--output", str(emb)]) == 0
         store = read_embeddings_file(emb)
         assert len(store) == 28
-        trials = write_trials(tmp_path / "t.txt", TrialList(["u0", "u2"], ["u1", "u3"]))
+        trial_list = TrialList(["u0", "u2"], ["u1", "u3"])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
         outputs = []
         for flags in ([], ["--config", str(config)]):
             capsys.readouterr()
@@ -390,7 +425,7 @@ class TestEmbedScoreEvaluate:
         assert outputs[0] == outputs[1]
         segments = [store.vectors[store.row_index([segment_id(u, k) for k in range(7)])]
                     for u in ("u0", "u1")]
-        assert parse_scores(outputs[0]).scores[0] == pytest.approx(
+        assert parse_scores(outputs[0], trial_list).scores[0] == pytest.approx(
             np.mean(segments[0] @ segments[1].T), abs=1e-9)
 
     def test_asnorm_msa_flow(self, tmp_path, wav_dir, capsys):
@@ -410,9 +445,10 @@ class TestEmbedScoreEvaluate:
 
         def score(emb, *flags):
             out = tmp_path / "scores.txt"
+            if "--asnorm" in flags:
+                flags += ("--cohort", str(plain), "--topk", "3")
             assert main(["score", "--labeled", "--trials", str(trials), "--embeddings", str(emb),
-                         "--cohort", str(plain), "--topk", "3", "--output", str(out),
-                         *flags]) == 0
+                         "--output", str(out), *flags]) == 0
             assert capsys.readouterr() == ("", "")
             return out.read_text(encoding="utf-8")
 
@@ -540,6 +576,48 @@ class TestEmbedScoreEvaluate:
         assert code == 0, captured.err
         assert captured.out == "" and captured.err == ""
         assert out.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--cohort", "nosuch.bin"], ["--topk", "0"], ["--cohort", "nosuch.bin", "--topk", "3"],
+        ["--msa", "--cohort", "nosuch.bin"],
+    ], ids=["cohort", "topk", "both", "msa-cohort"])
+    def test_cohort_and_topk_need_asnorm(self, tmp_path, capsys, flags):
+        emb = tmp_path / "emb.bin"
+        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
+        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --cohort and --topk need --asnorm\n"
+
+    def test_cohort_config_keys_are_silent_without_asnorm(self, tmp_path, capsys):
+        # commands share one config, so its cohort and top_k stay unread here
+        emb = tmp_path / "emb.bin"
+        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
+        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
+        (tmp_path / "junk.bin").write_bytes(b"not a store")
+        config = tmp_path / "p.cfg"
+        config.write_text("cohort = junk.bin\ntop_k = 3\n", encoding="utf-8")
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb),
+                     "--config", str(config)])
+        assert code == 0
+        assert capsys.readouterr() == ("a b 0.000000000\n", "")
+
+    @pytest.mark.parametrize("flags", [[], ["--asnorm", "--topk", "1"], ["--msa"]],
+                             ids=["raw", "asnorm", "msa"])
+    def test_missing_trial_id_names_store(self, tmp_path, capsys, flags):
+        emb = tmp_path / "emb.bin"
+        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
+        if "--asnorm" in flags:
+            flags = flags + ["--cohort", str(emb)]
+        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["ghost"]))
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {emb}: utterance id '")
+        assert len(captured.err.splitlines()) == 1
 
     def test_degenerate_cohort_names_utterance(self, tmp_path, capsys):
         # every cohort vector is spkB's, so spkA's top-3 scores are identical
@@ -869,9 +947,35 @@ class TestFuse:
             ]
         )
         assert code == 0
-        applied = parse_scores(capsys.readouterr().out)
-        fitted = parse_scores(fused_out.read_text())
+        applied = parse_scores(capsys.readouterr().out, TrialList(*trial_list.pair_ids()))
+        fitted = parse_scores(fused_out.read_text(), trial_list)
         assert np.allclose(applied.scores, fitted.scores, atol=1e-12)
+
+    def test_failed_fit_leaves_no_model(self, tmp_path, capsys):
+        trial_list = TrialList(["a", "a", "b", "b"], ["c", "d", "c", "d"],
+                               [True, False, False, True])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.9, 0.3, 0.4, 0.2])
+        s2 = self.write_score_file(tmp_path / "s2.txt", trial_list, [0.1, 0.5, 0.2, 0.7])
+        model, out = tmp_path / "model.txt", tmp_path / "nodir" / "fused.txt"
+        code = main(["fuse", "--trials", str(trials), "--scores", str(s1), str(s2),
+                     "--fit-labels", "--model", str(model), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["fuse", "--fit-labels"]])
+    def test_single_class_list_names_trials(self, tmp_path, capsys, command):
+        trial_list = TrialList(["a", "a"], ["b", "c"], [True, True])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.5, -0.5])
+        code = main([*command, "--trials", str(trials), "--scores", str(s1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {trials}: need both target and nontarget trials\n"
 
     def test_fit_on_empty_trial_list_says_so(self, tmp_path, capsys):
         trials, scores = tmp_path / "t.txt", tmp_path / "s.txt"
@@ -1223,6 +1327,89 @@ class TestTextInputs:
             assert len(captured.out.splitlines()) == 1
         else:
             assert captured.out == ""
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """`data` after each edit: ("cut", at) keeps the bytes before `at`,
+    ("flip", at, bits) xors one byte, ("repeat", k) doubles line k and
+    ("crlf",) ends every line with "\\r\\n"."""
+    for kind, *where in edits:
+        if kind == "cut":
+            data = data[: where[0] % (len(data) + 1)]
+        elif kind == "flip" and data:
+            at = where[0] % len(data)
+            data = data[:at] + bytes([data[at] ^ where[1]]) + data[at + 1 :]
+        elif kind == "repeat" and data:
+            lines = data.splitlines(True)
+            k = where[0] % len(lines)
+            data = b"".join(lines[: k + 1] + lines[k:])
+        elif kind == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+    return data
+
+
+EDITS = st.lists(st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 200)),
+    st.tuples(st.just("flip"), st.integers(0, 200), st.integers(1, 255)),
+    st.tuples(st.just("repeat"), st.integers(0, 10)),
+    st.tuples(st.just("crlf")),
+), min_size=1, max_size=3)
+
+
+class TestMutatedText:
+    """evaluate, fuse and score over trial and score files cut, flipped,
+    given a repeated line or CRLF line ends keep the CLI contract: exit 0
+    or 2, at most one stderr line naming an input file, no --output file
+    after a failure."""
+
+    LIST = TrialList(["a", "a", "b", "c", "d", "b"], ["b", "c", "c", "d", "a", "d"],
+                     [True, False, True, False, True, False])
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["evaluate", "fuse", "score"]),
+        target=st.sampled_from(["trials", "scores"]),
+        edits=EDITS,
+    )
+    def test_mutated_text_keeps_cli_contract(self, tmp_path, capsys, command, target, edits):
+        trials, s1, s2, emb = (tmp_path / name for name in ("t.txt", "s1.txt", "s2.txt", "e.bin"))
+        write_trials(trials, self.LIST)
+        scores = ScoreSet(self.LIST, np.linspace(-0.5, 0.5, len(self.LIST)))
+        s1.write_text(serialize_scores(scores), encoding="utf-8")
+        s2.write_text(serialize_scores(ScoreSet(self.LIST, scores.scores[::-1])),
+                      encoding="utf-8")
+        if not emb.exists():
+            write_embeddings_file(EmbeddingStore(["a", "b", "c", "d"], np.eye(4)), emb)
+        victim = s1 if target == "scores" and command != "score" else trials
+        victim.write_bytes(mutate(victim.read_bytes(), edits))
+        out = tmp_path / "out.txt"
+        out.unlink(missing_ok=True)
+        inputs, argv = {
+            "evaluate": ([trials, s1], ["evaluate", "--trials", str(trials), "--scores", str(s1)]),
+            "fuse": ([trials, s1, s2], ["fuse", "--trials", str(trials), "--scores", str(s1),
+                                        str(s2), "--fit-labels", "--output", str(out)]),
+            "score": ([trials, emb], ["score", "--trials", str(trials), "--embeddings", str(emb),
+                                      "--output", str(out)]),
+        }[command]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        event(f"{command} exit {code}")
+        assert code in (0, 2)
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) <= 1
+        if code == 0:
+            assert captured.err == ""
+            assert out.exists() or command == "evaluate"
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert any(str(path) in captured.err for path in inputs)
+            assert not out.exists()
 
 
 class TestScheduleDump:

@@ -229,15 +229,15 @@ class TestIndexArrays:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=30), max_size=5))
     def test_codes_are_first_seen_order_across_batches(self, batches):
-        # one dict fed batch after batch, as the chunked parsers feed it
-        code: dict[str, int] = {}
+        # one table fed batch after batch, as the chunked parsers feed it
+        codes = trials_module._Codes()
         want: dict[str, int] = {}
         for ids in batches:
-            got = trials_module._codes(code, ids)
+            got = codes.of(ids)
             for u in ids:
                 want.setdefault(u, len(want))
             assert got.dtype == np.intp and got.tolist() == [want[u] for u in ids]
-            assert list(code.items()) == list(want.items())
+            assert list(codes.items()) == list(want.items())
 
     def test_arrays_are_read_only(self):
         tl = parse_trials("1 a b\n0 a c\n", labeled=True)
@@ -271,7 +271,7 @@ class TestScoreSet:
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_score_names_line(self, token):
         with pytest.raises(TrialParseError) as info:
-            parse_scores(f"a b 0.5\nc d {token}\n")
+            parse_scores(f"a b 0.5\nc d {token}\n", TrialList(["a", "c"], ["b", "d"]))
         assert info.value.line_no == 2
         assert str(info.value) == f"line 2: non-finite score {token!r}"
 
@@ -319,11 +319,6 @@ class TestScoreSet:
         want = r"^score line 3 is for \(x, y\), trial list has \(a, b\)$"
         with pytest.raises(ValueError, match=want):
             parse_scores("\n\nx y 0.5\n", trials=tl)
-
-    def test_parse_scores_standalone_rebuilds_trials(self):
-        ss = parse_scores("a b 0.25\nc d -0.125\n")
-        assert ss.trials.pair_ids()[0].tolist() == ["a", "c"]
-        assert ss.scores.tolist() == [0.25, -0.125]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-100.0, max_value=100.0), max_size=20))
@@ -739,9 +734,7 @@ def check_trials(text, labeled):
 
 
 def check_scores(text, trials):
-    expected = None
-    if trials is not None:
-        expected = list(zip(*(ids.tolist() for ids in trials.pair_ids())))
+    expected = list(zip(*(ids.tolist() for ids in trials.pair_ids())))
     try:
         pairs, scores, _ = reference_scores(text, expected)
     except Rejected as rejected:
@@ -758,13 +751,17 @@ def check_scores(text, trials):
         return
     got = parse_scores(text, trials)
     assert got.scores.tolist() == scores
-    if trials is None:
-        enroll, test = got.trials.pair_ids()
-        assert list(zip(enroll.tolist(), test.tolist())) == pairs
-        assert got.trials.ids.tolist() == first_seen(pairs)
-        assert not got.trials.labeled
-    else:
-        assert got.trials is trials
+    assert got.trials is trials
+
+
+def written_for(text):
+    """The trial list the oracle reads score text as written for; when it
+    rejects the text, any list, since a line error comes before the list."""
+    try:
+        pairs = reference_scores(text)[0]
+    except Rejected:
+        pairs = [("a", "b")]
+    return TrialList([e for e, _ in pairs], [t for _, t in pairs])
 
 
 def near_trial_list(data, pairs):
@@ -796,12 +793,12 @@ class TestParserFuzz:
     @settings(max_examples=300, deadline=None)
     @given(TEXTY)
     def test_scores_arbitrary_text(self, text):
-        check_scores(text, None)
+        check_scores(text, written_for(text))
 
     @settings(max_examples=300, deadline=None)
     @given(score_texts(), st.data())
     def test_scores_against_trial_lists(self, text, data):
-        check_scores(text, None)
+        check_scores(text, written_for(text))
         # the list the file was written for, or one near it
         try:
             pairs, _, _ = reference_scores(text)
@@ -866,7 +863,7 @@ class TestTokenizer:
         with mock.patch.object(trials_module, "_CHUNK_CHARS", chunk_chars):
             for labeled in (True, False, None):
                 check_trials(text, labeled)
-            check_scores(text, None)
+            check_scores(text, written_for(text))
             try:
                 pairs = reference_scores(text)[0]
             except Rejected:
@@ -890,14 +887,15 @@ class TestTokenizer:
         check_trials(labeled, True)
         check_trials(labeled, None)
         check_trials(labeled.replace("0 s", "s").replace("1 s", "s"), False)
-        check_scores(scores, None)
+        check_scores(scores, written_for(scores))
         check_scores(scores, parse_trials(labeled, True))
 
     def test_error_in_a_later_chunk_names_its_line(self):
+        tl = TrialList([f"e{k}" for k in range(20000)], [f"t{k}" for k in range(20000)])
         lines = [f"e{k} t{k} 0.{k}" for k in range(20000)]
         lines[15000] = "e t 1e999"
         with pytest.raises(TrialParseError) as info:
-            parse_scores("\n".join(lines))
+            parse_scores("\n".join(lines), tl)
         assert str(info.value) == "line 15001: non-finite score '1e999'"
 
 
