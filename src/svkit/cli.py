@@ -143,18 +143,23 @@ def cmd_embed(args) -> int:
 def cmd_score(args) -> int:
     if not args.asnorm and (args.cohort is not None or args.topk is not None):
         raise UsageError("--cohort and --topk need --asnorm")
+    if args.topk is not None and args.topk < 1:
+        raise ValueError("--topk must be >= 1")
     cfg = _load_config(args)
     # without --labeled the first non-blank line decides the trial form
     trials = parse_file(args.trials, "trials", parse_trials, True if args.labeled else None)
     store = read_embeddings_file(args.embeddings)
     mode = "msa" if args.msa else "asnorm" if args.asnorm else "raw"
     cohort = None
+    top_k = args.topk if args.topk is not None else cfg.top_k
     if args.asnorm:
         cohort_path = args.cohort or cfg.cohort
         if cohort_path is None:
             raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
         cohort = read_embeddings_file(cohort_path, "cohort")
-    top_k = args.topk if args.topk is not None else cfg.top_k
+        if len(cohort) < top_k:
+            raise ValueError(f"{cohort_path}: cohort has {len(cohort)} vectors, "
+                             f"need at least k={top_k}")
     try:  # a scoring error (an id missing from the store, say) names the store
         result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
     except ValueError as exc:
@@ -199,6 +204,9 @@ def cmd_fuse(args) -> int:
                     serialize_fusion_model(model))
         else:
             model = parse_file(args.model, "model", parse_fusion_model)
+            if model.n_systems != matrix.shape[1]:
+                raise ValueError(f"{args.model}: model has {model.n_systems} systems "
+                                 f"but --scores gives {matrix.shape[1]}")
         _emit(score_text_chunks(fuse(model, matrix, trials)), args.output)
     return 0
 

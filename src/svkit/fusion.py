@@ -56,13 +56,17 @@ def _check_matrix(matrix: np.ndarray) -> np.ndarray:
 def mean_log_loss(fused: np.ndarray, labels: np.ndarray) -> float:
     """Mean logistic loss of fused scores against boolean labels."""
     fused = np.asarray(fused, dtype=np.float64)
-    margins = np.where(labels, fused, -fused)
-    return float(np.mean(np.logaddexp(0.0, -margins)))
+    losses = np.where(labels, -fused, fused)  # minus each trial's margin
+    return float(np.mean(np.logaddexp(0.0, losses, out=losses)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), written over z."""
+    np.negative(z, out=z)
     with np.errstate(over="ignore"):  # exp(-z) = inf below z = -709 gives exactly 0
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> FusionModel:
@@ -83,25 +87,37 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
     if not np.isfinite(l2) or l2 < 0:
         raise ValueError(f"l2 must be a non-negative real, got {l2}")
 
-    design = np.hstack([matrix, np.ones((n, 1))])
+    # theta is (weights, bias): the bias is a separate term, not a column of ones
     theta = np.zeros(m + 1)
     reg = np.append(np.full(m, l2), 0.0)
-    y = labels.astype(np.float64)
+
+    def fused(params: np.ndarray) -> np.ndarray:
+        z = matrix @ params[:m]
+        z += params[m]
+        return z
 
     def objective(params: np.ndarray) -> float:
-        return mean_log_loss(design @ params, labels) + 0.5 * l2 * float(
+        return mean_log_loss(fused(params), labels) + 0.5 * l2 * float(
             params[:m] @ params[:m]
         )
 
     current = objective(theta)
+    hessian = np.empty((m + 1, m + 1))
     for iterations in range(MAX_ITER + 1):
-        p = _sigmoid(design @ theta)
-        grad = design.T @ (p - y) / n + reg * theta
+        p = _sigmoid(fused(theta))
+        residual = p - labels  # p - y, with y the 0/1 labels
+        grad = np.append(matrix.T @ residual, residual.sum()) / n + reg * theta
         converged = float(np.max(np.abs(grad))) <= GRAD_TOL
         if converged or iterations == MAX_ITER:
             break
-        curvature = p * (1.0 - p) / n
-        hessian = design.T @ (design * curvature[:, None]) + np.diag(reg)
+        curvature = np.subtract(1.0, p, out=residual)
+        curvature *= p
+        curvature /= n
+        # blocks S'CS, S'C1 and 1'C1 of the Hessian, from one weighted copy of S
+        hessian[:m, :m] = matrix.T @ (matrix * curvature[:, None])
+        hessian[:m, m] = hessian[m, :m] = matrix.T @ curvature
+        hessian[m, m] = curvature.sum()
+        hessian[np.diag_indices(m)] += l2
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:

@@ -82,16 +82,17 @@ def roc_points(scores: ScoreSet) -> RocCurve:
         raise ValueError("degenerate labels: need both target and nontarget trials")
 
     order = np.argsort(scores.scores, kind="stable")
-    s = scores.scores[order]
-    y = labels[order]
+    s, y = scores.scores[order], labels[order]
+    del order  # each full-length temporary goes as soon as it is used
     # first index of each distinct score value in the sorted array
     first = np.flatnonzero(np.append(True, s[1:] != s[:-1]))
-    targets_below = np.append(0, np.cumsum(y))[first]
-    nontargets_below = np.append(0, np.cumsum(~y))[first]
-
     thresholds = np.append(s[first], np.inf)
-    p_miss = np.append(targets_below, n_target) / n_target
-    p_fa = np.append(n_nontarget - nontargets_below, 0) / n_nontarget
+    del s
+    # first[j] trials sort below threshold j: below[j] targets, the rest nontargets
+    below = np.cumsum(y)[first] - y[first]
+    p_fa = np.append(n_nontarget - first + below, 0) / n_nontarget
+    del first
+    p_miss = np.append(below, n_target) / n_target
     return RocCurve(
         thresholds=thresholds,
         p_miss=p_miss,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import svkit
@@ -638,6 +638,39 @@ class TestEmbedScoreEvaluate:
         assert len(captured.err.splitlines()) == 1
         assert "degenerate cohort for embedding 'spkA'" in captured.err
 
+    @pytest.mark.parametrize("topk", ["0", "-2"])
+    def test_bad_topk_is_named_as_the_flag(self, tmp_path, capsys, topk):
+        emb, cohort = tmp_path / "emb.bin", tmp_path / "cohort.bin"
+        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
+        write_embeddings_file(EmbeddingStore(["c0", "c1"], np.eye(2)), cohort)
+        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb),
+                     "--asnorm", "--cohort", str(cohort), "--topk", topk])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --topk must be >= 1\n")
+
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_cohort_smaller_than_k_names_the_cohort(self, tmp_path, capsys, from_config):
+        emb, cohort = tmp_path / "emb.bin", tmp_path / "cohort.bin"
+        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
+        write_embeddings_file(
+            EmbeddingStore(["c0", "c1", "c2"], [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]), cohort)
+        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
+        out = tmp_path / "out.txt"
+        argv = ["score", "--trials", str(trials), "--embeddings", str(emb), "--asnorm",
+                "--cohort", str(cohort), "--output", str(out)]
+        if from_config:
+            config = tmp_path / "p.cfg"
+            config.write_text("top_k = 4\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--topk", "4"]
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: {cohort}: cohort has 3 vectors, need at least k=4\n")
+        assert not out.exists()
+
     def test_store_header_count_is_data_error(self, tmp_path, capsys):
         emb = tmp_path / "huge.bin"
         emb.write_bytes(b"EMB1" + struct.pack("<IQ", 256, 2**40))
@@ -1001,7 +1034,7 @@ class TestFuse:
         assert code == 2
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: model has 2 systems but matrix has 1 columns"
+            f"error: {model}: model has 2 systems but --scores gives 1"
         ]
 
     def test_bad_second_score_file_is_named(self, tmp_path, capsys):
@@ -1107,7 +1140,7 @@ class TestFuse:
         code = main(["fuse", "--trials", str(trials), "--scores", str(s1), "--model", str(model)])
         captured = capsys.readouterr()
         event(f"exit {code}")
-        assert code in (0, 1, 2)
+        assert code in (0, 2)
         assert "Traceback" not in captured.err
         assert len(captured.err.splitlines()) <= 1
         if code == 0:
@@ -1115,6 +1148,8 @@ class TestFuse:
             assert len(captured.out.splitlines()) == len(trial_list)
         else:
             assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert any(str(path) in captured.err for path in (trials, s1, model))
 
 
 def unit_rows(rng, n, dim):
@@ -1329,10 +1364,29 @@ class TestTextInputs:
             assert captured.out == ""
 
 
+def emb1_records(data: bytes) -> list[tuple[int, int]]:
+    """(start, end) of each whole EMB1 record in `data`, walked by its
+    header's dim and each record's id length; an empty list if the header
+    is cut short."""
+    if len(data) < 16:
+        return []
+    (dim,) = struct.unpack_from("<I", data, 4)
+    records, pos = [], 16
+    while pos + 2 <= len(data):
+        end = pos + 2 + struct.unpack_from("<H", data, pos)[0] + 4 * dim
+        if end > len(data):
+            break
+        records.append((pos, end))
+        pos = end
+    return records
+
+
 def mutate(data: bytes, edits) -> bytes:
     """`data` after each edit: ("cut", at) keeps the bytes before `at`,
-    ("flip", at, bits) xors one byte, ("repeat", k) doubles line k and
-    ("crlf",) ends every line with "\\r\\n"."""
+    ("flip", at, bits) xors one byte, ("repeat", k) doubles line k,
+    ("crlf",) ends every line with "\\r\\n", ("field", at, fmt, value)
+    packs `value` at offset `at` if the data holds it, and ("record", k)
+    doubles EMB1 record k and adds one to the header's count."""
     for kind, *where in edits:
         if kind == "cut":
             data = data[: where[0] % (len(data) + 1)]
@@ -1345,22 +1399,41 @@ def mutate(data: bytes, edits) -> bytes:
             data = b"".join(lines[: k + 1] + lines[k:])
         elif kind == "crlf":
             data = data.replace(b"\n", b"\r\n")
+        elif kind == "field" and len(data) >= where[0] + struct.calcsize(where[1]):
+            at, fmt, value = where
+            data = data[:at] + struct.pack(fmt, value) + data[at + struct.calcsize(fmt) :]
+        elif kind == "record" and (records := emb1_records(data)):
+            start, end = records[where[0] % len(records)]
+            count = (struct.unpack_from("<Q", data, 8)[0] + 1) % 2**64
+            data = data[:8] + struct.pack("<Q", count) + data[16:end] + data[start:]
     return data
 
 
+CUT = st.tuples(st.just("cut"), st.integers(0, 200))
+FLIP = st.tuples(st.just("flip"), st.integers(0, 200), st.integers(1, 255))
 EDITS = st.lists(st.one_of(
-    st.tuples(st.just("cut"), st.integers(0, 200)),
-    st.tuples(st.just("flip"), st.integers(0, 200), st.integers(1, 255)),
+    CUT,
+    FLIP,
     st.tuples(st.just("repeat"), st.integers(0, 10)),
     st.tuples(st.just("crlf")),
+), min_size=1, max_size=3)
+# EMB1's u32 dim and u64 count, each set to 0 or to its maximum
+EMB1_FIELDS = [("field", 4, "<I", 0), ("field", 4, "<I", 2**32 - 1),
+               ("field", 8, "<Q", 0), ("field", 8, "<Q", 2**64 - 1)]
+EMB1_EDITS = st.lists(st.one_of(
+    CUT,
+    FLIP,
+    st.sampled_from(EMB1_FIELDS),
+    st.tuples(st.just("record"), st.integers(0, 10)),
 ), min_size=1, max_size=3)
 
 
 class TestMutatedText:
     """evaluate, fuse and score over trial and score files cut, flipped,
-    given a repeated line or CRLF line ends keep the CLI contract: exit 0
-    or 2, at most one stderr line naming an input file, no --output file
-    after a failure."""
+    given a repeated line or CRLF line ends, and score over an EMB1 store
+    or cohort cut, flipped, given a header field at 0 or its maximum or a
+    repeated record, keep the CLI contract: exit 0 or 2, at most one
+    stderr line naming an input file, no --output file after a failure."""
 
     LIST = TrialList(["a", "a", "b", "c", "d", "b"], ["b", "c", "c", "d", "a", "d"],
                      [True, False, True, False, True, False])
@@ -1409,6 +1482,43 @@ class TestMutatedText:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert any(str(path) in captured.err for path in inputs)
+            assert not out.exists()
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(target=st.sampled_from(["embeddings", "cohort"]), edits=EMB1_EDITS)
+    @example(target="cohort", edits=[("field", 8, "<Q", 0), ("cut", 16)])  # an empty cohort
+    def test_mutated_emb1_keeps_cli_contract(self, tmp_path, capsys, target, edits):
+        trials, emb, cohort, out = (tmp_path / name
+                                    for name in ("t.txt", "e.bin", "c.bin", "out.txt"))
+        write_trials(trials, self.LIST)
+        rng = np.random.default_rng(0)  # generic unit vectors: no tied cohort scores
+        write_embeddings_file(EmbeddingStore(["a", "b", "c", "d"], unit_rows(rng, 4, 4)), emb)
+        write_embeddings_file(
+            EmbeddingStore([f"c{i}" for i in range(6)], unit_rows(rng, 6, 4)), cohort)
+        victim = emb if target == "embeddings" else cohort
+        victim.write_bytes(mutate(victim.read_bytes(), edits))
+        out.unlink(missing_ok=True)
+        argv = ["score", "--trials", str(trials), "--embeddings", str(emb), "--output", str(out)]
+        if target == "cohort":
+            argv += ["--asnorm", "--cohort", str(cohort), "--topk", "3"]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        event(f"{target} exit {code}")
+        assert code in (0, 2)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        if code == 0:
+            assert captured.err == ""
+            assert out.exists()
+        else:
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
+            assert str(victim) in captured.err
             assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Logistic-regression score fusion: fit, fuse, persistence, oracle checks."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,6 +146,20 @@ class TestFitFusion:
     def test_label_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             fit_fusion(np.zeros((4, 1)), np.array([True, False]))
+
+    @pytest.mark.parametrize("m", [2, 7])
+    def test_scratch_stays_under_m_plus_5_columns(self, m):
+        # a design matrix with a ones column plus its weighted copy takes 10 (m=2), 19 (m=7)
+        n = 100_000
+        matrix, labels = synthetic_problem(np.random.default_rng(5), n=n, m=m)
+        tracemalloc.start()
+        try:
+            model = fit_fusion(matrix, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.converged
+        assert peak < (m + 5) * n * 8
 
 
 class TestFusionDominance:

@@ -1,5 +1,7 @@
 """EER and minimum detection cost: hand values, properties, oracle equality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,22 @@ class TestRocPoints:
         )
         assert np.all(np.diff(curve.p_miss) >= 0)
         assert np.all(np.diff(curve.p_fa) <= 0)
+
+    def test_scratch_stays_under_7_score_arrays(self):
+        # full-length cumulative counts for targets and for nontargets take 9.3
+        n = 100_000
+        rng = np.random.default_rng(2)
+        scores = rng.standard_normal(n)  # all distinct: one threshold per trial
+        labels = rng.random(n) < 0.1
+        score_set = labeled_scores(scores[labels], scores[~labels])
+        tracemalloc.start()
+        try:
+            curve = roc_points(score_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve) == n + 1
+        assert peak < 7 * n * 8
 
     def test_single_class_rejected(self):
         trials = TrialList(["a", "a"], ["b", "c"], [True, True])
