@@ -82,12 +82,15 @@ class NoiseBank:
 
     @classmethod
     def from_manifest(cls, path, sample_rate: int = 16000) -> "NoiseBank":
-        """Load from a manifest of "category path" lines (`read_path_list`)."""
+        """Load from a manifest of "category path" lines (`read_path_list`);
+        an empty or silent clip, which no augmentation can use, is an error."""
         entries: dict[str, list[Waveform]] = {c: [] for c in BANK_CATEGORIES}
         for line_no, category, wav_path in read_path_list(path, "manifest"):
             if category not in BANK_CATEGORIES:
                 raise ValueError(f"{path}:{line_no}: unknown category {category!r}")
             wav = read_wav(wav_path, expected_rate=sample_rate)
+            if not wav.samples.any():
+                raise ValueError(f"{wav_path}: empty or silent {category} clip")
             entries[category].append(wav)
         return cls(entries)
 
@@ -213,10 +216,12 @@ def apply_policy(
     Draws are independent Bernoulli trials in the fixed order
     noise -> music -> babble -> reverb; SNRs and the babble speaker count
     are sampled uniformly from the policy ranges. Fully deterministic for a
-    given rng state. Before any draw, ValueError unless the bank can serve
-    every augmentation the policy may apply: a non-empty category for each
+    given rng state. Before any draw, ValueError for an empty waveform, or a
+    bank short of what the policy may use: a non-empty category for each
     probability above zero, and babble_max speech clips for babble.
     """
+    if len(w) == 0:
+        raise ValueError("empty signal")
     sources = ((policy.p_noise, "noise"), (policy.p_music, "music"),
                (policy.p_babble, "speech"), (policy.p_reverb, "rir"))
     for p, category in sources:

@@ -31,7 +31,7 @@ from .fusion import (
 )
 from .metrics import DcfConfig, evaluate_scores
 from .model import embed_waveform, plan_shapes
-from .scoring import extract_segments, score_trials, segment_id, segment_plan
+from .scoring import DegenerateCohort, extract_segments, score_trials, segment_id, segment_plan
 from .schedule import dump_schedule
 from .selftest import run_selftest
 from .trials import (
@@ -84,7 +84,10 @@ def _emit(chunks: Iterable[str], output) -> None:
 def cmd_features(args) -> int:
     cfg = _load_config(args)
     wav = read_wav(args.wav, expected_rate=cfg.sample_rate)
-    feats = compute_logmel(wav, cfg.features)
+    try:  # a wav shorter than one window, say
+        feats = compute_logmel(wav, cfg.features)
+    except ValueError as exc:
+        raise ValueError(f"{args.wav}: {exc}") from None
     if cfg.cmn and not args.no_cmn:
         feats = apply_cmn(feats)
     with open(args.output, "wb") as fh:
@@ -102,7 +105,10 @@ def cmd_augment(args) -> int:
     wav = read_wav(args.wav, expected_rate=cfg.sample_rate)
     seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "augment")
     rng = np.random.default_rng(seed)
-    out = apply_policy(wav, cfg.augment, bank, rng)
+    try:  # an empty or silent wav, or a bank that cannot serve the policy
+        out = apply_policy(wav, cfg.augment, bank, rng)
+    except ValueError as exc:
+        raise ValueError(f"{args.wav} with bank {manifest}: {exc}") from None
     write_wav(out, args.output)
     print(f"samples {len(out)} rate {out.sample_rate}")
     return 0
@@ -162,6 +168,8 @@ def cmd_score(args) -> int:
                              f"need at least k={top_k}")
     try:  # a scoring error (an id missing from the store, say) names the store
         result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
+    except DegenerateCohort as exc:
+        raise ValueError(f"{cohort_path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{args.embeddings}: {exc}") from None
     _emit(score_text_chunks(result), args.output)

@@ -217,6 +217,9 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
     except (wave.Error, EOFError) as exc:
         reason = str(exc) or "truncated header"
         raise ValueError(f"{path}: not a readable RIFF wav ({reason})") from None
+    except RuntimeError:  # wave's bare error for a chunk that runs past its RIFF chunk
+        raise ValueError(f"{path}: not a readable RIFF wav "
+                         "(a chunk runs past the end of the RIFF chunk)") from None
     with fh:
         if fh.getcomptype() != "NONE":
             raise ValueError(f"{path}: compressed wav not supported")

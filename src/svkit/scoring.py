@@ -39,6 +39,10 @@ COHORT_BLOCK = 32
 MAX_N_SEGMENTS = 32
 
 
+class DegenerateCohort(ValueError):
+    """A row's top-K cohort scores are too nearly identical to normalize by."""
+
+
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each pair of matching last-axis rows of a and b,
     broadcast over the leading axes. Each is the np.dot of those two rows
@@ -146,7 +150,7 @@ def cohort_stats(
         std[s : s + n] = np.sqrt(np.mean((top - m[:, None]) ** 2, axis=1))
     bad = np.flatnonzero(~(std >= SIGMA_FLOOR))  # a NaN std is degenerate too
     if len(bad):
-        raise ValueError(
+        raise DegenerateCohort(
             f"degenerate cohort for {label(bad[0])}: top-{k} scores have std "
             f"{std[bad[0]]:.3g} (all nearly identical)"
         )

@@ -14,9 +14,10 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import floor, isfinite, log10
+from math import floor, log10
+from operator import length_hint
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -130,11 +131,12 @@ class TrialList:
             if any(y is None for y in labels):
                 raise ValueError("trial labels must be all-or-none")
             labels = np.array(labels, dtype=bool)
-        ids, pairs = _interned([u for pair in zip(enroll, test) for u in pair])
-        for u in ids:
+        codes = _Codes()
+        pairs = codes.of([u for pair in zip(enroll, test) for u in pair])
+        for u in codes:
             if u.split() != [u]:  # str.split() splits at every str.isspace character
                 raise ValueError(f"utterance id {u!r} is empty or contains whitespace")
-        self._set(ids, pairs, labels)
+        self._set(list(codes), pairs, labels)
 
     @classmethod
     def _from_codes(cls, ids: list[str], pairs: np.ndarray, labels: np.ndarray | None) -> TrialList:
@@ -281,45 +283,67 @@ class EmbeddingStore:
             raise ValueError(f"utterance id {exc.args[0]!r} not in embedding store") from None
 
 
-# The text layer. parse_trials and parse_scores first try one tokenizer
-# that proves a text well-formed chunk by chunk at C speed; any text it
-# cannot prove goes to the per-line loop, which accepts the same language
-# and alone raises, so every error names its line as the loop counts it.
+# The text layer. parse_trials and parse_scores read text through one
+# tokenizer, `_rows`, a chunk of whole lines at a time (proven well-formed at
+# C speed, or else split line by line), and run each check once per chunk, a
+# column at a time; a line number is looked up only when a check fails.
+# Errors come in the per-line reference's order: a malformed line first, in
+# line order; then a score file's line count; then its first wrong pair.
 
 _CHUNK_CHARS = 1 << 16
 # score lines per chunk of written score text: about 250 KB of text
 SCORE_CHUNK = 8192
-# each "\n" becomes the token "\x00", so no text holding a NUL is proven;
+# each "\n" becomes the token "\x00", so no chunk holding a NUL is proven;
 # nor is one holding a line break of str.splitlines() other than "\n"
 _LOOP_ONLY = ("\x00", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
-class _Unproven(Exception):
-    """The tokenizer cannot prove the text well-formed: the per-line loop decides."""
-
-
-def _field_chunks(text: str, width: int) -> Iterator[list[str]]:
-    """The fields of `text` row-major, one chunk of about 64 KiB of whole lines
-    at a time. Raises _Unproven unless every line ends at "\n" (or the end of
-    the text) and has exactly `width` fields, so no line is blank."""
-    if any(c in text for c in _LOOP_ONLY):
-        raise _Unproven
+def _rows(text: str, width: int) -> Iterator[tuple[list[str], Sequence[int]]]:
+    """(the fields of its rows, row-major; the line number of each row) for
+    each chunk of about _CHUNK_CHARS of whole lines of `text`. A row is a
+    non-blank line of str.splitlines(), its fields those of str.split(); a
+    row of other than `width` fields is a TrialParseError, raised once the
+    rows before it are yielded. A chunk is proven at C speed when its every
+    line ends at "\\n" (or the end of the text) and has `width` fields;
+    any other chunk is split line by line (`_split_rows`)."""
     step = width + 1
-    start = 0
+    start, line_no = 0, 1
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
         chunk = text[start:end]
-        if not chunk.endswith("\n"):
-            chunk += "\n"
-        tokens = chunk.replace("\n", " \x00 ").split()
-        lines = chunk.count("\n")
-        # exactly `lines` markers exist, so a marker at every step-th token
-        # and nowhere else leaves `width` fields on every line
-        if len(tokens) != lines * step or tokens[width::step].count("\x00") != lines:
-            raise _Unproven
-        del tokens[width::step]
-        yield tokens
         start = end
+        if not any(c in chunk for c in _LOOP_ONLY):
+            if not chunk.endswith("\n"):
+                chunk += "\n"
+            tokens = chunk.replace("\n", " \x00 ").split()
+            lines = chunk.count("\n")
+            # exactly `lines` markers exist, so a marker at every step-th token
+            # and nowhere else leaves `width` fields on every line
+            if len(tokens) == lines * step and tokens[width::step].count("\x00") == lines:
+                del tokens[width::step]
+                yield tokens, range(line_no, line_no + lines)
+                line_no += lines
+                continue
+        line_no = yield from _split_rows(chunk, width, line_no)
+
+
+def _split_rows(chunk: str, width: int,
+                line_no: int) -> Generator[tuple[list[str], list[int]], None, int]:
+    """`_rows` of a chunk it cannot prove, split line by line, the chunk's
+    first line being line `line_no`; returns the number of the line after it."""
+    fields, numbers = [], []
+    lines = chunk.splitlines()
+    for k, line in enumerate(lines, start=line_no):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != width:
+            yield fields, numbers
+            raise TrialParseError(k, f"expected {width} fields, got {len(tokens)}")
+        fields += tokens
+        numbers.append(k)
+    yield fields, numbers
+    return line_no + len(lines)
 
 
 class _Codes(dict):
@@ -335,32 +359,6 @@ class _Codes(dict):
         return np.fromiter(map(self.__getitem__, ids), np.intp, len(ids))
 
 
-def _interned(flat_ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """(unique ids in first-seen order, the code of each of `flat_ids`)."""
-    codes = _Codes()
-    got = codes.of(flat_ids)
-    return list(codes), got
-
-
-def _lines(text: str, width: int | None) -> Iterator[tuple[int, list[str]]]:
-    """(line number, str.split() fields) of each non-blank line of `text`; a line
-    of other than `width` fields is a TrialParseError. With `width=None` the
-    first non-blank line decides: 3 if it has three fields, else 2."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields:
-            continue
-        if width is None:
-            width = 3 if len(fields) == 3 else 2
-        if len(fields) != width:
-            raise TrialParseError(line_no, f"expected {width} fields, got {len(fields)}")
-        yield line_no, fields
-
-
-def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype)
-
-
 def parse_trials(text: str, labeled: bool | None) -> TrialList:
     """Parse a trial list from text.
 
@@ -369,37 +367,27 @@ def parse_trials(text: str, labeled: bool | None) -> TrialList:
     decides: three fields make the list labeled, any other count unlabeled.
     Blank lines are skipped. Duplicate pairs are allowed; order is preserved.
     """
-    want = labeled
-    if want is None:  # a blank first line leaves the decision to the loop
-        want = len(text.partition("\n")[0].split()) == 3
-    codes = _Codes()
-    pairs, labels = [], []
-    try:
-        for fields in _field_chunks(text, 3 if want else 2):
-            if want:
-                marks = fields[::3]
-                if not set(marks) <= {"0", "1"}:
-                    raise _Unproven
-                labels.append(np.frombuffer("".join(marks).encode(), np.uint8) == ord("1"))
-                del fields[::3]
-            pairs.append(codes.of(fields))
-    except _Unproven:
-        return _parse_trial_lines(text, labeled)
-    return TrialList._from_codes(list(codes), _concat(pairs, np.intp), _concat(labels, bool))
-
-
-def _parse_trial_lines(text: str, labeled: bool | None) -> TrialList:
+    if labeled is None:
+        head = text.lstrip()  # the text itself when its first line is not blank
+        head = head[: head.find("\n") + 1 or None].splitlines()
+        labeled = bool(head) and len(head[0].split()) == 3
     # ids are tokens of str.split(), so they are non-empty and hold no
     # whitespace: the checks TrialList() makes on its ids cannot fail here
-    fields: list[str] = []
-    labels: list[bool] = []  # stays empty for an unlabeled list
-    for line_no, tokens in _lines(text, None if labeled is None else 3 if labeled else 2):
-        if len(tokens) == 3:
-            if tokens[0] not in ("0", "1"):
-                raise TrialParseError(line_no, f"label must be 0 or 1, got {tokens[0]!r}")
-            labels.append(tokens.pop(0) == "1")
-        fields += tokens
-    return TrialList._from_codes(*_interned(fields), np.array(labels, dtype=bool))
+    codes = _Codes()
+    pairs, marks = [], []
+    for fields, line_nos in _rows(text, 3 if labeled else 2):
+        if labeled:
+            column = fields[::3]
+            bad = set(column) - {"0", "1"}
+            if bad:
+                k = min(map(column.index, bad))
+                raise TrialParseError(line_nos[k], f"label must be 0 or 1, got {column[k]!r}")
+            marks.append("".join(column))
+            del fields[::3]
+        pairs.append(codes.of(fields))
+    labels = np.frombuffer("".join(marks).encode(), np.uint8) == ord("1")
+    pairs = np.concatenate(pairs) if pairs else np.empty(0, np.intp)
+    return TrialList._from_codes(list(codes), pairs, labels)
 
 
 def serialize_trials(trial_list: TrialList) -> str:
@@ -457,56 +445,47 @@ def serialize_scores(score_set: ScoreSet) -> str:
     return "".join(score_text_chunks(score_set))
 
 
+def _floats(tokens: list[str]) -> np.ndarray:
+    """float() of each of `tokens`, up to the first that float() rejects."""
+    rest = iter(tokens)
+    try:
+        return np.fromiter(map(float, rest), np.float64, len(tokens))
+    except ValueError:  # `rest` stopped just past the rejected token
+        return _floats(tokens[: len(tokens) - 1 - length_hint(rest)])
+
+
 def parse_scores(text: str, trials: TrialList) -> ScoreSet:
     """Parse the "enroll test score" lines written for `trials`: one per trial,
     in its order, each score finite. A malformed line is a TrialParseError,
     found before any line is checked against the list; a pair or count that
     does not fit it is a ValueError. The set carries `trials`, labels and all."""
     want_ids = np.stack((trials.enroll, trials.test), axis=1)
-    values = []
-    done = 0
-    try:
-        for fields in _field_chunks(text, 3):
-            n = len(fields) // 3
-            try:
-                values.append(np.fromiter(map(float, fields[2::3]), np.float64, n))
-            except ValueError:
-                raise _Unproven from None
+    chunks = []
+    done = 0  # rows read
+    mismatch = None  # the error for the first pair that is not the list's
+    for fields, line_nos in _rows(text, 3):
+        values = fields[2::3]
+        scores = _floats(values)
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if len(bad):
+            k = bad[0]
+            raise TrialParseError(line_nos[k], f"non-finite score {values[k]!r}")
+        if len(scores) < len(values):
+            raise TrialParseError(line_nos[len(scores)], f"bad score {values[len(scores)]!r}")
+        chunks.append(scores)
+        done += len(scores)
+        if mismatch is None and done <= len(trials):  # else the count is the error
             del fields[2::3]
-            if fields != trials.ids[want_ids[done : done + n]].ravel().tolist():
-                raise _Unproven
-            done += n
-        scores = _concat(values, np.float64)
-        if not np.isfinite(scores).all() or done != len(trials):
-            raise _Unproven
-    except _Unproven:
-        return _parse_score_lines(text, trials)
-    return ScoreSet(trials, scores)
-
-
-def _parse_score_lines(text: str, trials: TrialList) -> ScoreSet:
-    flat_ids: list[str] = []
-    scores: list[float] = []
-    for line_no, tokens in _lines(text, 3):
-        try:
-            value = float(tokens[2])
-        except ValueError:
-            raise TrialParseError(line_no, f"bad score {tokens[2]!r}") from None
-        if not isfinite(value):
-            raise TrialParseError(line_no, f"non-finite score {tokens[2]!r}")
-        flat_ids += tokens[:2]
-        scores.append(value)
-    if len(scores) != len(trials):
-        raise ValueError(f"score file has {len(scores)} lines for {len(trials)} trials")
-    got = np.array(flat_ids, dtype=object).reshape(-1, 2)
-    want = np.stack(trials.pair_ids(), axis=1)
-    bad = np.flatnonzero((got != want).any(axis=1))
-    if len(bad):
-        k = bad[0]
-        line_no = [n for n, _ in _lines(text, 3)][k]  # counted only on this error path
-        raise ValueError(f"score line {line_no} is for ({got[k, 0]}, {got[k, 1]}), "
-                         f"trial list has ({want[k, 0]}, {want[k, 1]})")
-    return ScoreSet(trials, np.array(scores, dtype=np.float64))
+            want = trials.ids[want_ids[done - len(scores) : done]].ravel().tolist()
+            if fields != want:
+                k = next(k for k in range(0, len(fields), 2) if fields[k : k + 2] != want[k : k + 2])
+                mismatch = (f"score line {line_nos[k // 2]} is for ({fields[k]}, {fields[k + 1]}), "
+                            f"trial list has ({want[k]}, {want[k + 1]})")
+    if done != len(trials):
+        raise ValueError(f"score file has {done} lines for {len(trials)} trials")
+    if mismatch:
+        raise ValueError(mismatch)
+    return ScoreSet(trials, np.concatenate(chunks) if chunks else np.empty(0))
 
 
 def write_embeddings(store: EmbeddingStore, sink: BinaryIO) -> None:

@@ -635,8 +635,8 @@ class TestEmbedScoreEvaluate:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert "degenerate cohort for embedding 'spkA'" in captured.err
+        assert captured.err == (f"error: {cohort}: degenerate cohort for embedding 'spkA': "
+                                "top-3 scores have std 0 (all nearly identical)\n")
 
     @pytest.mark.parametrize("topk", ["0", "-2"])
     def test_bad_topk_is_named_as_the_flag(self, tmp_path, capsys, topk):
@@ -1381,12 +1381,27 @@ def emb1_records(data: bytes) -> list[tuple[int, int]]:
     return records
 
 
+def wav_chunks(data: bytes) -> list[tuple[int, int]]:
+    """(start, end) of each whole chunk inside a RIFF wav's "WAVE" form,
+    walked by each chunk's size, padded to an even byte count."""
+    chunks, pos = [], 12
+    while pos + 8 <= len(data):
+        size = struct.unpack_from("<I", data, pos + 4)[0]
+        end = pos + 8 + size + size % 2
+        if end > len(data):
+            break
+        chunks.append((pos, end))
+        pos = end
+    return chunks
+
+
 def mutate(data: bytes, edits) -> bytes:
     """`data` after each edit: ("cut", at) keeps the bytes before `at`,
     ("flip", at, bits) xors one byte, ("repeat", k) doubles line k,
     ("crlf",) ends every line with "\\r\\n", ("field", at, fmt, value)
-    packs `value` at offset `at` if the data holds it, and ("record", k)
-    doubles EMB1 record k and adds one to the header's count."""
+    packs `value` at offset `at` if the data holds it, ("record", k)
+    doubles EMB1 record k and adds one to the header's count, and
+    ("chunk", k) doubles wav chunk k and adds its length to the RIFF size."""
     for kind, *where in edits:
         if kind == "cut":
             data = data[: where[0] % (len(data) + 1)]
@@ -1406,6 +1421,10 @@ def mutate(data: bytes, edits) -> bytes:
             start, end = records[where[0] % len(records)]
             count = (struct.unpack_from("<Q", data, 8)[0] + 1) % 2**64
             data = data[:8] + struct.pack("<Q", count) + data[16:end] + data[start:]
+        elif kind == "chunk" and (chunks := wav_chunks(data)):
+            start, end = chunks[where[0] % len(chunks)]
+            size = (struct.unpack_from("<I", data, 4)[0] + end - start) % 2**32
+            data = data[:4] + struct.pack("<I", size) + data[8:end] + data[start:]
     return data
 
 
@@ -1425,6 +1444,18 @@ EMB1_EDITS = st.lists(st.one_of(
     FLIP,
     st.sampled_from(EMB1_FIELDS),
     st.tuples(st.just("record"), st.integers(0, 10)),
+), min_size=1, max_size=3)
+# the header write_wav writes: the RIFF, fmt and data chunk sizes, the
+# channel count, the rate, and the sample width (block align and bits)
+WAV_FIELDS = [("field", at, fmt, value)
+              for at, fmt in ((4, "<I"), (16, "<I"), (40, "<I"), (22, "<H"), (24, "<I"),
+                              (32, "<H"), (34, "<H"))
+              for value in (0, 2 ** (8 * struct.calcsize(fmt)) - 1)]
+WAV_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**14)),  # any offset of a 0.25 s clip
+    st.tuples(st.just("flip"), st.integers(0, 2**14), st.integers(1, 255)),
+    st.sampled_from(WAV_FIELDS),
+    st.tuples(st.just("chunk"), st.integers(0, 3)),
 ), min_size=1, max_size=3)
 
 
@@ -1520,6 +1551,78 @@ class TestMutatedText:
             assert captured.err.startswith("error: ")
             assert str(victim) in captured.err
             assert not out.exists()
+
+
+class TestMutatedWav:
+    """features, augment (its input or a bank clip) and embed (plain or
+    --msa) over a wav cut, flipped, given a size, channel, rate or width
+    field at 0 or its maximum, or a repeated chunk, keep the CLI contract:
+    exit 0 or 2, at most one stderr line naming the wav, no --output file
+    after a failure."""
+
+    @staticmethod
+    def run(tmp_path, capsys, target, edits):
+        """(exit code, stdout, stderr, the mutated wav) of the command
+        `target` names, with its wav mutated by `edits`, then restored."""
+        wav, out = tmp_path / "in.wav", tmp_path / "out"
+        tone_wav(wav, 440, duration=0.25)
+        if not (tmp_path / "bank.txt").exists():
+            TestAugment().make_manifest(tmp_path)
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text("u0 in.wav\nu1 noise.wav\n", encoding="utf-8")
+        victim = tmp_path / "noise.wav" if target == "bank" else wav
+        good = victim.read_bytes()
+        victim.write_bytes(mutate(good, edits))
+        out.unlink(missing_ok=True)
+        augment = ["augment", "--wav", str(wav), "--manifest", str(tmp_path / "bank.txt"),
+                   "--seed", "1"]
+        argv = {
+            "features": ["features", "--wav", str(wav)],
+            "augment": augment,
+            "bank": augment,
+            "embed": ["embed", "--wav-list", str(wav_list)],
+            "embed-msa": ["embed", "--wav-list", str(wav_list), "--msa"],
+        }[target]
+        capsys.readouterr()
+        try:
+            code = main([*argv, "--output", str(out)])
+        finally:
+            victim.write_bytes(good)
+        captured = capsys.readouterr()
+        assert out.exists() == (code == 0)
+        return code, captured.out, captured.err, victim
+
+    @pytest.mark.parametrize("target", ["features", "augment", "bank", "embed"])
+    def test_chunk_past_the_riff_end_is_data_error(self, tmp_path, capsys, target):
+        code, out, err, victim = self.run(tmp_path, capsys, target,
+                                          [("field", 16, "<I", 2**32 - 1)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {victim}: not a readable RIFF wav "
+                       "(a chunk runs past the end of the RIFF chunk)\n")
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(target=st.sampled_from(["features", "augment", "bank", "embed", "embed-msa"]),
+           edits=WAV_EDITS)
+    @example(target="embed-msa", edits=[("field", 16, "<I", 2**32 - 1)])  # fmt past the end
+    @example(target="features", edits=[("field", 40, "<I", 0)])  # no frames
+    @example(target="bank", edits=[("field", 40, "<I", 0)])  # an empty noise clip
+    @example(target="augment", edits=[("field", 40, "<I", 0)])  # an empty input
+    def test_mutated_wav_keeps_cli_contract(self, tmp_path, capsys, target, edits):
+        code, out, err, victim = self.run(tmp_path, capsys, target, edits)
+        event(f"{target} exit {code}")
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ")
+            assert str(victim) in err
 
 
 class TestScheduleDump:

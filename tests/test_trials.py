@@ -877,8 +877,7 @@ class TestTokenizer:
         def loop(*args):
             raise AssertionError("the per-line loop ran")
 
-        monkeypatch.setattr(trials_module, "_parse_trial_lines", loop)
-        monkeypatch.setattr(trials_module, "_parse_score_lines", loop)
+        monkeypatch.setattr(trials_module, "_split_rows", loop)
         # about 300 KiB, so several 64 KiB chunks, no final newline
         pairs = [(f"s{k % 701:04d}_ü", f"s{k % 557:04d}_u") for k in range(12000)]
         labeled = "\n".join(f"{k % 2} {e}\t{t}" for k, (e, t) in enumerate(pairs))
@@ -889,6 +888,38 @@ class TestTokenizer:
         check_trials(labeled.replace("0 s", "s").replace("1 s", "s"), False)
         check_scores(scores, written_for(scores))
         check_scores(scores, parse_trials(labeled, True))
+
+    @pytest.mark.parametrize("defect", ["crlf", "blank"])
+    @pytest.mark.parametrize("later_error", [False, True], ids=["clean", "later-error"])
+    def test_only_the_odd_chunk_reaches_the_loop(self, monkeypatch, defect, later_error):
+        split_rows = trials_module._split_rows
+        starts = []  # the first line of each chunk split line by line
+
+        def counted(chunk, width, line_no):
+            starts.append(line_no)
+            return split_rows(chunk, width, line_no)
+
+        monkeypatch.setattr(trials_module, "_split_rows", counted)
+        # about 300 KiB, so several 64 KiB chunks; the odd line is in a middle
+        # one, and a bad line, if any, in a later one
+        pairs = [(f"s{k % 701:04d}_ü", f"s{k % 557:04d}_u") for k in range(12000)]
+        labeled = [f"{k % 2} {e}\t{t}" for k, (e, t) in enumerate(pairs)]
+        scores = [f"{e} {t}  {format_score(k / 7.0 - 800)}" for k, (e, t) in enumerate(pairs)]
+        for lines, bad in ((labeled, "2 a b"), (scores, "a b x")):
+            if later_error:
+                lines[9000] = bad
+            if defect == "crlf":
+                lines[6000] += "\r"
+            else:
+                lines.insert(6000, "")
+        labeled, scores = "\n".join(labeled), "\n".join(scores)
+        assert 2 * trials_module._CHUNK_CHARS < len("\n".join(scores.splitlines()[:6000]))
+        for check in (lambda: check_trials(labeled, True),
+                      lambda: check_trials(labeled, None),
+                      lambda: check_scores(scores, written_for(scores))):
+            starts.clear()
+            check()
+            assert len(starts) == 1 and 1 < starts[0] <= 6001
 
     def test_error_in_a_later_chunk_names_its_line(self):
         tl = TrialList([f"e{k}" for k in range(20000)], [f"t{k}" for k in range(20000)])
