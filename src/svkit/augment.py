@@ -216,12 +216,15 @@ def apply_policy(
     Draws are independent Bernoulli trials in the fixed order
     noise -> music -> babble -> reverb; SNRs and the babble speaker count
     are sampled uniformly from the policy ranges. Fully deterministic for a
-    given rng state. Before any draw, ValueError for an empty waveform, or a
-    bank short of what the policy may use: a non-empty category for each
-    probability above zero, and babble_max speech clips for babble.
+    given rng state. Before any draw, ValueError for an empty or silent
+    (all-zero) waveform, which no SNR can be set against, or a bank short of
+    what the policy may use: a non-empty category for each probability above
+    zero, and babble_max speech clips for babble.
     """
     if len(w) == 0:
         raise ValueError("empty signal")
+    if not w.samples.any():
+        raise ValueError("silent signal")
     sources = ((policy.p_noise, "noise"), (policy.p_music, "music"),
                (policy.p_babble, "speech"), (policy.p_reverb, "rir"))
     for p, category in sources:
@@ -230,14 +233,11 @@ def apply_policy(
     if policy.p_babble > 0 and bank.size("speech") < policy.babble_max:
         raise ValueError(f"speech bank has {bank.size('speech')} clips, need {policy.babble_max}")
     out = w
-    if rng.random() < policy.p_noise:
-        clips = bank.category("noise")
-        snr = rng.uniform(policy.snr_noise_lo, policy.snr_noise_hi)
-        out = mix_at_snr(out, clips[int(rng.integers(len(clips)))], snr)
-    if rng.random() < policy.p_music:
-        clips = bank.category("music")
-        snr = rng.uniform(policy.snr_music_lo, policy.snr_music_hi)
-        out = mix_at_snr(out, clips[int(rng.integers(len(clips)))], snr)
+    for name in ("noise", "music"):
+        if rng.random() < getattr(policy, f"p_{name}"):
+            clips = bank.category(name)
+            snr = rng.uniform(getattr(policy, f"snr_{name}_lo"), getattr(policy, f"snr_{name}_hi"))
+            out = mix_at_snr(out, clips[int(rng.integers(len(clips)))], snr)
     if rng.random() < policy.p_babble:
         clips = bank.category("speech")
         k = int(rng.integers(policy.babble_min, policy.babble_max + 1))

@@ -257,22 +257,3 @@ def write_mel(f: MelFeatures, sink: BinaryIO) -> None:
     sink.write(MEL_MAGIC)
     sink.write(struct.pack("<II", rows, cols))
     sink.write(np.ascontiguousarray(f.bins, dtype="<f4").tobytes())
-
-
-def read_mel(source: BinaryIO) -> MelFeatures:
-    """Inverse of write_mel; the source is read once, whole, and
-    bounds-checked, and bytes after the matrix are an error."""
-    data = source.read()
-    if data[:4] != MEL_MAGIC:
-        raise ValueError(f"bad feature magic {data[:4]!r}, expected {MEL_MAGIC!r}")
-    if len(data) < 12:
-        raise ValueError(f"truncated feature header ({len(data)} of 12 bytes)")
-    rows, cols = struct.unpack_from("<II", data, 4)
-    end = 12 + 4 * rows * cols
-    if len(data) < end:
-        raise ValueError(f"truncated feature matrix ({len(data) - 12} of {end - 12} bytes)")
-    if len(data) > end:
-        raise ValueError(f"offset {end}: {len(data) - end} bytes after the "
-                         f"{rows} x {cols} feature matrix")
-    bins = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=12).reshape(rows, cols)
-    return MelFeatures(bins=bins)

@@ -40,11 +40,6 @@ class CosineRestartConfig:
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
 
-    @classmethod
-    def large_margin(cls) -> "CosineRestartConfig":
-        """Fine-tuning stage: fixed 11000-step period, lower peak, no decay."""
-        return cls(cycle0_steps=11000, lr_max0=1e-4, decay=1.0, doubling=False)
-
 
 def cycle_start(cfg: CosineRestartConfig, cycle: int) -> int:
     """First step of the given cycle index (exact integers)."""

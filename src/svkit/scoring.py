@@ -10,10 +10,14 @@ batch of any size equals the single-pair score bit for bit. An MSA
 score, the mean of all pairwise segment cosines, is bilinear, so it is one
 such dot of the two sides' `segment_means` rows, which `cohort_stats`
 scores too. Cohort scores are the one exception: `cohort_stats` scores
-each block of rows as one gemm of fixed shape, and its contract is that a
-stacked call equals its single-row calls bit for bit. `score_trials` reads
-a store through index arrays (`MeanRows`), so it copies only bounded
-blocks of rows, never the whole store.
+each block of rows as one gemm of fixed shape over the cohort store's
+zero-padded array, and sums each row's top K in sorted order. Its
+contract is that a stacked call equals its single-row calls bit for bit,
+and that the statistics depend on the cohort as a set of vectors, not on
+its order. `score_trials` reads a store through index arrays
+(`MeanRows`), so it copies only bounded blocks of rows, never the whole
+store, and its scores depend on the trial list and on the store and
+cohort as sets of (id, vector), not on the order of their records.
 """
 
 from __future__ import annotations
@@ -101,11 +105,13 @@ def cohort_stats(
     Rows given as `MeanRows` are already checked means, read block by block.
 
     Every block, a single row included, is one gemm of fixed shape: rows
-    zero-padded to COHORT_BLOCK, against the cohort's first multiple of 8
-    vectors plus its last 0-7 zero-padded to 8. A row's bits then do not
-    depend on its position in the block, so a stacked call equals its
-    single-row calls bit for bit (a property of the BLAS build, which
-    `svkit selftest` checks).
+    zero-padded to COHORT_BLOCK, against the cohort's `padded` array, whose
+    row count is a multiple of 8. A score's bits then depend on neither the
+    row's position in the block nor the cohort vector's position in the
+    cohort (a property of the BLAS build, which `svkit selftest` checks),
+    and each row's top K are summed in sorted order. So a stacked call
+    equals its single-row calls bit for bit, and the statistics depend on
+    the cohort as a set of vectors, not on its order.
     """
     if isinstance(rows, MeanRows):
         means, shape = rows, (len(rows.index), rows.segments, rows.vectors.shape[1])
@@ -123,28 +129,22 @@ def cohort_stats(
     if n_cohort < k:
         raise ValueError(f"cohort has {n_cohort} vectors, need at least k={k}")
     cut = n_cohort - k
-    # the cohort is padded too: padding rows alone left the last
-    # n_cohort % 8 columns' bits dependent on the row's block position
-    c8 = n_cohort - n_cohort % 8
-    head = cohort.vectors[:c8].T
-    tail = np.zeros((8, cohort.dim))
-    tail[: n_cohort - c8] = cohort.vectors[c8:]
     vectors, index = means.vectors, means.index
     blk = np.zeros((COHORT_BLOCK, cohort.dim))
-    # both gemms of a block write into one score buffer, partitioned in place
-    scores = np.empty((COHORT_BLOCK, c8 + 8))
+    # one score buffer for every block, partitioned and sorted in place
+    scores = np.empty((COHORT_BLOCK, len(cohort.padded)))
     mean = np.empty(len(index))
     std = np.empty(len(index))
     for s in range(0, len(index), COHORT_BLOCK):
         n = min(COHORT_BLOCK, len(index) - s)
         blk[:n] = vectors[index[s : s + n]]
         blk[n:] = 0.0
-        np.matmul(blk, head, out=scores[:, :c8])
-        np.matmul(blk, tail.T, out=scores[:, c8:])
+        np.matmul(blk, cohort.padded.T, out=scores)
         top = scores[:n, :n_cohort]
         if cut:
             top.partition(cut, axis=1)
             top = top[:, cut:]
+        top.sort(axis=1)
         m = np.mean(top, axis=1)
         mean[s : s + n] = m
         std[s : s + n] = np.sqrt(np.mean((top - m[:, None]) ** 2, axis=1))

@@ -177,11 +177,13 @@ def check_reduction_identities() -> bool:
         if msa_score(np.tile(a, (5, 1)), np.tile(b, (5, 1))) != cosine_score(a, b):
             return False
     # each row of a stacked cohort_stats call, in every position of a block,
-    # must equal its single-row call bit for bit: a property of the BLAS
-    # build, not a numpy guarantee. The cohort size is not a multiple of 8
-    # and k is the whole cohort. Rows live on the first 4 coordinates and
-    # all but the last 8 cohort vectors on the other 3, so the statistics
-    # rest on the last scores, where a gemm kernel's edge cases fall.
+    # must equal its single-row call bit for bit, and a cohort rolled by a
+    # shift that is not a multiple of 8 must give the same bits: properties
+    # of the BLAS build, not numpy guarantees. The cohort size is not a
+    # multiple of 8 and k is the whole cohort. Rows live on the first 4
+    # coordinates and all but the last 8 cohort vectors on the other 3, so
+    # the statistics rest on the last scores, where a gemm kernel's edge
+    # cases fall.
     dim, n_cohort = 7, 2318
     rows = rng.standard_normal((COHORT_BLOCK, dim))
     rows[:, 4:] = 0.0
@@ -197,7 +199,10 @@ def check_reduction_identities() -> bool:
             want_mean, want_std = single[(p - shift) % COHORT_BLOCK]
             if mean[p] != want_mean[0] or std[p] != want_std[0]:
                 return False
-    return True
+    rolled = EmbeddingStore(cohort.ids, np.roll(cohort.vectors, 3, axis=0))
+    mean, std = cohort_stats(rows, cohort, n_cohort)
+    want_mean, want_std = cohort_stats(rows, rolled, n_cohort)
+    return mean.tobytes() == want_mean.tobytes() and std.tobytes() == want_std.tobytes()
 
 
 def check_fft_block_rows() -> bool:

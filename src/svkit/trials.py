@@ -25,6 +25,10 @@ EMB_MAGIC = b"EMB1"
 NORM_TOL = 1e-6  # on an embedding's L2 norm; rounding to float32 moves it under 1e-7
 # float32 vector bytes an EMB1 read stages before decoding them to float64
 _STAGE_BYTES = 1 << 16
+# an EmbeddingStore's array has a multiple of this many rows, so a gemm over
+# all of them (`scoring.cohort_stats`) gives each vector's score the same
+# bits at any row: BLAS kernels take a separate path for a ragged last block
+ROW_ALIGN = 8
 
 
 class TrialParseError(ValueError):
@@ -222,6 +226,12 @@ def _check_norms(norms: np.ndarray, label: Callable[[int], str]) -> None:
                          f"(norm {norms[first]:.6g})")
 
 
+def _aligned_rows(n: int, dim: int) -> np.ndarray:
+    """A zeroed float64 array for n vectors of dim, its row count rounded up
+    to a multiple of ROW_ALIGN."""
+    return np.zeros((-(-n // ROW_ALIGN) * ROW_ALIGN, dim))
+
+
 class EmbeddingStore:
     """Id-indexed matrix of fixed-dimension, unit-norm speaker embeddings.
 
@@ -229,31 +239,38 @@ class EmbeddingStore:
     read-only, as float64, the precision scoring computes in: a float32
     input, strided or not, is copied once, and `read_embeddings` decodes
     into the array the store keeps. Each must have unit L2 norm within
-    NORM_TOL (`check_unit`).
+    NORM_TOL (`check_unit`). That one array is `padded`: its row count is
+    rounded up to a multiple of ROW_ALIGN and the rows past the last
+    vector are zero. `vectors` is a C-contiguous view of its first
+    len(store) rows.
     """
 
     def __init__(self, ids: Sequence[str], vectors: np.ndarray):
         ids = tuple(str(i) for i in ids)
         with np.errstate(invalid="ignore", over="ignore"):  # _set rejects what these casts flag
-            vectors = np.asarray(vectors, dtype=np.float32).astype(np.float64, order="C")
-        self._set(ids, {u: k for k, u in enumerate(ids)}, vectors)
+            vectors = np.asarray(vectors, dtype=np.float32)
+            if vectors.ndim != 2:
+                raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
+            if len(ids) != vectors.shape[0]:
+                raise ValueError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
+            padded = _aligned_rows(*vectors.shape)
+            padded[: len(vectors)] = vectors
+        self._set(ids, {u: k for k, u in enumerate(ids)}, padded)
 
     @classmethod
-    def _from_rows(cls, index: dict[str, int], vectors: np.ndarray) -> EmbeddingStore:
-        """A store that keeps `vectors`, C-ordered float64 rows already
-        rounded to float32, with no copy; `index` maps the ids, in row
-        order, to their rows."""
+    def _from_rows(cls, index: dict[str, int], padded: np.ndarray) -> EmbeddingStore:
+        """A store that keeps `padded`, an `_aligned_rows` array whose first
+        rows are float64 values already rounded to float32, with no copy;
+        `index` maps the ids, in row order, to their rows."""
         store = cls.__new__(cls)
-        store._set(tuple(index), index, vectors)
+        store._set(tuple(index), index, padded)
         return store
 
-    def _set(self, ids: tuple[str, ...], index: dict[str, int], vectors: np.ndarray) -> None:
-        if vectors.ndim != 2:
-            raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
-        if len(ids) != vectors.shape[0]:
-            raise ValueError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
-        if vectors.shape[1] < 1:
+    def _set(self, ids: tuple[str, ...], index: dict[str, int], padded: np.ndarray) -> None:
+        if padded.shape[1] < 1:
             raise ValueError("embedding dimension must be positive")
+        padded.flags.writeable = False  # before the view, which inherits it
+        vectors = padded[: len(ids)]
         # squares of float32-range values cannot overflow float64, so a
         # row's norm is finite exactly when all its entries are
         norms = _norms(vectors)
@@ -262,8 +279,7 @@ class EmbeddingStore:
         if len(index) != len(ids):
             raise ValueError("duplicate utterance ids in store")
         _check_norms(norms, lambda i: f"embedding {ids[i]!r}")
-        vectors.flags.writeable = False
-        self.ids, self._index, self.vectors = ids, index, vectors
+        self.ids, self._index, self.padded, self.vectors = ids, index, padded, vectors
 
     @property
     def dim(self) -> int:
@@ -390,32 +406,15 @@ def parse_trials(text: str, labeled: bool | None) -> TrialList:
     return TrialList._from_codes(list(codes), pairs, labels)
 
 
-def serialize_trials(trial_list: TrialList) -> str:
-    """Inverse of parse_trials, one trial per line."""
-    enroll, test = (ids.tolist() for ids in trial_list.pair_ids())
-    if trial_list.labeled:
-        labels = trial_list.labels().astype(int).tolist()
-        return "".join(f"{y} {e} {t}\n" for y, e, t in zip(labels, enroll, test))
-    return "".join(f"{e} {t}\n" for e, t in zip(enroll, test))
-
-
-def format_score(value: float) -> str:
-    """Format a score with at least 9 significant digits, positionally."""
-    v = float(value)
-    if v == 0.0:
-        return "0.000000000"
-    decimals = max(0, 9 - (floor(log10(abs(v))) + 1))
-    return f"{v:.{decimals}f}"
-
-
 def _score_decimals(scores: np.ndarray) -> np.ndarray:
-    """format_score's number of decimals for every score (9 for ±0)."""
+    """The number of decimals that writes each score positionally with at
+    least 9 significant digits: max(0, 8 - floor(log10|v|)), 9 for ±0."""
     magnitude = np.abs(scores)
     zero = magnitude == 0.0
     logs = np.log10(np.where(zero, 1.0, magnitude))
     exponents = np.floor(logs)
     # np.log10 may differ from math.log10 in the last bits, which moves the
-    # floor only for a log next to an integer: those take format_score's route
+    # floor only for a log next to an integer: those take math.log10's floor
     for k in np.flatnonzero(~zero & (np.abs(logs - np.rint(logs)) < 1e-9)).tolist():
         exponents[k] = floor(log10(magnitude[k]))
     decimals = np.maximum(0.0, 8.0 - exponents).astype(np.intp)
@@ -440,8 +439,8 @@ def score_text_chunks(score_set: ScoreSet) -> Iterator[str]:
 
 
 def serialize_scores(score_set: ScoreSet) -> str:
-    """One "enroll test score" line per trial, each score as format_score
-    writes it."""
+    """One "enroll test score" line per trial, each score written
+    positionally with at least 9 significant digits (`_score_decimals`)."""
     return "".join(score_text_chunks(score_set))
 
 
@@ -538,10 +537,11 @@ def read_embeddings(source: BinaryIO) -> EmbeddingStore:
         raise StoreFormatError(4, f"non-positive dimension {dim}")
     width = 4 * dim
     # a record takes at least 2 + width bytes, so record k's vector can be
-    # whole only if k < len(vectors): past that, the bytes left fall short
+    # whole only if k < rows: past that, the bytes left fall short
     # of it. Vectors are read into float32 blocks, each decoded in one copy
-    vectors = np.empty((min(count, (size - offset) // (2 + width)), dim))
-    stage = np.empty((min(len(vectors), max(1, _STAGE_BYTES // width)), dim), "<f4")
+    rows = min(count, (size - offset) // (2 + width))
+    vectors = _aligned_rows(rows, dim)
+    stage = np.empty((min(rows, max(1, _STAGE_BYTES // width)), dim), "<f4")
     index: dict[str, int] = {}
     done = 0  # rows decoded into vectors
     # a signalling NaN flags `invalid` as it decodes; the store rejects it as not finite
@@ -555,7 +555,7 @@ def read_embeddings(source: BinaryIO) -> EmbeddingStore:
                 raise StoreFormatError(record_offset, "id is not UTF-8") from None
             if index.setdefault(utt_id, k) != k:
                 raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
-            got = source.readinto(stage[k - done]) if k < len(vectors) else size - offset
+            got = source.readinto(stage[k - done]) if k < rows else size - offset
             if got != width:
                 raise StoreFormatError(offset, f"truncated vector ({got} of {width} bytes)")
             offset += width

@@ -1,8 +1,10 @@
-"""Plain line-by-line reference parsers for trial and score text.
+"""Plain line-by-line references for trial and score text.
 
 The differential fuzzers in test_trials.py hold svkit.trials' parsers to
-these, error messages included. They keep one tuple per trial and know
-nothing of index arrays or chunks.
+the reference parsers, error messages included, and its score writer to
+`format_score`, one value at a time. They keep one tuple per trial and
+know nothing of index arrays or chunks. `trial_text` writes the trial
+files the tests read.
 """
 
 import math
@@ -88,3 +90,21 @@ def first_seen(pairs: list[tuple[str, str]]) -> list[str]:
             if utt not in seen:
                 seen.append(utt)
     return seen
+
+
+def format_score(value: float) -> str:
+    """Format a score with at least 9 significant digits, positionally."""
+    v = float(value)
+    if v == 0.0:
+        return "0.000000000"
+    decimals = max(0, 9 - (math.floor(math.log10(abs(v))) + 1))
+    return f"{v:.{decimals}f}"
+
+
+def trial_text(trial_list) -> str:
+    """A TrialList as parse_trials reads it back, one trial per line."""
+    enroll, test = (ids.tolist() for ids in trial_list.pair_ids())
+    if trial_list.labeled:
+        labels = trial_list.labels().astype(int).tolist()
+        return "".join(f"{y} {e} {t}\n" for y, e, t in zip(labels, enroll, test))
+    return "".join(f"{e} {t}\n" for e, t in zip(enroll, test))

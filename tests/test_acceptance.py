@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import central_difference, max_rel_err
+from _text_oracle import trial_text
 from svkit.augment import mix_at_snr, speed_perturb
 from svkit.cli import main
 from svkit.features import Waveform, write_wav
@@ -33,7 +34,13 @@ from svkit.model import (
 )
 from svkit.schedule import CosineRestartConfig, cycle_start, lr_at
 from svkit.scoring import cosine_score, msa_score, score_trials
-from svkit.trials import EmbeddingStore, ScoreSet, TrialList, serialize_trials
+from svkit.trials import (
+    EmbeddingStore,
+    ScoreSet,
+    TrialList,
+    read_embeddings_file,
+    write_embeddings_file,
+)
 
 RATE = 16000
 
@@ -505,7 +512,8 @@ def write_noise_manifest(bank_dir):
 
 
 def test_pipeline_reruns_byte_identical(tmp_path, reported):
-    with reported("10 augment/embed/score reruns with one config+seed byte-identical"):
+    with reported("10 augment/embed/score reruns with one config+seed, and AS-Norm "
+                  "against a reordered cohort, byte-identical"):
         sources = []
         for i in range(5):
             path = tmp_path / f"src{i}.wav"
@@ -516,7 +524,7 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
         config.write_text("seed = 11\n", encoding="utf-8")
         pairs = [(f"u{i}", f"u{j}") for i in range(5) for j in range(5) if i < j]
         trials = tmp_path / "trials.txt"
-        trials.write_text(serialize_trials(TrialList(*zip(*pairs))), encoding="utf-8")
+        trials.write_text(trial_text(TrialList(*zip(*pairs))), encoding="utf-8")
 
         for run in ("run1", "run2"):
             run_dir = tmp_path / run
@@ -565,3 +573,23 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
         assert (one / "emb.bin").read_bytes() == (two / "emb.bin").read_bytes()
         assert (one / "scores.txt").read_bytes() == (two / "scores.txt").read_bytes()
         assert (one / "scores.txt").read_bytes() != b""
+
+        # the cohort's records in another order: AS-Norm reads it as a set
+        cohort = read_embeddings_file(one / "emb.bin")
+        order = [3, 0, 4, 2, 1]
+        write_embeddings_file(EmbeddingStore([cohort.ids[i] for i in order],
+                                             cohort.vectors[order]), tmp_path / "cohort.bin")
+        assert (tmp_path / "cohort.bin").read_bytes() != (one / "emb.bin").read_bytes()
+        code = main(
+            [
+                "score",
+                "--trials", str(trials),
+                "--embeddings", str(one / "emb.bin"),
+                "--asnorm",
+                "--cohort", str(tmp_path / "cohort.bin"),
+                "--topk", "4",
+                "--output", str(tmp_path / "reordered.txt"),
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "reordered.txt").read_bytes() == (one / "scores.txt").read_bytes()

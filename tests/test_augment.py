@@ -286,6 +286,14 @@ class TestApplyPolicy:
             messages.add(str(info.value))
         assert messages == {message}
 
+    def test_silent_signal_rejected_before_any_draw(self):
+        bank = tiny_bank(np.random.default_rng(18))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            with pytest.raises(ValueError, match="^silent signal$"):
+                apply_policy(Waveform(np.zeros(256), RATE), AugmentPolicy(), bank, rng)
+            assert rng.random() == np.random.default_rng(seed).random()
+
     def test_category_of_a_disabled_augmentation_may_be_empty(self):
         rng_data = np.random.default_rng(17)
         full = tiny_bank(rng_data)

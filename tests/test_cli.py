@@ -13,12 +13,14 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from _mel1_oracle import decode_mel1
+from _text_oracle import trial_text
 import svkit
 from svkit import cli as cli_module
 from svkit import selftest
 from svkit.cli import main
 from svkit.config import stage_seed
-from svkit.features import Waveform, read_mel, read_wav, write_wav
+from svkit.features import Waveform, read_wav, write_wav
 from svkit.model import embed_waveform
 from svkit.scoring import MAX_N_SEGMENTS, score_trials, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
@@ -32,7 +34,6 @@ from svkit.trials import (
     read_embeddings_file,
     score_text_chunks,
     serialize_scores,
-    serialize_trials,
     write_embeddings_file,
 )
 
@@ -55,7 +56,7 @@ def wav_dir(tmp_path):
 
 
 def write_trials(path, trial_list):
-    path.write_text(serialize_trials(trial_list), encoding="utf-8")
+    path.write_text(trial_text(trial_list), encoding="utf-8")
     return path
 
 
@@ -208,11 +209,10 @@ class TestFeatures:
         assert main(["features", "--wav", str(wav), "--output", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert stdout.startswith("frames ")
-        with open(out, "rb") as fh:
-            feats = read_mel(fh)
-        assert feats.bins.shape[0] == 80
+        rows, cols, _ = decode_mel1(out.read_bytes())
+        assert rows == 80
         # 1.0 s at 25 ms window / 10 ms hop
-        assert feats.bins.shape[1] == 1 + (RATE - 400) // 160
+        assert cols == 1 + (RATE - 400) // 160
 
     def test_missing_wav_is_data_error(self, tmp_path, capsys):
         code = main(
@@ -297,6 +297,17 @@ class TestAugment:
             )
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_silent_wav_fails_alike_for_every_seed(self, tmp_path, capsys):
+        manifest = self.make_manifest(tmp_path)
+        wav, out = tmp_path / "silent.wav", tmp_path / "o.wav"
+        write_wav(Waveform(np.zeros(RATE), RATE), wav)
+        for seed in range(1, 7):
+            code = main(["augment", "--wav", str(wav), "--manifest", str(manifest),
+                         "--output", str(out), "--seed", str(seed)])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {wav} with bank {manifest}: silent signal\n"
+            assert not out.exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         wav = tone_wav(tmp_path / "in.wav", 440)

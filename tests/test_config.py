@@ -302,7 +302,8 @@ class TestScheduleConfig:
             "cycle0_steps = 11000\nlr_max0 = 1e-4\ndecay = 1.0\ndoubling = false\n"
         )
         cfg = load_schedule_config(cfg_file)
-        assert cfg == CosineRestartConfig.large_margin()
+        assert cfg == CosineRestartConfig(cycle0_steps=11000, lr_max0=1e-4, decay=1.0,
+                                          doubling=False)
         assert not cfg.doubling
 
     def test_fixed_period_steps_is_unknown(self, tmp_path):

@@ -61,14 +61,14 @@ class TestCycleGeometry:
         assert lr_at(cfg, 700)[1] == 3
 
     def test_fixed_period_cycles(self):
-        cfg = CosineRestartConfig.large_margin()
+        cfg = CosineRestartConfig(cycle0_steps=11000, lr_max0=1e-4, decay=1.0, doubling=False)
         assert lr_at(cfg, 0) == (pytest.approx(1e-4, rel=1e-12), 0)
         assert lr_at(cfg, 10_999)[1] == 0
         assert lr_at(cfg, 11_000)[1] == 1
         assert lr_at(cfg, 33_000)[1] == 3
 
     def test_fixed_period_has_no_decay(self):
-        cfg = CosineRestartConfig.large_margin()
+        cfg = CosineRestartConfig(cycle0_steps=11000, lr_max0=1e-4, decay=1.0, doubling=False)
         for c in range(5):
             lr, _ = lr_at(cfg, 11_000 * c)
             assert lr == pytest.approx(1e-4, rel=1e-12)

@@ -762,6 +762,46 @@ class TestAsnormOverMsa:
         assert not np.array_equal(raw, score_trials(trials, store, mode="raw").scores)
 
 
+def reordered(store, order):
+    """The store with its records in `order`."""
+    return EmbeddingStore([store.ids[i] for i in order], store.vectors[order])
+
+
+class TestRecordOrder:
+    """AS-Norm scores depend on the trial list and on the store and cohort
+    as sets of (id, vector): reordering the records of either moves no bit,
+    and reordering the trial lines reorders the scores."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1), st.sampled_from([3, 7, 64, 256]),
+           st.integers(9, 400), st.sampled_from([0, 1, 3]))
+    def test_reordered_records_move_no_bit(self, data, seed, dim, n_cohort, segments):
+        # segments 0 is a plain store scored by asnorm, else an MSA store
+        k = data.draw(st.one_of(st.just(n_cohort), st.integers(2, n_cohort)), label="k")
+        rng = np.random.default_rng(seed)
+        utts = [f"u{i}" for i in range(40)]
+        mode, ids = "asnorm", utts
+        if segments:
+            mode, ids = "msa", [segment_id(u, j) for u in utts for j in range(segments)]
+        store = make_store(rng, ids, dim)
+        cohort = make_store(rng, [f"c{i}" for i in range(n_cohort)], dim)
+        pairs = rng.integers(len(utts), size=(70, 2))
+        enroll, test = [utts[i] for i in pairs[:, 0]], [utts[j] for j in pairs[:, 1]]
+        trials = TrialList(enroll, test)
+        want = score_trials(trials, store, mode, cohort, k).scores
+        for _ in range(2):
+            order = rng.permutation(n_cohort)
+            got = score_trials(trials, store, mode, reordered(cohort, order), k)
+            assert got.scores.tobytes() == want.tobytes()
+            order = rng.permutation(len(store))
+            got = score_trials(trials, reordered(store, order), mode, cohort, k)
+            assert got.scores.tobytes() == want.tobytes()
+            order = rng.permutation(len(enroll))
+            lines = TrialList([enroll[i] for i in order], [test[i] for i in order])
+            got = score_trials(lines, store, mode, cohort, k)
+            assert got.scores.tobytes() == want[order].tobytes()
+
+
 class TestAsnormShiftStructure:
     def test_shift_invariance_by_construction(self):
         # adding c to the raw score and to every cohort score of one side

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 from _emb1_oracle import FormatFault, decode_emb1
 from _sources import RecordingSource
-from _text_oracle import Mismatch, Rejected, first_seen, reference_scores, reference_trials
+from _text_oracle import (
+    Mismatch,
+    Rejected,
+    first_seen,
+    format_score,
+    reference_scores,
+    reference_trials,
+    trial_text,
+)
 from svkit import trials as trials_module
 from svkit.augment import NoiseBank
 from svkit.features import read_wav
@@ -24,13 +32,13 @@ from svkit.metrics import roc_points
 from svkit.scoring import score_trials
 from svkit.trials import (
     NORM_TOL,
+    ROW_ALIGN,
     SCORE_CHUNK,
     EmbeddingStore,
     ScoreSet,
     StoreFormatError,
     TrialList,
     TrialParseError,
-    format_score,
     parse_scores,
     parse_trials,
     read_embeddings,
@@ -40,7 +48,6 @@ from svkit.trials import (
     require_file,
     score_text_chunks,
     serialize_scores,
-    serialize_trials,
     write_embeddings,
     write_embeddings_file,
 )
@@ -131,9 +138,9 @@ class TestParseTrials:
     def test_roundtrip_preserves_order_and_labels(self):
         text = "1 a b\n0 c d\n1 e f\n"
         tl = parse_trials(text, labeled=True)
-        assert serialize_trials(tl) == text
+        assert trial_text(tl) == text
         tl2 = parse_trials("x y\nu v\n", labeled=False)
-        assert serialize_trials(tl2) == "x y\nu v\n"
+        assert trial_text(tl2) == "x y\nu v\n"
 
 
 class TestTrialInvariants:
@@ -170,7 +177,7 @@ class TestTrialListConstructor:
         enroll, test = [e for e, _, _ in rows], [t for _, t, _ in rows]
         labels = [y for _, _, y in rows] if labeled else None
         tl = TrialList(enroll, test, labels)
-        assert parse_trials(serialize_trials(tl), labeled) == tl
+        assert parse_trials(trial_text(tl), labeled) == tl
         assert [ids.tolist() for ids in tl.pair_ids()] == [enroll, test]
         assert tl.ids.tolist() == first_seen(list(zip(enroll, test)))
         if labeled and rows:
@@ -374,6 +381,20 @@ class TestEmbeddingStore:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^embedding vectors must be finite$"):
                 load()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17])
+    def test_one_zero_padded_array_of_whole_row_blocks(self, n):
+        vectors = unit_f64(n, n, 5).astype("<f4")
+        built = EmbeddingStore([f"u{k}" for k in range(n)], vectors)
+        buf = io.BytesIO()
+        write_embeddings(built, buf)
+        for store in (built, read_embeddings(io.BytesIO(buf.getvalue()))):
+            assert store.padded.shape == (-(-n // ROW_ALIGN) * ROW_ALIGN, 5)
+            assert store.vectors.base is store.padded
+            assert store.vectors.tobytes() == vectors.astype(np.float64).tobytes()
+            assert not store.padded[n:].any()
+            assert store.vectors.flags.c_contiguous
+            assert not store.padded.flags.writeable and not store.vectors.flags.writeable
 
     def test_row_index(self):
         v = np.array([[0.5, -0.5, 0.5, -0.5], [0.0, 0.0, 0.0, 1.0]], dtype=np.float32)
