@@ -88,27 +88,25 @@ def cmd_features(args) -> int:
         feats = compute_logmel(wav, cfg.features)
     except ValueError as exc:
         raise ValueError(f"{args.wav}: {exc}") from None
-    if cfg.cmn and not args.no_cmn:
+    if cfg.cmn:
         feats = apply_cmn(feats)
-    with open(args.output, "wb") as fh:
-        write_mel(feats, fh)
+    with output_file(args.output, "wb") as sink:
+        write_mel(feats, sink)
     print(f"frames {feats.n_frames} mels {feats.bins.shape[0]}")
     return 0
 
 
 def cmd_augment(args) -> int:
     cfg = _load_config(args)
-    manifest = args.manifest or cfg.noise_manifest
-    if manifest is None:
-        raise UsageError("augment needs --manifest or a noise_manifest config entry")
-    bank = NoiseBank.from_manifest(manifest, cfg.sample_rate)
+    if cfg.noise_manifest is None:
+        raise UsageError("augment needs a noise_manifest config entry")
+    bank = NoiseBank.from_manifest(cfg.noise_manifest, cfg.sample_rate)
     wav = read_wav(args.wav, expected_rate=cfg.sample_rate)
-    seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "augment")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(stage_seed(cfg.seed, "augment"))
     try:  # an empty or silent wav, or a bank that cannot serve the policy
         out = apply_policy(wav, cfg.augment, bank, rng)
     except ValueError as exc:
-        raise ValueError(f"{args.wav} with bank {manifest}: {exc}") from None
+        raise ValueError(f"{args.wav} with bank {cfg.noise_manifest}: {exc}") from None
     write_wav(out, args.output)
     print(f"samples {len(out)} rate {out.sample_rate}")
     return 0
@@ -123,7 +121,7 @@ def cmd_embed(args) -> int:
     for line_no, utt_id, _ in entries:
         if first_line.setdefault(utt_id, line_no) != line_no:
             raise ValueError(f"{args.wav_list}:{line_no}: duplicate utterance id {utt_id!r}")
-    seed = args.seed if args.seed is not None else stage_seed(cfg.seed, "embed")
+    seed = stage_seed(cfg.seed, "embed")
     ids: list[str] = []
     vectors: list[np.ndarray] = []
     for _, utt_id, wav_path in entries:
@@ -147,29 +145,23 @@ def cmd_embed(args) -> int:
 
 
 def cmd_score(args) -> int:
-    if not args.asnorm and (args.cohort is not None or args.topk is not None):
-        raise UsageError("--cohort and --topk need --asnorm")
-    if args.topk is not None and args.topk < 1:
-        raise ValueError("--topk must be >= 1")
     cfg = _load_config(args)
     # without --labeled the first non-blank line decides the trial form
     trials = parse_file(args.trials, "trials", parse_trials, True if args.labeled else None)
     store = read_embeddings_file(args.embeddings)
     mode = "msa" if args.msa else "asnorm" if args.asnorm else "raw"
     cohort = None
-    top_k = args.topk if args.topk is not None else cfg.top_k
     if args.asnorm:
-        cohort_path = args.cohort or cfg.cohort
-        if cohort_path is None:
-            raise UsageError("asnorm scoring needs --cohort or a cohort config entry")
-        cohort = read_embeddings_file(cohort_path, "cohort")
-        if len(cohort) < top_k:
-            raise ValueError(f"{cohort_path}: cohort has {len(cohort)} vectors, "
-                             f"need at least k={top_k}")
+        if cfg.cohort is None:
+            raise UsageError("asnorm scoring needs a cohort config entry")
+        cohort = read_embeddings_file(cfg.cohort, "cohort")
+        if len(cohort) < cfg.top_k:
+            raise ValueError(f"{cfg.cohort}: cohort has {len(cohort)} vectors, "
+                             f"need at least k={cfg.top_k}")
     try:  # a scoring error (an id missing from the store, say) names the store
-        result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=top_k)
+        result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=cfg.top_k)
     except DegenerateCohort as exc:
-        raise ValueError(f"{cohort_path}: {exc}") from None
+        raise ValueError(f"{cfg.cohort}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{args.embeddings}: {exc}") from None
     _emit(score_text_chunks(result), args.output)
@@ -257,22 +249,18 @@ def build_parser() -> _Parser:
     p.add_argument("--wav", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--config")
-    p.add_argument("--no-cmn", action="store_true", help="skip mean normalization")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("augment", help="apply the augmentation policy to one wav")
     p.add_argument("--wav", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--manifest", help="noise bank manifest (category path lines)")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("embed", help="embed a list of wavs into an embeddings file")
     p.add_argument("--wav-list", required=True, help="lines of 'utt_id wav_path'")
     p.add_argument("--output", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--msa", action="store_true", help="embed per-segment for matrix scoring")
     p.set_defaults(func=cmd_embed)
 
@@ -280,8 +268,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--asnorm", action="store_true")
-    p.add_argument("--cohort")
-    p.add_argument("--topk", type=int)
     p.add_argument("--msa", action="store_true")
     p.add_argument("--labeled", action="store_true", help="trials file carries labels")
     p.add_argument("--output")

@@ -117,8 +117,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 1 <= self.sample_rate <= MAX_SAMPLE_RATE:
             raise ConfigError(f"sample_rate must be in 1..{MAX_SAMPLE_RATE}, got {self.sample_rate}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        if self.top_k < 2:  # the std of one cohort score is 0
+            raise ConfigError(f"top_k must be >= 2, got {self.top_k}")
         if not 1 <= self.n_segments <= MAX_N_SEGMENTS:
             raise ConfigError(f"n_segments must be in 1..{MAX_N_SEGMENTS}, got {self.n_segments}")
         if not (math.isfinite(self.segment_duration) and self.segment_duration > 0):

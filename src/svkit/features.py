@@ -18,7 +18,7 @@ from typing import BinaryIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .trials import require_file
+from .trials import output_file, require_file
 
 MEL_MAGIC = b"MEL1"
 # upper bounds on the FFT size and filter count, so a config value cannot
@@ -240,11 +240,12 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
 
 
 def write_wav(w: Waveform, path) -> None:
-    """Write 16-bit signed mono PCM, clipping to [-1, 1)."""
+    """Write 16-bit signed mono PCM, clipping to [-1, 1); a failed write
+    leaves no file."""
     scaled = np.clip(w.samples, -1.0, 32767.0 / 32768.0)
     scaled *= 32768.0
     pcm = np.round(scaled, out=scaled).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    with output_file(path, "wb") as sink, wave.open(sink, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(w.sample_rate)

@@ -181,10 +181,6 @@ class TrialList:
             raise ValueError("trial list is unlabeled")
         return self._labels
 
-    def pair_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """(enroll ids, test ids) as object arrays, one entry per trial."""
-        return self.ids[self.enroll], self.ids[self.test]
-
 
 @dataclass(frozen=True)
 class ScoreSet:

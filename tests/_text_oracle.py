@@ -103,7 +103,8 @@ def format_score(value: float) -> str:
 
 def trial_text(trial_list) -> str:
     """A TrialList as parse_trials reads it back, one trial per line."""
-    enroll, test = (ids.tolist() for ids in trial_list.pair_ids())
+    ids = trial_list.ids
+    enroll, test = ids[trial_list.enroll].tolist(), ids[trial_list.test].tolist()
     if trial_list.labeled:
         labels = trial_list.labels().astype(int).tolist()
         return "".join(f"{y} {e} {t}\n" for y, e, t in zip(labels, enroll, test))

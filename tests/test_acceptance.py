@@ -314,7 +314,8 @@ def test_asnorm_matches_brute_force(reported):
                            [utt_ids[2 * i + 1] for i in range(50)])
         result = score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=100)
         cohort_rows = cohort.vectors.astype(np.float64)
-        for enroll_id, test_id, got in zip(*trials.pair_ids(), result.scores):
+        ids = trials.ids
+        for enroll_id, test_id, got in zip(ids[trials.enroll], ids[trials.test], result.scores):
             e, t = store.vectors[store.row_index([enroll_id, test_id])].astype(np.float64)
             assert abs(got - brute_force_asnorm(e, t, cohort_rows, 100)) <= 1e-9
 
@@ -440,7 +441,7 @@ def test_synthetic_pipeline_end_to_end(reported):
         # stored vectors with none of the library's scoring or metric code
         index = {u: i for i, u in enumerate(store.ids)}
         rows = store.vectors.astype(np.float64)
-        enroll_ids, test_ids = trials.pair_ids()
+        enroll_ids, test_ids = trials.ids[trials.enroll], trials.ids[trials.test]
         enroll = rows[[index[u] for u in enroll_ids]]
         test = rows[[index[u] for u in test_ids]]
         direct = np.sum(enroll * test, axis=1)
@@ -521,7 +522,7 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
             sources.append(path)
         manifest = write_noise_manifest(tmp_path)
         config = tmp_path / "pipeline.cfg"
-        config.write_text("seed = 11\n", encoding="utf-8")
+        config.write_text(f"seed = 11\nnoise_manifest = {manifest}\n", encoding="utf-8")
         pairs = [(f"u{i}", f"u{j}") for i in range(5) for j in range(5) if i < j]
         trials = tmp_path / "trials.txt"
         trials.write_text(trial_text(TrialList(*zip(*pairs))), encoding="utf-8")
@@ -534,7 +535,6 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
                     [
                         "augment",
                         "--wav", str(src),
-                        "--manifest", str(manifest),
                         "--config", str(config),
                         "--output", str(run_dir / f"aug{i}.wav"),
                     ]
@@ -554,14 +554,15 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
                 ]
             )
             assert code == 0
+            # the cohort is the store just embedded, so its config comes after it
+            (run_dir / "score.cfg").write_text("cohort = emb.bin\ntop_k = 4\n", encoding="utf-8")
             code = main(
                 [
                     "score",
                     "--trials", str(trials),
                     "--embeddings", str(run_dir / "emb.bin"),
                     "--asnorm",
-                    "--cohort", str(run_dir / "emb.bin"),
-                    "--topk", "4",
+                    "--config", str(run_dir / "score.cfg"),
                     "--output", str(run_dir / "scores.txt"),
                 ]
             )
@@ -580,14 +581,15 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
         write_embeddings_file(EmbeddingStore([cohort.ids[i] for i in order],
                                              cohort.vectors[order]), tmp_path / "cohort.bin")
         assert (tmp_path / "cohort.bin").read_bytes() != (one / "emb.bin").read_bytes()
+        (tmp_path / "reordered.cfg").write_text("cohort = cohort.bin\ntop_k = 4\n",
+                                                encoding="utf-8")
         code = main(
             [
                 "score",
                 "--trials", str(trials),
                 "--embeddings", str(one / "emb.bin"),
                 "--asnorm",
-                "--cohort", str(tmp_path / "cohort.bin"),
-                "--topk", "4",
+                "--config", str(tmp_path / "reordered.cfg"),
                 "--output", str(tmp_path / "reordered.txt"),
             ]
         )

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,9 @@ import svkit
 from svkit import cli as cli_module
 from svkit import selftest
 from svkit.cli import main
-from svkit.config import stage_seed
-from svkit.features import Waveform, read_wav, write_wav
+from svkit.augment import NoiseBank, apply_policy
+from svkit.config import PipelineConfig, load_pipeline_config, stage_seed
+from svkit.features import Waveform, apply_cmn, compute_logmel, read_wav, write_wav
 from svkit.model import embed_waveform
 from svkit.scoring import MAX_N_SEGMENTS, score_trials, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
@@ -57,6 +59,13 @@ def wav_dir(tmp_path):
 
 def write_trials(path, trial_list):
     path.write_text(trial_text(trial_list), encoding="utf-8")
+    return path
+
+
+def write_config(path, **keys):
+    """A pipeline config file with one "key = value" line per keyword."""
+    path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()),
+                    encoding="utf-8")
     return path
 
 
@@ -129,7 +138,7 @@ class TestTopLevel:
         (["features", "--wav", "u.wav", "--output", "u.mel"], False),
         (["score", "--trials", "t.txt", "--embeddings", "emb.bin"], False),
         (["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm",
-          "--cohort", "cohort.bin", "--topk", "2"], False),
+          "--config", "cohort.cfg"], False),
         (["evaluate", "--trials", "t.txt", "--scores", "s.txt"], False),
         (["fuse", "--trials", "t.txt", "--scores", "s.txt", "s.txt", "--fit-labels"], False),
         (["embed", "--wav-list", "wavs.txt", "--output", "out.bin"], True),
@@ -140,6 +149,7 @@ class TestTopLevel:
                               tmp_path / "emb.bin")
         write_embeddings_file(EmbeddingStore([f"k{i}" for i in range(4)], unit_rows(rng, 4, 4)),
                               tmp_path / "cohort.bin")
+        write_config(tmp_path / "cohort.cfg", cohort="cohort.bin", top_k=2)
         write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"], [True, False]))
         (tmp_path / "s.txt").write_text("a b 0.5\na c -0.5\n", encoding="utf-8")
         tone_wav(tmp_path / "u.wav", 440)
@@ -185,6 +195,46 @@ class TestTopLevel:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["evaluate", "--trials", "x"]) == 1
 
+    # a pipeline value has one setter, the config: a flag chooses a mode or
+    # names a file, and no flag shadows a config key
+    OPTIONS = {
+        "": ["--version"],
+        "features": ["--config", "--output", "--wav"],
+        "augment": ["--config", "--output", "--wav"],
+        "embed": ["--config", "--msa", "--output", "--wav-list"],
+        "score": ["--asnorm", "--config", "--embeddings", "--labeled", "--msa", "--output",
+                  "--trials"],
+        "evaluate": ["--c-fa", "--c-miss", "--p-target", "--scores", "--trials"],
+        "fuse": ["--fit-labels", "--l2", "--model", "--output", "--scores", "--trials"],
+        "schedule-dump": ["--config", "--steps"],
+        "shapes": ["--frames", "--mel-bins"],
+        "selftest": [],
+    }
+
+    def test_options_are_pinned(self):
+        def options(parser):
+            return sorted(s for a in parser._actions for s in a.option_strings
+                          if s not in ("-h", "--help"))
+
+        parser = cli_module.build_parser()
+        (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+        got = {"": options(parser)} | {name: options(p) for name, p in commands.items()}
+        assert got == self.OPTIONS
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["features", "--wav", "w", "--output", "o"], ["--no-cmn"]),
+        (["augment", "--wav", "w", "--output", "o"], ["--manifest", "m"]),
+        (["augment", "--wav", "w", "--output", "o"], ["--seed", "1"]),
+        (["embed", "--wav-list", "l", "--output", "o"], ["--seed", "1"]),
+        (["score", "--trials", "t", "--embeddings", "e", "--asnorm"], ["--cohort", "c"]),
+        (["score", "--trials", "t", "--embeddings", "e", "--asnorm"], ["--topk", "3"]),
+    ], ids=["no-cmn", "manifest", "augment-seed", "embed-seed", "cohort", "topk"])
+    def test_flags_that_shadowed_config_keys_are_unrecognized(self, capsys, argv, flag):
+        assert main(argv + flag) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == f"error: unrecognized arguments: {' '.join(flag)}"
+
 
 class TestShapes:
     def test_table_variant(self, capsys):
@@ -213,6 +263,46 @@ class TestFeatures:
         assert rows == 80
         # 1.0 s at 25 ms window / 10 ms hop
         assert cols == 1 + (RATE - 400) // 160
+
+    @pytest.mark.parametrize("cmn", [None, False], ids=["default", "off"])
+    def test_cmn_key_switches_mean_normalization(self, tmp_path, capsys, cmn):
+        wav = tone_wav(tmp_path / "a.wav", 500)
+        out = tmp_path / "a.mel"
+        config = write_config(tmp_path / "p.cfg", **({} if cmn is None else {"cmn": cmn}))
+        assert main(["features", "--wav", str(wav), "--config", str(config),
+                     "--output", str(out)]) == 0
+        feats = compute_logmel(read_wav(wav), PipelineConfig().features)
+        if cmn is None:
+            feats = apply_cmn(feats)
+        want = feats.bins.astype(np.float32)
+        rows, cols, values = decode_mel1(out.read_bytes())
+        assert (rows, cols) == want.shape
+        assert values == want.ravel().tolist()
+
+    @pytest.mark.parametrize("command", ["features", "augment"])
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, monkeypatch, command):
+        wav, out = tone_wav(tmp_path / "in.wav", 440), tmp_path / "out"
+        argv = [command, "--wav", str(wav), "--output", str(out)]
+        written = []
+
+        def first_bytes_then_fail(sink, data):
+            sink.write(data)
+            sink.flush()
+            written.append(out.stat().st_size)
+            raise OSError("disk full")
+
+        if command == "features":
+            monkeypatch.setattr(cli_module, "write_mel",
+                                lambda feats, sink: first_bytes_then_fail(sink, b"MEL1"))
+        else:
+            manifest = TestAugment().make_manifest(tmp_path)
+            argv += ["--config", str(write_config(tmp_path / "p.cfg", noise_manifest=manifest))]
+            monkeypatch.setattr(wave.Wave_write, "writeframesraw",
+                                lambda self, data: first_bytes_then_fail(self._file, data[:64]))
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: disk full\n")
+        assert written and written[0] > 0
+        assert not out.exists()
 
     def test_missing_wav_is_data_error(self, tmp_path, capsys):
         code = main(
@@ -284,15 +374,15 @@ class TestAugment:
     def test_deterministic_for_fixed_seed(self, tmp_path, capsys):
         manifest = self.make_manifest(tmp_path)
         wav = tone_wav(tmp_path / "in.wav", 440)
+        config = write_config(tmp_path / "p.cfg", noise_manifest=manifest, seed=5)
         out1, out2 = tmp_path / "o1.wav", tmp_path / "o2.wav"
         for out in (out1, out2):
             code = main(
                 [
                     "augment",
                     "--wav", str(wav),
-                    "--manifest", str(manifest),
+                    "--config", str(config),
                     "--output", str(out),
-                    "--seed", "5",
                 ]
             )
             assert code == 0
@@ -303,11 +393,29 @@ class TestAugment:
         wav, out = tmp_path / "silent.wav", tmp_path / "o.wav"
         write_wav(Waveform(np.zeros(RATE), RATE), wav)
         for seed in range(1, 7):
-            code = main(["augment", "--wav", str(wav), "--manifest", str(manifest),
-                         "--output", str(out), "--seed", str(seed)])
+            config = write_config(tmp_path / "p.cfg", noise_manifest=manifest, seed=seed)
+            code = main(["augment", "--wav", str(wav), "--config", str(config),
+                         "--output", str(out)])
             assert code == 2
             assert capsys.readouterr().err == f"error: {wav} with bank {manifest}: silent signal\n"
             assert not out.exists()
+
+    def test_config_seed_sets_the_augment_stream(self, tmp_path, capsys):
+        manifest = self.make_manifest(tmp_path)
+        wav = tone_wav(tmp_path / "in.wav", 440)
+        outputs = []
+        for seed in (3, 4):
+            config = write_config(tmp_path / "p.cfg", noise_manifest=manifest, seed=seed,
+                                  p_noise=1)
+            out, want = tmp_path / f"o{seed}.wav", tmp_path / f"want{seed}.wav"
+            assert main(["augment", "--wav", str(wav), "--config", str(config),
+                         "--output", str(out)]) == 0
+            rng = np.random.default_rng(stage_seed(seed, "augment"))
+            write_wav(apply_policy(read_wav(wav), load_pipeline_config(config).augment,
+                                   NoiseBank.from_manifest(manifest), rng), want)
+            assert out.read_bytes() == want.read_bytes()
+            outputs.append(out.read_bytes())
+        assert outputs[0] != outputs[1]
 
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         wav = tone_wav(tmp_path / "in.wav", 440)
@@ -387,8 +495,7 @@ class TestEmbedScoreEvaluate:
                 "--embeddings", str(emb),
                 "--labeled",
                 "--asnorm",
-                "--cohort", str(emb),
-                "--topk", "3",
+                "--config", str(write_config(tmp_path / "p.cfg", cohort=emb, top_k=3)),
             ]
         )
         assert code == 0
@@ -452,12 +559,13 @@ class TestEmbedScoreEvaluate:
         tiled = tmp_path / "tiled.bin"
         tiled_ids = [segment_id(u, k) for u in store.ids for k in range(5)]
         write_embeddings_file(EmbeddingStore(tiled_ids, np.repeat(store.vectors, 5, axis=0)), tiled)
+        cohort = write_config(tmp_path / "cohort.cfg", cohort=plain, top_k=3)
         capsys.readouterr()
 
         def score(emb, *flags):
             out = tmp_path / "scores.txt"
             if "--asnorm" in flags:
-                flags += ("--cohort", str(plain), "--topk", "3")
+                flags += ("--config", str(cohort))
             assert main(["score", "--labeled", "--trials", str(trials), "--embeddings", str(emb),
                          "--output", str(out), *flags]) == 0
             assert capsys.readouterr() == ("", "")
@@ -496,8 +604,9 @@ class TestEmbedScoreEvaluate:
         cohort.write_bytes(b"EMB1" + struct.pack("<IQ", 3, 1) + struct.pack("<H", 1) + b"a"
                            + bytes(11))
         capsys.readouterr()
+        config = write_config(tmp_path / "p.cfg", cohort=cohort)
         code = main(["score", "--labeled", "--trials", str(trials), "--embeddings", str(emb),
-                     "--asnorm", "--cohort", str(cohort)])
+                     "--asnorm", "--config", str(config)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -525,8 +634,8 @@ class TestEmbedScoreEvaluate:
         trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
         argv = ["score", "--trials", str(trials), "--embeddings", str(bad)]
         if slot == "--cohort":
-            argv = ["score", "--trials", str(trials), "--embeddings", str(good),
-                    "--asnorm", "--cohort", str(bad)]
+            argv = ["score", "--trials", str(trials), "--embeddings", str(good), "--asnorm",
+                    "--config", str(write_config(tmp_path / "p.cfg", cohort=bad))]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -546,7 +655,7 @@ class TestEmbedScoreEvaluate:
         assert f"utterance 'u0' has more than {MAX_N_SEGMENTS} segments" in captured.err
 
     @pytest.mark.parametrize(
-        "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"], ["--asnorm", "--msa", "--topk", "3"]],
+        "flags", [[], ["--asnorm"], ["--msa"], ["--asnorm", "--msa"]],
         ids=["raw", "asnorm", "msa", "asnorm-msa"],
     )
     def test_missing_trial_id_is_data_error(self, tmp_path, wav_dir, capsys, flags):
@@ -554,7 +663,7 @@ class TestEmbedScoreEvaluate:
         if "--msa" in flags:
             assert main(["embed", "--wav-list", str(wav_list), "--output", str(emb), "--msa"]) == 0
         if "--asnorm" in flags:
-            flags = flags + ["--cohort", str(emb)]
+            flags = flags + ["--config", str(write_config(tmp_path / "p.cfg", cohort=emb, top_k=3))]
         trials = write_trials(tmp_path / "t.txt", TrialList(["u0", "u2"], ["u1", "ghost"]))
         capsys.readouterr()
         code = main(["score", "--trials", str(trials), "--embeddings", str(emb), *flags])
@@ -566,7 +675,7 @@ class TestEmbedScoreEvaluate:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "flags", [[], ["--asnorm", "--topk", "3"], ["--msa"], ["--asnorm", "--msa", "--topk", "3"]],
+        "flags", [[], ["--asnorm"], ["--msa"], ["--asnorm", "--msa"]],
         ids=["raw", "asnorm", "msa", "asnorm-msa"],
     )
     def test_blank_trial_file_gives_empty_scores(self, tmp_path, wav_dir, capsys, flags):
@@ -574,7 +683,7 @@ class TestEmbedScoreEvaluate:
         if "--msa" in flags:
             assert main(["embed", "--wav-list", str(wav_list), "--output", str(emb), "--msa"]) == 0
         if "--asnorm" in flags:
-            flags = flags + ["--cohort", str(emb)]
+            flags = flags + ["--config", str(write_config(tmp_path / "p.cfg", cohort=emb, top_k=3))]
         trials = tmp_path / "blank.txt"
         trials.write_text("\n  \n", encoding="utf-8")
         out = tmp_path / "scores.txt"
@@ -587,20 +696,6 @@ class TestEmbedScoreEvaluate:
         assert code == 0, captured.err
         assert captured.out == "" and captured.err == ""
         assert out.read_text(encoding="utf-8") == ""
-
-    @pytest.mark.parametrize("flags", [
-        ["--cohort", "nosuch.bin"], ["--topk", "0"], ["--cohort", "nosuch.bin", "--topk", "3"],
-        ["--msa", "--cohort", "nosuch.bin"],
-    ], ids=["cohort", "topk", "both", "msa-cohort"])
-    def test_cohort_and_topk_need_asnorm(self, tmp_path, capsys, flags):
-        emb = tmp_path / "emb.bin"
-        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
-        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
-        code = main(["score", "--trials", str(trials), "--embeddings", str(emb), *flags])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: --cohort and --topk need --asnorm\n"
 
     def test_cohort_config_keys_are_silent_without_asnorm(self, tmp_path, capsys):
         # commands share one config, so its cohort and top_k stay unread here
@@ -615,13 +710,13 @@ class TestEmbedScoreEvaluate:
         assert code == 0
         assert capsys.readouterr() == ("a b 0.000000000\n", "")
 
-    @pytest.mark.parametrize("flags", [[], ["--asnorm", "--topk", "1"], ["--msa"]],
+    @pytest.mark.parametrize("flags", [[], ["--asnorm"], ["--msa"]],
                              ids=["raw", "asnorm", "msa"])
     def test_missing_trial_id_names_store(self, tmp_path, capsys, flags):
         emb = tmp_path / "emb.bin"
         write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
         if "--asnorm" in flags:
-            flags = flags + ["--cohort", str(emb)]
+            flags = flags + ["--config", str(write_config(tmp_path / "p.cfg", cohort=emb, top_k=2))]
         trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["ghost"]))
         code = main(["score", "--trials", str(trials), "--embeddings", str(emb), *flags])
         captured = capsys.readouterr()
@@ -639,9 +734,10 @@ class TestEmbedScoreEvaluate:
             EmbeddingStore([f"c{i}" for i in range(5)], np.tile(vectors[1], (5, 1))), cohort
         )
         trials = write_trials(tmp_path / "t.txt", TrialList(["spkA"], ["spkB"]))
+        config = write_config(tmp_path / "p.cfg", cohort=cohort, top_k=3)
         code = main(
             ["score", "--trials", str(trials), "--embeddings", str(emb),
-             "--asnorm", "--cohort", str(cohort), "--topk", "3"]
+             "--asnorm", "--config", str(config)]
         )
         captured = capsys.readouterr()
         assert code == 2
@@ -649,37 +745,20 @@ class TestEmbedScoreEvaluate:
         assert captured.err == (f"error: {cohort}: degenerate cohort for embedding 'spkA': "
                                 "top-3 scores have std 0 (all nearly identical)\n")
 
-    @pytest.mark.parametrize("topk", ["0", "-2"])
-    def test_bad_topk_is_named_as_the_flag(self, tmp_path, capsys, topk):
-        emb, cohort = tmp_path / "emb.bin", tmp_path / "cohort.bin"
-        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
-        write_embeddings_file(EmbeddingStore(["c0", "c1"], np.eye(2)), cohort)
-        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
-        code = main(["score", "--trials", str(trials), "--embeddings", str(emb),
-                     "--asnorm", "--cohort", str(cohort), "--topk", topk])
-        assert code == 2
-        assert capsys.readouterr() == ("", "error: --topk must be >= 1\n")
-
-    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
-    def test_cohort_smaller_than_k_names_the_cohort(self, tmp_path, capsys, from_config):
+    @pytest.mark.parametrize("keys, k", [({"top_k": 4}, 4), ({}, 100)], ids=["config", "default"])
+    def test_cohort_smaller_than_k_names_the_cohort(self, tmp_path, capsys, keys, k):
         emb, cohort = tmp_path / "emb.bin", tmp_path / "cohort.bin"
         write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
         write_embeddings_file(
             EmbeddingStore(["c0", "c1", "c2"], [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]), cohort)
         trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
         out = tmp_path / "out.txt"
-        argv = ["score", "--trials", str(trials), "--embeddings", str(emb), "--asnorm",
-                "--cohort", str(cohort), "--output", str(out)]
-        if from_config:
-            config = tmp_path / "p.cfg"
-            config.write_text("top_k = 4\n", encoding="utf-8")
-            argv += ["--config", str(config)]
-        else:
-            argv += ["--topk", "4"]
-        code = main(argv)
+        config = write_config(tmp_path / "p.cfg", cohort=cohort, **keys)
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb), "--asnorm",
+                     "--config", str(config), "--output", str(out)])
         assert code == 2
         assert capsys.readouterr() == (
-            "", f"error: {cohort}: cohort has 3 vectors, need at least k=4\n")
+            "", f"error: {cohort}: cohort has 3 vectors, need at least k={k}\n")
         assert not out.exists()
 
     def test_store_header_count_is_data_error(self, tmp_path, capsys):
@@ -761,6 +840,22 @@ class TestEmbed:
         # each distinct offset is embedded once: 1 + 5 + 1 + 3 segments
         assert [len(read_wav(p)) for p in wavs.values()] == [40000, 120000, 96000, 96002]
         assert len(calls) == distinct == (10 if flags else 4)
+
+    def test_config_seed_sets_the_embed_stream(self, tmp_path, capsys):
+        wav = tone_wav(tmp_path / "u.wav", 440)
+        wav_list = tmp_path / "utts.txt"
+        wav_list.write_text(f"u {wav}\n", encoding="utf-8")
+        outputs = []
+        for seed in (3, 4):
+            config = write_config(tmp_path / "p.cfg", seed=seed)
+            out, want = tmp_path / f"e{seed}.bin", tmp_path / f"want{seed}.bin"
+            assert main(["embed", "--wav-list", str(wav_list), "--config", str(config),
+                         "--output", str(out)]) == 0
+            vector = embed_waveform(read_wav(wav), seed=stage_seed(seed, "embed"))
+            write_embeddings_file(EmbeddingStore(["u"], [vector]), want)
+            assert out.read_bytes() == want.read_bytes()
+            outputs.append(out.read_bytes())
+        assert outputs[0] != outputs[1]
 
     def test_id_too_long_for_emb1_leaves_no_output(self, tmp_path, capsys):
         good = tone_wav(tmp_path / "good.wav", 440)
@@ -864,6 +959,8 @@ class TestEmbed:
              "top_k must be an integer, got 'x'"),
             ("doubling = maybe", ["schedule-dump", "--steps", "3"],
              "doubling must be a boolean, got 'maybe'"),
+            ("top_k = 1", ["score", "--asnorm", "--trials", "t", "--embeddings", "e"],
+             "top_k must be >= 2, got 1"),
         ],
     )
     def test_config_type_error_names_file(self, tmp_path, capsys, line, argv, message):
@@ -942,11 +1039,14 @@ class TestEvaluateFixture:
         assert captured.err == f"error: costs must be finite and positive, got {name} {float(value)}\n"
 
 
+def without_labels(trial_list):
+    return TrialList(trial_list.ids[trial_list.enroll], trial_list.ids[trial_list.test])
+
+
 class TestFuse:
     def write_score_file(self, path, trials, values):
-        lines = [
-            f"{e} {t} {v:.9f}" for e, t, v in zip(*trials.pair_ids(), values)
-        ]
+        ids = trials.ids
+        lines = [f"{e} {t} {v:.9f}" for e, t, v in zip(ids[trials.enroll], ids[trials.test], values)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
@@ -978,9 +1078,7 @@ class TestFuse:
         fields = model.read_text().split()
         assert len(fields) == 3
 
-        unlabeled = write_trials(
-            tmp_path / "t2.txt", TrialList(*trial_list.pair_ids())
-        )
+        unlabeled = write_trials(tmp_path / "t2.txt", without_labels(trial_list))
         capsys.readouterr()
         code = main(
             [
@@ -991,7 +1089,7 @@ class TestFuse:
             ]
         )
         assert code == 0
-        applied = parse_scores(capsys.readouterr().out, TrialList(*trial_list.pair_ids()))
+        applied = parse_scores(capsys.readouterr().out, without_labels(trial_list))
         fitted = parse_scores(fused_out.read_text(), trial_list)
         assert np.allclose(applied.scores, fitted.scores, atol=1e-12)
 
@@ -1072,9 +1170,7 @@ class TestFuse:
         trial_list = TrialList([f"e{i % 3}" for i in range(6)], [f"t{i}" for i in range(6)],
                                [bool(i % 2) for i in range(6)])
         labeled = write_trials(tmp_path / "labeled.txt", trial_list)
-        unlabeled = write_trials(
-            tmp_path / "unlabeled.txt", TrialList(*trial_list.pair_ids())
-        )
+        unlabeled = write_trials(tmp_path / "unlabeled.txt", without_labels(trial_list))
         s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, np.linspace(-1, 1, 6))
         s2 = self.write_score_file(tmp_path / "s2.txt", trial_list, np.cos(np.arange(6)))
         model = tmp_path / "m.txt"
@@ -1250,7 +1346,8 @@ class TestStreamedOutput:
             write_trials(inputs / "t.txt", TrialList(["u0", "u2"], ["u1", "ghost"]))
         else:  # a cohort of another dimension
             write_embeddings_file(EmbeddingStore(["c0", "c1"], np.eye(2)), inputs / "cohort.bin")
-            argv += ["--asnorm", "--cohort", str(inputs / "cohort.bin"), "--topk", "1"]
+            config = write_config(inputs / "p.cfg", cohort="cohort.bin", top_k=2)
+            argv += ["--asnorm", "--config", str(config)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
@@ -1282,6 +1379,7 @@ class TestTextInputs:
         (tmp_path / "scores.txt").write_text("a b 0.5\na c 0.1\n", encoding="utf-8")
         (tmp_path / "model.txt").write_text("0.0 1.0\n", encoding="utf-8")
         (tmp_path / "bad.txt").write_bytes(b"a \xff\n")
+        write_config(tmp_path / "bank.cfg", noise_manifest="bad.txt")
         tone_wav(tmp_path / "in.wav", 440)
         return {p.stem: str(p) for p in tmp_path.iterdir()} | {"out": str(tmp_path / "o")}
 
@@ -1295,7 +1393,7 @@ class TestTextInputs:
                         "--model", "model"]),
             ("model", ["fuse", "--trials", "pairs", "--scores", "scores", "--model", "bad"]),
             ("wav list", ["embed", "--wav-list", "bad", "--output", "out"]),
-            ("manifest", ["augment", "--wav", "in", "--manifest", "bad", "--output", "out"]),
+            ("manifest", ["augment", "--wav", "in", "--config", "bank", "--output", "out"]),
             ("config", ["features", "--wav", "in", "--config", "bad", "--output", "out"]),
             ("config", ["schedule-dump", "--config", "bad", "--steps", "3"]),
         ],
@@ -1323,7 +1421,8 @@ class TestTextInputs:
         manifest = tmp_path / "bank.txt"
         manifest.write_text("noise gone.wav\n", encoding="utf-8")
         wav = tone_wav(tmp_path / "in.wav", 440)
-        code = main(["augment", "--wav", str(wav), "--manifest", str(manifest),
+        config = write_config(tmp_path / "p.cfg", noise_manifest=manifest)
+        code = main(["augment", "--wav", str(wav), "--config", str(config),
                      "--output", str(tmp_path / "o.wav")])
         captured = capsys.readouterr()
         assert code == 2
@@ -1358,8 +1457,8 @@ class TestTextInputs:
         out = tmp_path / "out.bin"
         argv = {
             "embed": ["embed", "--wav-list", str(listing), "--output", str(out)],
-            "augment": ["augment", "--wav", str(wav), "--manifest", str(listing),
-                        "--output", str(out), "--seed", str(seed)],
+            "augment": ["augment", "--wav", str(wav), "--output", str(out), "--config",
+                        str(write_config(tmp_path / "p.cfg", noise_manifest=listing, seed=seed))],
         }[command]
         capsys.readouterr()
         code = main(argv)
@@ -1546,7 +1645,8 @@ class TestMutatedText:
         out.unlink(missing_ok=True)
         argv = ["score", "--trials", str(trials), "--embeddings", str(emb), "--output", str(out)]
         if target == "cohort":
-            argv += ["--asnorm", "--cohort", str(cohort), "--topk", "3"]
+            argv += ["--asnorm",
+                     "--config", str(write_config(tmp_path / "p.cfg", cohort=cohort, top_k=3))]
         capsys.readouterr()
         code = main(argv)
         captured = capsys.readouterr()
@@ -1585,8 +1685,8 @@ class TestMutatedWav:
         good = victim.read_bytes()
         victim.write_bytes(mutate(good, edits))
         out.unlink(missing_ok=True)
-        augment = ["augment", "--wav", str(wav), "--manifest", str(tmp_path / "bank.txt"),
-                   "--seed", "1"]
+        config = write_config(tmp_path / "p.cfg", noise_manifest="bank.txt", seed=1)
+        augment = ["augment", "--wav", str(wav), "--config", str(config)]
         argv = {
             "features": ["features", "--wav", str(wav)],
             "augment": augment,

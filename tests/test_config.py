@@ -57,7 +57,7 @@ INVALID_VALUES = {
     "cmn": "maybe",
     "noise_manifest": "missing.txt",
     "cohort": "missing.bin",
-    "top_k": "0",
+    "top_k": "1",
     "n_segments": "0",
     "segment_duration": "0",
     "seed": "-1",
@@ -390,8 +390,8 @@ class TestKeyTables:
 
     def test_value_error_reported_before_missing_file(self, tmp_path):
         cfg_file = tmp_path / "pipeline.cfg"
-        cfg_file.write_text("cohort = missing.bin\ntop_k = 0\n")
-        with pytest.raises(ConfigError, match="top_k must be >= 1"):
+        cfg_file.write_text("cohort = missing.bin\ntop_k = 1\n")
+        with pytest.raises(ConfigError, match="top_k must be >= 2, got 1"):
             load_pipeline_config(cfg_file)
 
 

@@ -106,12 +106,14 @@ def test_traced_asnorm_msa_score_calls_cohort_stats_once(trace, tmp_path):
                           tmp_path / "cohort.bin")
     trials = tmp_path / "trials.txt"
     trials.write_text("".join(f"{a} {b}\n" for a in utts for b in utts if a < b), encoding="utf-8")
+    config = tmp_path / "cohort.cfg"
+    config.write_text("cohort = cohort.bin\ntop_k = 5\n", encoding="utf-8")
     tracer = trace.Tracer()
     tracer.install()
     try:
         code = main(["score", "--asnorm", "--msa", "--trials", str(trials),
                      "--embeddings", str(tmp_path / "seg.bin"),
-                     "--cohort", str(tmp_path / "cohort.bin"), "--topk", "5",
+                     "--config", str(config),
                      "--output", str(tmp_path / "scores.txt")])
     finally:
         tracer.uninstall()

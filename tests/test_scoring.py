@@ -648,7 +648,8 @@ class TestScoreTrials:
         asnorm = score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=10).scores
         msa = score_trials(trials, segments, mode="msa").scores
         msa_asnorm = score_trials(trials, segments, mode="msa", cohort=cohort, top_k=10).scores
-        for k, (enroll_id, test_id) in enumerate(zip(*trials.pair_ids())):
+        ids = trials.ids
+        for k, (enroll_id, test_id) in enumerate(zip(ids[trials.enroll], ids[trials.test])):
             e, x = store.vectors[store.row_index([enroll_id, test_id])]
             assert raw[k] == cosine_score(e, x)
             mean_e, std_e = cohort_stats(e[None], cohort, 10)
@@ -731,7 +732,7 @@ class TestAsnormOverMsa:
         trials = TrialList([utts[i] for i in pairs[:, 0]], [utts[j] for j in pairs[:, 1]])
         got = score_trials(trials, segments, mode="msa", cohort=cohort, top_k=10).scores
         cohort_rows = cohort.vectors.tolist()
-        for score, enroll_id, test_id in zip(got, *trials.pair_ids()):
+        for score, enroll_id, test_id in zip(got, trials.ids[trials.enroll], trials.ids[trials.test]):
             seg_e, seg_t = (segments.vectors[segments.row_index(
                                 [segment_id(u, i) for i in range(n_segments)])].tolist()
                             for u in (enroll_id, test_id))

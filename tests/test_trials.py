@@ -106,7 +106,7 @@ class TestParseTrials:
         assert len(tl) == 2
         assert tl.labeled
         assert tl.labels().tolist() == [True, False]
-        assert [ids[0] for ids in tl.pair_ids()] == ["a.wav", "b.wav"]
+        assert [tl.ids[tl.enroll[0]], tl.ids[tl.test[0]]] == ["a.wav", "b.wav"]
 
     def test_unlabeled_single_line(self):
         tl = parse_trials("a.wav b.wav", labeled=False)
@@ -133,7 +133,7 @@ class TestParseTrials:
 
     def test_ids_with_slashes_are_opaque(self):
         tl = parse_trials("1 id1/x/00001.wav id2/y/00002.wav", labeled=True)
-        assert tl.pair_ids()[0][0] == "id1/x/00001.wav"
+        assert tl.ids[tl.enroll[0]] == "id1/x/00001.wav"
 
     def test_roundtrip_preserves_order_and_labels(self):
         text = "1 a b\n0 c d\n1 e f\n"
@@ -178,7 +178,7 @@ class TestTrialListConstructor:
         labels = [y for _, _, y in rows] if labeled else None
         tl = TrialList(enroll, test, labels)
         assert parse_trials(trial_text(tl), labeled) == tl
-        assert [ids.tolist() for ids in tl.pair_ids()] == [enroll, test]
+        assert [tl.ids[tl.enroll].tolist(), tl.ids[tl.test].tolist()] == [enroll, test]
         assert tl.ids.tolist() == first_seen(list(zip(enroll, test)))
         if labeled and rows:
             assert tl.labels().tolist() == labels
@@ -745,7 +745,7 @@ def check_trials(text, labeled):
         assert str(info.value) == str(rejected)
         return
     tl = parse_trials(text, labeled)
-    enroll, test = tl.pair_ids()
+    enroll, test = tl.ids[tl.enroll], tl.ids[tl.test]
     assert list(zip(enroll.tolist(), test.tolist())) == pairs
     assert tl.ids.tolist() == first_seen(pairs)
     assert tl.enroll.dtype == tl.test.dtype == np.intp
@@ -755,7 +755,7 @@ def check_trials(text, labeled):
 
 
 def check_scores(text, trials):
-    expected = list(zip(*(ids.tolist() for ids in trials.pair_ids())))
+    expected = list(zip(trials.ids[trials.enroll].tolist(), trials.ids[trials.test].tolist()))
     try:
         pairs, scores, _ = reference_scores(text, expected)
     except Rejected as rejected:
@@ -961,7 +961,8 @@ EDGE_SCORES += [2.225073858507201e-308, -1e-310, 1e-320, -5e-324]  # subnormals
 
 
 def expected_score_text(tl, scores):
-    return "".join(f"{e} {t} {format_score(s)}\n" for e, t, s in zip(*tl.pair_ids(), scores))
+    return "".join(f"{e} {t} {format_score(s)}\n"
+                   for e, t, s in zip(tl.ids[tl.enroll], tl.ids[tl.test], scores))
 
 
 class TestScoreText:
