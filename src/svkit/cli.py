@@ -31,7 +31,7 @@ from .fusion import (
 )
 from .metrics import DcfConfig, evaluate_scores
 from .model import embed_waveform, plan_shapes
-from .scoring import DegenerateCohort, extract_segments, score_trials, segment_id, segment_plan
+from .scoring import CohortError, extract_segments, score_trials, segment_id, segment_plan
 from .schedule import dump_schedule
 from .selftest import run_selftest
 from .trials import (
@@ -155,12 +155,9 @@ def cmd_score(args) -> int:
         if cfg.cohort is None:
             raise UsageError("asnorm scoring needs a cohort config entry")
         cohort = read_embeddings_file(cfg.cohort, "cohort")
-        if len(cohort) < cfg.top_k:
-            raise ValueError(f"{cfg.cohort}: cohort has {len(cohort)} vectors, "
-                             f"need at least k={cfg.top_k}")
-    try:  # a scoring error (an id missing from the store, say) names the store
+    try:  # a cohort fault names the cohort, any other (a missing id, say) the store
         result = score_trials(trials, store, mode=mode, cohort=cohort, top_k=cfg.top_k)
-    except DegenerateCohort as exc:
+    except CohortError as exc:
         raise ValueError(f"{cfg.cohort}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{args.embeddings}: {exc}") from None
@@ -192,13 +189,17 @@ def cmd_evaluate(args) -> int:
 def cmd_fuse(args) -> int:
     if not args.fit_labels and not args.model:
         raise UsageError("fuse needs --fit-labels (to fit) or --model (to apply)")
+    if args.l2 is not None and not args.fit_labels:
+        raise UsageError("--l2 needs --fit-labels: it is the fit's weight penalty")
+    if args.l2 is not None and not (np.isfinite(args.l2) and args.l2 >= 0):
+        raise UsageError(f"--l2 must be finite and >= 0, got {args.l2:g}")
     # applying a model takes a labeled or an unlabeled list: its first non-blank line decides
     trials = (_labeled_trials(args.trials) if args.fit_labels
               else parse_file(args.trials, "trials", parse_trials, None))
     matrix = stack_scores([parse_file(p, "scores", parse_scores, trials) for p in args.scores])
     with ExitStack() as written:  # a failure below removes the model file too
         if args.fit_labels:
-            model = fit_fusion(matrix, trials.labels(), l2=args.l2)
+            model = fit_fusion(matrix, trials.labels(), **({} if args.l2 is None else {"l2": args.l2}))
             if args.model:
                 written.enter_context(output_file(args.model, "w")).write(
                     serialize_fusion_model(model))
@@ -287,7 +288,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scores", nargs="+", required=True, metavar="SCORES")
     p.add_argument("--fit-labels", action="store_true", help="fit weights on labeled trials")
     p.add_argument("--model", help="model file to write (with --fit-labels) or read")
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--l2", type=float, help="weight penalty of the fit (default 1e-4)")
     p.add_argument("--output")
     p.set_defaults(func=cmd_fuse)
 

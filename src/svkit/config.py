@@ -23,7 +23,7 @@ from .augment import AugmentPolicy
 from .features import FeatureConfig
 from .schedule import CosineRestartConfig
 from .scoring import MAX_N_SEGMENTS
-from .trials import read_text, require_file
+from .trials import read_text
 
 # a RIFF header stores the sample rate in 32 bits
 MAX_SAMPLE_RATE = 2**32 - 1
@@ -192,20 +192,16 @@ def load_pipeline_config(path) -> PipelineConfig:
     """Parse, type-check, and range-check a pipeline config file.
 
     Referenced files (the `str | None` fields: noise manifest, cohort
-    embeddings) must exist at load time; paths are resolved relative to
-    the config file and stored resolved.
+    embeddings) are resolved against the config's folder and stored
+    resolved, but not opened: the command that reads a file checks it, so
+    a config may name a file that an earlier stage has yet to write.
     """
     path = Path(path)
     cfg = _load(path, PipelineConfig, _PIPELINE_KEYS, "config")
-    resolved = {}
-    for key, (_, parse) in _PIPELINE_KEYS.items():
-        ref = getattr(cfg, key) if parse is str else None
-        if ref is not None:
-            try:  # an absolute ref replaces the base
-                resolved[key] = str(require_file(path.parent / ref, key))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-    return replace(cfg, **resolved)
+    # an absolute ref replaces the base
+    return replace(cfg, **{key: str(path.parent / getattr(cfg, key))
+                           for key, (_, parse) in _PIPELINE_KEYS.items()
+                           if parse is str and getattr(cfg, key) is not None})
 
 
 def load_schedule_config(path) -> CosineRestartConfig:

@@ -43,8 +43,9 @@ COHORT_BLOCK = 32
 MAX_N_SEGMENTS = 32
 
 
-class DegenerateCohort(ValueError):
-    """A row's top-K cohort scores are too nearly identical to normalize by."""
+class CohortError(ValueError):
+    """A cohort that cannot normalize the rows: a dim other than theirs, fewer
+    than K vectors, or a row whose top-K scores are too nearly identical."""
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,7 +103,8 @@ def cohort_stats(
     float64 arrays of length n; a row of segments scores as its
     `segment_means` row. Errors name row i as label(i); the rows are checked
     here, and the cohort, an EmbeddingStore, is unit-norm by construction.
-    Rows given as `MeanRows` are already checked means, read block by block.
+    Rows given as `MeanRows` are already checked means, read block by block;
+    a fault of the cohort itself is a CohortError.
 
     Every block, a single row included, is one gemm of fixed shape: rows
     zero-padded to COHORT_BLOCK, against the cohort's `padded` array, whose
@@ -119,7 +121,7 @@ def cohort_stats(
         rows = np.asarray(rows, dtype=np.float64)
         means, shape = None, rows.shape
     if len(shape) not in (2, 3) or shape[-1] != cohort.dim:
-        raise ValueError(f"embedding stack shape {shape} does not match cohort dim {cohort.dim}")
+        raise CohortError(f"embedding stack shape {shape} does not match cohort dim {cohort.dim}")
     if means is None:
         means = MeanRows(segment_means(rows if rows.ndim == 3 else rows[:, None], label),
                          np.arange(len(rows)))
@@ -127,7 +129,7 @@ def cohort_stats(
         raise ValueError(f"k must be >= 1, got {k}")
     n_cohort = len(cohort)
     if n_cohort < k:
-        raise ValueError(f"cohort has {n_cohort} vectors, need at least k={k}")
+        raise CohortError(f"cohort has {n_cohort} vectors, need at least k={k}")
     cut = n_cohort - k
     vectors, index = means.vectors, means.index
     blk = np.zeros((COHORT_BLOCK, cohort.dim))
@@ -150,7 +152,7 @@ def cohort_stats(
         std[s : s + n] = np.sqrt(np.mean((top - m[:, None]) ** 2, axis=1))
     bad = np.flatnonzero(~(std >= SIGMA_FLOOR))  # a NaN std is degenerate too
     if len(bad):
-        raise DegenerateCohort(
+        raise CohortError(
             f"degenerate cohort for {label(bad[0])}: top-{k} scores have std "
             f"{std[bad[0]]:.3g} (all nearly identical)"
         )
@@ -258,7 +260,7 @@ def score_trials(
     utterance with more, or n over MAX_N_SEGMENTS, is a ValueError.
     asnorm: raw, with a cohort required. With a cohort, each side is
     normalized by its top-K cohort scores (an MSA side's mean segment
-    vector's). A trial id missing from the store raises ValueError.
+    vector's). A missing trial id is a ValueError, a cohort fault a CohortError.
 
     The store is read through index arrays (`MeanRows`): a plain store's
     vectors are scored in place, and a segment store's means are formed

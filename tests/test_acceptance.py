@@ -521,8 +521,9 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
             write_tone(path, 260 + 130 * i, seed=i)
             sources.append(path)
         manifest = write_noise_manifest(tmp_path)
-        config = tmp_path / "pipeline.cfg"
-        config.write_text(f"seed = 11\nnoise_manifest = {manifest}\n", encoding="utf-8")
+        # one config for every stage: its cohort is the store that embed writes
+        # beside it, so it names a file that does not yet exist when augment runs
+        config_text = f"seed = 11\nnoise_manifest = {manifest}\ncohort = emb.bin\ntop_k = 4\n"
         pairs = [(f"u{i}", f"u{j}") for i in range(5) for j in range(5) if i < j]
         trials = tmp_path / "trials.txt"
         trials.write_text(trial_text(TrialList(*zip(*pairs))), encoding="utf-8")
@@ -530,6 +531,8 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
         for run in ("run1", "run2"):
             run_dir = tmp_path / run
             run_dir.mkdir()
+            config = run_dir / "pipeline.cfg"
+            config.write_text(config_text, encoding="utf-8")
             for i, src in enumerate(sources):
                 code = main(
                     [
@@ -554,15 +557,13 @@ def test_pipeline_reruns_byte_identical(tmp_path, reported):
                 ]
             )
             assert code == 0
-            # the cohort is the store just embedded, so its config comes after it
-            (run_dir / "score.cfg").write_text("cohort = emb.bin\ntop_k = 4\n", encoding="utf-8")
             code = main(
                 [
                     "score",
                     "--trials", str(trials),
                     "--embeddings", str(run_dir / "emb.bin"),
                     "--asnorm",
-                    "--config", str(run_dir / "score.cfg"),
+                    "--config", str(config),
                     "--output", str(run_dir / "scores.txt"),
                 ]
             )

@@ -745,6 +745,41 @@ class TestEmbedScoreEvaluate:
         assert captured.err == (f"error: {cohort}: degenerate cohort for embedding 'spkA': "
                                 "top-3 scores have std 0 (all nearly identical)\n")
 
+    def test_cohort_of_another_dim_names_the_cohort(self, tmp_path, capsys):
+        emb, cohort = tmp_path / "emb.bin", tmp_path / "cohort.bin"
+        write_embeddings_file(EmbeddingStore(["a", "b"], np.eye(2)), emb)
+        write_embeddings_file(EmbeddingStore(["c0", "c1", "c2"], np.eye(3)), cohort)
+        trials = write_trials(tmp_path / "t.txt", TrialList(["a"], ["b"]))
+        config = write_config(tmp_path / "p.cfg", cohort=cohort, top_k=2)
+        code = main(["score", "--trials", str(trials), "--embeddings", str(emb), "--asnorm",
+                     "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: {cohort}: embedding stack shape (2, 1, 2) does not match cohort dim 3\n")
+
+    def test_config_files_are_checked_by_their_reader(self, tmp_path, wav_dir, capsys):
+        # the config names a cohort and a noise bank that do not exist: the
+        # commands that never read them succeed, and each reader names its file
+        wav_list, emb, trials = self.setup_pipeline(tmp_path, wav_dir)
+        config = write_config(tmp_path / "p.cfg", cohort="absent.bin",
+                              noise_manifest="absent.txt", top_k=3)
+        wav, out = wav_dir / "u0.wav", tmp_path / "out"
+        for argv in (["features", "--wav", str(wav), "--output", str(out)],
+                     ["embed", "--wav-list", str(wav_list), "--output", str(emb)],
+                     ["score", "--trials", str(trials), "--embeddings", str(emb)]):
+            assert main([*argv, "--config", str(config)]) == 0
+        capsys.readouterr()
+        out.unlink()
+        for argv, message in (
+            (["score", "--asnorm", "--trials", str(trials), "--embeddings", str(emb)],
+             f"cohort file not found: {tmp_path / 'absent.bin'}"),
+            (["augment", "--wav", str(wav), "--output", str(out)],
+             f"manifest file not found: {tmp_path / 'absent.txt'}"),
+        ):
+            assert main([*argv, "--config", str(config)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("keys, k", [({"top_k": 4}, 4), ({}, 100)], ids=["config", "default"])
     def test_cohort_smaller_than_k_names_the_cohort(self, tmp_path, capsys, keys, k):
         emb, cohort = tmp_path / "emb.bin", tmp_path / "cohort.bin"
@@ -1223,6 +1258,41 @@ class TestFuse:
         s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.5, -0.5])
         assert main(["fuse", "--trials", str(trials), "--scores", str(s1)]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "m.txt", "--l2", "0.5"],
+         "--l2 needs --fit-labels: it is the fit's weight penalty"),
+        (["--fit-labels", "--l2", "-5"], "--l2 must be finite and >= 0, got -5"),
+        (["--fit-labels", "--l2", "nan"], "--l2 must be finite and >= 0, got nan"),
+        (["--fit-labels", "--l2", "inf"], "--l2 must be finite and >= 0, got inf"),
+    ], ids=["apply", "negative", "nan", "inf"])
+    def test_l2_only_fits_with_a_finite_non_negative_penalty(self, tmp_path, capsys, monkeypatch,
+                                                            flags, message):
+        monkeypatch.chdir(tmp_path)  # for the model file m.txt
+        trial_list = TrialList(["a", "a", "b", "b"], ["c", "d", "c", "d"],
+                               [True, False, False, True])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.9, 0.3, 0.4, 0.2])
+        (tmp_path / "m.txt").write_text("0.1 1.0\n", encoding="utf-8")
+        out = tmp_path / "fused.txt"
+        code = main(["fuse", "--trials", str(trials), "--scores", str(s1), "--output", str(out),
+                     *flags])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_l2_sets_the_fit_penalty(self, tmp_path, capsys):
+        trial_list = TrialList(["a", "a", "b", "b"], ["c", "d", "c", "d"],
+                               [True, False, False, True])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        s1 = self.write_score_file(tmp_path / "s1.txt", trial_list, [0.9, 0.3, 0.4, 0.2])
+        models = []
+        for flags in ([], ["--l2", "1e-4"], ["--l2", "0.5"]):
+            model = tmp_path / "m.txt"
+            assert main(["fuse", "--trials", str(trials), "--scores", str(s1), "--fit-labels",
+                         "--model", str(model), *flags]) == 0
+            models.append(model.read_text(encoding="utf-8"))
+        assert models[0] == models[1] != models[2]
+
     @settings(
         max_examples=200,
         deadline=None,
@@ -1508,6 +1578,8 @@ def wav_chunks(data: bytes) -> list[tuple[int, int]]:
 def mutate(data: bytes, edits) -> bytes:
     """`data` after each edit: ("cut", at) keeps the bytes before `at`,
     ("flip", at, bits) xors one byte, ("repeat", k) doubles line k,
+    ("drop", k) deletes it, ("key", k) doubles its first byte, ("value", k,
+    text) sets what follows its first "=" to " text" if it has one,
     ("crlf",) ends every line with "\\r\\n", ("field", at, fmt, value)
     packs `value` at offset `at` if the data holds it, ("record", k)
     doubles EMB1 record k and adds one to the header's count, and
@@ -1518,10 +1590,15 @@ def mutate(data: bytes, edits) -> bytes:
         elif kind == "flip" and data:
             at = where[0] % len(data)
             data = data[:at] + bytes([data[at] ^ where[1]]) + data[at + 1 :]
-        elif kind == "repeat" and data:
+        elif kind in ("repeat", "drop", "key", "value") and data:
             lines = data.splitlines(True)
             k = where[0] % len(lines)
-            data = b"".join(lines[: k + 1] + lines[k:])
+            key, eq, _ = lines[k].partition(b"=")
+            if kind == "value" and eq:
+                lines[k] = key + eq + b" " + where[1] + b"\n"
+            elif kind != "value":
+                lines[k] = {"repeat": lines[k] * 2, "drop": b"", "key": key[:1] + lines[k]}[kind]
+            data = b"".join(lines)
         elif kind == "crlf":
             data = data.replace(b"\n", b"\r\n")
         elif kind == "field" and len(data) >= where[0] + struct.calcsize(where[1]):
@@ -1545,6 +1622,15 @@ EDITS = st.lists(st.one_of(
     FLIP,
     st.tuples(st.just("repeat"), st.integers(0, 10)),
     st.tuples(st.just("crlf")),
+), min_size=1, max_size=3)
+# a config line dropped, repeated or given a misspelt key, or its value set
+# to 0, a negative, an overflowing float or non-ASCII (Arabic-Indic, fullwidth) digits
+CONFIG_VALUES = [b"0", b"-1", b"-2.5", b"1e309", "\u0661\u0666".encode(), "\uff11\uff10".encode()]
+CONFIG_EDITS = st.lists(st.one_of(
+    CUT,
+    FLIP,
+    st.tuples(st.sampled_from(["repeat", "drop", "key"]), st.integers(0, 10)),
+    st.tuples(st.just("value"), st.integers(0, 10), st.sampled_from(CONFIG_VALUES)),
 ), min_size=1, max_size=3)
 # EMB1's u32 dim and u64 count, each set to 0 or to its maximum
 EMB1_FIELDS = [("field", 4, "<I", 0), ("field", 4, "<I", 2**32 - 1),
@@ -1734,6 +1820,69 @@ class TestMutatedWav:
             assert len(err.splitlines()) == 1
             assert err.startswith("error: ")
             assert str(victim) in err
+
+
+class TestMutatedConfig:
+    """features, augment, embed (plain or --msa) and score --asnorm over a
+    pipeline config, and schedule-dump over a schedule config, with a key
+    dropped, repeated or misspelt, or a value cut, flipped, set to 0, a
+    negative, 1e309 or non-ASCII digits, keep the CLI contract: exit 0, 1
+    or 2, no traceback, at most one "error:" line, no --output file after a
+    failure."""
+
+    PIPELINE = (b"sample_rate = 16000\nn_mels = 40\ncmn = true\nnoise_manifest = bank.txt\n"
+                b"cohort = c.bin\ntop_k = 3\nn_segments = 3\nsegment_duration = 0.1\n"
+                b"seed = 5\np_noise = 0.5\n")
+    SCHEDULE = b"cycle0_steps = 10\nlr_max0 = 0.1\nlr_min = 0.001\ndecay = 0.5\ndoubling = false\n"
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(target=st.sampled_from(["features", "augment", "embed", "embed-msa", "score",
+                                   "schedule-dump"]),
+           edits=CONFIG_EDITS)
+    @example(target="score", edits=[("value", 5, b"7")])  # a cohort under top_k
+    @example(target="augment", edits=[("drop", 3)])  # no noise_manifest
+    def test_mutated_config_keeps_cli_contract(self, tmp_path, capsys, target, edits):
+        wav, out, config = tmp_path / "in.wav", tmp_path / "out", tmp_path / "p.cfg"
+        trials, emb = tmp_path / "t.txt", tmp_path / "e.bin"
+        if not wav.exists():
+            tone_wav(wav, 440, duration=0.25)
+            TestAugment().make_manifest(tmp_path)
+            (tmp_path / "utts.txt").write_text("u0 in.wav\nu1 noise.wav\n", encoding="utf-8")
+            write_trials(trials, TrialList(["a", "b"], ["c", "d"]))
+            rng = np.random.default_rng(0)  # generic unit vectors: no tied cohort scores
+            write_embeddings_file(EmbeddingStore(list("abcd"), unit_rows(rng, 4, 4)), emb)
+            write_embeddings_file(
+                EmbeddingStore([f"c{i}" for i in range(6)], unit_rows(rng, 6, 4)),
+                tmp_path / "c.bin")
+        schedule = target == "schedule-dump"
+        config.write_bytes(mutate(self.SCHEDULE if schedule else self.PIPELINE, edits))
+        out.unlink(missing_ok=True)
+        argv = {
+            "features": ["features", "--wav", str(wav)],
+            "augment": ["augment", "--wav", str(wav)],
+            "embed": ["embed", "--wav-list", str(tmp_path / "utts.txt")],
+            "embed-msa": ["embed", "--wav-list", str(tmp_path / "utts.txt"), "--msa"],
+            "score": ["score", "--asnorm", "--trials", str(trials), "--embeddings", str(emb)],
+            "schedule-dump": ["schedule-dump", "--steps", "20"],
+        }[target] + ["--config", str(config)] + ([] if schedule else ["--output", str(out)])
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        event(f"{target} exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert captured.err == ""
+            assert out.exists() or schedule
+        else:
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
+            assert not out.exists()
 
 
 class TestScheduleDump:

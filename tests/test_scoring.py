@@ -18,6 +18,7 @@ from svkit.model import length_normalize
 from svkit.scoring import (
     COHORT_BLOCK,
     MAX_N_SEGMENTS,
+    CohortError,
     SegmentPlan,
     TRIAL_CHUNK,
     asnorm_score,
@@ -153,15 +154,21 @@ class TestCohortStats:
         e = unit(np.append(1.0, np.zeros(3)))
         copies = np.tile(e, (5, 1))
         cohort = EmbeddingStore([f"c{i}" for i in range(5)], copies)
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(CohortError, match="degenerate"):
             cohort_stats(e[None], cohort, k=3)
 
     def test_cohort_smaller_than_k_rejected(self):
         rng = np.random.default_rng(5)
         e = length_normalize(rng.standard_normal(4))
         cohort = EmbeddingStore(["a", "b"], random_units(rng, 2, 4))
-        with pytest.raises(ValueError, match="cohort has 2"):
+        with pytest.raises(CohortError, match="cohort has 2"):
             cohort_stats(e[None], cohort, k=3)
+
+    def test_cohort_of_another_dim_rejected(self):
+        rng = np.random.default_rng(6)
+        cohort = make_store(rng, ["a", "b", "c"], dim=3)
+        with pytest.raises(CohortError, match=r"shape \(2, 4\) does not match cohort dim 3"):
+            cohort_stats(random_units(rng, 2, 4), cohort, k=2)
 
     def test_single_vector_rejected(self):
         rng = np.random.default_rng(21)
