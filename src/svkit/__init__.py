@@ -3,12 +3,12 @@
 Trial and embedding I/O, log-Mel features, audio augmentation, margin-loss
 and pooling math with analytic gradients, cosine/AS-Norm/MSA scoring,
 EER/minDCF metrics, logistic-regression fusion, and a pipeline CLI.
-"""
 
-from .features import MEL_MAGIC
-from .trials import EMB_MAGIC
+Importing the package loads no submodule and no numpy, so `svkit
+--version` reads the version and the file magics from here alone.
+"""
 
 __version__ = "0.1.0"
 
-EMB_FORMAT_VERSION = EMB_MAGIC.decode()
-MEL_FORMAT_VERSION = MEL_MAGIC.decode()
+EMB_MAGIC = b"EMB1"  # the embedding store (trials.write_embeddings)
+MEL_MAGIC = b"MEL1"  # the feature dump (features.write_mel)

@@ -10,42 +10,22 @@ fixed config reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
-import numpy as np
+from . import EMB_MAGIC, MEL_MAGIC, __version__
 
-from . import EMB_FORMAT_VERSION, MEL_FORMAT_VERSION, __version__
-from .augment import NoiseBank, apply_policy
-from .config import PipelineConfig, load_pipeline_config, load_schedule_config, stage_seed
-from .features import read_wav, write_mel, write_wav, apply_cmn, compute_logmel
-from .fusion import (
-    fit_fusion,
-    fuse,
-    parse_fusion_model,
-    serialize_fusion_model,
-    stack_scores,
-)
-from .metrics import DcfConfig, evaluate_scores
-from .model import embed_waveform, plan_shapes
-from .scoring import CohortError, extract_segments, score_trials, segment_id, segment_plan
-from .schedule import dump_schedule
-from .selftest import run_selftest
-from .trials import (
-    EmbeddingStore,
-    TrialList,
-    output_file,
-    parse_file,
-    parse_scores,
-    parse_trials,
-    read_embeddings_file,
-    read_path_list,
-    score_text_chunks,
-    write_embeddings_file,
-)
+# Each command imports the svkit modules it runs when it is called, so a
+# command loads only its own layers and `--version` loads no numpy.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .config import PipelineConfig
+    from .trials import TrialList
 
 
 class UsageError(Exception):
@@ -58,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> PipelineConfig:
+    from .config import PipelineConfig, load_pipeline_config
+
     if getattr(args, "config", None):
         return load_pipeline_config(args.config)
     return PipelineConfig()
@@ -69,6 +51,8 @@ def _emit(chunks: Iterable[str], output) -> None:
     A failure part-way through removes the output file, so a failed command
     leaves none; an exception that is not a data or I/O error is reported
     as a data error naming the file."""
+    from .trials import output_file
+
     if not output:
         sys.stdout.writelines(chunks)
         return
@@ -82,6 +66,9 @@ def _emit(chunks: Iterable[str], output) -> None:
 
 
 def cmd_features(args) -> int:
+    from .features import apply_cmn, compute_logmel, read_wav, write_mel
+    from .trials import output_file
+
     cfg = _load_config(args)
     wav = read_wav(args.wav, expected_rate=cfg.sample_rate)
     try:  # a wav shorter than one window, say
@@ -97,6 +84,12 @@ def cmd_features(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    import numpy as np
+
+    from .augment import NoiseBank, apply_policy
+    from .config import stage_seed
+    from .features import read_wav, write_wav
+
     cfg = _load_config(args)
     if cfg.noise_manifest is None:
         raise UsageError("augment needs a noise_manifest config entry")
@@ -113,6 +106,12 @@ def cmd_augment(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .config import stage_seed
+    from .features import read_wav
+    from .model import embed_waveform
+    from .scoring import extract_segments, segment_id, segment_plan
+    from .trials import EmbeddingStore, read_path_list, write_embeddings_file
+
     cfg = _load_config(args)
     entries = read_path_list(args.wav_list, "wav list")
     if not entries:
@@ -145,6 +144,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .scoring import CohortError, score_trials
+    from .trials import parse_file, parse_trials, read_embeddings_file, score_text_chunks
+
     cfg = _load_config(args)
     # without --labeled the first non-blank line decides the trial form
     trials = parse_file(args.trials, "trials", parse_trials, True if args.labeled else None)
@@ -168,6 +170,8 @@ def cmd_score(args) -> int:
 def _labeled_trials(path) -> TrialList:
     """The labeled trial list of a file, which must hold a target and a
     nontarget trial: an empty list is unlabeled, so it is named as what it is."""
+    from .trials import parse_file, parse_trials
+
     trials = parse_file(path, "trials", parse_trials, True)
     if not len(trials):
         raise ValueError(f"{path}: no trials")
@@ -177,6 +181,9 @@ def _labeled_trials(path) -> TrialList:
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import DcfConfig, evaluate_scores
+    from .trials import parse_file, parse_scores
+
     trials = _labeled_trials(args.trials)
     scores = parse_file(args.scores, "scores", parse_scores, trials)
     cfg = DcfConfig(p_target=args.p_target, c_miss=args.c_miss, c_fa=args.c_fa)
@@ -187,11 +194,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from .fusion import fit_fusion, fuse, parse_fusion_model, serialize_fusion_model, stack_scores
+    from .trials import output_file, parse_file, parse_scores, parse_trials, score_text_chunks
+
     if not args.fit_labels and not args.model:
         raise UsageError("fuse needs --fit-labels (to fit) or --model (to apply)")
     if args.l2 is not None and not args.fit_labels:
         raise UsageError("--l2 needs --fit-labels: it is the fit's weight penalty")
-    if args.l2 is not None and not (np.isfinite(args.l2) and args.l2 >= 0):
+    if args.l2 is not None and not (math.isfinite(args.l2) and args.l2 >= 0):
         raise UsageError(f"--l2 must be finite and >= 0, got {args.l2:g}")
     # applying a model takes a labeled or an unlabeled list: its first non-blank line decides
     trials = (_labeled_trials(args.trials) if args.fit_labels
@@ -213,6 +223,9 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_schedule_dump(args) -> int:
+    from .config import load_schedule_config
+    from .schedule import dump_schedule
+
     cfg = load_schedule_config(args.config)
     for step, lr, cycle in dump_schedule(cfg, args.steps):
         print(f"{step} {lr:.10e} {cycle}")
@@ -220,6 +233,8 @@ def cmd_schedule_dump(args) -> int:
 
 
 def cmd_shapes(args) -> int:
+    from .model import plan_shapes
+
     shapes = plan_shapes(args.variant, mel_bins=args.mel_bins, frames=args.frames)
     for i, (f, t) in enumerate(shapes, start=1):
         print(f"stage{i} {f} {t}")
@@ -227,6 +242,8 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest()
     for name, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
@@ -242,7 +259,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"svkit {__version__} formats {EMB_FORMAT_VERSION} {MEL_FORMAT_VERSION}",
+        version=f"svkit {__version__} formats {EMB_MAGIC.decode()} {MEL_MAGIC.decode()}",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -310,6 +327,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code. The in-process API: it leaves the
+    interpreter running, and every output file it wrote closed."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -330,15 +349,37 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader is gone: fd 1 to devnull, so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        print("error: <stdout>: broken pipe", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _data_error(exc)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _data_error(exc: Exception) -> int:
+    """Report a data or I/O error on stderr; its exit code, 2."""
+    reason = "<stdout>: broken pipe" if isinstance(exc, BrokenPipeError) else exc
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
+
+
+def run() -> NoReturn:
+    """The `svkit` command and `python -m svkit`: end the process with
+    main's exit code, skipping interpreter teardown.
+
+    Teardown frees modules and numpy (about 30 ms) and flushes the standard
+    streams; every output file is closed before main returns, so only the
+    flush is done here. It can fail only on text main left buffered: that
+    of --version or --help, which fails the run, or the partial output of a
+    command that has already reported its own error. A stream whose file
+    descriptor was closed when the process started is None."""
+    code = main()
+    try:
+        if sys.stdout:
+            sys.stdout.flush()
+    except OSError as exc:
+        if not code:
+            code = _data_error(exc)
+    try:
+        if sys.stderr:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to say so
+    os._exit(code)

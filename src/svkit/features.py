@@ -18,9 +18,9 @@ from typing import BinaryIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import MEL_MAGIC
 from .trials import output_file, require_file
 
-MEL_MAGIC = b"MEL1"
 # upper bounds on the FFT size and filter count, so a config value cannot
 # size the filterbank (n_mels x (n_fft/2 + 1) float64, at most 34 MB)
 MAX_N_FFT = 1 << 15

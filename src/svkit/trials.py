@@ -21,7 +21,8 @@ from typing import BinaryIO, Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
-EMB_MAGIC = b"EMB1"
+from . import EMB_MAGIC
+
 NORM_TOL = 1e-6  # on an embedding's L2 norm; rounding to float32 moves it under 1e-7
 # float32 vector bytes an EMB1 read stages before decoding them to float64
 _STAGE_BYTES = 1 << 16

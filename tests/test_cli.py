@@ -4,6 +4,7 @@ import contextlib
 import os
 import struct
 import subprocess
+import re
 import sys
 import tracemalloc
 import wave
@@ -79,13 +80,29 @@ def run_child(code, cwd=None):
                           check=True, env=CHILD_ENV, cwd=cwd).stdout
 
 
-def run_svkit(argv, cwd, stdout=subprocess.DEVNULL, env=CHILD_ENV):
-    """(exit code, stderr) of `python -m svkit argv` in a new interpreter
-    that imports this svkit, run in `cwd` with its stdout sent to `stdout`;
-    the exit code is returned, not checked."""
+def run_svkit(argv, cwd, stdout=subprocess.PIPE, env=CHILD_ENV):
+    """(exit code, stdout bytes, stderr text) of `python -m svkit argv` in
+    a new interpreter that imports this svkit, run in `cwd` with its stdout
+    sent to `stdout` (None is returned for it unless that is a pipe read
+    here); the exit code is returned, not checked."""
     done = subprocess.run([sys.executable, "-m", "svkit", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env, cwd=cwd)
-    return done.returncode, done.stderr
+                          stderr=subprocess.PIPE, env=env, cwd=cwd)
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+def run_to_closed_pipe(argv, cwd, buffered=True):
+    """(exit code, stderr) of `python -m svkit argv` whose stdout is a pipe
+    with no reader left, its stdout buffered or not."""
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        code, _, err = run_svkit(argv, cwd, stdout=write_end, env=env)
+    finally:
+        os.close(write_end)
+    return code, err
 
 
 class TestTopLevel:
@@ -108,7 +125,7 @@ class TestTopLevel:
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency
         code = (
-            "import sys, svkit.cli; "
+            "import sys, svkit.cli, svkit.selftest; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         out = run_child(code)
@@ -130,20 +147,34 @@ class TestTopLevel:
         assert out.split() == ["0", "False"]
         assert (tmp_path / "s.txt").read_text(encoding="utf-8").count("\n") == 2
 
-    # importing hashlib maps OpenSSL (about 3.5 MB of RSS); only the
-    # commands that seed a stage (augment, embed) need it, for stage_seed
-    # and for numpy.random, which imports it through secrets
-    @pytest.mark.parametrize("argv, loads", [
-        (["--version"], False),
-        (["features", "--wav", "u.wav", "--output", "u.mel"], False),
-        (["score", "--trials", "t.txt", "--embeddings", "emb.bin"], False),
-        (["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm",
-          "--config", "cohort.cfg"], False),
-        (["evaluate", "--trials", "t.txt", "--scores", "s.txt"], False),
-        (["fuse", "--trials", "t.txt", "--scores", "s.txt", "s.txt", "--fit-labels"], False),
-        (["embed", "--wav-list", "wavs.txt", "--output", "out.bin"], True),
-    ], ids=["version", "features", "score", "score-asnorm", "evaluate", "fuse-fit", "embed"])
-    def test_only_seeded_commands_load_hashlib(self, tmp_path, argv, loads):
+    # each command imports the svkit modules it runs when it is called:
+    # (argv, the svkit modules it loads, whether it loads numpy, and whether
+    # it loads hashlib). Importing hashlib maps OpenSSL (about 3.5 MB of
+    # RSS); only the commands that seed a stage (augment, embed) need it,
+    # for stage_seed and for numpy.random, which imports it through secrets.
+    # Every command that reads a config loads the modules whose defaults it
+    # holds (augment, features, schedule, scoring).
+    CONFIG_LAYERS = ["augment", "cli", "config", "features", "schedule", "scoring", "trials"]
+    COMMAND_LOADS = pytest.mark.parametrize("argv, layers, numpy, seeded", [
+        pytest.param(["--version"], ["cli"], False, False, id="version"),
+        pytest.param(["features", "--wav", "u.wav", "--output", "u.mel"],
+                     CONFIG_LAYERS, True, False, id="features"),
+        pytest.param(["score", "--trials", "t.txt", "--embeddings", "emb.bin"],
+                     CONFIG_LAYERS, True, False, id="score"),
+        pytest.param(["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm",
+                      "--config", "cohort.cfg"], CONFIG_LAYERS, True, False, id="score-asnorm"),
+        pytest.param(["evaluate", "--trials", "t.txt", "--scores", "s.txt"],
+                     ["cli", "metrics", "trials"], True, False, id="evaluate"),
+        pytest.param(["fuse", "--trials", "t.txt", "--scores", "s.txt", "s.txt", "--fit-labels"],
+                     ["cli", "fusion", "trials"], True, False, id="fuse-fit"),
+        pytest.param(["embed", "--wav-list", "wavs.txt", "--output", "out.bin"],
+                     sorted(CONFIG_LAYERS + ["model"]), True, True, id="embed"),
+    ])
+
+    @staticmethod
+    def loaded_by(tmp_path, argv, expression):
+        """`expression` over sys.modules, printed after `main(argv)` exits 0
+        in a new interpreter, run on small inputs in `tmp_path`."""
         rng = np.random.default_rng(8)
         write_embeddings_file(EmbeddingStore(["a", "b", "c"], unit_rows(rng, 3, 4)),
                               tmp_path / "emb.bin")
@@ -157,10 +188,24 @@ class TestTopLevel:
         code = (
             "import sys; from svkit.cli import main; "
             f"code = main({argv!r}); "
-            "print(code, 'hashlib' in sys.modules, '_hashlib' in sys.modules)"
+            f"print(code, {expression})"
         )
-        out = run_child(code, cwd=tmp_path)
-        assert out.splitlines()[-1].split() == ["0", str(loads), str(loads)]
+        code, loaded = run_child(code, cwd=tmp_path).splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        return loaded
+
+    @COMMAND_LOADS
+    def test_only_seeded_commands_load_hashlib(self, tmp_path, argv, layers, numpy, seeded):
+        loaded = self.loaded_by(tmp_path, argv, "'hashlib' in sys.modules, '_hashlib' in sys.modules")
+        assert loaded.split() == [str(seeded), str(seeded)]
+
+    @COMMAND_LOADS
+    def test_each_command_loads_only_its_modules(self, tmp_path, argv, layers, numpy, seeded):
+        loaded = self.loaded_by(
+            tmp_path, argv,
+            "'numpy' in sys.modules, "
+            "sorted({m.split('.')[1] for m in sys.modules if m.startswith('svkit.')})")
+        assert loaded == f"{numpy} {layers}"
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize("argv", [
@@ -174,16 +219,50 @@ class TestTopLevel:
                                              unit_rows(np.random.default_rng(9), 3, 4)),
                               tmp_path / "emb.bin")
         write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"]))
-        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # the reader is gone before the first write
-        try:
-            code, err = run_svkit(argv, tmp_path, stdout=write_end, env=env)
-        finally:
-            os.close(write_end)
-        assert (code, err) == (2, "error: <stdout>: broken pipe\n")
+        assert run_to_closed_pipe(argv, tmp_path, buffered) == (2, "error: <stdout>: broken pipe\n")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"]], ids=["version", "help"])
+    def test_failed_flush_at_exit_is_one_line_error(self, tmp_path, argv):
+        # argparse prints these into stdout's buffer, which only the exit
+        # flushes: a reader that is gone fails the run there (unbuffered,
+        # argparse drops a failed write)
+        assert run_to_closed_pipe(argv, tmp_path) == (2, "error: <stdout>: broken pipe\n")
+
+    def test_version_with_stdout_closed_exits_zero(self, tmp_path):
+        # with fd 1 closed sys.stdout is None, and argparse prints to stderr
+        done = subprocess.run([sys.executable, "-m", "svkit", "--version"],
+                              stderr=subprocess.PIPE, text=True, env=CHILD_ENV, cwd=tmp_path,
+                              preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (0, "svkit 0.1.0 formats EMB1 MEL1\n")
+
+    @pytest.mark.parametrize("argv, want", [
+        (["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm"], 1),
+        (["evaluate", "--trials", "t.txt"], 1),
+        (["score", "--trials", "absent.txt", "--embeddings", "emb.bin"], 2),
+        (["score", "--trials", "t.txt", "--embeddings", "t.txt"], 2),
+    ], ids=["no-cohort", "missing-flag", "missing-file", "bad-store"])
+    def test_failing_process_gives_one_error_line(self, tmp_path, argv, want):
+        write_embeddings_file(EmbeddingStore(["a", "b", "c"],
+                                             unit_rows(np.random.default_rng(9), 3, 4)),
+                              tmp_path / "emb.bin")
+        write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"]))
+        code, out, err = run_svkit(argv, tmp_path)
+        assert (code, out) == (want, b"")
+        assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_main_module_runs_the_script_entry(self):
+        # `python -m svkit` and the installed `svkit` script end the process
+        # through the same function
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        module, name = re.search(r'^svkit = "([\w.]+):(\w+)"$',
+                                 pyproject.read_text(encoding="utf-8"), re.M).groups()
+        code = (
+            f"import runpy, {module}; "
+            f"{module}.{name} = lambda: print('entry'); "
+            "runpy.run_module('svkit', run_name='__main__')"
+        )
+        assert run_child(code) == "entry\n"
 
     def test_threads_flag_is_usage_error(self, capsys):
         # the flag is gone: nothing ever read it
@@ -292,7 +371,7 @@ class TestFeatures:
             raise OSError("disk full")
 
         if command == "features":
-            monkeypatch.setattr(cli_module, "write_mel",
+            monkeypatch.setattr("svkit.features.write_mel",
                                 lambda feats, sink: first_bytes_then_fail(sink, b"MEL1"))
         else:
             manifest = TestAugment().make_manifest(tmp_path)
@@ -849,7 +928,7 @@ class TestEmbed:
             calls.append(len(w))
             return embed_waveform(w, **kwargs)
 
-        monkeypatch.setattr("svkit.cli.embed_waveform", counted)
+        monkeypatch.setattr("svkit.model.embed_waveform", counted)
         assert main(["embed", "--wav-list", str(wav_list), "--output", str(out), *flags]) == 0
         # the oracle embeds every planned segment separately
         seed = stage_seed(0, "embed")
@@ -911,7 +990,7 @@ class TestEmbed:
         wav_list = tmp_path / "utts.txt"
         wav_list.write_text(f"a {good}\nb {good}\n\na {good}\n", encoding="utf-8")
         reads = []
-        monkeypatch.setattr("svkit.cli.read_wav", lambda *a, **k: reads.append(a))
+        monkeypatch.setattr("svkit.features.read_wav", lambda *a, **k: reads.append(a))
         out = tmp_path / "emb.bin"
         code = main(["embed", "--wav-list", str(wav_list), "--output", str(out)])
         captured = capsys.readouterr()
@@ -1371,21 +1450,21 @@ class TestStreamedOutput:
         assert want.count("\n") == 3 * SCORE_CHUNK
         if not existing:
             out.unlink()
-        real = cli_module.score_text_chunks
+        real = score_text_chunks
 
         def failing(score_set):
             chunks = real(score_set)
             yield next(chunks)
             raise RuntimeError("disk gone")
 
-        monkeypatch.setattr(cli_module, "score_text_chunks", failing)
+        monkeypatch.setattr("svkit.trials.score_text_chunks", failing)
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {out}: not written: RuntimeError: disk gone\n"
         assert not out.exists()
-        monkeypatch.setattr(cli_module, "score_text_chunks", real)
+        monkeypatch.setattr("svkit.trials.score_text_chunks", real)
         assert main(argv) == 0
         assert out.read_text(encoding="utf-8") == want
 
@@ -1395,18 +1474,29 @@ class TestStreamedOutput:
         target, out = inputs / "target.txt", inputs / "link.txt"
         target.write_text("old\n", encoding="utf-8")
         out.symlink_to(target)
-        real = cli_module.score_text_chunks
+        real = score_text_chunks
 
         def failing(score_set):
             chunks = real(score_set)
             yield next(chunks)
             raise RuntimeError("disk gone")
 
-        monkeypatch.setattr(cli_module, "score_text_chunks", failing)
+        monkeypatch.setattr("svkit.trials.score_text_chunks", failing)
         assert main(self.argv(inputs, "score", out)) == 2
         assert capsys.readouterr().err == f"error: {out}: not written: RuntimeError: disk gone\n"
         assert out.is_symlink()
         assert target.read_text(encoding="utf-8").count("\n") == SCORE_CHUNK
+
+    @pytest.mark.parametrize("command", ["score", "fuse"])
+    def test_stdout_pipe_gives_the_output_file_bytes(self, inputs, command):
+        # three chunks written to a pipe by a process that skips teardown
+        out = inputs / "out.txt"
+        argv = self.argv(inputs, command, out)
+        assert run_svkit(argv, inputs) == (0, b"", "")
+        code, piped, err = run_svkit(argv[:argv.index("--output")], inputs)
+        assert (code, err) == (0, "")
+        assert piped == out.read_bytes()
+        assert piped.count(b"\n") == 3 * SCORE_CHUNK
 
     @pytest.mark.parametrize("case", ["missing-id", "bad-cohort"])
     def test_error_before_first_chunk_creates_no_file(self, inputs, capsys, case):
