@@ -10,10 +10,11 @@ fixed config reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, redirect_stdout
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NoReturn
 
@@ -242,14 +243,19 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .selftest import run_selftest
+    from .selftest import CHECKS
 
-    results = run_selftest()
-    for name, ok in results:
+    failed = 0
+    for name, check in CHECKS:
+        try:
+            ok = bool(check())
+        except Exception as exc:  # a crash fails its check, and is named
+            ok = False
+            _diagnose(f"{name}: {type(exc).__name__}: {exc}")
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    failed = sum(not ok for _, ok in results)
+        failed += not ok
     if failed:
-        print(f"{failed} of {len(results)} properties failed", file=sys.stderr)
+        _diagnose(f"{failed} of {len(CHECKS)} properties failed")
         return 2
     return 0
 
@@ -333,31 +339,50 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        _diagnose(f"error: {exc}")
+        _diagnose(parser.format_usage().rstrip("\n"))
         return 1
     except SystemExit as exc:
         # argparse handles --version/--help by exiting directly
         return int(exc.code or 0)
     if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
+        _diagnose(parser.format_usage().rstrip("\n"))
         return 1
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so a closed reader is seen here, not at exit
+        with redirect_stdout(sys.stdout or _ClosedStdout()):
+            code = args.func(args)
+            sys.stdout.flush()  # so a closed reader is seen here, not at exit
         return code
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return 1
     except (ValueError, OSError) as exc:
         return _data_error(exc)
 
 
+class _ClosedStdout(io.TextIOBase):
+    """stdout, while a command runs, of a process started with fd 1 closed:
+    a closed stream, which fails the command that writes to it."""
+
+    def write(self, text):
+        raise OSError("<stdout>: closed")
+
+
 def _data_error(exc: Exception) -> int:
     """Report a data or I/O error on stderr; its exit code, 2."""
     reason = "<stdout>: broken pipe" if isinstance(exc, BrokenPipeError) else exc
-    print(f"error: {reason}", file=sys.stderr)
+    _diagnose(f"error: {reason}")
     return 2
+
+
+def _diagnose(line: str) -> None:
+    """Print one line on stderr, or nothing if the process has no stderr or
+    it cannot be written: never on stdout, and never failing the command."""
+    if sys.stderr:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
 
 
 def run() -> NoReturn:

@@ -55,16 +55,6 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two unit-norm embeddings."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"embedding dims differ or are not 1-D: {a.shape} vs {b.shape}")
-    check_unit(np.stack([a, b]), ("enrollment embedding", "test embedding").__getitem__)
-    return float(dot_rows(a, b))
-
-
 def segment_means(rows: np.ndarray, label: Callable[[int], str]) -> np.ndarray:
     """Mean segment vector s_0 + sum(s_i - s_0) / s of each row of an
     (n, s, dim) stack: exactly s_0 for identical segments, a view of it for
@@ -233,16 +223,6 @@ def extract_segments(w: Waveform, plan: SegmentPlan) -> list[tuple[list[int], Wa
 def segment_id(utt_id: str, index: int) -> str:
     """Store id for one segment of an utterance."""
     return f"{utt_id}#{index}"
-
-
-def msa_score(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    """Mean of all pairwise cosine scores between two segment sets of any sizes."""
-    emb_a = np.atleast_2d(np.asarray(emb_a, dtype=np.float64))
-    emb_b = np.atleast_2d(np.asarray(emb_b, dtype=np.float64))
-    if emb_a.shape[1] != emb_b.shape[1]:
-        raise ValueError(f"embedding dims differ: {emb_a.shape[1]} vs {emb_b.shape[1]}")
-    mean_a, mean_b = (segment_means(e[None], lambda i: "segment") for e in (emb_a, emb_b))
-    return float(dot_rows(mean_a, mean_b)[0])
 
 
 def score_trials(

@@ -33,7 +33,7 @@ from svkit.model import (
     subcenter_cosines,
 )
 from svkit.schedule import CosineRestartConfig, cycle_start, lr_at
-from svkit.scoring import cosine_score, msa_score, score_trials
+from svkit.scoring import dot_rows, score_trials, segment_id
 from svkit.trials import (
     EmbeddingStore,
     ScoreSet,
@@ -256,7 +256,8 @@ def test_margin_subcenter_and_segment_reductions(reported):
             cosines, _ = subcenter_cosines(x, w)
             assert abs(aam_softmax_loss(x, y, w, cfg).loss - softmax_ce_loss(30.0 * cosines, y).loss) <= 1e-12
 
-        # a single subcenter is bit-for-bit plain cosine scoring
+        # a single subcenter is bit-for-bit plain cosine scoring, the
+        # single dot of x with its class's column
         for _ in range(30):
             d = int(rng.integers(4, 33))
             n_classes = int(rng.integers(2, 9))
@@ -265,14 +266,19 @@ def test_margin_subcenter_and_segment_reductions(reported):
             cosines, active = subcenter_cosines(x, w)
             assert np.all(active == 0)
             for j in range(n_classes):
-                assert cosines[j] == cosine_score(x, w.tensor[:, j, 0])
+                assert cosines[j] == dot_rows(x, w.tensor[:, j, 0])
 
-        # identical segments collapse the pairwise mean onto one cosine
+        # identical segments collapse the pairwise mean onto one cosine: msa
+        # scoring of a store of five copies per utterance is raw scoring
         for _ in range(50):
             d = int(rng.integers(4, 65))
             a = length_normalize(rng.standard_normal(d))
             b = length_normalize(rng.standard_normal(d))
-            assert msa_score(np.tile(a, (5, 1)), np.tile(b, (5, 1))) == cosine_score(a, b)
+            trials = TrialList(["a"], ["b"])
+            raw = score_trials(trials, EmbeddingStore(["a", "b"], [a, b]))
+            segments = EmbeddingStore([segment_id(u, i) for u in "ab" for i in range(5)],
+                                      np.repeat([a, b], 5, axis=0))
+            assert score_trials(trials, segments, mode="msa").scores[0] == raw.scores[0]
 
 
 # ---------------------------------------------------------------------------

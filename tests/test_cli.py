@@ -150,8 +150,9 @@ class TestTopLevel:
     # each command imports the svkit modules it runs when it is called:
     # (argv, the svkit modules it loads, whether it loads numpy, and whether
     # it loads hashlib). Importing hashlib maps OpenSSL (about 3.5 MB of
-    # RSS); only the commands that seed a stage (augment, embed) need it,
-    # for stage_seed and for numpy.random, which imports it through secrets.
+    # RSS); only the commands that seed a stage (augment, embed) or draw
+    # check data (selftest) need it, for stage_seed and for numpy.random,
+    # which imports it through secrets.
     # Every command that reads a config loads the modules whose defaults it
     # holds (augment, features, schedule, scoring).
     CONFIG_LAYERS = ["augment", "cli", "config", "features", "schedule", "scoring", "trials"]
@@ -169,6 +170,9 @@ class TestTopLevel:
                      ["cli", "fusion", "trials"], True, False, id="fuse-fit"),
         pytest.param(["embed", "--wav-list", "wavs.txt", "--output", "out.bin"],
                      sorted(CONFIG_LAYERS + ["model"]), True, True, id="embed"),
+        # the checks of a numpy/BLAS/libm build: no augment, fusion or config
+        pytest.param(["selftest"], ["cli", "features", "metrics", "model", "schedule", "scoring",
+                                    "selftest", "trials"], True, True, id="selftest"),
     ])
 
     @staticmethod
@@ -234,6 +238,45 @@ class TestTopLevel:
                               stderr=subprocess.PIPE, text=True, env=CHILD_ENV, cwd=tmp_path,
                               preexec_fn=lambda: os.close(1))
         assert (done.returncode, done.stderr) == (0, "svkit 0.1.0 formats EMB1 MEL1\n")
+
+    @pytest.mark.parametrize("argv, want", [
+        (["shapes", "ResNet34-st1112"], (2, "error: <stdout>: closed\n")),
+        (["score", "--trials", "t.txt", "--embeddings", "emb.bin"],
+         (2, "error: <stdout>: closed\n")),
+        (["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--output", "s.txt"], (0, "")),
+    ], ids=["print", "emit", "output-file"])
+    def test_stdout_closed_fails_only_a_command_that_writes_it(self, tmp_path, argv, want):
+        # with fd 1 closed sys.stdout is None: a command treats it as closed
+        write_embeddings_file(EmbeddingStore(["a", "b", "c"],
+                                             unit_rows(np.random.default_rng(9), 3, 4)),
+                              tmp_path / "emb.bin")
+        write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"]))
+        done = subprocess.run([sys.executable, "-m", "svkit", *argv],
+                              stderr=subprocess.PIPE, text=True, env=CHILD_ENV, cwd=tmp_path,
+                              preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == want
+        assert (tmp_path / "s.txt").exists() == (want[0] == 0)
+
+    @pytest.mark.parametrize("argv, want", [
+        (["evaluate", "--trials", "absent.txt", "--scores", "s.txt"], (2, "")),
+        (["evaluate", "--trials", "t.txt"], (1, "")),
+        ([], (1, "")),
+        (["shapes", "ResNet34-st1112"], (0, "stage1 80 600\nstage2 40 600\nstage3 20 600\n"
+                                            "stage4 10 300\n")),
+    ], ids=["data-error", "usage-error", "no-command", "success"])
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    def test_stderr_unwritable_keeps_exit_code_and_stdout(self, tmp_path, argv, want, stderr):
+        # with fd 2 closed sys.stderr is None, and a read-only fd 2 fails every
+        # write: either way a diagnostic goes nowhere, not to stdout
+        def unwritable():
+            os.close(2)
+            if stderr == "read-only":
+                os.open(os.devnull, os.O_RDONLY)  # the lowest free fd, 2
+
+        done = subprocess.run([sys.executable, "-m", "svkit", *argv],
+                              stdout=subprocess.PIPE, text=True, env=CHILD_ENV, cwd=tmp_path,
+                              preexec_fn=unwritable)
+        assert (done.returncode, done.stdout) == want
 
     @pytest.mark.parametrize("argv, want", [
         (["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm"], 1),
@@ -2016,9 +2059,8 @@ class TestScheduleDump:
 class TestSelftest:
     def test_all_properties_pass(self, capsys):
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 8
+        assert capsys.readouterr() == ("PASS metrics-oracle\nPASS reduction-identities\n"
+                                       "PASS fft-block-rows\nPASS schedule-values\n", "")
 
     def test_failing_and_raising_checks_fail_the_run(self, monkeypatch, capsys):
         def raises():
@@ -2029,4 +2071,4 @@ class TestSelftest:
         assert main(["selftest"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "PASS holds\nFAIL fails\nFAIL raises\n"
-        assert captured.err == "2 of 3 properties failed\n"
+        assert captured.err == "raises: RuntimeError: boom\n2 of 3 properties failed\n"

@@ -23,11 +23,11 @@ from svkit.scoring import (
     TRIAL_CHUNK,
     asnorm_score,
     cohort_stats,
-    cosine_score,
+    dot_rows,
     extract_segments,
-    msa_score,
     score_trials,
     segment_id,
+    segment_means,
     segment_plan,
 )
 from svkit.trials import EmbeddingStore, TrialList
@@ -39,6 +39,19 @@ def unit(v):
 
 def random_units(rng, n, dim):
     return np.array([length_normalize(rng.standard_normal(dim)) for _ in range(n)])
+
+
+def cosine_score(a, b):
+    """The raw score of one pair of unit-norm rows: one dot_rows."""
+    return float(dot_rows(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
+
+
+def msa_score(a, b):
+    """The MSA score of two segment sets of any sizes: one dot of their
+    checked `segment_means` rows."""
+    mean_a, mean_b = (segment_means(np.asarray(s, dtype=np.float64)[None], "segment set {}".format)
+                      for s in (a, b))
+    return float(dot_rows(mean_a, mean_b)[0])
 
 
 class TestCosineScore:
@@ -57,17 +70,14 @@ class TestCosineScore:
         a, b = random_units(rng, 2, 16)
         assert cosine_score(a, b) == cosine_score(b, a)
 
+    # raw scoring reads its vectors from a store, which holds only unit-norm ones
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            cosine_score(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dims"):
-            cosine_score(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="^embedding 'e' is not length-normalized"):
+            EmbeddingStore(["e", "t"], [[1.0, 1.0], [1.0, 0.0]])
 
     def test_nan_row_rejected(self):
-        with pytest.raises(ValueError, match="enrollment embedding is not length-normalized"):
-            cosine_score(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="^embedding vectors must be finite$"):
+            EmbeddingStore(["e", "t"], [[np.nan, 0.0], [1.0, 0.0]])
 
 
 def cohort_from_scores(e, target_scores, rng):
@@ -536,7 +546,7 @@ class TestMsaScore:
         a = random_units(rng, 5, 4)
         b = random_units(rng, 5, 4)
         b[3, 2] = np.nan
-        with pytest.raises(ValueError, match="segment is not length-normalized"):
+        with pytest.raises(ValueError, match="^segment set 0 is not length-normalized"):
             msa_score(a, b)
 
 
