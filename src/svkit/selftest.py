@@ -135,16 +135,3 @@ CHECKS = (
     ("fft-block-rows", check_fft_block_rows),
     ("schedule-values", check_schedule_values),
 )
-
-
-def run_selftest() -> list[tuple[str, Exception | None]]:
-    """Run every check: each name with None if its property holds, else the
-    exception it raised, or an AssertionError if it returned False."""
-    results = []
-    for name, check in CHECKS:
-        try:
-            failure = None if check() else AssertionError("property does not hold")
-        except Exception as exc:
-            failure = exc
-        results.append((name, failure))
-    return results

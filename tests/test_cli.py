@@ -239,23 +239,29 @@ class TestTopLevel:
                               preexec_fn=lambda: os.close(1))
         assert (done.returncode, done.stderr) == (0, "svkit 0.1.0 formats EMB1 MEL1\n")
 
-    @pytest.mark.parametrize("argv, want", [
-        (["shapes", "ResNet34-st1112"], (2, "error: <stdout>: closed\n")),
+    @pytest.mark.parametrize("argv, want, written", [
+        (["shapes", "ResNet34-st1112"], (2, "error: <stdout>: closed\n"), False),
         (["score", "--trials", "t.txt", "--embeddings", "emb.bin"],
-         (2, "error: <stdout>: closed\n")),
-        (["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--output", "s.txt"], (0, "")),
-    ], ids=["print", "emit", "output-file"])
-    def test_stdout_closed_fails_only_a_command_that_writes_it(self, tmp_path, argv, want):
+         (2, "error: <stdout>: closed\n"), False),
+        (["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--output", "out"], (0, ""),
+         True),
+        # features prints a status line after its --output file is complete
+        (["features", "--wav", "u.wav", "--output", "out"], (2, "error: <stdout>: closed\n"),
+         True),
+    ], ids=["print", "emit", "output-file", "output-then-status"])
+    def test_stdout_closed_fails_only_a_command_that_writes_it(self, tmp_path, argv, want,
+                                                               written):
         # with fd 1 closed sys.stdout is None: a command treats it as closed
         write_embeddings_file(EmbeddingStore(["a", "b", "c"],
                                              unit_rows(np.random.default_rng(9), 3, 4)),
                               tmp_path / "emb.bin")
         write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"]))
+        tone_wav(tmp_path / "u.wav", 440, duration=0.5)
         done = subprocess.run([sys.executable, "-m", "svkit", *argv],
                               stderr=subprocess.PIPE, text=True, env=CHILD_ENV, cwd=tmp_path,
                               preexec_fn=lambda: os.close(1))
         assert (done.returncode, done.stderr) == want
-        assert (tmp_path / "s.txt").exists() == (want[0] == 0)
+        assert (tmp_path / "out").exists() == written
 
     @pytest.mark.parametrize("argv, want", [
         (["evaluate", "--trials", "absent.txt", "--scores", "s.txt"], (2, "")),
