@@ -10,5 +10,5 @@ Importing the package loads no submodule and no numpy, so `svkit
 
 __version__ = "0.1.0"
 
-EMB_MAGIC = b"EMB1"  # the embedding store (trials.write_embeddings)
+EMB_MAGIC = b"EMB1"  # the embedding store (store.write_embeddings)
 MEL_MAGIC = b"MEL1"  # the feature dump (features.write_mel)

@@ -111,7 +111,8 @@ def cmd_embed(args) -> int:
     from .features import read_wav
     from .model import embed_waveform
     from .scoring import extract_segments, segment_id, segment_plan
-    from .trials import EmbeddingStore, read_path_list, write_embeddings_file
+    from .store import EmbeddingStore
+    from .trials import read_path_list, write_embeddings_file
 
     cfg = _load_config(args)
     entries = read_path_list(args.wav_list, "wav list")
@@ -176,7 +177,7 @@ def _labeled_trials(path) -> TrialList:
     trials = parse_file(path, "trials", parse_trials, True)
     if not len(trials):
         raise ValueError(f"{path}: no trials")
-    if trials.labels().all() or not trials.labels().any():
+    if 0 not in trials.labels() or 1 not in trials.labels():
         raise ValueError(f"{path}: need both target and nontarget trials")
     return trials
 
@@ -219,7 +220,11 @@ def cmd_fuse(args) -> int:
             if model.n_systems != matrix.shape[1]:
                 raise ValueError(f"{args.model}: model has {model.n_systems} systems "
                                  f"but --scores gives {matrix.shape[1]}")
-        _emit(score_text_chunks(fuse(model, matrix, trials)), args.output)
+        try:  # weights too large for the scores: the model, or the data it was fit to
+            fused = fuse(model, matrix, trials)
+        except ValueError as exc:
+            raise ValueError(f"{args.trials if args.fit_labels else args.model}: {exc}") from None
+        _emit(score_text_chunks(fused), args.output)
     return 0
 
 

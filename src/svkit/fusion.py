@@ -69,8 +69,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> FusionModel:
-    """Fit fusion weights by penalized logistic regression.
+def fit_fusion(matrix: np.ndarray, labels: np.ndarray | bytes, l2: float = 1e-4) -> FusionModel:
+    """Fit fusion weights by penalized logistic regression, the labels
+    booleans or a TrialList's label bytes.
 
     Minimizes mean log-loss + l2 * ||w||^2 / 2 (bias unregularized) with
     damped Newton iterations from a zero start; converged means the
@@ -78,7 +79,8 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
     iterations counts the Newton steps taken.
     """
     matrix = _check_matrix(matrix)
-    labels = np.asarray(labels, dtype=bool)
+    labels = (np.frombuffer(labels, np.bool_) if isinstance(labels, bytes)
+              else np.asarray(labels, dtype=bool))
     n, m = matrix.shape
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
@@ -143,13 +145,18 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> Fusi
 
 
 def fuse_matrix(model: FusionModel, matrix: np.ndarray) -> np.ndarray:
-    """Fused score per trial: w . s + bias."""
+    """Fused score per trial: w . s + bias; one that overflows float64 is
+    a ValueError."""
     matrix = _check_matrix(matrix)
     if matrix.shape[1] != model.n_systems:
         raise ValueError(
             f"model has {model.n_systems} systems but matrix has {matrix.shape[1]} columns"
         )
-    return matrix @ model.weights + model.bias
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned of
+        fused = matrix @ model.weights + model.bias
+    if not np.isfinite(fused).all():
+        raise ValueError("fused scores overflow float64")
+    return fused
 
 
 def fuse(model: FusionModel, matrix: np.ndarray, trials: TrialList) -> ScoreSet:
@@ -167,7 +174,7 @@ def stack_scores(score_sets: list[ScoreSet]) -> np.ndarray:
     first = score_sets[0].trials
     if any(s.trials != first for s in score_sets[1:]):
         raise ValueError("score sets cover different trial lists")
-    return np.stack([s.scores for s in score_sets], axis=1)
+    return np.stack([np.frombuffer(s.scores) for s in score_sets], axis=1)
 
 
 def serialize_fusion_model(model: FusionModel) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..scoring import dot_rows
-from ..trials import check_unit
+from ..store import check_unit
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:

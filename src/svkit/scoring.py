@@ -3,7 +3,7 @@ segment-matrix averaging.
 
 All scorers consume unit-norm embeddings, never fixed up here: a store,
 a cohort included, is unit-norm by construction, and the scorers check
-their array inputs with `trials.check_unit`.
+their array inputs with `store.check_unit`.
 Every trial score goes through one kernel, `dot_rows`, which runs the
 same BLAS dot as np.dot on each pair of rows, so a score computed in a
 batch of any size equals the single-pair score bit for bit. An MSA
@@ -23,13 +23,15 @@ cohort as sets of (id, vector), not on the order of their records.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .features import Waveform, match_length
-from .trials import EmbeddingStore, ScoreSet, TrialList, check_unit
+from .store import EmbeddingStore, check_unit
+from .trials import ScoreSet, TrialList
 
 SIGMA_FLOOR = 1e-9
 # trials, or utterances, per gathered chunk: bounds every row copy
@@ -251,7 +253,8 @@ def score_trials(
         raise ValueError(f"unknown scoring mode {mode!r}; expected raw, asnorm, or msa")
     if mode == "asnorm" and cohort is None:
         raise ValueError("asnorm scoring needs a cohort store")
-    utts, enroll, test = trials.ids, trials.enroll, trials.test
+    utts = trials.ids
+    enroll, test = np.frombuffer(trials.pairs, np.int64).reshape(-1, 2).T
     if mode != "msa":
         rows = MeanRows(store.vectors, store.row_index(utts))
     else:  # a store without utts[0]#0 then fails on that id
@@ -275,10 +278,11 @@ def score_trials(
     if cohort is not None:
         mean, std = cohort_stats(rows, cohort, top_k, lambda i: f"embedding {utts[i]!r}")
     vectors, index = rows.vectors, rows.index
-    scores = np.empty(len(trials))
+    out = array("d", [0.0]) * len(trials)
+    scores = np.frombuffer(out)
     for s in range(0, len(trials), TRIAL_CHUNK):
         e, t = enroll[s : s + TRIAL_CHUNK], test[s : s + TRIAL_CHUNK]
         raw = dot_rows(vectors[index[e]], vectors[index[t]])
         scores[s : s + TRIAL_CHUNK] = (
             raw if cohort is None else asnorm_score(raw, mean[e], std[e], mean[t], std[t]))
-    return ScoreSet(trials=trials, scores=scores)
+    return ScoreSet(trials=trials, scores=out)

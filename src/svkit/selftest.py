@@ -9,39 +9,44 @@ on, and is sized to finish in a few seconds.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .features import LOGMEL_BLOCK
-from .metrics import DcfConfig, min_dcf, roc_points
+from .metrics import SMALL_LIST, DcfConfig, min_dcf, roc_points
 from .model import SubcenterWeights, length_normalize, subcenter_cosines
 from .schedule import CosineRestartConfig, cycle_start, lr_at
 from .scoring import COHORT_BLOCK, cohort_stats, dot_rows
-from .trials import EmbeddingStore, ScoreSet, TrialList
+from .store import EmbeddingStore
+from .trials import ScoreSet, TrialList
 
 
-def _labeled_scores(targets, nontargets) -> ScoreSet:
-    enroll = [f"e{i}" for i in range(len(targets))] + [f"e{i}" for i in range(len(nontargets))]
-    test = [f"t{i}" for i in range(len(targets))] + [f"n{i}" for i in range(len(nontargets))]
-    labels = [True] * len(targets) + [False] * len(nontargets)
-    scores = np.concatenate([targets, nontargets])
-    return ScoreSet(trials=TrialList(enroll, test, labels), scores=scores)
+def _labeled_scores(targets: np.ndarray, nontargets: np.ndarray) -> ScoreSet:
+    """Targets then nontargets, every trial one enroll id against one test
+    id: the sweep reads only the scores and the labels."""
+    n_t, n_n = len(targets), len(nontargets)
+    trials = TrialList._from_codes(("e", "t"), array("q", [0, 1]) * (n_t + n_n),
+                                   b"\x01" * n_t + b"\x00" * n_n)
+    return ScoreSet(trials, np.concatenate([targets, nontargets]))
 
 
 def check_metrics_oracle() -> bool:
     # min_dcf over the swept rates must equal, bit for bit, the same cost
     # formula over rates counted threshold by threshold: the sweep's sort and
-    # cumulative sum and the cost's minimum are numpy builds' kernels
+    # cumulative sum and the cost's minimum are numpy builds' kernels, which
+    # lists of SMALL_LIST trials or more run
     rng = np.random.default_rng(101)
     cfg = DcfConfig()
     for _ in range(20):
-        n_t = int(rng.integers(2, 400))
-        n_n = int(rng.integers(2, 400))
+        n = SMALL_LIST + int(rng.integers(0, 1000))
+        n_t = int(rng.integers(2, n - 1))
         targets = np.round(rng.standard_normal(n_t) + 1.0, 2)
-        nontargets = np.round(rng.standard_normal(n_n), 2)
+        nontargets = np.round(rng.standard_normal(n - n_t), 2)
         curve = roc_points(_labeled_scores(targets, nontargets))
         thresholds = np.concatenate([np.unique(np.concatenate([targets, nontargets])), [np.inf]])
         pm = np.array([np.count_nonzero(targets < t) / n_t for t in thresholds])
-        pf = np.array([np.count_nonzero(nontargets >= t) / n_n for t in thresholds])
+        pf = np.array([np.count_nonzero(nontargets >= t) / (n - n_t) for t in thresholds])
         costs = cfg.c_miss * cfg.p_target * pm + cfg.c_fa * (1.0 - cfg.p_target) * pf
         want_dcf = float(np.min(costs)) / min(
             cfg.c_miss * cfg.p_target, cfg.c_fa * (1.0 - cfg.p_target)

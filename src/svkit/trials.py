@@ -1,35 +1,30 @@
-"""Trial lists, score files, and the binary embedding store.
+"""Trial lists, score files, and the file layer every command reads through.
 
 Text formats are one trial per line: either "label enroll test" (label
 in {0, 1}) or "enroll test" for unlabeled lists. Scores are stored
-as "enroll test score" lines. Embeddings use the little-endian "EMB1"
-binary layout so round-trips are bit-exact. Every text input svkit
-reads goes through `read_text` (trial and score files through
-`parse_file`); every reader of an input file checks it with `require_file`.
+as "enroll test score" lines. Every text input svkit reads goes through
+`read_text` (trial and score files through `parse_file`); every reader
+of an input file checks it with `require_file`. Embedding store files
+are read and written here, in the layout of `svkit.store`.
+
+This module loads no numpy: a trial list and a score set are stdlib
+arrays, which numpy code views with `np.frombuffer`, copying nothing.
+The score writer and the store files import numpy when they run.
 """
 
 from __future__ import annotations
 
 import os
-import struct
+from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
-from math import floor, log10
-from operator import length_hint
+from math import floor, isfinite, log10
+from operator import itemgetter, length_hint
 from pathlib import Path
-from typing import BinaryIO, Callable, Generator, Iterator, Sequence
+from struct import pack
+from typing import TYPE_CHECKING, Generator, Iterator, Sequence
 
-import numpy as np
-
-from . import EMB_MAGIC
-
-NORM_TOL = 1e-6  # on an embedding's L2 norm; rounding to float32 moves it under 1e-7
-# float32 vector bytes an EMB1 read stages before decoding them to float64
-_STAGE_BYTES = 1 << 16
-# an EmbeddingStore's array has a multiple of this many rows, so a gemm over
-# all of them (`scoring.cohort_stats`) gives each vector's score the same
-# bits at any row: BLAS kernels take a separate path for a ragged last block
-ROW_ALIGN = 8
+if TYPE_CHECKING:
+    from .store import EmbeddingStore
 
 
 class TrialParseError(ValueError):
@@ -40,14 +35,6 @@ class TrialParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
         self.message = message
-
-
-class StoreFormatError(ValueError):
-    """Corrupt embedding store; carries the byte offset of the problem."""
-
-    def __init__(self, offset: int, message: str):
-        super().__init__(f"offset {offset}: {message}")
-        self.offset = offset
 
 
 def require_file(path, what: str) -> Path:
@@ -119,12 +106,14 @@ class TrialList:
     nothing is held per trial. `TrialList(enroll, test, labels)` pairs
     enroll[k] with test[k], labeled True for same-speaker or False
     (`labels=None` for an unlabeled list); an id is non-empty and holds no
-    whitespace. `ids` is an object array holding each utterance id once, in
-    first-seen order over every trial's (enroll, test); `enroll` and `test`
-    are np.intp arrays indexing into it, one entry per trial. Labels are
-    all-or-none and kept as one bool array (None when the list is unlabeled
-    or empty). Two lists with the same trials in the same order have equal
-    arrays.
+    whitespace. `ids` is a tuple holding each utterance id once, in
+    first-seen order over every trial's (enroll, test). `pairs` is a
+    read-only memoryview of the array('q') of codes into it, [enroll0,
+    test0, enroll1, ...], and `enroll` and `test` are its two strided
+    views, one code per trial. Labels are all-or-none and kept as one bytes
+    object, 1 for a target and 0 for a nontarget (None when the list is
+    unlabeled or empty). Two lists with the same trials in the same order
+    are equal.
     """
 
     def __init__(self, enroll: Sequence[str], test: Sequence[str],
@@ -135,29 +124,29 @@ class TrialList:
         if labels is not None:
             if any(y is None for y in labels):
                 raise ValueError("trial labels must be all-or-none")
-            labels = np.array(labels, dtype=bool)
+            labels = bytes(map(bool, labels))
         codes = _Codes()
         pairs = codes.of([u for pair in zip(enroll, test) for u in pair])
         for u in codes:
             if u.split() != [u]:  # str.split() splits at every str.isspace character
                 raise ValueError(f"utterance id {u!r} is empty or contains whitespace")
-        self._set(list(codes), pairs, labels)
+        self._set(tuple(codes), pairs, labels)
 
     @classmethod
-    def _from_codes(cls, ids: list[str], pairs: np.ndarray, labels: np.ndarray | None) -> TrialList:
+    def _from_codes(cls, ids: Sequence[str], pairs: Sequence[int],
+                    labels: bytes | None) -> TrialList:
         """List from its unique ids, the codes [enroll0, test0, enroll1, ...]
-        into them and its bool labels (None or empty when unlabeled), unchecked."""
+        into them and its 0/1 label bytes (None or empty when unlabeled),
+        unchecked."""
         trial_list = cls.__new__(cls)
-        trial_list._set(ids, pairs, labels)
+        trial_list._set(tuple(ids), array("q", pairs), labels)
         return trial_list
 
-    def _set(self, ids: list[str], pairs: np.ndarray, labels: np.ndarray | None) -> None:
-        self.ids = np.array(ids, dtype=object)
-        self.enroll, self.test = pairs.reshape(-1, 2).T
-        self._labels = labels if labels is not None and len(labels) else None
-        for array in (self.ids, self.enroll, self.test, self._labels):
-            if array is not None:
-                array.setflags(write=False)
+    def _set(self, ids: tuple[str, ...], pairs: array, labels: bytes | None) -> None:
+        self.ids = ids
+        self.pairs = memoryview(pairs).toreadonly()
+        self.enroll, self.test = self.pairs[0::2], self.pairs[1::2]
+        self._labels = labels or None
 
     @property
     def labeled(self) -> bool:
@@ -170,130 +159,61 @@ class TrialList:
         if not isinstance(other, TrialList):
             return NotImplemented
         return self is other or (
-            np.array_equal(self.ids, other.ids)
-            and np.array_equal(self.enroll, other.enroll)
-            and np.array_equal(self.test, other.test)
-            and np.array_equal(self._labels, other._labels)
+            self.ids == other.ids
+            and self.pairs == other.pairs
+            and self._labels == other._labels
         )
 
-    def labels(self) -> np.ndarray:
-        """Boolean label vector (read-only); only valid for labeled lists."""
+    def labels(self) -> bytes:
+        """One byte per trial, 1 for a target and 0 for a nontarget; only
+        valid for labeled lists."""
         if not self.labeled:
             raise ValueError("trial list is unlabeled")
         return self._labels
 
 
-@dataclass(frozen=True)
 class ScoreSet:
-    """Per-trial scalar scores aligned 1:1 with a TrialList."""
+    """Per-trial scalar scores aligned 1:1 with a TrialList.
 
-    trials: TrialList
-    scores: np.ndarray
+    `scores` is an array('d') of finite values. One is kept as given;
+    any other sequence of numbers is copied into one, a float64 buffer
+    (a numpy array, say) at C speed."""
 
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if scores.ndim != 1 or len(scores) != len(self.trials):
-            raise ValueError(
-                f"expected {len(self.trials)} scores, got shape {scores.shape}"
-            )
-        if not np.all(np.isfinite(scores)):
+    __slots__ = ("trials", "scores")
+
+    def __init__(self, trials: TrialList, scores):
+        scores = _doubles(scores, len(trials))
+        # a sum of finite values is finite unless it overflows
+        if not isfinite(sum(scores)) and not all(map(isfinite, scores)):
             raise ValueError("scores must be finite")
-        object.__setattr__(self, "scores", scores)
+        self.trials, self.scores = trials, scores
 
     def __len__(self) -> int:
         return len(self.trials)
 
 
-def check_unit(vectors: np.ndarray, label: Callable[[int], str]) -> None:
-    """Reject an (n, ..., dim) array if the L2 norm of any of its vectors
-    is off 1 by more than NORM_TOL; a NaN norm is off too. The error names
-    the first such vector's row i as label(i), built only then."""
-    _check_norms(_norms(vectors), label)
-
-
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...j,...j->...", vectors, vectors))  # no n x d temporary
-
-
-def _check_norms(norms: np.ndarray, label: Callable[[int], str]) -> None:
-    off = ~(np.abs(norms - 1.0) <= NORM_TOL)
-    if off.any():
-        first = tuple(np.argwhere(off)[0])
-        raise ValueError(f"{label(first[0])} is not length-normalized "
-                         f"(norm {norms[first]:.6g})")
-
-
-def _aligned_rows(n: int, dim: int) -> np.ndarray:
-    """A zeroed float64 array for n vectors of dim, its row count rounded up
-    to a multiple of ROW_ALIGN."""
-    return np.zeros((-(-n // ROW_ALIGN) * ROW_ALIGN, dim))
-
-
-class EmbeddingStore:
-    """Id-indexed matrix of fixed-dimension, unit-norm speaker embeddings.
-
-    Vectors are rounded to float32 (the on-disk precision) and held,
-    read-only, as float64, the precision scoring computes in: a float32
-    input, strided or not, is copied once, and `read_embeddings` decodes
-    into the array the store keeps. Each must have unit L2 norm within
-    NORM_TOL (`check_unit`). That one array is `padded`: its row count is
-    rounded up to a multiple of ROW_ALIGN and the rows past the last
-    vector are zero. `vectors` is a C-contiguous view of its first
-    len(store) rows.
-    """
-
-    def __init__(self, ids: Sequence[str], vectors: np.ndarray):
-        ids = tuple(str(i) for i in ids)
-        with np.errstate(invalid="ignore", over="ignore"):  # _set rejects what these casts flag
-            vectors = np.asarray(vectors, dtype=np.float32)
-            if vectors.ndim != 2:
-                raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
-            if len(ids) != vectors.shape[0]:
-                raise ValueError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
-            padded = _aligned_rows(*vectors.shape)
-            padded[: len(vectors)] = vectors
-        self._set(ids, {u: k for k, u in enumerate(ids)}, padded)
-
-    @classmethod
-    def _from_rows(cls, index: dict[str, int], padded: np.ndarray) -> EmbeddingStore:
-        """A store that keeps `padded`, an `_aligned_rows` array whose first
-        rows are float64 values already rounded to float32, with no copy;
-        `index` maps the ids, in row order, to their rows."""
-        store = cls.__new__(cls)
-        store._set(tuple(index), index, padded)
-        return store
-
-    def _set(self, ids: tuple[str, ...], index: dict[str, int], padded: np.ndarray) -> None:
-        if padded.shape[1] < 1:
-            raise ValueError("embedding dimension must be positive")
-        padded.flags.writeable = False  # before the view, which inherits it
-        vectors = padded[: len(ids)]
-        # squares of float32-range values cannot overflow float64, so a
-        # row's norm is finite exactly when all its entries are
-        norms = _norms(vectors)
-        if not np.isfinite(norms).all():
-            raise ValueError("embedding vectors must be finite")
-        if len(index) != len(ids):
-            raise ValueError("duplicate utterance ids in store")
-        _check_norms(norms, lambda i: f"embedding {ids[i]!r}")
-        self.ids, self._index, self.padded, self.vectors = ids, index, padded, vectors
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, utt_id: str) -> bool:
-        return utt_id in self._index
-
-    def row_index(self, utt_ids: Sequence[str]) -> np.ndarray:
-        """The row of `vectors` holding each id, in order; a missing id is a ValueError."""
+def _doubles(values, count: int) -> array:
+    """`values`, `count` numbers, as an array('d'): itself if it is one; a
+    buffer is copied, at C speed when it holds native doubles."""
+    if isinstance(values, array) and values.typecode == "d":
+        doubles = values
+    else:
         try:
-            return np.fromiter(map(self._index.__getitem__, utt_ids), np.intp, len(utt_ids))
-        except KeyError as exc:
-            raise ValueError(f"utterance id {exc.args[0]!r} not in embedding store") from None
+            view = memoryview(values)
+        except TypeError:  # a list, say
+            view = None
+        if view is None:
+            doubles = array("d", values)
+        elif view.ndim != 1:
+            raise ValueError(f"expected {count} scores, got shape {view.shape}")
+        elif view.format != "d" or not view.c_contiguous:
+            doubles = array("d", view.tolist())
+        else:
+            doubles = array("d")
+            doubles.frombytes(view.cast("B"))
+    if len(doubles) != count:
+        raise ValueError(f"expected {count} scores, got shape ({len(doubles)},)")
+    return doubles
 
 
 # The text layer. parse_trials and parse_scores read text through one
@@ -367,9 +287,19 @@ class _Codes(dict):
         code = self[utt_id] = len(self)
         return code
 
-    def of(self, ids: Sequence[str]) -> np.ndarray:
-        """The code of each of `ids`, in order, as one np.intp array."""
-        return np.fromiter(map(self.__getitem__, ids), np.intp, len(ids))
+    def of(self, ids: Sequence[str]) -> array:
+        """The code of each of `ids`, in order, as one array('q')."""
+        return array("q", _packed("q", list(map(self.__getitem__, ids))))
+
+
+def _packed(typecode: str, values: list) -> bytes:
+    """The bytes of array(typecode, values): struct converts each value at C
+    speed, where array() parses each as a generic argument."""
+    return pack(f"{len(values)}{typecode}", *values)
+
+
+# label characters of a trial line to the bytes of TrialList labels
+_LABEL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def parse_trials(text: str, labeled: bool | None) -> TrialList:
@@ -387,7 +317,7 @@ def parse_trials(text: str, labeled: bool | None) -> TrialList:
     # ids are tokens of str.split(), so they are non-empty and hold no
     # whitespace: the checks TrialList() makes on its ids cannot fail here
     codes = _Codes()
-    pairs, marks = [], []
+    pairs, marks = array("q"), []
     for fields, line_nos in _rows(text, 3 if labeled else 2):
         if labeled:
             column = fields[::3]
@@ -397,15 +327,17 @@ def parse_trials(text: str, labeled: bool | None) -> TrialList:
                 raise TrialParseError(line_nos[k], f"label must be 0 or 1, got {column[k]!r}")
             marks.append("".join(column))
             del fields[::3]
-        pairs.append(codes.of(fields))
-    labels = np.frombuffer("".join(marks).encode(), np.uint8) == ord("1")
-    pairs = np.concatenate(pairs) if pairs else np.empty(0, np.intp)
+        pairs += codes.of(fields)
+    labels = "".join(marks).encode().translate(_LABEL_BYTES)
     return TrialList._from_codes(list(codes), pairs, labels)
 
 
-def _score_decimals(scores: np.ndarray) -> np.ndarray:
-    """The number of decimals that writes each score positionally with at
-    least 9 significant digits: max(0, 8 - floor(log10|v|)), 9 for ±0."""
+def _score_decimals(scores):
+    """The number of decimals that writes each of an np.ndarray of scores
+    positionally with at least 9 significant digits:
+    max(0, 8 - floor(log10|v|)), 9 for ±0."""
+    import numpy as np
+
     magnitude = np.abs(scores)
     zero = magnitude == 0.0
     logs = np.log10(np.where(zero, 1.0, magnitude))
@@ -423,14 +355,19 @@ def score_text_chunks(score_set: ScoreSet) -> Iterator[str]:
     """serialize_scores' text, SCORE_CHUNK lines at a time, so no whole
     score file is ever held: each chunk applies one %-format per precision
     in use in one call."""
-    trials, scores = score_set.trials, score_set.scores
+    import numpy as np
+
+    ids = np.array(score_set.trials.ids, dtype=object)
+    pairs = np.frombuffer(score_set.trials.pairs, np.int64).reshape(-1, 2)
+    scores = np.frombuffer(score_set.scores)
     for s in range(0, len(scores), SCORE_CHUNK):
         chunk = scores[s : s + SCORE_CHUNK]
         decimals = _score_decimals(chunk).tolist()
         line_formats = {d: f"%s %s %.{d}f\n" for d in set(decimals)}
         fields: list = [None] * (3 * len(chunk))
-        fields[0::3] = trials.ids[trials.enroll[s : s + SCORE_CHUNK]].tolist()
-        fields[1::3] = trials.ids[trials.test[s : s + SCORE_CHUNK]].tolist()
+        names = ids[pairs[s : s + SCORE_CHUNK]]
+        fields[0::3] = names[:, 0].tolist()
+        fields[1::3] = names[:, 1].tolist()
         fields[2::3] = np.where(chunk == 0.0, 0.0, chunk).tolist()  # -0.0 writes as 0
         yield "".join(map(line_formats.__getitem__, decimals)) % tuple(fields)
 
@@ -441,11 +378,11 @@ def serialize_scores(score_set: ScoreSet) -> str:
     return "".join(score_text_chunks(score_set))
 
 
-def _floats(tokens: list[str]) -> np.ndarray:
+def _floats(tokens: list[str]) -> list[float]:
     """float() of each of `tokens`, up to the first that float() rejects."""
     rest = iter(tokens)
     try:
-        return np.fromiter(map(float, rest), np.float64, len(tokens))
+        return list(map(float, rest))
     except ValueError:  # `rest` stopped just past the rejected token
         return _floats(tokens[: len(tokens) - 1 - length_hint(rest)])
 
@@ -455,122 +392,51 @@ def parse_scores(text: str, trials: TrialList) -> ScoreSet:
     in its order, each score finite. A malformed line is a TrialParseError,
     found before any line is checked against the list; a pair or count that
     does not fit it is a ValueError. The set carries `trials`, labels and all."""
-    want_ids = np.stack((trials.enroll, trials.test), axis=1)
-    chunks = []
-    done = 0  # rows read
+    scores = array("d")
     mismatch = None  # the error for the first pair that is not the list's
     for fields, line_nos in _rows(text, 3):
         values = fields[2::3]
-        scores = _floats(values)
-        bad = np.flatnonzero(~np.isfinite(scores))
-        if len(bad):
-            k = bad[0]
-            raise TrialParseError(line_nos[k], f"non-finite score {values[k]!r}")
-        if len(scores) < len(values):
-            raise TrialParseError(line_nos[len(scores)], f"bad score {values[len(scores)]!r}")
-        chunks.append(scores)
-        done += len(scores)
-        if mismatch is None and done <= len(trials):  # else the count is the error
+        chunk = _floats(values)
+        # a sum of finite values is finite unless it overflows
+        if not isfinite(sum(chunk)):
+            k = next((k for k, v in enumerate(chunk) if not isfinite(v)), None)
+            if k is not None:
+                raise TrialParseError(line_nos[k], f"non-finite score {values[k]!r}")
+        if len(chunk) < len(values):
+            raise TrialParseError(line_nos[len(chunk)], f"bad score {values[len(chunk)]!r}")
+        done = len(scores)  # rows read before this chunk
+        scores.frombytes(_packed("d", chunk))
+        # past the list's length the count is the error
+        if mismatch is None and chunk and len(scores) <= len(trials):
             del fields[2::3]
-            want = trials.ids[want_ids[done - len(scores) : done]].ravel().tolist()
+            # the list's ids for these lines, gathered in one C loop: two or
+            # more, so itemgetter returns a tuple
+            want = list(itemgetter(*trials.pairs[2 * done : 2 * len(scores)])(trials.ids))
             if fields != want:
                 k = next(k for k in range(0, len(fields), 2) if fields[k : k + 2] != want[k : k + 2])
                 mismatch = (f"score line {line_nos[k // 2]} is for ({fields[k]}, {fields[k + 1]}), "
                             f"trial list has ({want[k]}, {want[k + 1]})")
-    if done != len(trials):
-        raise ValueError(f"score file has {done} lines for {len(trials)} trials")
+    if len(scores) != len(trials):
+        raise ValueError(f"score file has {len(scores)} lines for {len(trials)} trials")
     if mismatch:
         raise ValueError(mismatch)
-    return ScoreSet(trials, np.concatenate(chunks) if chunks else np.empty(0))
-
-
-def write_embeddings(store: EmbeddingStore, sink: BinaryIO) -> None:
-    """Write the EMB1 binary layout.
-
-    Layout: magic "EMB1", u32 dim, u64 record count, then per record a
-    u16 id byte length, the UTF-8 id bytes, and dim little-endian f32.
-    Every id is checked before the first write, so an id the layout
-    cannot hold writes nothing.
-    """
-    encoded = [utt_id.encode("utf-8") for utt_id in store.ids]
-    for utt_id, id_bytes in zip(store.ids, encoded):
-        if len(id_bytes) > 0xFFFF:
-            raise ValueError(f"utterance id longer than 65535 bytes: {utt_id[:40]!r}...")
-    sink.write(EMB_MAGIC)
-    sink.write(struct.pack("<IQ", store.dim, len(store)))
-    le_vectors = store.vectors.astype("<f4", copy=False)
-    for k, id_bytes in enumerate(encoded):
-        sink.write(struct.pack("<H", len(id_bytes)))
-        sink.write(id_bytes)
-        sink.write(le_vectors[k].tobytes())
-
-
-def read_embeddings(source: BinaryIO) -> EmbeddingStore:
-    """Inverse of write_embeddings over a seekable source, from its
-    position to its end. The records are streamed, every read clamped to
-    the bytes left, and each vector is decoded into the store's float64
-    array, which the header's count sizes only as far as the bytes left
-    can hold it: that array is the one full-size allocation of a load.
-    Bytes after the last record are an error, and every vector must be
-    unit-norm (`EmbeddingStore`)."""
-    start = source.tell()
-    size = source.seek(0, os.SEEK_END) - start
-    source.seek(start)
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        chunk = source.read(min(n, size - offset))
-        if len(chunk) != n:
-            raise StoreFormatError(offset, f"truncated {what} ({len(chunk)} of {n} bytes)")
-        offset += n
-        return chunk
-
-    magic = source.read(min(4, size))
-    if magic != EMB_MAGIC:
-        raise StoreFormatError(0, f"bad magic {magic!r}, expected {EMB_MAGIC!r}")
-    offset = 4
-    dim, count = struct.unpack("<IQ", take(12, "header"))
-    if dim < 1:
-        raise StoreFormatError(4, f"non-positive dimension {dim}")
-    width = 4 * dim
-    # a record takes at least 2 + width bytes, so record k's vector can be
-    # whole only if k < rows: past that, the bytes left fall short
-    # of it. Vectors are read into float32 blocks, each decoded in one copy
-    rows = min(count, (size - offset) // (2 + width))
-    vectors = _aligned_rows(rows, dim)
-    stage = np.empty((min(rows, max(1, _STAGE_BYTES // width)), dim), "<f4")
-    index: dict[str, int] = {}
-    done = 0  # rows decoded into vectors
-    # a signalling NaN flags `invalid` as it decodes; the store rejects it as not finite
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(count):
-            record_offset = offset
-            (id_len,) = struct.unpack("<H", take(2, "id length"))
-            try:
-                utt_id = str(take(id_len, "id bytes"), "utf-8")
-            except UnicodeDecodeError:
-                raise StoreFormatError(record_offset, "id is not UTF-8") from None
-            if index.setdefault(utt_id, k) != k:
-                raise StoreFormatError(record_offset, f"duplicate id {utt_id!r}")
-            got = source.readinto(stage[k - done]) if k < rows else size - offset
-            if got != width:
-                raise StoreFormatError(offset, f"truncated vector ({got} of {width} bytes)")
-            offset += width
-            if k + 1 - done == len(stage) or k + 1 == count:
-                vectors[done : k + 1] = stage[: k + 1 - done]
-                done = k + 1
-    if offset != size:
-        raise StoreFormatError(offset, f"{size - offset} bytes after the last of {count} records")
-    return EmbeddingStore._from_rows(index, vectors)
+    score_set = ScoreSet.__new__(ScoreSet)  # every score is checked above
+    score_set.trials, score_set.scores = trials, scores
+    return score_set
 
 
 def write_embeddings_file(store: EmbeddingStore, path) -> None:
+    """`store.write_embeddings` into a file."""
+    from .store import write_embeddings
+
     with output_file(path, "wb") as sink:
         write_embeddings(store, sink)
 
 
 def read_embeddings_file(path, what: str = "embeddings") -> EmbeddingStore:
-    """`read_embeddings` of a file; `what` names it if it is not a regular file."""
+    """`store.read_embeddings` of a file; `what` names it if it is not a regular file."""
+    from .store import read_embeddings
+
     path = require_file(path, what)
     with open(path, "rb") as source:
         try:

@@ -1,4 +1,4 @@
-"""An independent EMB1 decoder, for differential tests of trials.read_embeddings.
+"""An independent EMB1 decoder, for differential tests of store.read_embeddings.
 
 It holds the whole byte string and walks it with struct.unpack_from,
 record by record. A format fault is raised as FormatFault(offset, message)

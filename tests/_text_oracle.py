@@ -101,11 +101,16 @@ def format_score(value: float) -> str:
     return f"{v:.{decimals}f}"
 
 
+def trial_ids(trial_list) -> tuple[list[str], list[str]]:
+    """(enroll ids, test ids) of a TrialList, one of each per trial."""
+    ids = trial_list.ids
+    return [ids[k] for k in trial_list.enroll], [ids[k] for k in trial_list.test]
+
+
 def trial_text(trial_list) -> str:
     """A TrialList as parse_trials reads it back, one trial per line."""
-    ids = trial_list.ids
-    enroll, test = ids[trial_list.enroll].tolist(), ids[trial_list.test].tolist()
+    enroll, test = trial_ids(trial_list)
     if trial_list.labeled:
-        labels = trial_list.labels().astype(int).tolist()
+        labels = list(trial_list.labels())
         return "".join(f"{y} {e} {t}\n" for y, e, t in zip(labels, enroll, test))
     return "".join(f"{e} {t}\n" for e, t in zip(enroll, test))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import central_difference, max_rel_err
-from _text_oracle import trial_text
+from _text_oracle import trial_ids, trial_text
 from svkit.augment import mix_at_snr, speed_perturb
 from svkit.cli import main
 from svkit.features import Waveform, write_wav
@@ -34,8 +34,8 @@ from svkit.model import (
 )
 from svkit.schedule import CosineRestartConfig, cycle_start, lr_at
 from svkit.scoring import dot_rows, score_trials, segment_id
+from svkit.store import EmbeddingStore
 from svkit.trials import (
-    EmbeddingStore,
     ScoreSet,
     TrialList,
     read_embeddings_file,
@@ -320,8 +320,7 @@ def test_asnorm_matches_brute_force(reported):
                            [utt_ids[2 * i + 1] for i in range(50)])
         result = score_trials(trials, store, mode="asnorm", cohort=cohort, top_k=100)
         cohort_rows = cohort.vectors.astype(np.float64)
-        ids = trials.ids
-        for enroll_id, test_id, got in zip(ids[trials.enroll], ids[trials.test], result.scores):
+        for enroll_id, test_id, got in zip(*trial_ids(trials), result.scores):
             e, t = store.vectors[store.row_index([enroll_id, test_id])].astype(np.float64)
             assert abs(got - brute_force_asnorm(e, t, cohort_rows, 100)) <= 1e-9
 
@@ -447,11 +446,11 @@ def test_synthetic_pipeline_end_to_end(reported):
         # stored vectors with none of the library's scoring or metric code
         index = {u: i for i, u in enumerate(store.ids)}
         rows = store.vectors.astype(np.float64)
-        enroll_ids, test_ids = trials.ids[trials.enroll], trials.ids[trials.test]
+        enroll_ids, test_ids = trial_ids(trials)
         enroll = rows[[index[u] for u in enroll_ids]]
         test = rows[[index[u] for u in test_ids]]
         direct = np.sum(enroll * test, axis=1)
-        p_miss, p_fa = oracle_rates(direct, trials.labels())
+        p_miss, p_fa = oracle_rates(direct, np.array(list(trials.labels()), dtype=bool))
         eer_direct = oracle_eer(p_miss, p_fa)
         assert abs(eer_raw - eer_direct) <= 0.1
         assert 0.0 < eer_raw < 25.0

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from _mel1_oracle import decode_mel1
-from _text_oracle import trial_text
+from _text_oracle import trial_ids, trial_text
 import svkit
 from svkit import cli as cli_module
 from svkit import selftest
@@ -24,12 +24,13 @@ from svkit.cli import main
 from svkit.augment import NoiseBank, apply_policy
 from svkit.config import PipelineConfig, load_pipeline_config, stage_seed
 from svkit.features import Waveform, apply_cmn, compute_logmel, read_wav, write_wav
+from svkit.metrics import SMALL_LIST
 from svkit.model import embed_waveform
 from svkit.scoring import MAX_N_SEGMENTS, score_trials, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
+from svkit.store import EmbeddingStore
 from svkit.trials import (
     SCORE_CHUNK,
-    EmbeddingStore,
     ScoreSet,
     TrialList,
     parse_scores,
@@ -155,7 +156,8 @@ class TestTopLevel:
     # which imports it through secrets.
     # Every command that reads a config loads the modules whose defaults it
     # holds (augment, features, schedule, scoring).
-    CONFIG_LAYERS = ["augment", "cli", "config", "features", "schedule", "scoring", "trials"]
+    CONFIG_LAYERS = ["augment", "cli", "config", "features", "schedule", "scoring", "store",
+                     "trials"]
     COMMAND_LOADS = pytest.mark.parametrize("argv, layers, numpy, seeded", [
         pytest.param(["--version"], ["cli"], False, False, id="version"),
         pytest.param(["features", "--wav", "u.wav", "--output", "u.mel"],
@@ -164,15 +166,20 @@ class TestTopLevel:
                      CONFIG_LAYERS, True, False, id="score"),
         pytest.param(["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm",
                       "--config", "cohort.cfg"], CONFIG_LAYERS, True, False, id="score-asnorm"),
+        # numpy sweeps a list of SMALL_LIST trials or more, and only such a list
         pytest.param(["evaluate", "--trials", "t.txt", "--scores", "s.txt"],
-                     ["cli", "metrics", "trials"], True, False, id="evaluate"),
+                     ["cli", "metrics", "trials"], False, False, id="evaluate"),
+        pytest.param(["evaluate", "--trials", "t-1.txt", "--scores", "s-1.txt"],
+                     ["cli", "metrics", "trials"], False, False, id="evaluate-below-crossover"),
+        pytest.param(["evaluate", "--trials", "t-0.txt", "--scores", "s-0.txt"],
+                     ["cli", "metrics", "trials"], True, False, id="evaluate-crossover"),
         pytest.param(["fuse", "--trials", "t.txt", "--scores", "s.txt", "s.txt", "--fit-labels"],
                      ["cli", "fusion", "trials"], True, False, id="fuse-fit"),
         pytest.param(["embed", "--wav-list", "wavs.txt", "--output", "out.bin"],
                      sorted(CONFIG_LAYERS + ["model"]), True, True, id="embed"),
         # the checks of a numpy/BLAS/libm build: no augment, fusion or config
         pytest.param(["selftest"], ["cli", "features", "metrics", "model", "schedule", "scoring",
-                                    "selftest", "trials"], True, True, id="selftest"),
+                                    "selftest", "store", "trials"], True, True, id="selftest"),
     ])
 
     @staticmethod
@@ -187,6 +194,13 @@ class TestTopLevel:
         write_config(tmp_path / "cohort.cfg", cohort="cohort.bin", top_k=2)
         write_trials(tmp_path / "t.txt", TrialList(["a", "a"], ["b", "c"], [True, False]))
         (tmp_path / "s.txt").write_text("a b 0.5\na c -0.5\n", encoding="utf-8")
+        for short in (0, 1):  # t-<short>.txt has SMALL_LIST - short trials
+            if f"t-{short}.txt" in argv:
+                n = SMALL_LIST - short
+                (tmp_path / f"t-{short}.txt").write_text(
+                    "".join(f"{k % 2} a u{k}\n" for k in range(n)), encoding="utf-8")
+                (tmp_path / f"s-{short}.txt").write_text(
+                    "".join(f"a u{k} {k % 7}\n" for k in range(n)), encoding="utf-8")
         tone_wav(tmp_path / "u.wav", 440)
         (tmp_path / "wavs.txt").write_text("u u.wav\n", encoding="utf-8")
         code = (
@@ -1203,13 +1217,12 @@ class TestEvaluateFixture:
 
 
 def without_labels(trial_list):
-    return TrialList(trial_list.ids[trial_list.enroll], trial_list.ids[trial_list.test])
+    return TrialList(*trial_ids(trial_list))
 
 
 class TestFuse:
     def write_score_file(self, path, trials, values):
-        ids = trials.ids
-        lines = [f"{e} {t} {v:.9f}" for e, t, v in zip(ids[trials.enroll], ids[trials.test], values)]
+        lines = [f"{e} {t} {v:.9f}" for e, t, v in zip(*trial_ids(trials), values)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
@@ -1218,7 +1231,7 @@ class TestFuse:
         trial_list = TrialList([f"e{i}" for i in range(40)], [f"t{i}" for i in range(40)],
                                [bool(i % 2) for i in range(40)])
         trials = write_trials(tmp_path / "t.txt", trial_list)
-        labels = trial_list.labels().astype(float)
+        labels = np.array(list(trial_list.labels()), dtype=float)
         s1 = self.write_score_file(
             tmp_path / "s1.txt", trial_list, labels + 0.5 * rng.standard_normal(40)
         )
@@ -1722,7 +1735,9 @@ def mutate(data: bytes, edits) -> bytes:
     ("crlf",) ends every line with "\\r\\n", ("field", at, fmt, value)
     packs `value` at offset `at` if the data holds it, ("record", k)
     doubles EMB1 record k and adds one to the header's count, and
-    ("chunk", k) doubles wav chunk k and adds its length to the RIFF size."""
+    ("chunk", k) doubles wav chunk k and adds its length to the RIFF size,
+    and ("token", k, text) puts `text` in place of whitespace-separated
+    token k."""
     for kind, *where in edits:
         if kind == "cut":
             data = data[: where[0] % (len(data) + 1)]
@@ -1751,6 +1766,9 @@ def mutate(data: bytes, edits) -> bytes:
             start, end = chunks[where[0] % len(chunks)]
             size = (struct.unpack_from("<I", data, 4)[0] + end - start) % 2**32
             data = data[:4] + struct.pack("<I", size) + data[8:end] + data[start:]
+        elif kind == "token" and (tokens := data.split()):
+            tokens[where[0] % len(tokens)] = where[1]
+            data = b" ".join(tokens) + b"\n"
     return data
 
 
@@ -1770,6 +1788,15 @@ CONFIG_EDITS = st.lists(st.one_of(
     FLIP,
     st.tuples(st.sampled_from(["repeat", "drop", "key"]), st.integers(0, 10)),
     st.tuples(st.just("value"), st.integers(0, 10), st.sampled_from(CONFIG_VALUES)),
+), min_size=1, max_size=3)
+# a fusion model's bias or a weight made non-finite, overflowing, or too
+# large for the fused scores to stay finite; dropped, or doubled (one field
+# too few or too many)
+MODEL_TOKENS = [b"nan", b"inf", b"-inf", b"1e309", b"1.7e308", b"", b"0.5 0.5"]
+MODEL_EDITS = st.lists(st.one_of(
+    CUT,
+    FLIP,
+    st.tuples(st.just("token"), st.integers(0, 10), st.sampled_from(MODEL_TOKENS)),
 ), min_size=1, max_size=3)
 # EMB1's u32 dim and u64 count, each set to 0 or to its maximum
 EMB1_FIELDS = [("field", 4, "<I", 0), ("field", 4, "<I", 2**32 - 1),
@@ -1796,10 +1823,12 @@ WAV_EDITS = st.lists(st.one_of(
 
 class TestMutatedText:
     """evaluate, fuse and score over trial and score files cut, flipped,
-    given a repeated line or CRLF line ends, and score over an EMB1 store
-    or cohort cut, flipped, given a header field at 0 or its maximum or a
-    repeated record, keep the CLI contract: exit 0 or 2, at most one
-    stderr line naming an input file, no --output file after a failure."""
+    given a repeated line or CRLF line ends, score over an EMB1 store or
+    cohort cut, flipped, given a header field at 0 or its maximum or a
+    repeated record, and fuse over a fitted model cut, flipped, given a
+    bad value or one field too few or too many, keep the CLI contract:
+    exit 0 or 2, at most one stderr line naming an input file, no --output
+    file after a failure."""
 
     LIST = TrialList(["a", "a", "b", "c", "d", "b"], ["b", "c", "c", "d", "a", "d"],
                      [True, False, True, False, True, False])
@@ -1886,6 +1915,45 @@ class TestMutatedText:
             assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith("error: ")
             assert str(victim) in captured.err
+            assert not out.exists()
+
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(edits=MODEL_EDITS)
+    @example(edits=[("token", 1, b"1.7e308"), ("token", 0, b"1.7e308")])  # overflow
+    @example(edits=[("token", 2, b"")])  # one system too few
+    @example(edits=[("token", 0, b"0.5 0.5")])  # one too many
+    def test_mutated_model_keeps_cli_contract(self, tmp_path, capsys, edits):
+        trials, s1, s2, model, out = (tmp_path / name for name in
+                                      ("t.txt", "s1.txt", "s2.txt", "m.txt", "out.txt"))
+        if not model.exists():
+            write_trials(trials, self.LIST)
+            scores = np.linspace(-0.5, 0.5, len(self.LIST))
+            s1.write_text(serialize_scores(ScoreSet(self.LIST, scores)), encoding="utf-8")
+            s2.write_text(serialize_scores(ScoreSet(self.LIST, scores ** 2)), encoding="utf-8")
+            assert main(["fuse", "--trials", str(trials), "--scores", str(s1), str(s2),
+                         "--fit-labels", "--model", str(model)]) == 0
+            (tmp_path / "fitted.txt").write_bytes(model.read_bytes())
+        model.write_bytes(mutate((tmp_path / "fitted.txt").read_bytes(), edits))
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(["fuse", "--trials", str(trials), "--scores", str(s1), str(s2),
+                     "--model", str(model), "--output", str(out)])
+        captured = capsys.readouterr()
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        if code == 0:
+            assert captured.err == ""
+            assert len(out.read_text(encoding="utf-8").splitlines()) == len(self.LIST)
+        else:
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ") and str(model) in captured.err
             assert not out.exists()
 
 

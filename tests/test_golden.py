@@ -102,7 +102,7 @@ def pipeline_digests(work: Path) -> dict[str, str]:
         result = score_trials(trials, read_embeddings_file(work / store),
                               mode="msa" if "--msa" in flags else "raw",
                               cohort=cohort if "--asnorm" in flags else None, top_k=4)
-        digests[f"score-{mode}:scores"] = sha256(result.scores.astype(np.float64).tobytes())
+        digests[f"score-{mode}:scores"] = sha256(result.scores.tobytes())
     run("evaluate", ["evaluate", "--trials", work / "trials.txt", "--scores", work / "raw.txt"])
 
     score_files = [work / f"{mode}.txt" for mode in systems]

@@ -1,14 +1,29 @@
 """EER and minimum detection cost: hand values, properties, oracle equality."""
 
+import importlib.util
 import tracemalloc
+from array import array
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svkit.metrics import DcfConfig, RocCurve, eer, evaluate_scores, min_dcf, roc_points
+from svkit import metrics
+from svkit.metrics import (
+    SMALL_LIST,
+    DcfConfig,
+    RocCurve,
+    eer,
+    evaluate_scores,
+    min_dcf,
+    roc_points,
+)
 from svkit.trials import ScoreSet, TrialList
+
+ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
 
 
 def labeled_scores(target_scores, nontarget_scores):
@@ -43,7 +58,7 @@ def oracle_eer(pm, pf):
 class TestRocPoints:
     def test_perfect_separation_has_zero_zero_point(self):
         curve = roc_points(labeled_scores([0.9, 0.8], [0.2, 0.1]))
-        both_zero = (curve.p_miss == 0) & (curve.p_fa == 0)
+        both_zero = (np.asarray(curve.p_miss) == 0) & (np.asarray(curve.p_fa) == 0)
         assert np.any(both_zero)
 
     def test_all_scores_equal_gives_two_sentinels(self):
@@ -134,6 +149,16 @@ class TestEer:
             assert transformed == base
 
 
+    @pytest.mark.parametrize("p_miss, p_fa", [([0.0, 0.25], [1.0, 0.5]),
+                                              ([0.5, 1.0], [0.25, 0.0])],
+                             ids=["stops-short", "starts-past"])
+    def test_curve_that_does_not_cross_rejected(self, p_miss, p_fa):
+        curve = RocCurve(thresholds=[0.0, 1.0], p_miss=p_miss, p_fa=p_fa, n_target=1,
+                         n_nontarget=1)
+        with pytest.raises(ValueError, match="does not cross"):
+            eer(curve)
+
+
 class TestMinDcf:
     def test_perfect_separation(self):
         assert min_dcf(roc_points(labeled_scores([0.9, 0.8], [0.2, 0.1]))) == 0.0
@@ -220,3 +245,63 @@ def test_metric_ranges_property(targets, nontargets):
     e, d = evaluate_scores(s)
     assert 0.0 <= e <= 100.0
     assert 0.0 <= d <= 1.0
+
+
+def counting_oracle():
+    """perfbench's counting EER/minDCF, loaded by path as the benchmark loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES_PATH)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles.counting_eer_mindcf
+
+
+COUNTING = counting_oracle()
+
+
+class TestRoutes:
+    """Below SMALL_LIST trials the stdlib sweeps and takes the minimum cost,
+    at or above it numpy does: both routes give the same curve and metrics,
+    bit for bit, and both agree with perfbench's counting oracle."""
+
+    # few values, so lists hold ties; both zeros, which compare equal
+    TIED = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 1e-300, 0.25, 1.0])
+    CONFIGS = st.builds(DcfConfig, st.sampled_from([0.01, 0.05, 0.5, 0.99]),
+                        st.sampled_from([1.0, 10.0]), st.sampled_from([1.0, 0.1]))
+
+    def check(self, scores, labels, cfg):
+        n = len(labels)
+        trials = TrialList._from_codes(("e", "t"), array("q", [0, 1]) * n, bytes(labels))
+        score_set = ScoreSet(trials, scores)
+        routes = []
+        for small_list in (n + 1, 0):  # the stdlib's route, then numpy's
+            with mock.patch.object(metrics, "SMALL_LIST", small_list):
+                curve = roc_points(score_set)
+                routes.append(([a.tobytes() for a in (curve.thresholds, curve.p_miss, curve.p_fa)],
+                               eer(curve).hex(), min_dcf(curve).hex(), min_dcf(curve, cfg).hex()))
+        assert routes[0] == routes[1]
+        got = evaluate_scores(score_set)  # by the route SMALL_LIST picks
+        assert [got[0].hex(), got[1].hex()] == list(routes[0][1:3])
+        want = COUNTING(np.asarray(score_set.scores), np.frombuffer(labels, np.bool_))
+        assert abs(got[0] - want[0]) <= 5e-7 and abs(got[1] - want[1]) <= 5e-7
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(TIED, st.floats(allow_nan=False, allow_infinity=False)),
+                              st.booleans()), min_size=2, max_size=40)
+           .filter(lambda rows: 1 <= sum(y for _, y in rows) < len(rows)), CONFIGS)
+    @example([(0.5, True), (0.5, False)], DcfConfig())  # two trials, one tie
+    @example([(0.1, False), (0.7, True), (0.7, True), (0.3, True)], DcfConfig())  # one nontarget
+    @example([(1.7e308, True), (1.7e308, False), (-1.0, True)], DcfConfig())  # a sum overflows
+    def test_small_lists(self, rows, cfg):
+        self.check(array("d", [s for s, _ in rows]), bytes(y for _, y in rows), cfg)
+
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(SMALL_LIST - 2, SMALL_LIST + 1), seed=st.integers(0, 2**32 - 1),
+           decimals=st.sampled_from([0, 2, 9]), target_share=st.sampled_from([0.0, 0.1, 0.5]),
+           cfg=CONFIGS)
+    def test_lists_at_the_crossover(self, n, seed, decimals, target_share, cfg):
+        # scores rounded to `decimals`: from 9 distinct values to all distinct
+        rng = np.random.default_rng(seed)
+        labels = rng.random(n) < target_share
+        labels[:2] = True, False  # a share of 0 leaves one target
+        scores = np.round(rng.standard_normal(n) + labels, decimals)
+        self.check(array("d", scores.tobytes()), labels.tobytes(), cfg)

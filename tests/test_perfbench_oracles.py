@@ -8,7 +8,7 @@ here by path, as the benchmark loads it, and checked against the package.
 import importlib.util
 from pathlib import Path
 
-from svkit import trials
+from svkit import store
 
 ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
 
@@ -17,4 +17,4 @@ def test_oracle_norm_tolerance_is_the_store_contract():
     spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES_PATH)
     oracles = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracles)
-    assert oracles.NORM_TOL == trials.NORM_TOL
+    assert oracles.NORM_TOL == store.NORM_TOL

@@ -16,7 +16,8 @@ import pytest
 from svkit.cli import main
 from svkit.features import Waveform, write_wav
 from svkit.scoring import segment_id
-from svkit.trials import EmbeddingStore, write_embeddings_file
+from svkit.store import EmbeddingStore
+from svkit.trials import write_embeddings_file
 
 TRACE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
 

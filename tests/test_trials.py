@@ -22,6 +22,7 @@ from _text_oracle import (
     format_score,
     reference_scores,
     reference_trials,
+    trial_ids,
     trial_text,
 )
 from svkit import trials as trials_module
@@ -30,25 +31,27 @@ from svkit.features import read_wav
 from svkit.fusion import stack_scores
 from svkit.metrics import roc_points
 from svkit.scoring import score_trials
-from svkit.trials import (
+from svkit.store import (
     NORM_TOL,
     ROW_ALIGN,
-    SCORE_CHUNK,
     EmbeddingStore,
-    ScoreSet,
     StoreFormatError,
+    read_embeddings,
+    write_embeddings,
+)
+from svkit.trials import (
+    SCORE_CHUNK,
+    ScoreSet,
     TrialList,
     TrialParseError,
     parse_scores,
     parse_trials,
-    read_embeddings,
     read_embeddings_file,
     read_path_list,
     read_text,
     require_file,
     score_text_chunks,
     serialize_scores,
-    write_embeddings,
     write_embeddings_file,
 )
 
@@ -105,7 +108,7 @@ class TestParseTrials:
         tl = parse_trials("1 a.wav b.wav\n0 a.wav c.wav", labeled=True)
         assert len(tl) == 2
         assert tl.labeled
-        assert tl.labels().tolist() == [True, False]
+        assert tl.labels() == b"\x01\x00"
         assert [tl.ids[tl.enroll[0]], tl.ids[tl.test[0]]] == ["a.wav", "b.wav"]
 
     def test_unlabeled_single_line(self):
@@ -178,10 +181,10 @@ class TestTrialListConstructor:
         labels = [y for _, _, y in rows] if labeled else None
         tl = TrialList(enroll, test, labels)
         assert parse_trials(trial_text(tl), labeled) == tl
-        assert [tl.ids[tl.enroll].tolist(), tl.ids[tl.test].tolist()] == [enroll, test]
-        assert tl.ids.tolist() == first_seen(list(zip(enroll, test)))
+        assert list(trial_ids(tl)) == [enroll, test]
+        assert list(tl.ids) == first_seen(list(zip(enroll, test)))
         if labeled and rows:
-            assert tl.labels().tolist() == labels
+            assert tl.labels() == bytes(labels)
         assert tl.labeled == (labeled and bool(rows))
 
         # a broken id on either side, at any trial
@@ -210,21 +213,21 @@ class TestTrialListConstructor:
 class TestIndexArrays:
     def test_parsed_list_is_index_arrays(self):
         tl = parse_trials("1 a b\n0 a c\n\n1 c b\n", labeled=True)
-        assert tl.ids.tolist() == ["a", "b", "c"]
-        assert tl.enroll.dtype == np.intp and tl.test.dtype == np.intp
+        assert tl.ids == ("a", "b", "c")
+        assert tl.enroll.format == tl.test.format == "q"
         assert tl.enroll.tolist() == [0, 0, 2]
         assert tl.test.tolist() == [1, 2, 1]
-        assert tl.labels().tolist() == [True, False, True]
+        assert tl.labels() == bytes([1, 0, 1])
 
     def test_trial_objects_build_the_same_arrays(self):
         # a list built from id sequences equals the parse of the same trials
         text = "1 a b\n0 a c\n1 c b\n1 a b\n"
         built = TrialList(["a", "a", "c", "a"], ["b", "c", "b", "b"], [True, False, True, True])
         assert built == parse_trials(text, labeled=True)
-        assert built.ids.tolist() == ["a", "b", "c"]
+        assert built.ids == ("a", "b", "c")
         assert built.enroll.tolist() == [0, 0, 2, 0]
         assert built.test.tolist() == [1, 2, 1, 1]
-        assert built.labels().tolist() == [True, False, True, True]
+        assert built.labels() == bytes([1, 0, 1, 1])
 
     def test_equality_covers_pairs_and_labels(self):
         tl = parse_trials("1 a b\n0 a c\n", labeled=True)
@@ -243,13 +246,13 @@ class TestIndexArrays:
             got = codes.of(ids)
             for u in ids:
                 want.setdefault(u, len(want))
-            assert got.dtype == np.intp and got.tolist() == [want[u] for u in ids]
+            assert got.typecode == "q" and got.tolist() == [want[u] for u in ids]
             assert list(codes.items()) == list(want.items())
 
     def test_arrays_are_read_only(self):
         tl = parse_trials("1 a b\n0 a c\n", labeled=True)
         for array in (tl.ids, tl.enroll, tl.test, tl.labels()):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 array[0] = array[1]
 
     def test_empty_list_is_unlabeled(self):
@@ -745,17 +748,16 @@ def check_trials(text, labeled):
         assert str(info.value) == str(rejected)
         return
     tl = parse_trials(text, labeled)
-    enroll, test = tl.ids[tl.enroll], tl.ids[tl.test]
-    assert list(zip(enroll.tolist(), test.tolist())) == pairs
-    assert tl.ids.tolist() == first_seen(pairs)
-    assert tl.enroll.dtype == tl.test.dtype == np.intp
+    assert list(zip(*trial_ids(tl))) == pairs
+    assert list(tl.ids) == first_seen(pairs)
+    assert tl.enroll.format == tl.test.format == "q"
     assert tl.labeled == bool(labels)
     if labels:
-        assert tl.labels().tolist() == labels
+        assert tl.labels() == bytes(labels)
 
 
 def check_scores(text, trials):
-    expected = list(zip(trials.ids[trials.enroll].tolist(), trials.ids[trials.test].tolist()))
+    expected = list(zip(*trial_ids(trials)))
     try:
         pairs, scores, _ = reference_scores(text, expected)
     except Rejected as rejected:
@@ -962,7 +964,7 @@ EDGE_SCORES += [2.225073858507201e-308, -1e-310, 1e-320, -5e-324]  # subnormals
 
 def expected_score_text(tl, scores):
     return "".join(f"{e} {t} {format_score(s)}\n"
-                   for e, t, s in zip(tl.ids[tl.enroll], tl.ids[tl.test], scores))
+                   for e, t, s in zip(*trial_ids(tl), scores))
 
 
 class TestScoreText:
