@@ -6,12 +6,11 @@ sentinel, so the curve always starts at (P_miss=0, P_fa=1) and ends at
 (P_miss=1, P_fa=0). Only score order matters: both metrics are invariant
 under strictly increasing transforms.
 
-The sweep and the minimum cost take one of two routes, picked by the
-number of trials. Below SMALL_LIST the stdlib runs them (a Counter per
-class over the sorted distinct scores), and numpy is never loaded; at or
-above it, numpy's sort, cumulative sum and minimum do. Both give the same
-bits: every rate is one integer count divided by another, and every cost
-the same two products and one sum.
+The sweep takes one of two routes, picked by the number of trials. Below
+SMALL_LIST the stdlib runs it (a Counter per class over the sorted
+distinct scores), and numpy is never loaded; at or above it, numpy's sort
+and cumulative sum do. Both give the same bits: every rate is one integer
+count divided by another.
 """
 
 from __future__ import annotations
@@ -23,12 +22,8 @@ from itertools import accumulate, chain, compress, repeat
 from math import inf
 from operator import add, gt, lt, mul, sub, truediv
 
-from .trials import ScoreSet
+from .trials import SMALL_LIST, ScoreSet
 
-# trials from which numpy's sweep, its import included, beats the stdlib's:
-# the crossover measured on lists of distinct scores (ties speed up only
-# the stdlib), where each took about 60 ms on a 2-core x86_64
-SMALL_LIST = 55_000
 # label bytes of targets to those of nontargets, and back
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -166,13 +161,7 @@ def min_dcf(curve: RocCurve, cfg: DcfConfig = DcfConfig()) -> float:
     bounds the result at 1.
     """
     miss, fa = cfg.c_miss * cfg.p_target, cfg.c_fa * (1.0 - cfg.p_target)
-    if curve.n_target + curve.n_nontarget < SMALL_LIST:
-        least = min(map(add, map(mul, repeat(miss), curve.p_miss),
-                        map(mul, repeat(fa), curve.p_fa)))
-    else:
-        import numpy as np
-
-        least = float(np.min(miss * np.frombuffer(curve.p_miss) + fa * np.frombuffer(curve.p_fa)))
+    least = min(map(add, map(mul, repeat(miss), curve.p_miss), map(mul, repeat(fa), curve.p_fa)))
     return least / min(miss, fa)
 
 

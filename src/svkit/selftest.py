@@ -14,12 +14,12 @@ from array import array
 import numpy as np
 
 from .features import LOGMEL_BLOCK
-from .metrics import SMALL_LIST, DcfConfig, min_dcf, roc_points
+from .metrics import DcfConfig, min_dcf, roc_points
 from .model import SubcenterWeights, length_normalize, subcenter_cosines
 from .schedule import CosineRestartConfig, cycle_start, lr_at
 from .scoring import COHORT_BLOCK, cohort_stats, dot_rows
 from .store import EmbeddingStore
-from .trials import ScoreSet, TrialList
+from .trials import SMALL_LIST, ScoreSet, TrialList
 
 
 def _labeled_scores(targets: np.ndarray, nontargets: np.ndarray) -> ScoreSet:
@@ -34,8 +34,8 @@ def _labeled_scores(targets: np.ndarray, nontargets: np.ndarray) -> ScoreSet:
 def check_metrics_oracle() -> bool:
     # min_dcf over the swept rates must equal, bit for bit, the same cost
     # formula over rates counted threshold by threshold: the sweep's sort and
-    # cumulative sum and the cost's minimum are numpy builds' kernels, which
-    # lists of SMALL_LIST trials or more run
+    # cumulative sum are numpy builds' kernels, which lists of SMALL_LIST
+    # trials or more run
     rng = np.random.default_rng(101)
     cfg = DcfConfig()
     for _ in range(20):

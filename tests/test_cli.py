@@ -24,13 +24,13 @@ from svkit.cli import main
 from svkit.augment import NoiseBank, apply_policy
 from svkit.config import PipelineConfig, load_pipeline_config, stage_seed
 from svkit.features import Waveform, apply_cmn, compute_logmel, read_wav, write_wav
-from svkit.metrics import SMALL_LIST
 from svkit.model import embed_waveform
 from svkit.scoring import MAX_N_SEGMENTS, score_trials, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
 from svkit.store import EmbeddingStore
 from svkit.trials import (
     SCORE_CHUNK,
+    SMALL_LIST,
     ScoreSet,
     TrialList,
     parse_scores,
@@ -166,7 +166,8 @@ class TestTopLevel:
                      CONFIG_LAYERS, True, False, id="score"),
         pytest.param(["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm",
                       "--config", "cohort.cfg"], CONFIG_LAYERS, True, False, id="score-asnorm"),
-        # numpy sweeps a list of SMALL_LIST trials or more, and only such a list
+        # numpy gathers the ids of and sweeps a list of SMALL_LIST trials or
+        # more, and only such a list
         pytest.param(["evaluate", "--trials", "t.txt", "--scores", "s.txt"],
                      ["cli", "metrics", "trials"], False, False, id="evaluate"),
         pytest.param(["evaluate", "--trials", "t-1.txt", "--scores", "s-1.txt"],

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from svkit import metrics
 from svkit.metrics import (
-    SMALL_LIST,
     DcfConfig,
     RocCurve,
     eer,
@@ -21,7 +20,7 @@ from svkit.metrics import (
     min_dcf,
     roc_points,
 )
-from svkit.trials import ScoreSet, TrialList
+from svkit.trials import SMALL_LIST, ScoreSet, TrialList
 
 ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
 
@@ -259,9 +258,9 @@ COUNTING = counting_oracle()
 
 
 class TestRoutes:
-    """Below SMALL_LIST trials the stdlib sweeps and takes the minimum cost,
-    at or above it numpy does: both routes give the same curve and metrics,
-    bit for bit, and both agree with perfbench's counting oracle."""
+    """Below SMALL_LIST trials the stdlib sweeps, at or above it numpy does:
+    both routes give the same curve and metrics, bit for bit, and both agree
+    with perfbench's counting oracle."""
 
     # few values, so lists hold ties; both zeros, which compare equal
     TIED = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 1e-300, 0.25, 1.0])

@@ -5,6 +5,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +42,7 @@ from svkit.store import (
 )
 from svkit.trials import (
     SCORE_CHUNK,
+    SMALL_LIST,
     ScoreSet,
     TrialList,
     TrialParseError,
@@ -329,6 +331,22 @@ class TestScoreSet:
         want = r"^score line 3 is for \(x, y\), trial list has \(a, b\)$"
         with pytest.raises(ValueError, match=want):
             parse_scores("\n\nx y 0.5\n", trials=tl)
+
+    @pytest.mark.parametrize("short", [1, 0], ids=["stdlib-gather", "numpy-gather"])
+    def test_pair_mismatch_on_either_side_of_the_crossover(self, short):
+        # SMALL_LIST - short trials: below the constant parse_scores gathers
+        # the list's ids with the stdlib, at it with numpy; the wrong pair is
+        # in the last chunk
+        n = SMALL_LIST - short
+        tl = TrialList([f"e{k % 997}" for k in range(n)], [f"t{k % 991}" for k in range(n)])
+        lines = [f"e{k % 997} t{k % 991} 0.5" for k in range(n)]
+        assert parse_scores("\n".join(lines), tl).scores == array("d", [0.5]) * n
+        lines[-2] = "e1 t2 0.5"
+        want = (f"score line {n - 1} is for (e1, t2), "
+                f"trial list has (e{(n - 2) % 997}, t{(n - 2) % 991})")
+        with pytest.raises(ValueError) as info:
+            parse_scores("\n".join(lines), tl)
+        assert str(info.value) == want
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-100.0, max_value=100.0), max_size=20))
@@ -880,10 +898,12 @@ class TestTokenizer:
     """parse_trials and parse_scores against the per-line oracle, with
     chunks small enough that most texts cross several chunk boundaries."""
 
+    # a SMALL_LIST of 0 makes parse_scores gather every list's ids with numpy
     @settings(max_examples=400, deadline=None)
-    @given(mixed_texts(), st.integers(1, 48), st.data())
-    def test_parsers_equal_line_oracle(self, text, chunk_chars, data):
-        with mock.patch.object(trials_module, "_CHUNK_CHARS", chunk_chars):
+    @given(mixed_texts(), st.integers(1, 48), st.sampled_from([0, SMALL_LIST]), st.data())
+    def test_parsers_equal_line_oracle(self, text, chunk_chars, small_list, data):
+        with mock.patch.object(trials_module, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(trials_module, "SMALL_LIST", small_list):
             for labeled in (True, False, None):
                 check_trials(text, labeled)
             check_scores(text, written_for(text))
