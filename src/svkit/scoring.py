@@ -36,9 +36,11 @@ from .trials import ScoreSet, TrialList
 SIGMA_FLOOR = 1e-9
 # trials, or utterances, per gathered chunk: bounds every row copy
 TRIAL_CHUNK = 128
-# rows per cohort_stats gemm: 32 rows already reach full gemm speed (64
-# is no faster), and a 32 x 5000 float64 score block is 1.3 MB, so peak
-# memory stays where per-row scoring had it
+# rows per cohort_stats gemm, a memory choice: every size gives the same
+# bits and a larger one is faster (1980 rows x 5000 on a 2-core x86_64:
+# ~110 ms at 32, ~100 at 64, ~90 at 128), but the score block is rows x
+# cohort float64 (1.3 MB at 32 x 5000), and 128 rows raised score_cohort's
+# peak RSS from 46.5 to 50.8 MB for ~4% of its wall time
 COHORT_BLOCK = 32
 # segments per utterance, from a config or an MSA store: bounds the
 # segment ids probed and gathered per utterance

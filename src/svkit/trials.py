@@ -436,7 +436,10 @@ def _pair_ids(trials: TrialList) -> Callable[[int, int], list[str]]:
 
     A list of SMALL_LIST trials or more gathers from a numpy object array
     (about 11 ns an id on a 2-core x86_64, against the stdlib's 40); a
-    shorter one takes one `itemgetter` over the ids tuple, with no numpy."""
+    shorter one takes one `itemgetter` over the ids tuple, with no numpy.
+    Such a list loads numpy anyway, and end to end the route is within
+    noise: without it, 12 interleaved score_dense pairs read wall_s 1.90
+    s against 1.83 (IQR 0.19 s; the route won 7) and peak_rss_mb 41.5."""
     if len(trials) < SMALL_LIST:
         # two or more codes, so itemgetter returns a tuple
         return lambda start, stop: list(itemgetter(*trials.pairs[start:stop])(trials.ids))

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from _bench_oracles import oracles
 from _mel1_oracle import decode_mel1
-from _text_oracle import trial_ids, trial_text
+from _text_oracle import reference_scores, reference_trials, trial_ids, trial_text
 import svkit
 from svkit import cli as cli_module
 from svkit import selftest
@@ -178,9 +179,18 @@ class TestTopLevel:
                      ["cli", "fusion", "trials"], True, False, id="fuse-fit"),
         pytest.param(["embed", "--wav-list", "wavs.txt", "--output", "out.bin"],
                      sorted(CONFIG_LAYERS + ["model"]), True, True, id="embed"),
-        # the checks of a numpy/BLAS/libm build: no augment, fusion or config
-        pytest.param(["selftest"], ["cli", "features", "metrics", "model", "schedule", "scoring",
-                                    "selftest", "store", "trials"], True, True, id="selftest"),
+        pytest.param(["augment", "--wav", "u.wav", "--output", "a.wav", "--config", "aug.cfg"],
+                     CONFIG_LAYERS, True, True, id="augment"),
+        pytest.param(["schedule-dump", "--config", "s.cfg", "--steps", "5"],
+                     CONFIG_LAYERS, True, False, id="schedule-dump"),
+        # model and what it imports; no config
+        pytest.param(["shapes", "ResNet34-st1112"],
+                     ["cli", "features", "model", "scoring", "store", "trials"], True, False,
+                     id="shapes"),
+        # the checks of a numpy/BLAS build: no augment, fusion, config,
+        # metrics or schedule
+        pytest.param(["selftest"], ["cli", "features", "model", "scoring", "selftest", "store",
+                                    "trials"], True, True, id="selftest"),
     ])
 
     @staticmethod
@@ -204,6 +214,10 @@ class TestTopLevel:
                     "".join(f"a u{k} {k % 7}\n" for k in range(n)), encoding="utf-8")
         tone_wav(tmp_path / "u.wav", 440)
         (tmp_path / "wavs.txt").write_text("u u.wav\n", encoding="utf-8")
+        if "aug.cfg" in argv:
+            write_config(tmp_path / "aug.cfg",
+                         noise_manifest=TestAugment().make_manifest(tmp_path))
+        write_config(tmp_path / "s.cfg", cycle0_steps=10)
         code = (
             "import sys; from svkit.cli import main; "
             f"code = main({argv!r}); "
@@ -1829,7 +1843,8 @@ class TestMutatedText:
     repeated record, and fuse over a fitted model cut, flipped, given a
     bad value or one field too few or too many, keep the CLI contract:
     exit 0 or 2, at most one stderr line naming an input file, no --output
-    file after a failure."""
+    file after a failure. An evaluate that exits 0 prints the counting
+    oracle's EER and minDCF of the text the plain reference parsers read."""
 
     LIST = TrialList(["a", "a", "b", "c", "d", "b"], ["b", "c", "c", "d", "a", "d"],
                      [True, False, True, False, True, False])
@@ -1844,6 +1859,9 @@ class TestMutatedText:
         target=st.sampled_from(["trials", "scores"]),
         edits=EDITS,
     )
+    # evaluate exits 0 on either file with CRLF line ends: the oracle runs on every run
+    @example(command="evaluate", target="trials", edits=[("crlf",)])
+    @example(command="evaluate", target="scores", edits=[("crlf",)])
     def test_mutated_text_keeps_cli_contract(self, tmp_path, capsys, command, target, edits):
         trials, s1, s2, emb = (tmp_path / name for name in ("t.txt", "s1.txt", "s2.txt", "e.bin"))
         write_trials(trials, self.LIST)
@@ -1874,6 +1892,16 @@ class TestMutatedText:
         if code == 0:
             assert captured.err == ""
             assert out.exists() or command == "evaluate"
+            if command == "evaluate":
+                pairs, labels = reference_trials(trials.read_bytes().decode("utf-8"), True)
+                _, values, _ = reference_scores(s1.read_bytes().decode("utf-8"), pairs)
+                want = oracles.counting_eer_mindcf(np.array(values), np.array(labels))
+                lines = captured.out.splitlines()
+                assert [line.split()[0] for line in lines] == ["EER(%)", "minDCF"]
+                # half a unit of the sixth printed decimal, plus the float
+                # slack perfbench/oracles.py's evaluation check allows
+                for line, value in zip(lines, want):
+                    assert abs(float(line.split()[1]) - value) <= 5e-7 + 1e-9
         else:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
@@ -2134,8 +2162,7 @@ class TestScheduleDump:
 class TestSelftest:
     def test_all_properties_pass(self, capsys):
         assert main(["selftest"]) == 0
-        assert capsys.readouterr() == ("PASS metrics-oracle\nPASS reduction-identities\n"
-                                       "PASS fft-block-rows\nPASS schedule-values\n", "")
+        assert capsys.readouterr() == ("PASS reduction-identities\nPASS fft-block-rows\n", "")
 
     def test_failing_and_raising_checks_fail_the_run(self, monkeypatch, capsys):
         def raises():

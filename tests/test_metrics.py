@@ -1,9 +1,7 @@
 """EER and minimum detection cost: hand values, properties, oracle equality."""
 
-import importlib.util
 import tracemalloc
 from array import array
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _bench_oracles import oracles
 from svkit import metrics
 from svkit.metrics import (
     DcfConfig,
@@ -21,8 +20,6 @@ from svkit.metrics import (
     roc_points,
 )
 from svkit.trials import SMALL_LIST, ScoreSet, TrialList
-
-ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
 
 
 def labeled_scores(target_scores, nontarget_scores):
@@ -246,15 +243,7 @@ def test_metric_ranges_property(targets, nontargets):
     assert 0.0 <= d <= 1.0
 
 
-def counting_oracle():
-    """perfbench's counting EER/minDCF, loaded by path as the benchmark loads it."""
-    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES_PATH)
-    oracles = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracles)
-    return oracles.counting_eer_mindcf
-
-
-COUNTING = counting_oracle()
+COUNTING = oracles.counting_eer_mindcf  # perfbench's, loaded by path
 
 
 class TestRoutes:
