@@ -331,7 +331,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=600)
     p.set_defaults(func=cmd_shapes)
 
-    p = sub.add_parser("selftest", help="run the built-in oracle property suite")
+    p = sub.add_parser("selftest", help="run the checks that the numpy or BLAS build can change")
     p.set_defaults(func=cmd_selftest)
 
     return parser

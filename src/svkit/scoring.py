@@ -36,11 +36,15 @@ from .trials import ScoreSet, TrialList
 SIGMA_FLOOR = 1e-9
 # trials, or utterances, per gathered chunk: bounds every row copy
 TRIAL_CHUNK = 128
-# rows per cohort_stats gemm, a memory choice: every size gives the same
-# bits and a larger one is faster (1980 rows x 5000 on a 2-core x86_64:
-# ~110 ms at 32, ~100 at 64, ~90 at 128), but the score block is rows x
-# cohort float64 (1.3 MB at 32 x 5000), and 128 rows raised score_cohort's
-# peak RSS from 46.5 to 50.8 MB for ~4% of its wall time
+# rows per cohort_stats gemm, a choice of memory and of bits. A larger
+# size is faster (1980 rows x 5000 on a 2-core x86_64: ~110 ms at 32, ~100
+# at 64, ~90 at 128), but the score block is rows x cohort float64 (1.3 MB
+# at 32 x 5000), and 128 rows raised score_cohort's peak RSS from 46.5 to
+# 50.8 MB for ~4% of its wall time. The size also moves the statistics'
+# bits against a small cohort (OpenBLAS 0.3.31, Haswell kernels; 300 rows,
+# dim 256 and 512, k = 4): 256 rows against 6 or 8 vectors, 128 and 256
+# against 9 or 16, while 64 agreed everywhere, as every size did from 40
+# vectors up. The golden score digests use a 6-vector cohort.
 COHORT_BLOCK = 32
 # segments per utterance, from a config or an MSA store: bounds the
 # segment ids probed and gathered per utterance

@@ -9,8 +9,8 @@ are read and written here, in the layout of `svkit.store`.
 
 This module loads no numpy: a trial list and a score set are stdlib
 arrays, which numpy code views with `np.frombuffer`, copying nothing.
-The score writer and the store files import numpy when they run, and so
-does `parse_scores` on a list of SMALL_LIST trials or more.
+The score writer and the store files import numpy when they run; the
+parsers never do, whatever a list's length.
 """
 
 from __future__ import annotations
@@ -22,17 +22,10 @@ from math import floor, isfinite, log10
 from operator import itemgetter, length_hint
 from pathlib import Path
 from struct import pack
-from typing import TYPE_CHECKING, Callable, Generator, Iterator, Sequence
+from typing import TYPE_CHECKING, Generator, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .store import EmbeddingStore
-
-# trials from which numpy's routes, its import included, beat the stdlib's:
-# the crossover of `metrics`' two ROC sweeps, measured on lists of distinct
-# scores (ties speed up only the stdlib), where each took about 60 ms on a
-# 2-core x86_64. A command that reads a list this long loads numpy for its
-# sweep or its fusion, so `parse_scores` gathers the list's ids with it too.
-SMALL_LIST = 55_000
 
 
 class TrialParseError(ValueError):
@@ -400,7 +393,6 @@ def parse_scores(text: str, trials: TrialList) -> ScoreSet:
     in its order, each score finite. A malformed line is a TrialParseError,
     found before any line is checked against the list; a pair or count that
     does not fit it is a ValueError. The set carries `trials`, labels and all."""
-    pair_ids = _pair_ids(trials)
     scores = array("d")
     mismatch = None  # the error for the first pair that is not the list's
     for fields, line_nos in _rows(text, 3):
@@ -418,7 +410,8 @@ def parse_scores(text: str, trials: TrialList) -> ScoreSet:
         # past the list's length the count is the error
         if mismatch is None and chunk and len(scores) <= len(trials):
             del fields[2::3]
-            want = pair_ids(2 * done, 2 * len(scores))
+            # two or more codes, so itemgetter returns a tuple
+            want = list(itemgetter(*trials.pairs[2 * done : 2 * len(scores)])(trials.ids))
             if fields != want:
                 k = next(k for k in range(0, len(fields), 2) if fields[k : k + 2] != want[k : k + 2])
                 mismatch = (f"score line {line_nos[k // 2]} is for ({fields[k]}, {fields[k + 1]}), "
@@ -428,25 +421,6 @@ def parse_scores(text: str, trials: TrialList) -> ScoreSet:
     if mismatch:
         raise ValueError(mismatch)
     return ScoreSet(trials, scores)
-
-
-def _pair_ids(trials: TrialList) -> Callable[[int, int], list[str]]:
-    """The function that gives the ids of codes start..stop-1 of
-    `trials.pairs` as a list, for a start and stop two or more apart.
-
-    A list of SMALL_LIST trials or more gathers from a numpy object array
-    (about 11 ns an id on a 2-core x86_64, against the stdlib's 40); a
-    shorter one takes one `itemgetter` over the ids tuple, with no numpy.
-    Such a list loads numpy anyway, and end to end the route is within
-    noise: without it, 12 interleaved score_dense pairs read wall_s 1.90
-    s against 1.83 (IQR 0.19 s; the route won 7) and peak_rss_mb 41.5."""
-    if len(trials) < SMALL_LIST:
-        # two or more codes, so itemgetter returns a tuple
-        return lambda start, stop: list(itemgetter(*trials.pairs[start:stop])(trials.ids))
-    import numpy as np
-
-    ids, codes = np.array(trials.ids, dtype=object), np.frombuffer(trials.pairs, np.int64)
-    return lambda start, stop: ids[codes[start:stop]].tolist()
 
 
 def write_embeddings_file(store: EmbeddingStore, path) -> None:

@@ -25,13 +25,13 @@ from svkit.cli import main
 from svkit.augment import NoiseBank, apply_policy
 from svkit.config import PipelineConfig, load_pipeline_config, stage_seed
 from svkit.features import Waveform, apply_cmn, compute_logmel, read_wav, write_wav
+from svkit.metrics import SMALL_LIST
 from svkit.model import embed_waveform
 from svkit.scoring import MAX_N_SEGMENTS, score_trials, segment_id, segment_plan
 from svkit.schedule import CosineRestartConfig, lr_at
 from svkit.store import EmbeddingStore
 from svkit.trials import (
     SCORE_CHUNK,
-    SMALL_LIST,
     ScoreSet,
     TrialList,
     parse_scores,
@@ -73,6 +73,7 @@ def write_config(path, **keys):
 
 
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(svkit.__file__).parents[1])}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_child(code, cwd=None):
@@ -149,6 +150,17 @@ class TestTopLevel:
         assert out.split() == ["0", "False"]
         assert (tmp_path / "s.txt").read_text(encoding="utf-8").count("\n") == 2
 
+    def test_parsers_load_no_numpy_on_a_long_list(self):
+        # metrics sweeps a list this long with numpy; the parsers never load it
+        code = (
+            "import sys; from svkit.trials import parse_scores, parse_trials; "
+            f"n = {SMALL_LIST + 1}; "
+            "trials = parse_trials(''.join(f'{k % 2} a u{k}\\n' for k in range(n)), True); "
+            "scores = parse_scores(''.join(f'a u{k} {k % 7}\\n' for k in range(n)), trials); "
+            "print(len(scores), 'numpy' in sys.modules)"
+        )
+        assert run_child(code).split() == [str(SMALL_LIST + 1), "False"]
+
     # each command imports the svkit modules it runs when it is called:
     # (argv, the svkit modules it loads, whether it loads numpy, and whether
     # it loads hashlib). Importing hashlib maps OpenSSL (about 3.5 MB of
@@ -167,8 +179,7 @@ class TestTopLevel:
                      CONFIG_LAYERS, True, False, id="score"),
         pytest.param(["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm",
                       "--config", "cohort.cfg"], CONFIG_LAYERS, True, False, id="score-asnorm"),
-        # numpy gathers the ids of and sweeps a list of SMALL_LIST trials or
-        # more, and only such a list
+        # numpy sweeps a list of SMALL_LIST trials or more, and only such a list
         pytest.param(["evaluate", "--trials", "t.txt", "--scores", "s.txt"],
                      ["cli", "metrics", "trials"], False, False, id="evaluate"),
         pytest.param(["evaluate", "--trials", "t-1.txt", "--scores", "s-1.txt"],
@@ -1752,7 +1763,7 @@ def mutate(data: bytes, edits) -> bytes:
     doubles EMB1 record k and adds one to the header's count, and
     ("chunk", k) doubles wav chunk k and adds its length to the RIFF size,
     and ("token", k, text) puts `text` in place of whitespace-separated
-    token k."""
+    token k, keeping the whitespace around it."""
     for kind, *where in edits:
         if kind == "cut":
             data = data[: where[0] % (len(data) + 1)]
@@ -1781,20 +1792,34 @@ def mutate(data: bytes, edits) -> bytes:
             start, end = chunks[where[0] % len(chunks)]
             size = (struct.unpack_from("<I", data, 4)[0] + end - start) % 2**32
             data = data[:4] + struct.pack("<I", size) + data[8:end] + data[start:]
-        elif kind == "token" and (tokens := data.split()):
-            tokens[where[0] % len(tokens)] = where[1]
-            data = b" ".join(tokens) + b"\n"
+        elif kind == "token" and (tokens := list(re.finditer(rb"\S+", data))):
+            token = tokens[where[0] % len(tokens)]
+            data = data[: token.start()] + where[1] + data[token.end() :]
     return data
 
 
 CUT = st.tuples(st.just("cut"), st.integers(0, 200))
 FLIP = st.tuples(st.just("flip"), st.integers(0, 200), st.integers(1, 255))
-EDITS = st.lists(st.one_of(
-    CUT,
-    FLIP,
-    st.tuples(st.just("repeat"), st.integers(0, 10)),
-    st.tuples(st.just("crlf")),
-), min_size=1, max_size=3)
+# the text fuzzer's target file and its edits. One kind keeps that file
+# valid: a label (token 3j of the six-trial file) set to 0 or 1, or a
+# score (token 3j + 2 of a score file) set to another finite value. Half
+# the edit lists hold only that kind, so many runs exit 0 and meet an oracle.
+KEEPS_VALID = {
+    "trials": st.tuples(st.just("token"), st.integers(0, 5).map(lambda j: 3 * j),
+                        st.sampled_from([b"0", b"1"])),
+    "scores": st.tuples(st.just("token"), st.integers(0, 5).map(lambda j: 3 * j + 2),
+                        st.sampled_from([b"0.25", b"-3", b"1e-3"])),
+}
+TEXT_EDITS = st.sampled_from(sorted(KEEPS_VALID)).flatmap(lambda target: st.tuples(
+    st.just(target),
+    st.lists(st.one_of(
+        CUT,
+        FLIP,
+        st.tuples(st.just("repeat"), st.integers(0, 10)),
+        st.tuples(st.just("crlf")),
+        KEEPS_VALID[target],
+    ), min_size=1, max_size=3) | st.lists(KEEPS_VALID[target], min_size=1, max_size=3),
+))
 # a config line dropped, repeated or given a misspelt key, or its value set
 # to 0, a negative, an overflowing float or non-ASCII (Arabic-Indic, fullwidth) digits
 CONFIG_VALUES = [b"0", b"-1", b"-2.5", b"1e309", "\u0661\u0666".encode(), "\uff11\uff10".encode()]
@@ -1838,32 +1863,35 @@ WAV_EDITS = st.lists(st.one_of(
 
 class TestMutatedText:
     """evaluate, fuse and score over trial and score files cut, flipped,
-    given a repeated line or CRLF line ends, score over an EMB1 store or
-    cohort cut, flipped, given a header field at 0 or its maximum or a
-    repeated record, and fuse over a fitted model cut, flipped, given a
-    bad value or one field too few or too many, keep the CLI contract:
-    exit 0 or 2, at most one stderr line naming an input file, no --output
-    file after a failure. An evaluate that exits 0 prints the counting
-    oracle's EER and minDCF of the text the plain reference parsers read."""
+    given a repeated line, CRLF line ends or a label or score set to
+    another valid value, score over an EMB1 store or cohort cut, flipped,
+    given a header field at 0 or its maximum or a repeated record, and
+    fuse over a fitted model cut, flipped, given a bad value or one field
+    too few or too many, keep the CLI contract: exit 0 or 2, at most one stderr line naming an input file, no output
+    file after a failure. A run that exits 0 matches perfbench's oracles
+    on the text the plain reference parsers read: an evaluate prints the
+    counting EER and minDCF, a score writes the identity store's dot of
+    each pair, and a fuse writes the fusion its model file gives."""
 
     LIST = TrialList(["a", "a", "b", "c", "d", "b"], ["b", "c", "c", "d", "a", "d"],
                      [True, False, True, False, True, False])
 
     @settings(
-        max_examples=150,
+        max_examples=250,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
         command=st.sampled_from(["evaluate", "fuse", "score"]),
-        target=st.sampled_from(["trials", "scores"]),
-        edits=EDITS,
+        target_edits=TEXT_EDITS,
     )
     # evaluate exits 0 on either file with CRLF line ends: the oracle runs on every run
-    @example(command="evaluate", target="trials", edits=[("crlf",)])
-    @example(command="evaluate", target="scores", edits=[("crlf",)])
-    def test_mutated_text_keeps_cli_contract(self, tmp_path, capsys, command, target, edits):
-        trials, s1, s2, emb = (tmp_path / name for name in ("t.txt", "s1.txt", "s2.txt", "e.bin"))
+    @example(command="evaluate", target_edits=("trials", [("crlf",)]))
+    @example(command="evaluate", target_edits=("scores", [("crlf",)]))
+    def test_mutated_text_keeps_cli_contract(self, tmp_path, capsys, command, target_edits):
+        target, edits = target_edits
+        trials, s1, s2, emb, model = (tmp_path / name for name in
+                                      ("t.txt", "s1.txt", "s2.txt", "e.bin", "m.txt"))
         write_trials(trials, self.LIST)
         scores = ScoreSet(self.LIST, np.linspace(-0.5, 0.5, len(self.LIST)))
         s1.write_text(serialize_scores(scores), encoding="utf-8")
@@ -1875,10 +1903,12 @@ class TestMutatedText:
         victim.write_bytes(mutate(victim.read_bytes(), edits))
         out = tmp_path / "out.txt"
         out.unlink(missing_ok=True)
+        model.unlink(missing_ok=True)
         inputs, argv = {
             "evaluate": ([trials, s1], ["evaluate", "--trials", str(trials), "--scores", str(s1)]),
             "fuse": ([trials, s1, s2], ["fuse", "--trials", str(trials), "--scores", str(s1),
-                                        str(s2), "--fit-labels", "--output", str(out)]),
+                                        str(s2), "--fit-labels", "--model", str(model),
+                                        "--output", str(out)]),
             "score": ([trials, emb], ["score", "--trials", str(trials), "--embeddings", str(emb),
                                       "--output", str(out)]),
         }[command]
@@ -1902,11 +1932,26 @@ class TestMutatedText:
                 # slack perfbench/oracles.py's evaluation check allows
                 for line, value in zip(lines, want):
                     assert abs(float(line.split()[1]) - value) <= 5e-7 + 1e-9
+            elif command == "score":
+                pairs, _ = reference_trials(trials.read_bytes().decode("utf-8"), None)
+                got, values, tol = oracles.read_scores(out)
+                assert got == pairs
+                want = np.array([float(e == t) for e, t in pairs])  # the store is np.eye(4)
+                assert np.all(np.abs(values - want) <= tol)
+            else:
+                # perfbench's oracle reads every line as a row: give it the
+                # inputs' non-blank lines
+                plain = [tmp_path / f"plain-{path.name}" for path in inputs]
+                for path, copy in zip(inputs, plain):
+                    lines = path.read_bytes().decode("utf-8").splitlines()
+                    copy.write_text("".join(f"{line}\n" for line in lines if line.split()),
+                                    encoding="utf-8")
+                assert oracles.fusion([model, out], plain[0], plain[1:], model) == []
         else:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert any(str(path) in captured.err for path in inputs)
-            assert not out.exists()
+            assert not out.exists() and not model.exists()
 
     @settings(
         max_examples=150,
@@ -2163,6 +2208,13 @@ class TestSelftest:
     def test_all_properties_pass(self, capsys):
         assert main(["selftest"]) == 0
         assert capsys.readouterr() == ("PASS reduction-identities\nPASS fft-block-rows\n", "")
+
+    def test_help_is_the_readme_row(self):
+        (commands,) = [a for a in cli_module.build_parser()._actions if a.dest == "command"]
+        (help_text,) = [a.help for a in commands._choices_actions if a.dest == "selftest"]
+        (row,) = re.findall(r"^\| `selftest` \| (.*) \|$", README.read_text(encoding="utf-8"),
+                            re.M)
+        assert help_text == row
 
     def test_failing_and_raising_checks_fail_the_run(self, monkeypatch, capsys):
         def raises():

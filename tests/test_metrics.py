@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _bench_oracles import oracles
 from svkit import metrics
 from svkit.metrics import (
+    SMALL_LIST,
     DcfConfig,
     RocCurve,
     eer,
@@ -19,7 +20,7 @@ from svkit.metrics import (
     min_dcf,
     roc_points,
 )
-from svkit.trials import SMALL_LIST, ScoreSet, TrialList
+from svkit.trials import ScoreSet, TrialList
 
 
 def labeled_scores(target_scores, nontarget_scores):

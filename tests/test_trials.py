@@ -42,7 +42,6 @@ from svkit.store import (
 )
 from svkit.trials import (
     SCORE_CHUNK,
-    SMALL_LIST,
     ScoreSet,
     TrialList,
     TrialParseError,
@@ -332,12 +331,8 @@ class TestScoreSet:
         with pytest.raises(ValueError, match=want):
             parse_scores("\n\nx y 0.5\n", trials=tl)
 
-    @pytest.mark.parametrize("short", [1, 0], ids=["stdlib-gather", "numpy-gather"])
-    def test_pair_mismatch_on_either_side_of_the_crossover(self, short):
-        # SMALL_LIST - short trials: below the constant parse_scores gathers
-        # the list's ids with the stdlib, at it with numpy; the wrong pair is
-        # in the last chunk
-        n = SMALL_LIST - short
+    def test_pair_mismatch_in_the_last_chunk_of_a_long_list(self):
+        n = 55_000  # about a dozen chunks of score text
         tl = TrialList([f"e{k % 997}" for k in range(n)], [f"t{k % 991}" for k in range(n)])
         lines = [f"e{k % 997} t{k % 991} 0.5" for k in range(n)]
         assert parse_scores("\n".join(lines), tl).scores == array("d", [0.5]) * n
@@ -898,12 +893,10 @@ class TestTokenizer:
     """parse_trials and parse_scores against the per-line oracle, with
     chunks small enough that most texts cross several chunk boundaries."""
 
-    # a SMALL_LIST of 0 makes parse_scores gather every list's ids with numpy
     @settings(max_examples=400, deadline=None)
-    @given(mixed_texts(), st.integers(1, 48), st.sampled_from([0, SMALL_LIST]), st.data())
-    def test_parsers_equal_line_oracle(self, text, chunk_chars, small_list, data):
-        with mock.patch.object(trials_module, "_CHUNK_CHARS", chunk_chars), \
-                mock.patch.object(trials_module, "SMALL_LIST", small_list):
+    @given(mixed_texts(), st.integers(1, 48), st.data())
+    def test_parsers_equal_line_oracle(self, text, chunk_chars, data):
+        with mock.patch.object(trials_module, "_CHUNK_CHARS", chunk_chars):
             for labeled in (True, False, None):
                 check_trials(text, labeled)
             check_scores(text, written_for(text))
