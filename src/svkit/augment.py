@@ -6,55 +6,27 @@ rescaled to the input's peak amplitude, computed by overlap-add in blocks
 whose FFT size follows the RIR length, never the clip's, so its buffers are
 one clip-length output array and a few RIR-sized blocks. Each online
 augmentation fires independently with its policy probability, in the fixed
-order noise -> music -> babble -> reverb.
+order noise -> music -> babble -> reverb. The policy is `config.AugmentPolicy`,
+a pipeline config's `augment` section.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .features import Waveform, match_length, read_wav
 from .trials import read_path_list
 
+if TYPE_CHECKING:
+    from .config import AugmentPolicy
+
 BANK_CATEGORIES = ("noise", "music", "speech", "rir")
 # smallest overlap-add FFT size of add_reverb, so a short RIR does not
 # split a clip into thousands of tiny blocks
 REVERB_MIN_FFT = 256
-
-
-@dataclass(frozen=True)
-class AugmentPolicy:
-    """Application probabilities and SNR/speaker ranges for the four augmentations."""
-
-    p_noise: float = 0.2
-    p_music: float = 0.2
-    p_babble: float = 0.2
-    p_reverb: float = 0.2
-    snr_noise_lo: float = 0.0
-    snr_noise_hi: float = 15.0
-    snr_music_lo: float = 5.0
-    snr_music_hi: float = 15.0
-    snr_babble_lo: float = 13.0
-    snr_babble_hi: float = 20.0
-    babble_min: int = 3
-    babble_max: int = 7
-
-    def __post_init__(self):
-        for name in ("p_noise", "p_music", "p_babble", "p_reverb"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        for name in ("noise", "music", "babble"):
-            lo, hi = getattr(self, f"snr_{name}_lo"), getattr(self, f"snr_{name}_hi")
-            if hi < lo:
-                raise ValueError(f"snr_{name}_lo {lo} is above snr_{name}_hi {hi}")
-        if self.babble_min < 1:
-            raise ValueError(f"babble_min must be >= 1, got {self.babble_min}")
-        if self.babble_max < self.babble_min:
-            raise ValueError(f"babble_min {self.babble_min} is above babble_max {self.babble_max}")
 
 
 class NoiseBank:

@@ -21,7 +21,9 @@ from typing import TYPE_CHECKING, Iterable, NoReturn
 from . import EMB_MAGIC, MEL_MAGIC, __version__
 
 # Each command imports the svkit modules it runs when it is called, so a
-# command loads only its own layers and `--version` loads no numpy.
+# command loads only its own layers and `--version` loads no numpy. Every
+# config class lives in `config`, which imports only `trials`, so reading
+# a config loads no layer that the command does not run.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -109,7 +111,7 @@ def cmd_augment(args) -> int:
 def cmd_embed(args) -> int:
     from .config import stage_seed
     from .features import read_wav
-    from .model import embed_waveform
+    from .model.embedder import embed_waveform
     from .scoring import extract_segments, segment_id, segment_plan
     from .store import EmbeddingStore
     from .trials import read_path_list, write_embeddings_file
@@ -209,21 +211,21 @@ def cmd_fuse(args) -> int:
     trials = (_labeled_trials(args.trials) if args.fit_labels
               else parse_file(args.trials, "trials", parse_trials, None))
     matrix = stack_scores([parse_file(p, "scores", parse_scores, trials) for p in args.scores])
-    with ExitStack() as written:  # a failure below removes the model file too
+    if not args.fit_labels:
+        model = parse_file(args.model, "model", parse_fusion_model)
+        if model.n_systems != matrix.shape[1]:
+            raise ValueError(f"{args.model}: model has {model.n_systems} systems "
+                             f"but --scores gives {matrix.shape[1]}")
+    try:  # floats past float64: the data fit, or the model's weights on the scores
         if args.fit_labels:
-            model = fit_fusion(matrix, trials.labels(), **({} if args.l2 is None else {"l2": args.l2}))
-            if args.model:
-                written.enter_context(output_file(args.model, "w")).write(
-                    serialize_fusion_model(model))
-        else:
-            model = parse_file(args.model, "model", parse_fusion_model)
-            if model.n_systems != matrix.shape[1]:
-                raise ValueError(f"{args.model}: model has {model.n_systems} systems "
-                                 f"but --scores gives {matrix.shape[1]}")
-        try:  # weights too large for the scores: the model, or the data it was fit to
-            fused = fuse(model, matrix, trials)
-        except ValueError as exc:
-            raise ValueError(f"{args.trials if args.fit_labels else args.model}: {exc}") from None
+            model = fit_fusion(matrix, trials.labels(),
+                               **({} if args.l2 is None else {"l2": args.l2}))
+        fused = fuse(model, matrix, trials)
+    except ValueError as exc:
+        raise ValueError(f"{args.trials if args.fit_labels else args.model}: {exc}") from None
+    with ExitStack() as written:  # a failure below removes the model file too
+        if args.fit_labels and args.model:
+            written.enter_context(output_file(args.model, "w")).write(serialize_fusion_model(model))
         _emit(score_text_chunks(fused), args.output)
     return 0
 
@@ -239,7 +241,7 @@ def cmd_schedule_dump(args) -> int:
 
 
 def cmd_shapes(args) -> int:
-    from .model import plan_shapes
+    from .model.shapes import plan_shapes
 
     shapes = plan_shapes(args.variant, mel_bins=args.mel_bins, frames=args.frames)
     for i, (f, t) in enumerate(shapes, start=1):

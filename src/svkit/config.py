@@ -1,4 +1,8 @@
-"""Flat key-value configuration files and reproducible seed fan-out.
+"""The config schema, flat key-value config files, and seed fan-out.
+
+Every config dataclass lives here, so reading a config loads no numpy
+layer: PipelineConfig with its FeatureConfig and AugmentPolicy sections,
+and CosineRestartConfig.
 
 Config files hold one "key = value" pair per line, with # comments and
 blank lines ignored. Each key sets the config dataclass field of the same
@@ -19,10 +23,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
 
-from .augment import AugmentPolicy
-from .features import FeatureConfig
-from .schedule import CosineRestartConfig
-from .scoring import MAX_N_SEGMENTS
 from .trials import read_text
 
 # a RIFF header stores the sample rate in 32 bits
@@ -33,6 +33,13 @@ MAX_SAMPLE_RATE = 2**32 - 1
 # samples cap a padded utterance's cyclic extension at 16 MiB of
 # float64. Other segments are views of the utterance, not copies.
 MAX_SEGMENT_SAMPLES = 1 << 21
+# segments per utterance, from a config or an MSA store: bounds the
+# segment ids probed and gathered per utterance
+MAX_N_SEGMENTS = 32
+# upper bounds on the FFT size and filter count, so a config value cannot
+# size the filterbank (n_mels x (n_fft/2 + 1) float64, at most 34 MB)
+MAX_N_FFT = 1 << 15
+MAX_N_MELS = 256
 
 
 class ConfigError(ValueError):
@@ -100,6 +107,72 @@ _PARSERS = {int: _as_int, float: _as_float, bool: _as_bool, str | None: str}
 
 
 @dataclass(frozen=True)
+class FeatureConfig:
+    """Front-end geometry: window and hop in seconds, FFT size, mel filters."""
+
+    window: float = 0.025
+    hop: float = 0.010
+    n_fft: int = 512
+    n_mels: int = 80
+
+    def __post_init__(self):
+        for name in ("window", "hop"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 2 <= self.n_fft <= MAX_N_FFT:
+            raise ValueError(f"n_fft must be in 2..{MAX_N_FFT}, got {self.n_fft}")
+        if not 1 <= self.n_mels <= MAX_N_MELS:
+            raise ValueError(f"n_mels must be in 1..{MAX_N_MELS}, got {self.n_mels}")
+
+    def frame_lengths(self, sample_rate: int) -> tuple[int, int]:
+        """Window and hop in samples at a rate. ValueError unless each is at
+        least one sample and the window fits in n_fft."""
+        win, hop = self.window * sample_rate, self.hop * sample_rate
+        if not (math.isfinite(win) and math.isfinite(hop)):
+            raise ValueError(f"window and hop overflow at {sample_rate} Hz")
+        win, hop = round(win), round(hop)
+        for name, seconds, n in (("window", self.window, win), ("hop", self.hop, hop)):
+            if n < 1:
+                raise ValueError(f"{name} of {seconds:g} s is under one sample at {sample_rate} Hz")
+        if win > self.n_fft:
+            raise ValueError(f"window of {win} samples exceeds n_fft {self.n_fft}")
+        return win, hop
+
+
+@dataclass(frozen=True)
+class AugmentPolicy:
+    """Application probabilities and SNR/speaker ranges for the four augmentations."""
+
+    p_noise: float = 0.2
+    p_music: float = 0.2
+    p_babble: float = 0.2
+    p_reverb: float = 0.2
+    snr_noise_lo: float = 0.0
+    snr_noise_hi: float = 15.0
+    snr_music_lo: float = 5.0
+    snr_music_hi: float = 15.0
+    snr_babble_lo: float = 13.0
+    snr_babble_hi: float = 20.0
+    babble_min: int = 3
+    babble_max: int = 7
+
+    def __post_init__(self):
+        for name in ("p_noise", "p_music", "p_babble", "p_reverb"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
+        for name in ("noise", "music", "babble"):
+            lo, hi = getattr(self, f"snr_{name}_lo"), getattr(self, f"snr_{name}_hi")
+            if hi < lo:
+                raise ValueError(f"snr_{name}_lo {lo} is above snr_{name}_hi {hi}")
+        if self.babble_min < 1:
+            raise ValueError(f"babble_min must be >= 1, got {self.babble_min}")
+        if self.babble_max < self.babble_min:
+            raise ValueError(f"babble_min {self.babble_min} is above babble_max {self.babble_max}")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     """Everything a full pipeline run needs, loadable from one file."""
 
@@ -133,8 +206,35 @@ class PipelineConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        # feature geometry is validated by the feature module itself
+        # feature geometry is validated by FeatureConfig itself
         self.features.frame_lengths(self.sample_rate)
+
+
+@dataclass(frozen=True)
+class CosineRestartConfig:
+    """Cosine-with-restarts parameters.
+
+    cycle0_steps is the length of the first cycle in optimizer steps
+    (callers convert from epochs themselves). With doubling=True each
+    cycle is twice as long as the previous one; with doubling=False every
+    cycle is cycle0_steps long.
+    """
+
+    cycle0_steps: int
+    lr_max0: float = 0.02
+    lr_min: float = 5e-6
+    decay: float = 0.8
+    doubling: bool = True
+
+    def __post_init__(self):
+        if self.cycle0_steps < 1:
+            raise ValueError(f"cycle0_steps must be >= 1, got {self.cycle0_steps}")
+        if not self.lr_max0 > self.lr_min > 0:
+            raise ValueError(
+                f"need lr_max0 > lr_min > 0, got lr_max0={self.lr_max0} lr_min={self.lr_min}"
+            )
+        if not 0 < self.decay <= 1:
+            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
 
 
 def _sections(cls) -> dict[str, type]:

@@ -3,13 +3,13 @@
 The front end is fixed by convention: 25 ms Hamming windows every 10 ms,
 512-point FFT, power spectrum, 80 triangular filters on the HTK mel scale
 spanning 0 Hz to Nyquist, natural log with a 1e-10 floor, no pre-emphasis.
-All but the floor (LOG_FLOOR) are overridable through FeatureConfig.
+All but the floor (LOG_FLOOR) are overridable through `config.FeatureConfig`,
+a pipeline config's `features` section.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import struct
 import wave
 from dataclasses import dataclass
@@ -19,12 +19,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import MEL_MAGIC
+from .config import FeatureConfig
 from .trials import output_file, require_file
 
-# upper bounds on the FFT size and filter count, so a config value cannot
-# size the filterbank (n_mels x (n_fft/2 + 1) float64, at most 34 MB)
-MAX_N_FFT = 1 << 15
-MAX_N_MELS = 256
 # frames windowed and transformed per block in compute_logmel
 LOGMEL_BLOCK = 64
 LOG_FLOOR = 1e-10  # log-mel entries are ln(max(power, LOG_FLOOR))
@@ -69,40 +66,6 @@ class MelFeatures:
     @property
     def n_frames(self) -> int:
         return self.bins.shape[1]
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Front-end geometry: window and hop in seconds, FFT size, mel filters."""
-
-    window: float = 0.025
-    hop: float = 0.010
-    n_fft: int = 512
-    n_mels: int = 80
-
-    def __post_init__(self):
-        for name in ("window", "hop"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not 2 <= self.n_fft <= MAX_N_FFT:
-            raise ValueError(f"n_fft must be in 2..{MAX_N_FFT}, got {self.n_fft}")
-        if not 1 <= self.n_mels <= MAX_N_MELS:
-            raise ValueError(f"n_mels must be in 1..{MAX_N_MELS}, got {self.n_mels}")
-
-    def frame_lengths(self, sample_rate: int) -> tuple[int, int]:
-        """Window and hop in samples at a rate. ValueError unless each is at
-        least one sample and the window fits in n_fft."""
-        win, hop = self.window * sample_rate, self.hop * sample_rate
-        if not (math.isfinite(win) and math.isfinite(hop)):
-            raise ValueError(f"window and hop overflow at {sample_rate} Hz")
-        win, hop = round(win), round(hop)
-        for name, seconds, n in (("window", self.window, win), ("hop", self.hop, hop)):
-            if n < 1:
-                raise ValueError(f"{name} of {seconds:g} s is under one sample at {sample_rate} Hz")
-        if win > self.n_fft:
-            raise ValueError(f"window of {win} samples exceeds n_fft {self.n_fft}")
-        return win, hop
 
 
 def hz_to_mel(f):
@@ -231,7 +194,8 @@ def read_wav(path, expected_rate: int = 16000) -> Waveform:
         if rate != expected_rate:
             raise ValueError(f"{path}: expected {expected_rate} Hz, got {rate} Hz")
         n_frames = fh.getnframes()
-        raw = fh.readframes(n_frames)
+        # the header's frame count is untrusted: read no more than the file holds
+        raw = fh.readframes(min(n_frames, path.stat().st_size // 2))
     if len(raw) != 2 * n_frames:
         raise ValueError(f"{path}: truncated wav data ({len(raw) // 2} of {n_frames} frames)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)

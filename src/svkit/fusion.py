@@ -76,7 +76,8 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray | bytes, l2: float = 1e-4)
     Minimizes mean log-loss + l2 * ||w||^2 / 2 (bias unregularized) with
     damped Newton iterations from a zero start; converged means the
     gradient infinity-norm reached 1e-8 within the iteration budget, and
-    iterations counts the Newton steps taken.
+    iterations counts the Newton steps taken. A product past float64, from
+    scores past about 1e154, is a ValueError, not a zero fit.
     """
     matrix = _check_matrix(matrix)
     labels = (np.frombuffer(labels, np.bool_) if isinstance(labels, bytes)
@@ -103,39 +104,43 @@ def fit_fusion(matrix: np.ndarray, labels: np.ndarray | bytes, l2: float = 1e-4)
             params[:m] @ params[:m]
         )
 
-    current = objective(theta)
-    hessian = np.empty((m + 1, m + 1))
-    for iterations in range(MAX_ITER + 1):
-        p = _sigmoid(fused(theta))
-        residual = p - labels  # p - y, with y the 0/1 labels
-        grad = np.append(matrix.T @ residual, residual.sum()) / n + reg * theta
-        converged = float(np.max(np.abs(grad))) <= GRAD_TOL
-        if converged or iterations == MAX_ITER:
-            break
-        curvature = np.subtract(1.0, p, out=residual)
-        curvature *= p
-        curvature /= n
-        # blocks S'CS, S'C1 and 1'C1 of the Hessian, from one weighted copy of S
-        hessian[:m, :m] = matrix.T @ (matrix * curvature[:, None])
-        hessian[:m, m] = hessian[m, :m] = matrix.T @ curvature
-        hessian[m, m] = curvature.sum()
-        hessian[np.diag_indices(m)] += l2
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            candidate = theta - scale * step
-            value = objective(candidate)
-            if value < current:
-                theta = candidate
-                current = value
-                break
-            scale *= 0.5
-        else:
-            # no descent direction left at this precision
-            break
+    try:
+        with np.errstate(over="raise"):
+            current = objective(theta)
+            hessian = np.empty((m + 1, m + 1))
+            for iterations in range(MAX_ITER + 1):
+                p = _sigmoid(fused(theta))
+                residual = p - labels  # p - y, with y the 0/1 labels
+                grad = np.append(matrix.T @ residual, residual.sum()) / n + reg * theta
+                converged = float(np.max(np.abs(grad))) <= GRAD_TOL
+                if converged or iterations == MAX_ITER:
+                    break
+                curvature = np.subtract(1.0, p, out=residual)
+                curvature *= p
+                curvature /= n
+                # blocks S'CS, S'C1 and 1'C1 of the Hessian, from one weighted copy of S
+                hessian[:m, :m] = matrix.T @ (matrix * curvature[:, None])
+                hessian[:m, m] = hessian[m, :m] = matrix.T @ curvature
+                hessian[m, m] = curvature.sum()
+                hessian[np.diag_indices(m)] += l2
+                try:
+                    step = np.linalg.solve(hessian, grad)
+                except np.linalg.LinAlgError:
+                    step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+                scale = 1.0
+                for _ in range(MAX_HALVINGS):
+                    candidate = theta - scale * step
+                    value = objective(candidate)
+                    if value < current:
+                        theta = candidate
+                        current = value
+                        break
+                    scale *= 0.5
+                else:
+                    # no descent direction left at this precision
+                    break
+    except FloatingPointError:
+        raise ValueError("scores overflow float64 in the fit") from None
     return FusionModel(
         weights=theta[:m],
         bias=float(theta[m]),

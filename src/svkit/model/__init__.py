@@ -1,44 +1,6 @@
-"""Loss, pooling, and shape math with analytic gradients.
-
-Everything here is plain float64 numpy, exact enough to check against
-finite differences, plus a deterministic toy embedding extractor that
-stands in for a trained network in end-to-end tests.
+"""The toy embedding model. The package imports none of its modules, so a
+command loads only those it names: `losses` and `pooling` (float64 numpy
+with analytic gradients, checked against finite differences), `embedder`
+(a seeded toy extractor standing in for a trained network) and `shapes`
+(stride planning in plain integers).
 """
-
-from .embedder import EMBED_DIM, embed_waveform, toy_embed
-from .losses import (
-    LossConfig,
-    LossEval,
-    SubcenterWeights,
-    aam_softmax_loss,
-    length_normalize,
-    softmax_ce_loss,
-    subcenter_cosines,
-)
-from .pooling import (
-    AttentionParams,
-    PoolGradients,
-    attentive_stats_pool,
-    attentive_stats_pool_vjp,
-)
-from .shapes import STRIDE_VARIANTS, StrideVariant, plan_shapes
-
-__all__ = [
-    "AttentionParams",
-    "EMBED_DIM",
-    "LossConfig",
-    "LossEval",
-    "PoolGradients",
-    "STRIDE_VARIANTS",
-    "StrideVariant",
-    "SubcenterWeights",
-    "aam_softmax_loss",
-    "attentive_stats_pool",
-    "attentive_stats_pool_vjp",
-    "embed_waveform",
-    "length_normalize",
-    "plan_shapes",
-    "softmax_ce_loss",
-    "subcenter_cosines",
-    "toy_embed",
-]

@@ -12,7 +12,8 @@ import functools
 
 import numpy as np
 
-from ..features import FeatureConfig, MelFeatures, Waveform, apply_cmn, compute_logmel
+from ..config import FeatureConfig
+from ..features import MelFeatures, Waveform, apply_cmn, compute_logmel
 from .losses import length_normalize
 from .pooling import AttentionParams, attentive_stats_pool
 

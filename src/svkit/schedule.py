@@ -4,41 +4,17 @@ Two operating modes share one formula. The main training stage doubles the
 cycle length at every restart and decays the cycle maximum by a fixed
 factor; the large-margin fine-tuning stage restarts on a fixed period with
 a lower maximum and no decay. Cycle location uses exact integer arithmetic
-so boundaries are reproducible at any step count.
+so boundaries are reproducible at any step count. The parameters are
+`config.CosineRestartConfig`, which a schedule config file sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-
-@dataclass(frozen=True)
-class CosineRestartConfig:
-    """Cosine-with-restarts parameters.
-
-    cycle0_steps is the length of the first cycle in optimizer steps
-    (callers convert from epochs themselves). With doubling=True each
-    cycle is twice as long as the previous one; with doubling=False every
-    cycle is cycle0_steps long.
-    """
-
-    cycle0_steps: int
-    lr_max0: float = 0.02
-    lr_min: float = 5e-6
-    decay: float = 0.8
-    doubling: bool = True
-
-    def __post_init__(self):
-        if self.cycle0_steps < 1:
-            raise ValueError(f"cycle0_steps must be >= 1, got {self.cycle0_steps}")
-        if not self.lr_max0 > self.lr_min > 0:
-            raise ValueError(
-                f"need lr_max0 > lr_min > 0, got lr_max0={self.lr_max0} lr_min={self.lr_min}"
-            )
-        if not 0 < self.decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
+if TYPE_CHECKING:
+    from .config import CosineRestartConfig
 
 
 def cycle_start(cfg: CosineRestartConfig, cycle: int) -> int:

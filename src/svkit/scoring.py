@@ -25,13 +25,16 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .features import Waveform, match_length
+from .config import MAX_N_SEGMENTS
 from .store import EmbeddingStore, check_unit
 from .trials import ScoreSet, TrialList
+
+if TYPE_CHECKING:
+    from .features import Waveform
 
 SIGMA_FLOOR = 1e-9
 # trials, or utterances, per gathered chunk: bounds every row copy
@@ -40,15 +43,13 @@ TRIAL_CHUNK = 128
 # size is faster (1980 rows x 5000 on a 2-core x86_64: ~110 ms at 32, ~100
 # at 64, ~90 at 128), but the score block is rows x cohort float64 (1.3 MB
 # at 32 x 5000), and 128 rows raised score_cohort's peak RSS from 46.5 to
-# 50.8 MB for ~4% of its wall time. The size also moves the statistics'
-# bits against a small cohort (OpenBLAS 0.3.31, Haswell kernels; 300 rows,
-# dim 256 and 512, k = 4): 256 rows against 6 or 8 vectors, 128 and 256
-# against 9 or 16, while 64 agreed everywhere, as every size did from 40
-# vectors up. The golden score digests use a 6-vector cohort.
+# 50.8 MB for ~4% of its wall time. On OpenBLAS 0.3.31's SkylakeX kernels
+# the size also moves the statistics' bits against a small cohort (300
+# rows, dim 256 and 512, k = 4): against 32's, 256 rows differ at 4 to 32
+# vectors, 128 at 9 to 32 and 64 at 17 to 32, and every size agrees from
+# 33 vectors up. On its Haswell kernels every size agrees at 4 vectors and
+# up. The golden score digests use a 6-vector cohort.
 COHORT_BLOCK = 32
-# segments per utterance, from a config or an MSA store: bounds the
-# segment ids probed and gathered per utterance
-MAX_N_SEGMENTS = 32
 
 
 class CohortError(ValueError):
@@ -212,6 +213,8 @@ def extract_segments(w: Waveform, plan: SegmentPlan) -> list[tuple[list[int], Wa
     Segments are views of the utterance's samples. A padded plan's one
     cyclic extension of the utterance serves every index.
     """
+    from .features import Waveform, match_length  # here, so `score` loads no front end
+
     if plan.padded:
         extended = match_length(w.samples, plan.length)
         return [(list(range(plan.n_segments)), Waveform(extended, w.sample_rate))]

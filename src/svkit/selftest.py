@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .features import LOGMEL_BLOCK
-from .model import SubcenterWeights, length_normalize, subcenter_cosines
+from .model.losses import SubcenterWeights, length_normalize, subcenter_cosines
 from .scoring import COHORT_BLOCK, cohort_stats, dot_rows
 from .store import EmbeddingStore
 

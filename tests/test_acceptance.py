@@ -17,22 +17,21 @@ from _gradcheck import central_difference, max_rel_err
 from _text_oracle import trial_ids, trial_text
 from svkit.augment import mix_at_snr, speed_perturb
 from svkit.cli import main
+from svkit.config import CosineRestartConfig
 from svkit.features import Waveform, write_wav
 from svkit.fusion import fit_fusion, fuse_matrix, mean_log_loss
 from svkit.metrics import DcfConfig, eer, evaluate_scores, min_dcf, roc_points
-from svkit.model import (
-    AttentionParams,
+from svkit.model.losses import (
     LossConfig,
     SubcenterWeights,
     aam_softmax_loss,
-    attentive_stats_pool,
-    attentive_stats_pool_vjp,
     length_normalize,
-    plan_shapes,
     softmax_ce_loss,
     subcenter_cosines,
 )
-from svkit.schedule import CosineRestartConfig, cycle_start, lr_at
+from svkit.model.pooling import AttentionParams, attentive_stats_pool, attentive_stats_pool_vjp
+from svkit.model.shapes import plan_shapes
+from svkit.schedule import cycle_start, lr_at
 from svkit.scoring import dot_rows, score_trials, segment_id
 from svkit.store import EmbeddingStore
 from svkit.trials import (

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from svkit.augment import (
-    AugmentPolicy,
     NoiseBank,
     add_reverb,
     apply_policy,
@@ -17,6 +16,7 @@ from svkit.augment import (
     speed_output_length,
     speed_perturb,
 )
+from svkit.config import AugmentPolicy
 from svkit.features import Waveform, write_wav
 
 RATE = 16000

@@ -23,12 +23,18 @@ from svkit import cli as cli_module
 from svkit import selftest
 from svkit.cli import main
 from svkit.augment import NoiseBank, apply_policy
-from svkit.config import PipelineConfig, load_pipeline_config, stage_seed
+from svkit.config import (
+    MAX_N_SEGMENTS,
+    CosineRestartConfig,
+    PipelineConfig,
+    load_pipeline_config,
+    stage_seed,
+)
 from svkit.features import Waveform, apply_cmn, compute_logmel, read_wav, write_wav
 from svkit.metrics import SMALL_LIST
-from svkit.model import embed_waveform
-from svkit.scoring import MAX_N_SEGMENTS, score_trials, segment_id, segment_plan
-from svkit.schedule import CosineRestartConfig, lr_at
+from svkit.model.embedder import embed_waveform
+from svkit.scoring import score_trials, segment_id, segment_plan
+from svkit.schedule import lr_at
 from svkit.store import EmbeddingStore
 from svkit.trials import (
     SCORE_CHUNK,
@@ -167,18 +173,16 @@ class TestTopLevel:
     # RSS); only the commands that seed a stage (augment, embed) or draw
     # check data (selftest) need it, for stage_seed and for numpy.random,
     # which imports it through secrets.
-    # Every command that reads a config loads the modules whose defaults it
-    # holds (augment, features, schedule, scoring).
-    CONFIG_LAYERS = ["augment", "cli", "config", "features", "schedule", "scoring", "store",
-                     "trials"]
     COMMAND_LOADS = pytest.mark.parametrize("argv, layers, numpy, seeded", [
         pytest.param(["--version"], ["cli"], False, False, id="version"),
         pytest.param(["features", "--wav", "u.wav", "--output", "u.mel"],
-                     CONFIG_LAYERS, True, False, id="features"),
+                     ["cli", "config", "features", "trials"], True, False, id="features"),
+        # no front end: scoring imports features only to cut MSA segments
         pytest.param(["score", "--trials", "t.txt", "--embeddings", "emb.bin"],
-                     CONFIG_LAYERS, True, False, id="score"),
+                     ["cli", "config", "scoring", "store", "trials"], True, False, id="score"),
         pytest.param(["score", "--trials", "t.txt", "--embeddings", "emb.bin", "--asnorm",
-                      "--config", "cohort.cfg"], CONFIG_LAYERS, True, False, id="score-asnorm"),
+                      "--config", "cohort.cfg"], ["cli", "config", "scoring", "store", "trials"],
+                     True, False, id="score-asnorm"),
         # numpy sweeps a list of SMALL_LIST trials or more, and only such a list
         pytest.param(["evaluate", "--trials", "t.txt", "--scores", "s.txt"],
                      ["cli", "metrics", "trials"], False, False, id="evaluate"),
@@ -189,19 +193,20 @@ class TestTopLevel:
         pytest.param(["fuse", "--trials", "t.txt", "--scores", "s.txt", "s.txt", "--fit-labels"],
                      ["cli", "fusion", "trials"], True, False, id="fuse-fit"),
         pytest.param(["embed", "--wav-list", "wavs.txt", "--output", "out.bin"],
-                     sorted(CONFIG_LAYERS + ["model"]), True, True, id="embed"),
+                     ["cli", "config", "features", "model", "scoring", "store", "trials"],
+                     True, True, id="embed"),
         pytest.param(["augment", "--wav", "u.wav", "--output", "a.wav", "--config", "aug.cfg"],
-                     CONFIG_LAYERS, True, True, id="augment"),
+                     ["augment", "cli", "config", "features", "trials"], True, True, id="augment"),
+        # the config schema holds no numpy layer
         pytest.param(["schedule-dump", "--config", "s.cfg", "--steps", "5"],
-                     CONFIG_LAYERS, True, False, id="schedule-dump"),
-        # model and what it imports; no config
-        pytest.param(["shapes", "ResNet34-st1112"],
-                     ["cli", "features", "model", "scoring", "store", "trials"], True, False,
-                     id="shapes"),
-        # the checks of a numpy/BLAS build: no augment, fusion, config,
-        # metrics or schedule
-        pytest.param(["selftest"], ["cli", "features", "model", "scoring", "selftest", "store",
-                                    "trials"], True, True, id="selftest"),
+                     ["cli", "config", "schedule", "trials"], False, False, id="schedule-dump"),
+        # shapes plans in integers; the model package imports none of its modules
+        pytest.param(["shapes", "ResNet34-st1112"], ["cli", "model"], False, False, id="shapes"),
+        # the checks of a numpy/BLAS build: config only through features,
+        # which takes FeatureConfig from it; no augment, fusion, metrics or
+        # schedule
+        pytest.param(["selftest"], ["cli", "config", "features", "model", "scoring", "selftest",
+                                    "store", "trials"], True, True, id="selftest"),
     ])
 
     @staticmethod
@@ -1017,7 +1022,7 @@ class TestEmbed:
             calls.append(len(w))
             return embed_waveform(w, **kwargs)
 
-        monkeypatch.setattr("svkit.model.embed_waveform", counted)
+        monkeypatch.setattr("svkit.model.embedder.embed_waveform", counted)
         assert main(["embed", "--wav-list", str(wav_list), "--output", str(out), *flags]) == 0
         # the oracle embeds every planned segment separately
         seed = stage_seed(0, "embed")
@@ -1309,6 +1314,19 @@ class TestFuse:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
         assert not model.exists()
+
+    @pytest.mark.parametrize("score", [1e155, 1e308])
+    def test_fit_past_float64_names_trials(self, tmp_path, capsys, score):
+        # the fit's products of scores overflow: an error, not a zero fit
+        trial_list = TrialList(["a", "a"], ["b", "c"], [True, False])
+        trials = write_trials(tmp_path / "t.txt", trial_list)
+        (tmp_path / "s.txt").write_text(f"a b {score!r}\na c {-score!r}\n", encoding="utf-8")
+        model, out = tmp_path / "model.txt", tmp_path / "fused.txt"
+        code = main(["fuse", "--trials", str(trials), "--scores", str(tmp_path / "s.txt"),
+                     "--fit-labels", "--model", str(model), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {trials}: scores overflow float64 in the fit\n")
+        assert not model.exists() and not out.exists()
 
     @pytest.mark.parametrize("command", [["evaluate"], ["fuse", "--fit-labels"]])
     def test_single_class_list_names_trials(self, tmp_path, capsys, command):

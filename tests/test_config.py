@@ -15,6 +15,7 @@ from svkit.config import (
     MAX_N_SEGMENTS,
     MAX_SEGMENT_SAMPLES,
     ConfigError,
+    CosineRestartConfig,
     PipelineConfig,
     load_pipeline_config,
     load_schedule_config,
@@ -22,7 +23,6 @@ from svkit.config import (
     stage_seed,
 )
 from svkit.features import Waveform, compute_logmel
-from svkit.schedule import CosineRestartConfig
 from svkit.scoring import segment_plan
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from svkit.features import FeatureConfig, Waveform, apply_cmn, compute_logmel
-from svkit.model import EMBED_DIM, AttentionParams, attentive_stats_pool, embed_waveform, toy_embed
-from svkit.model.embedder import ATTN_DIM, HIDDEN_DIM, _seeded_params
+from svkit.config import FeatureConfig
+from svkit.features import Waveform, apply_cmn, compute_logmel
+from svkit.model.embedder import (
+    ATTN_DIM,
+    EMBED_DIM,
+    HIDDEN_DIM,
+    _seeded_params,
+    embed_waveform,
+    toy_embed,
+)
+from svkit.model.pooling import AttentionParams, attentive_stats_pool
 
 
 def redrawn_embed(feats, seed):

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _mel1_oracle import FormatFault, decode_mel1
+from svkit.config import FeatureConfig
 from svkit.features import (
     LOG_FLOOR,
     LOGMEL_BLOCK,
-    FeatureConfig,
     MelFeatures,
     Waveform,
     apply_cmn,
@@ -214,22 +215,32 @@ class TestWavIO:
             read_wav(path)
 
     @pytest.mark.parametrize(
-        "keep, reason",
+        "keep, claim, reason",
         [
-            (30, "not a readable RIFF wav (truncated header)"),
-            (44 + 2 * 16_000, "truncated wav data (16000 of 160000 frames)"),
-            (44 + 2 * 16_000 + 1, "truncated wav data (16000 of 160000 frames)"),
+            (30, 160_000, "not a readable RIFF wav (truncated header)"),
+            (44 + 2 * 16_000, 160_000, "truncated wav data (16000 of 160000 frames)"),
+            (44 + 2 * 16_000 + 1, 160_000, "truncated wav data (16000 of 160000 frames)"),
+            # a header that claims 2 GiB of data sizes no read
+            (44 + 2 * 100, 2**30 - 8, "truncated wav data (100 of 1073741816 frames)"),
         ],
-        ids=["header", "data", "odd-byte"],
+        ids=["header", "data", "odd-byte", "over-claimed"],
     )
-    def test_truncated_file_rejected(self, tmp_path, keep, reason):
-        # a 44-byte header whose data chunk claims 160000 frames, cut short
+    def test_truncated_file_rejected(self, tmp_path, keep, claim, reason):
+        # a 44-byte header whose data chunk claims `claim` frames, cut short
         path = tmp_path / "cut.wav"
-        write_wav(Waveform(np.zeros(160_000), RATE), path)
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(ValueError) as info:
-            read_wav(path)
+        header = (b"RIFF" + struct.pack("<I", 36 + 2 * claim) + b"WAVEfmt "
+                  + struct.pack("<IHHIIHH", 16, 1, 1, RATE, 2 * RATE, 2, 16)
+                  + b"data" + struct.pack("<I", 2 * claim))
+        path.write_bytes((header + bytes(keep))[:keep])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert str(info.value) == f"{path}: {reason}"
+        assert peak < 1 << 20
 
 
 class TestMelDump:

@@ -5,7 +5,7 @@ WAVs and a noise bank made here as guarantee 10 makes them. The SHA-256 of
 each output file, of each command's stdout, of the float64 scores that
 `score_trials` holds for each scoring mode, and of the fitted fusion
 weights must equal tests/golden_digests.json, whose `build` records the
-numpy, BLAS and CPU the table was made on.
+numpy, BLAS, BLAS kernel and CPU the table was made on.
 
 On another build the bytes may legitimately differ. If they do, the test
 skips and names the digests that moved and both builds: it passes only
@@ -18,10 +18,13 @@ commit, and says which outputs moved, by how much, and why:
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +42,18 @@ from test_acceptance import write_noise_manifest, write_tone
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 
+def blas_kernel() -> str:
+    """The core of the OpenBLAS that numpy bundles, picked at load from the
+    CPU or forced by OPENBLAS_CORETYPE: "unknown" if it is not found."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def build() -> dict:
     """What besides the source decides an output's bits."""
     config = np.show_config(mode="dicts")
@@ -46,6 +61,7 @@ def build() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_kernel": blas_kernel(),
         "machine": platform.machine(),
         "cpu_features": sorted(config.get("SIMD Extensions", {}).get("found", [])),
     }
@@ -130,6 +146,24 @@ def test_outputs_match_golden_digests(tmp_path):
         pytest.skip(f"{len(moved)} digests differ on build {build()}; the table was made "
                     f"on {want['build']}: {moved}")
     assert moved == []
+
+
+def test_another_blas_kernel_passes_or_skips():
+    # a kernel's gemm and dot may round otherwise; the build key names the
+    # kernel, so moved digests skip instead of failing
+    native = blas_kernel()
+    if native == "unknown" or platform.machine() != "x86_64":
+        pytest.skip(f"no x86_64 OpenBLAS kernel to force (found {native})")
+    # Haswell's kernels need AVX2 (numpy's X86_V3); Prescott's run on any x86_64
+    avx2 = "X86_V3" in build()["cpu_features"]
+    forced = "Haswell" if avx2 and native != "Haswell" else "Prescott"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_outputs_match_golden_digests"],
+        capture_output=True, text=True, cwd=Path(__file__).parents[1],
+        env={**os.environ, "OPENBLAS_CORETYPE": forced})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1].startswith(("1 passed", "1 skipped")), done.stdout
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import central_difference, max_rel_err
-from svkit.model import (
+from svkit.model.losses import (
     LossConfig,
     SubcenterWeights,
     aam_softmax_loss,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import central_difference, max_rel_err
-from svkit.model import (
+from svkit.model.pooling import (
     AttentionParams,
     attentive_stats_pool,
     attentive_stats_pool_vjp,

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from svkit.schedule import CosineRestartConfig, cycle_start, dump_schedule, lr_at
+from svkit.config import CosineRestartConfig
+from svkit.schedule import cycle_start, dump_schedule, lr_at
 
 
 class TestLrValues:

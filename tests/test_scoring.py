@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from _text_oracle import trial_ids
 import svkit
+from svkit.config import MAX_N_SEGMENTS
 from svkit.features import Waveform
-from svkit.model import length_normalize
+from svkit.model.losses import length_normalize
 from svkit.scoring import (
     COHORT_BLOCK,
-    MAX_N_SEGMENTS,
     CohortError,
     SegmentPlan,
     TRIAL_CHUNK,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from svkit.model import STRIDE_VARIANTS, plan_shapes
+from svkit.model.shapes import STRIDE_VARIANTS, plan_shapes
 
 
 class TestPlanShapes:
